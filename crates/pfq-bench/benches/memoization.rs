@@ -1,19 +1,21 @@
 //! Memoization benchmark: repeated exact queries over the Theorem 4.1
-//! 3-SAT pc-table, one shared [`EvalCache`] vs the cache-disabled
-//! legacy path, at asserted-identical `Ratio` answers.
+//! 3-SAT pc-table, one engine's shared cache vs the un-memoized
+//! reference (world enumeration plus `enumerate_fixpoints`), at
+//! asserted-identical `Ratio` answers.
 //!
 //! The workload mirrors how the CLI runs a `.pfq` file: several `@query`
-//! directives over one program and one input. With the cache on, every
+//! directives over one program and one input. Through the engine, every
 //! possible world after the first query's pass is served from the
-//! whole-tree result memo; disabled, each query re-traverses every
-//! computation tree of every world.
+//! whole-tree result memo; the reference re-traverses every computation
+//! tree of every world for each query.
 //!
 //! Run with `cargo bench -p pfq-bench --bench memoization`; pass
 //! `-- --smoke` for the tiny CI configuration.
 
 use pfq_bench::{fmt_duration, print_table, time_median};
-use pfq_core::{CacheConfig, DatalogQuery, Engine, EvalRequest, Event, Strategy};
+use pfq_core::{DatalogQuery, Engine, EvalRequest, Event, Strategy};
 use pfq_data::tuple;
+use pfq_fuzz::oracle::reference_pc_probability;
 use pfq_num::Ratio;
 use pfq_workloads::sat::{theorem_4_1_pc, Cnf};
 use rand::SeedableRng;
@@ -37,21 +39,14 @@ fn main() {
         ));
     }
 
-    let run = |enabled: bool| -> Vec<Ratio> {
-        let config = if enabled {
-            CacheConfig::default()
-        } else {
-            CacheConfig::disabled()
-        };
+    let memoized = || -> Vec<Ratio> {
         let mut engine = Engine::new();
         queries
             .iter()
             .map(|q| {
                 engine
                     .run(
-                        &EvalRequest::inflationary_pc(q, &input)
-                            .with_strategy(Strategy::ExactTree)
-                            .with_cache_config(config),
+                        &EvalRequest::inflationary_pc(q, &input).with_strategy(Strategy::ExactTree),
                     )
                     .unwrap()
                     .into_exact()
@@ -59,24 +54,36 @@ fn main() {
             })
             .collect()
     };
+    let reference = || -> Vec<Ratio> {
+        queries
+            .iter()
+            .map(|q| reference_pc_probability(q, &input, None).unwrap())
+            .collect()
+    };
 
     // Fixed correctness first: both paths must agree bit for bit.
-    let memoized = run(true);
-    let legacy = run(false);
-    assert_eq!(memoized, legacy, "memoized and legacy answers diverged");
+    assert_eq!(
+        memoized(),
+        reference(),
+        "memoized and reference answers diverged"
+    );
 
-    let t_on = time_median(runs, || run(true));
-    let t_off = time_median(runs, || run(false));
+    let t_on = time_median(runs, memoized);
+    let t_off = time_median(runs, reference);
     let speedup = t_off.as_secs_f64() / t_on.as_secs_f64();
     print_table(
         &format!(
-            "Memoized vs legacy exact pc-table evaluation \
+            "Memoized vs un-memoized exact pc-table evaluation \
              (3-SAT n={n}, m={m}, {} queries)",
             queries.len()
         ),
         &["path", "median wall-clock", "speedup"],
         &[
-            vec!["cache disabled".into(), fmt_duration(t_off), "1.0×".into()],
+            vec![
+                "un-memoized reference".into(),
+                fmt_duration(t_off),
+                "1.0×".into(),
+            ],
             vec![
                 "shared cache".into(),
                 fmt_duration(t_on),

@@ -1,23 +1,20 @@
 //! Planner overhead benchmark: the engine's request → plan → execute
-//! pipeline versus the legacy direct entry point on repeated exact
-//! queries, plus a direct measurement of bare plan construction.
+//! pipeline on repeated exact queries, plus a direct measurement of bare
+//! plan construction.
 //!
 //! Two claims are asserted:
-//! 1. bare `Engine::plan` construction costs **< 1%** of the evaluation
-//!    it steers (the planner's probes are cached alongside the results),
-//! 2. the engine's end-to-end wall-clock stays within noise of the
-//!    legacy `evaluate_with_cache` path it wraps.
+//! 1. the engine's answers are bit-identical to the un-memoized
+//!    reference (world enumeration plus `enumerate_fixpoints`),
+//! 2. bare `Engine::plan` construction costs **< 1%** of the evaluation
+//!    it steers (the planner's probes are cached alongside the results).
 //!
 //! Run with `cargo bench -p pfq-bench --bench planner_overhead`; pass
 //! `-- --smoke` for the tiny CI configuration.
 
-// The deprecated entry point is the legacy baseline under measurement.
-#![allow(deprecated)]
-
 use pfq_bench::{fmt_duration, print_table, time_median};
-use pfq_core::exact_inflationary::{self, ExactBudget};
-use pfq_core::{DatalogQuery, Engine, EvalCache, EvalRequest, Event};
+use pfq_core::{DatalogQuery, Engine, EvalRequest, Event};
 use pfq_data::tuple;
+use pfq_fuzz::oracle::reference_pc_probability;
 use pfq_num::Ratio;
 use pfq_workloads::sat::{theorem_4_1_pc, Cnf};
 use rand::SeedableRng;
@@ -29,7 +26,6 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(23);
     let (f, _) = Cnf::random_satisfiable(n, m, &mut rng);
     let (base, input) = theorem_4_1_pc(&f);
-    let budget = ExactBudget::default();
 
     let mut queries = vec![base.clone()];
     for k in 1..=m as i64 {
@@ -43,12 +39,6 @@ fn main() {
         .map(|q| EvalRequest::inflationary_pc(q, &input))
         .collect();
 
-    let legacy = |cache: &mut EvalCache| -> Vec<Ratio> {
-        queries
-            .iter()
-            .map(|q| exact_inflationary::evaluate_pc_with_cache(q, &input, budget, cache).unwrap())
-            .collect()
-    };
     let engine_run = |engine: &mut Engine| -> Vec<Ratio> {
         requests
             .iter()
@@ -56,13 +46,18 @@ fn main() {
             .collect()
     };
 
-    // Correctness first: the engine pipeline must reproduce the legacy
-    // answers bit for bit.
+    // Correctness first: the engine pipeline must reproduce the
+    // reference answers bit for bit.
     let via_engine = engine_run(&mut Engine::new());
-    let via_legacy = legacy(&mut EvalCache::default());
-    assert_eq!(via_engine, via_legacy, "engine and legacy answers diverged");
+    let via_reference: Vec<Ratio> = queries
+        .iter()
+        .map(|q| reference_pc_probability(q, &input, None).unwrap())
+        .collect();
+    assert_eq!(
+        via_engine, via_reference,
+        "engine and reference answers diverged"
+    );
 
-    let t_legacy = time_median(runs, || legacy(&mut EvalCache::default()));
     let t_engine = time_median(runs, || engine_run(&mut Engine::new()));
 
     // Bare plan construction on a warm engine — the steady state a
@@ -84,17 +79,12 @@ fn main() {
             "Planner overhead (3-SAT n={n}, m={m}, {} queries)",
             queries.len()
         ),
-        &["path", "median wall-clock", "vs legacy"],
+        &["path", "median wall-clock", "share"],
         &[
-            vec![
-                "legacy evaluate_with_cache".into(),
-                fmt_duration(t_legacy),
-                "1.00×".into(),
-            ],
             vec![
                 "engine plan+execute".into(),
                 fmt_duration(t_engine),
-                format!("{:.2}×", t_engine.as_secs_f64() / t_legacy.as_secs_f64()),
+                "100% (baseline)".into(),
             ],
             vec![
                 "bare planning (all queries)".into(),

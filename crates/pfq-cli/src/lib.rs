@@ -50,7 +50,4 @@ pub mod format;
 pub mod runner;
 
 pub use format::{parse_file, PfqFile, Query, Semantics};
-pub use runner::{
-    plan_file_with_options, plan_source_with_options, plan_with_options, render_results, run_file,
-    run_file_with_options, run_source, run_source_with_options, QueryResult, RunOptions,
-};
+pub use runner::{plan, render_results, run, QueryResult, RunOptions};

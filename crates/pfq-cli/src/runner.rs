@@ -3,15 +3,16 @@
 //! Every directive is translated into a [`pfq_core::engine::EvalRequest`]
 //! and handed to one shared [`Engine`] per file, so exact queries share
 //! interned states and memoized transition rows across directives.
-//! `run*` entry points force the directive's historical strategy (output
-//! is byte-identical to the pre-engine CLI); `plan*` entry points ask
-//! the planner what it *would* choose and render the explainable plan
-//! tree without executing anything.
+//! [`run`] forces each directive's historical strategy (output is
+//! byte-identical to the pre-engine CLI); [`plan`] asks the planner what
+//! it *would* choose and renders the explainable plan tree without
+//! executing anything. Both take a parsed file: callers read the source
+//! and call [`parse_file`](crate::parse_file) themselves.
 
-use crate::format::{parse_file, PfqFile, Query, Semantics};
+use crate::format::{PfqFile, Query, Semantics};
 use pfq_core::engine::{Engine, EvalRequest, Plan, Strategy};
 use pfq_core::sampler::SampleReport;
-use pfq_core::{DatalogQuery, Event, ForeverQuery, StationaryMethod};
+use pfq_core::{DatalogQuery, Event, ForeverQuery};
 use pfq_data::Database;
 
 /// Execution options applying to every query in a file. Construct with
@@ -37,10 +38,6 @@ pub struct RunOptions {
     /// are cumulative over the file: one cache is shared by every exact
     /// query, so later queries show the reuse earlier ones seeded.
     pub stats: bool,
-    /// Exact linear-algebra backend for long-run solves (sparse GTH by
-    /// default; the dense reference for A/B comparison). Both return
-    /// bit-identical results.
-    pub stationary_method: StationaryMethod,
     /// Attach the executed plan tree to every result (`--explain`).
     pub explain: bool,
 }
@@ -67,12 +64,6 @@ impl RunOptions {
     /// Enables per-query cache statistics.
     pub fn with_stats(mut self, stats: bool) -> Self {
         self.stats = stats;
-        self
-    }
-
-    /// Selects the exact linear-algebra backend for long-run solves.
-    pub fn with_stationary_method(mut self, method: StationaryMethod) -> Self {
-        self.stationary_method = method;
         self
     }
 
@@ -254,19 +245,12 @@ impl QueryContext {
         request
             .with_threads(options.threads)
             .with_adaptive(!options.no_adaptive)
-            .with_stationary_method(options.stationary_method)
     }
 }
 
 /// Runs every query of a parsed file; results come back in file order.
-pub fn run(file: &PfqFile) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    run_with_options(file, &RunOptions::default())
-}
-
-/// [`run`] with explicit execution options. This is the single core the
-/// other `run*` entry points wrap: one [`Engine`] (hence one cache) for
-/// the whole file.
-pub fn run_with_options(
+/// One [`Engine`] (hence one cache) serves the whole file.
+pub fn run(
     file: &PfqFile,
     options: &RunOptions,
 ) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
@@ -333,34 +317,6 @@ fn run_query(
     })
 }
 
-/// Parses and runs a `.pfq` source string.
-pub fn run_source(src: &str) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    run_source_with_options(src, &RunOptions::default())
-}
-
-/// [`run_source`] with explicit execution options.
-pub fn run_source_with_options(
-    src: &str,
-    options: &RunOptions,
-) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    run_with_options(&parse_file(src)?, options)
-}
-
-/// Parses and runs a `.pfq` file from disk.
-pub fn run_file(path: &std::path::Path) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    run_file_with_options(path, &RunOptions::default())
-}
-
-/// [`run_file`] with explicit execution options.
-pub fn run_file_with_options(
-    path: &std::path::Path,
-    options: &RunOptions,
-) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    run_source_with_options(&src, options)
-}
-
 /// Plans every query of a parsed file without executing anything,
 /// rendering each directive with its indented plan tree — the `pfq plan`
 /// view. Exact and sample directives are planned with
@@ -369,10 +325,7 @@ pub fn run_file_with_options(
 /// exact-tree, a negation-free non-inflationary query as §5.1
 /// partitioning, …); `time-average` and `burn-in N` directives pin
 /// their algorithm. The rendering is deterministic — no wall times.
-pub fn plan_with_options(
-    file: &PfqFile,
-    options: &RunOptions,
-) -> Result<String, Box<dyn std::error::Error>> {
+pub fn plan(file: &PfqFile, options: &RunOptions) -> Result<String, Box<dyn std::error::Error>> {
     let mut engine = Engine::new();
     let mut out = String::new();
     for query in &file.queries {
@@ -399,27 +352,24 @@ fn plan_query(
     Ok(engine.plan(&request)?)
 }
 
-/// Parses and plans a `.pfq` source string (see [`plan_with_options`]).
-pub fn plan_source_with_options(
-    src: &str,
-    options: &RunOptions,
-) -> Result<String, Box<dyn std::error::Error>> {
-    plan_with_options(&parse_file(src)?, options)
-}
-
-/// Parses and plans a `.pfq` file from disk (see [`plan_with_options`]).
-pub fn plan_file_with_options(
-    path: &std::path::Path,
-    options: &RunOptions,
-) -> Result<String, Box<dyn std::error::Error>> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    plan_source_with_options(&src, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_file;
+
+    type Results = Result<Vec<QueryResult>, Box<dyn std::error::Error>>;
+
+    fn run_source_with_options(src: &str, options: &RunOptions) -> Results {
+        run(&parse_file(src)?, options)
+    }
+
+    fn run_source(src: &str) -> Results {
+        run_source_with_options(src, &RunOptions::default())
+    }
+
+    fn plan_source(src: &str) -> String {
+        plan(&parse_file(src).unwrap(), &RunOptions::default()).unwrap()
+    }
 
     const FORK: &str = r#"
 @relation E(i, j, p) {
@@ -630,41 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn stationary_methods_give_identical_output() {
-        let src = r#"
-@relation E(i, j, p) {
-  (0, 1, 1)
-  (1, 0, 1)
-  (1, 1, 1)
-}
-@relation C(c0) {
-  (0)
-}
-@program {
-  C(Y) @P :- C(X), E(X, Y, P).
-}
-@query noninflationary exact event C(1)
-"#;
-        let dense = RunOptions::default().with_stationary_method(StationaryMethod::DenseReference);
-        let gth = RunOptions::default().with_stationary_method(StationaryMethod::SparseGth);
-        assert_eq!(
-            run_source_with_options(src, &dense).unwrap(),
-            run_source_with_options(src, &gth).unwrap()
-        );
-    }
-
-    #[test]
-    fn run_file_reads_from_disk() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("pfq_cli_runner_test.pfq");
-        std::fs::write(&path, FORK).unwrap();
-        let results = run_file(&path).unwrap();
-        assert_eq!(results.len(), 2);
-        std::fs::remove_file(&path).ok();
-        assert!(run_file(std::path::Path::new("/nonexistent/x.pfq")).is_err());
-    }
-
-    #[test]
     fn explain_attaches_the_executed_plan() {
         let options = RunOptions::default().with_explain(true);
         let results = run_source_with_options(FORK, &options).unwrap();
@@ -684,7 +599,7 @@ mod tests {
 
     #[test]
     fn plan_source_shows_auto_analysis() {
-        let rendered = plan_source_with_options(FORK, &RunOptions::default()).unwrap();
+        let rendered = plan_source(FORK);
         // The exact directive plans as exact-tree after the probe…
         assert!(rendered.contains("plan: exact-tree"), "{rendered}");
         // …and the *sample* directive does too: the planner sees the
@@ -697,10 +612,7 @@ mod tests {
         // Nothing was executed, so the output carries no result lines.
         assert!(!rendered.contains("p ="), "{rendered}");
         // Planning is deterministic.
-        assert_eq!(
-            rendered,
-            plan_source_with_options(FORK, &RunOptions::default()).unwrap()
-        );
+        assert_eq!(rendered, plan_source(FORK));
     }
 
     #[test]
@@ -720,7 +632,7 @@ mod tests {
 @query noninflationary time-average steps 20000 seed 2 event C(1)
 @query noninflationary burn-in 50 epsilon 0.1 delta 0.05 seed 2 event C(1)
 "#;
-        let rendered = plan_source_with_options(src, &RunOptions::default()).unwrap();
+        let rendered = plan_source(src);
         assert!(rendered.contains("plan: time-average"), "{rendered}");
         assert!(rendered.contains("steps: 20000"), "{rendered}");
         assert!(rendered.contains("plan: burn-in-sample"), "{rendered}");

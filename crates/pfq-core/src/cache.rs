@@ -9,37 +9,16 @@
 //! across queries, across the possible worlds of a pc-table, and across
 //! repeated evaluations for the lifetime of a process.
 //!
-//! [`CacheConfig::disabled()`] routes evaluation through the legacy
-//! un-memoized paths; the differential tests in
-//! `tests/memo_consistency.rs` pin both paths to bit-identical results.
+//! This memoized path is the only one the engine runs. The un-memoized
+//! `enumerate_fixpoints` and the `Database`-keyed `build_chain` stay
+//! public as reference oracles; `tests/memo_consistency.rs` pins the
+//! engine to bit-identical results against them.
 
 use pfq_data::intern::{StateId, StateStore, TransitionCache};
 use pfq_datalog::inflationary::FixpointMemo;
 use pfq_num::Ratio;
 use std::fmt;
 use std::sync::Arc;
-
-/// Switches between the memoized engines and the legacy reference
-/// implementations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CacheConfig {
-    /// Whether interning/memoization is active. On by default.
-    pub enabled: bool,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig { enabled: true }
-    }
-}
-
-impl CacheConfig {
-    /// A configuration that forces the legacy un-memoized paths — the
-    /// escape hatch the differential tests compare against.
-    pub fn disabled() -> CacheConfig {
-        CacheConfig { enabled: false }
-    }
-}
 
 /// A memoized kernel row: the successor states (interned) with their
 /// exact one-step probabilities.
@@ -81,25 +60,17 @@ impl Default for ChainCache {
 
 /// The combined cache threaded through the exact evaluators.
 pub struct EvalCache {
-    config: CacheConfig,
     pub(crate) fixpoints: FixpointMemo,
     pub(crate) chain: ChainCache,
 }
 
 impl EvalCache {
-    /// A fresh cache under the given configuration.
-    pub fn new(config: CacheConfig) -> EvalCache {
+    /// A fresh, empty cache.
+    pub fn new() -> EvalCache {
         EvalCache {
-            config,
             fixpoints: FixpointMemo::new(),
             chain: ChainCache::new(),
         }
-    }
-
-    /// Whether memoization is active (disabled caches route evaluation
-    /// through the legacy paths and stay empty).
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
     }
 
     /// A snapshot of every counter, suitable for `--stats` reporting.
@@ -121,7 +92,7 @@ impl EvalCache {
 
 impl Default for EvalCache {
     fn default() -> Self {
-        EvalCache::new(CacheConfig::default())
+        EvalCache::new()
     }
 }
 
@@ -172,14 +143,6 @@ impl fmt::Display for CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_defaults_on() {
-        assert!(CacheConfig::default().enabled);
-        assert!(!CacheConfig::disabled().enabled);
-        assert!(EvalCache::default().enabled());
-        assert!(!EvalCache::new(CacheConfig::disabled()).enabled());
-    }
 
     #[test]
     fn fresh_cache_stats_are_zero() {

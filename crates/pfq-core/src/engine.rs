@@ -13,7 +13,7 @@
 //! ```
 //!
 //! * [`EvalRequest`] names the task (which query over which input) plus
-//!   budgets, seed, cache and solver overrides, built fluently.
+//!   budgets, tolerances and sampling settings, built fluently.
 //! * [`Planner`] analyzes the request — negation-freedom and §5.1
 //!   partitioning eligibility, chain/tree size probes against the
 //!   budgets, `auto_burn_in` wiring — and emits an explainable [`Plan`]
@@ -22,18 +22,18 @@
 //!   returns an [`EvalOutcome`]: the value, the plan actually taken,
 //!   the sampling report (if any), cache statistics and wall time.
 //!
-//! The legacy `evaluate*` free functions in the evaluator modules are
-//! thin wrappers over this engine; because the engine composes the same
-//! exact rational-arithmetic primitives (and the same `(seed, index)`
-//! keyed trial streams), the wrappers are bit-identical by construction
-//! — pinned by `tests/engine_differential.rs`.
+//! Each exact action has exactly one implementation: the memoized
+//! computation-tree traversal over the engine's [`EvalCache`], and the
+//! interned chain solved by sparse GTH elimination. The planner chooses
+//! between *algorithms* by eligibility, never between implementations
+//! of the same one. `tests/engine_differential.rs` pins the engine
+//! bit-for-bit against the un-memoized reference oracles.
 //!
 //! This is the same move safe-plan systems make for probabilistic
 //! queries (the Dalvi–Suciu dichotomy: take the cheap path exactly when
 //! the query is eligible for it), applied to this paper's
 //! exact/approximate/partitioned trichotomy.
 
-use crate::cache::CacheConfig;
 use crate::exact_inflationary::{self, ExactBudget};
 use crate::exact_noninflationary::{self, ChainBudget};
 use crate::sample_inflationary::{self, hoeffding_sample_count};
@@ -41,9 +41,8 @@ use crate::sampler::{SampleReport, SamplerConfig};
 use crate::{mixing_sampler, partition, CacheStats, CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
-use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo};
+use pfq_datalog::inflationary::enumerate_fixpoints_memo;
 use pfq_datalog::DatalogError;
-use pfq_markov::StationaryMethod;
 use pfq_num::Ratio;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -190,8 +189,6 @@ pub struct EvalRequest<'a> {
     adaptive: bool,
     epsilon: f64,
     delta: f64,
-    cache_config: CacheConfig,
-    method: StationaryMethod,
 }
 
 impl<'a> EvalRequest<'a> {
@@ -206,8 +203,6 @@ impl<'a> EvalRequest<'a> {
             adaptive: true,
             epsilon: 0.05,
             delta: 0.05,
-            cache_config: CacheConfig::default(),
-            method: StationaryMethod::default(),
         }
     }
 
@@ -282,19 +277,6 @@ impl<'a> EvalRequest<'a> {
         self
     }
 
-    /// Routes exact evaluation through the legacy un-memoized reference
-    /// paths when disabled.
-    pub fn with_cache_config(mut self, config: CacheConfig) -> Self {
-        self.cache_config = config;
-        self
-    }
-
-    /// Sets the exact linear-algebra backend for long-run solves.
-    pub fn with_stationary_method(mut self, method: StationaryMethod) -> Self {
-        self.method = method;
-        self
-    }
-
     fn sampler_config(&self) -> SamplerConfig {
         SamplerConfig {
             seed: self.seed,
@@ -324,12 +306,10 @@ pub enum PlanAction {
         /// Root RNG seed.
         seed: u64,
     },
-    /// Thm. 5.5 explicit chain plus exact long-run solve.
+    /// Thm. 5.5 explicit chain plus exact long-run solve (sparse GTH).
     ExactChain {
         /// State/world budgets for chain construction.
         budget: ChainBudget,
-        /// Exact linear-algebra backend.
-        method: StationaryMethod,
     },
     /// §5.1 partitioned evaluation, one chain per independence class.
     Partitioned {
@@ -337,8 +317,6 @@ pub enum PlanAction {
         classes: usize,
         /// Per-class chain budget.
         budget: ChainBudget,
-        /// Exact linear-algebra backend for the per-class solves.
-        method: StationaryMethod,
     },
     /// Single-walk time average.
     TimeAverage {
@@ -437,24 +415,20 @@ impl Plan {
                 ));
                 out.push(format!("  seed: {seed}"));
             }
-            PlanAction::ExactChain { budget, method } => {
+            PlanAction::ExactChain { budget } => {
                 out.push(format!(
                     "  chain budget: ≤{} states, ≤{} worlds/step",
                     budget.max_states, budget.world_limit
                 ));
-                out.push(format!("  stationary solver: {method}"));
+                out.push("  stationary solver: gth".to_string());
             }
-            PlanAction::Partitioned {
-                classes,
-                budget,
-                method,
-            } => {
+            PlanAction::Partitioned { classes, budget } => {
                 out.push(format!("  classes: {classes}"));
                 out.push(format!(
                     "  per-class chain budget: ≤{} states, ≤{} worlds/step",
                     budget.max_states, budget.world_limit
                 ));
-                out.push(format!("  stationary solver: {method}"));
+                out.push("  stationary solver: gth".to_string());
             }
             PlanAction::TimeAverage { steps, seed } => {
                 out.push(format!("  steps: {steps}"));
@@ -547,7 +521,9 @@ pub struct EvalOutcome {
     pub report: Option<SampleReport>,
     /// Cumulative cache statistics of the engine after this run.
     pub stats: CacheStats,
-    /// Wall time of planning plus execution.
+    /// Wall time of the call that produced the outcome: planning plus
+    /// execution for [`Engine::run`], execution only for
+    /// [`Engine::execute`] (its plan was made beforehand).
     pub wall: Duration,
 }
 
@@ -592,9 +568,8 @@ fn is_budget_error(e: &CoreError) -> bool {
 }
 
 impl Planner {
-    /// Plans `request`. Probes run through `cache` (when the request
-    /// enables caching), so exact work done while planning is reused by
-    /// the executor.
+    /// Plans `request`. Probes run through `cache`, so exact work done
+    /// while planning is reused by the executor.
     pub fn plan(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
         match request.strategy {
             Strategy::Auto => Self::auto(request, cache),
@@ -643,7 +618,6 @@ impl Planner {
                 Ok(plan(
                     PlanAction::ExactChain {
                         budget: request.chain_budget,
-                        method: request.method,
                     },
                     vec![fixed],
                 ))
@@ -655,7 +629,6 @@ impl Planner {
                     PlanAction::Partitioned {
                         classes: classes.len(),
                         budget: request.chain_budget,
-                        method: request.method,
                     },
                     vec![fixed],
                 ))
@@ -751,37 +724,23 @@ impl Planner {
                     .exact_budget
                     .node_budget
                     .unwrap_or(AUTO_NODE_CEILING);
-                let mut notes = Vec::new();
-                let probe = if cache.enabled() {
-                    enumerate_fixpoints_memo(
-                        &query.program,
-                        db,
-                        Some(probe_nodes),
-                        &mut cache.fixpoints,
-                    )
-                    .map(|_| ())
-                } else {
-                    notes.push("cache disabled: probe work is not reused".to_string());
-                    enumerate_fixpoints(&query.program, db, Some(probe_nodes)).map(|_| ())
-                };
+                let probe = enumerate_fixpoints_memo(
+                    &query.program,
+                    db,
+                    Some(probe_nodes),
+                    &mut cache.fixpoints,
+                );
                 match probe.map_err(CoreError::Datalog) {
-                    Ok(()) => {
-                        notes.push(format!(
+                    Ok(_) => Ok(Plan {
+                        task: TaskKind::Inflationary,
+                        action: PlanAction::ExactTree {
+                            budget: request.exact_budget,
+                        },
+                        notes: vec![format!(
                             "computation tree fits within the {probe_nodes}-node probe"
-                        ));
-                        Ok(Plan {
-                            task: TaskKind::Inflationary,
-                            action: PlanAction::ExactTree {
-                                budget: request.exact_budget,
-                            },
-                            notes,
-                        })
-                    }
+                        )],
+                    }),
                     Err(e) if is_budget_error(&e) => {
-                        notes.push(format!(
-                            "computation tree exceeds the {probe_nodes}-node probe; \
-                             falling back to Thm 4.3 sampling"
-                        ));
                         let worst_case = hoeffding_sample_count(request.epsilon, request.delta)?;
                         Ok(Plan {
                             task: TaskKind::Inflationary,
@@ -791,7 +750,10 @@ impl Planner {
                                 worst_case,
                                 seed: request.seed,
                             },
-                            notes,
+                            notes: vec![format!(
+                                "computation tree exceeds the {probe_nodes}-node probe; \
+                                 falling back to Thm 4.3 sampling"
+                            )],
                         })
                     }
                     Err(e) => Err(e),
@@ -849,7 +811,6 @@ impl Planner {
                             action: PlanAction::Partitioned {
                                 classes: classes.len(),
                                 budget: request.chain_budget,
-                                method: request.method,
                             },
                             notes,
                         });
@@ -877,25 +838,17 @@ impl Planner {
         mut notes: Vec<String>,
     ) -> Result<Plan, CoreError> {
         let kind = request.task.kind();
-        let probe = if cache.enabled() {
-            exact_noninflationary::build_chain_interned(fq, db, request.chain_budget, cache)
-                .map(|chain| chain.len())
-        } else {
-            notes.push("cache disabled: probe work is not reused".to_string());
-            exact_noninflationary::build_chain(fq, db, request.chain_budget)
-                .map(|chain| chain.len())
-        };
-        match probe {
-            Ok(states) => {
+        match exact_noninflationary::build_chain_interned(fq, db, request.chain_budget, cache) {
+            Ok(chain) => {
                 notes.push(format!(
-                    "explicit chain fits: {states} states (≤{} budget)",
+                    "explicit chain fits: {} states (≤{} budget)",
+                    chain.len(),
                     request.chain_budget.max_states
                 ));
                 Ok(Plan {
                     task: kind,
                     action: PlanAction::ExactChain {
                         budget: request.chain_budget,
-                        method: request.method,
                     },
                     notes,
                 })
@@ -929,21 +882,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with a fresh enabled cache.
+    /// An engine with a fresh cache.
     pub fn new() -> Engine {
         Engine {
             cache: EvalCache::default(),
         }
-    }
-
-    /// An engine over an existing cache (e.g. pre-warmed).
-    pub fn with_cache(cache: EvalCache) -> Engine {
-        Engine { cache }
-    }
-
-    /// The engine's cache.
-    pub fn cache(&self) -> &EvalCache {
-        &self.cache
     }
 
     /// Cumulative cache statistics.
@@ -955,28 +898,15 @@ impl Engine {
     /// point). Probes warm the engine's cache, so a following
     /// [`Engine::run`] reuses their work.
     pub fn plan(&mut self, request: &EvalRequest<'_>) -> Result<Plan, CoreError> {
-        if request.cache_config.enabled {
-            Planner::plan(request, &mut self.cache)
-        } else {
-            Planner::plan(request, &mut EvalCache::new(CacheConfig::disabled()))
-        }
+        Planner::plan(request, &mut self.cache)
     }
 
-    /// Plans and executes `request`.
+    /// Plans and executes `request`. The outcome's wall time covers
+    /// both phases.
     pub fn run(&mut self, request: &EvalRequest<'_>) -> Result<EvalOutcome, CoreError> {
         let start = Instant::now();
-        let (plan, value, report) = if request.cache_config.enabled {
-            let plan = Planner::plan(request, &mut self.cache)?;
-            let (value, report) = execute_action(request, &plan, &mut self.cache)?;
-            (plan, value, report)
-        } else {
-            // A disabled cache routes through the legacy reference
-            // paths; scratch state never touches the engine's cache.
-            let mut scratch = EvalCache::new(CacheConfig::disabled());
-            let plan = Planner::plan(request, &mut scratch)?;
-            let (value, report) = execute_action(request, &plan, &mut scratch)?;
-            (plan, value, report)
-        };
+        let plan = Planner::plan(request, &mut self.cache)?;
+        let (value, report) = execute_action(request, &plan, &mut self.cache)?;
         Ok(EvalOutcome {
             value,
             plan,
@@ -987,18 +917,15 @@ impl Engine {
     }
 
     /// Executes a previously computed plan (plans are self-contained —
-    /// re-planning is not needed, only plan/task compatibility).
+    /// re-planning is not needed, only plan/task compatibility). The
+    /// outcome's wall time covers execution only.
     pub fn execute(
         &mut self,
         request: &EvalRequest<'_>,
         plan: &Plan,
     ) -> Result<EvalOutcome, CoreError> {
         let start = Instant::now();
-        let (value, report) = if request.cache_config.enabled {
-            execute_action(request, plan, &mut self.cache)?
-        } else {
-            execute_action(request, plan, &mut EvalCache::new(CacheConfig::disabled()))?
-        };
+        let (value, report) = execute_action(request, plan, &mut self.cache)?;
         Ok(EvalOutcome {
             value,
             plan: plan.clone(),
@@ -1016,8 +943,7 @@ impl Default for Engine {
 }
 
 /// Executes one plan action over the given cache. Every arm delegates to
-/// the same primitive the corresponding legacy entry point uses, which
-/// is what makes the legacy wrappers bit-identical by construction.
+/// the one primitive implementing that action's algorithm.
 fn execute_action(
     request: &EvalRequest<'_>,
     plan: &Plan,
@@ -1026,11 +952,11 @@ fn execute_action(
     let config = request.sampler_config();
     match (&plan.action, &request.task) {
         (PlanAction::ExactTree { budget }, Task::Inflationary { query, db }) => {
-            let p = exact_inflationary::eval_with_cache_impl(query, db, *budget, cache)?;
+            let p = exact_inflationary::eval_tree_impl(query, db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::ExactTree { budget }, Task::InflationaryPc { query, input }) => {
-            let p = exact_inflationary::eval_pc_with_cache_impl(query, input, *budget, cache)?;
+            let p = exact_inflationary::eval_pc_tree_impl(query, input, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::SampleFixpoint { epsilon, delta, .. }, Task::Inflationary { query, db }) => {
@@ -1047,21 +973,17 @@ fn execute_action(
             )?;
             Ok((EvalValue::Estimate(report.estimate), Some(report)))
         }
-        (PlanAction::ExactChain { budget, method }, Task::Noninflationary { query, db }) => {
+        (PlanAction::ExactChain { budget }, Task::Noninflationary { query, db }) => {
             let (fq, prepared) = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-            let p = exact_noninflationary::eval_with_cache_and_method_impl(
-                &fq, &prepared, *budget, cache, *method,
-            )?;
+            let p = exact_noninflationary::eval_chain_impl(&fq, &prepared, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
-        (PlanAction::ExactChain { budget, method }, Task::Forever { query, db }) => {
-            let p = exact_noninflationary::eval_with_cache_and_method_impl(
-                query, db, *budget, cache, *method,
-            )?;
+        (PlanAction::ExactChain { budget }, Task::Forever { query, db }) => {
+            let p = exact_noninflationary::eval_chain_impl(query, db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
-        (PlanAction::Partitioned { budget, method, .. }, Task::Noninflationary { query, db }) => {
-            let p = partition::evaluate_partitioned_with(query, db, *budget, cache, *method)?;
+        (PlanAction::Partitioned { budget, .. }, Task::Noninflationary { query, db }) => {
+            let p = partition::evaluate_partitioned_with(query, db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::TimeAverage { steps, seed }, task) => {
@@ -1327,7 +1249,6 @@ mod tests {
             task: TaskKind::Noninflationary,
             action: PlanAction::ExactChain {
                 budget: ChainBudget::default(),
-                method: StationaryMethod::SparseGth,
             },
             notes: vec!["explicit chain fits: 3 states (≤100000 budget)".into()],
         };
@@ -1340,23 +1261,6 @@ mod tests {
              \x20 notes:\n\
              \x20   - explicit chain fits: 3 states (≤100000 budget)"
         );
-    }
-
-    #[test]
-    fn disabled_cache_stays_empty() {
-        let query = fork_query("w");
-        let db = fork_db();
-        let mut engine = Engine::new();
-        let outcome = engine
-            .run(&EvalRequest::inflationary(&query, &db).with_cache_config(CacheConfig::disabled()))
-            .unwrap();
-        assert_eq!(outcome.value, EvalValue::Exact(Ratio::new(1, 2)));
-        assert_eq!(outcome.stats, CacheStats::default());
-        assert!(outcome
-            .plan
-            .notes
-            .iter()
-            .any(|n| n.contains("cache disabled")));
     }
 
     #[test]

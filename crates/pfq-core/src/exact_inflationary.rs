@@ -11,7 +11,7 @@ use crate::engine::{Engine, EvalRequest, Strategy};
 use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
-use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo};
+use pfq_datalog::inflationary::enumerate_fixpoints_memo;
 use pfq_num::Ratio;
 
 /// Resource limits for exact evaluation; both default to unbounded.
@@ -43,34 +43,16 @@ pub fn evaluate(
         .into_exact()
 }
 
-/// Like [`evaluate`], but threads an explicit [`EvalCache`]: repeated
-/// queries over the same program and database are served from the
-/// whole-tree result memo, and distinct inputs still share interned
-/// states and successor rows. A disabled cache routes through the legacy
-/// un-memoized [`enumerate_fixpoints`] reference path.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_with_cache(
+/// The Prop. 4.4 primitive the engine executes: memoized traversal
+/// through the cache. Repeated queries over the same program and
+/// database are served from the whole-tree result memo, and distinct
+/// inputs still share interned states and successor rows.
+pub(crate) fn eval_tree_impl(
     query: &DatalogQuery,
     db: &Database,
     budget: ExactBudget,
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
-    eval_with_cache_impl(query, db, budget, cache)
-}
-
-/// The Prop. 4.4 primitive the engine executes: exact traversal through
-/// an explicit cache (memoized when enabled, the legacy reference path
-/// when disabled).
-pub(crate) fn eval_with_cache_impl(
-    query: &DatalogQuery,
-    db: &Database,
-    budget: ExactBudget,
-    cache: &mut EvalCache,
-) -> Result<Ratio, CoreError> {
-    if !cache.enabled() {
-        let fixpoints = enumerate_fixpoints(&query.program, db, budget.node_budget)?;
-        return Ok(fixpoints.probability_that(|db| query.event.holds(db)));
-    }
     let fixpoints =
         enumerate_fixpoints_memo(&query.program, db, budget.node_budget, &mut cache.fixpoints)?;
     Ok(fixpoints.probability_that(|db| query.event.holds(db)))
@@ -94,23 +76,12 @@ pub fn evaluate_pc(
         .into_exact()
 }
 
-/// Like [`evaluate_pc`], but threads one [`EvalCache`] through every
-/// possible world of the pc-table, so worlds reuse each other's interned
-/// states and transition rows — §3.2 worlds differ in a handful of input
-/// tuples, leaving most of the computation tree shared.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_pc_with_cache(
-    query: &DatalogQuery,
-    input: &PcDatabase,
-    budget: ExactBudget,
-    cache: &mut EvalCache,
-) -> Result<Ratio, CoreError> {
-    eval_pc_with_cache_impl(query, input, budget, cache)
-}
-
 /// The §3.2 possible-worlds primitive the engine executes: enumerate the
-/// pc-table's worlds and mix the per-world exact results.
-pub(crate) fn eval_pc_with_cache_impl(
+/// pc-table's worlds and mix the per-world exact results. One cache
+/// serves every world, so worlds reuse each other's interned states and
+/// transition rows — §3.2 worlds differ in a handful of input tuples,
+/// leaving most of the computation tree shared.
+pub(crate) fn eval_pc_tree_impl(
     query: &DatalogQuery,
     input: &PcDatabase,
     budget: ExactBudget,
@@ -127,19 +98,19 @@ pub(crate) fn eval_pc_with_cache_impl(
     }
     let mut total = Ratio::zero();
     for (world, p) in worlds.iter() {
-        let conditional = eval_with_cache_impl(query, world, budget, cache)?;
+        let conditional = eval_tree_impl(query, world, budget, cache)?;
         total = total.add_ref(&p.mul_ref(&conditional));
     }
     Ok(total)
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated wrappers are deliberately pinned here
 mod tests {
     use super::*;
     use crate::Event;
     use pfq_ctable::{Condition, PcTable, RandomVariable};
     use pfq_data::{tuple, Relation, Schema, Value};
+    use pfq_datalog::inflationary::enumerate_fixpoints;
 
     fn reach_query(target: &str) -> DatalogQuery {
         DatalogQuery::parse(
@@ -282,19 +253,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_disabled_paths_agree() {
+    fn cached_path_matches_unmemoized_oracle() {
         let db = fork_db();
         let mut shared = EvalCache::default();
-        let mut off = EvalCache::new(crate::CacheConfig::disabled());
         for target in ["w", "v", "u", "nowhere"] {
             let q = reach_query(target);
-            let a = evaluate_with_cache(&q, &db, ExactBudget::default(), &mut shared).unwrap();
-            let b = evaluate_with_cache(&q, &db, ExactBudget::default(), &mut off).unwrap();
-            assert_eq!(a, b);
+            let memoized = eval_tree_impl(&q, &db, ExactBudget::default(), &mut shared).unwrap();
+            let oracle = enumerate_fixpoints(&q.program, &db, None)
+                .unwrap()
+                .probability_that(|db| q.event.holds(db));
+            assert_eq!(memoized, oracle);
         }
         assert!(shared.stats().engine_states > 0);
-        // A disabled cache never accumulates anything.
-        assert_eq!(off.stats(), crate::CacheStats::default());
     }
 
     #[test]
@@ -303,10 +273,9 @@ mod tests {
         // so the second query is a whole-tree memo hit.
         let db = fork_db();
         let mut cache = EvalCache::default();
-        evaluate_with_cache(&reach_query("w"), &db, ExactBudget::default(), &mut cache).unwrap();
+        eval_tree_impl(&reach_query("w"), &db, ExactBudget::default(), &mut cache).unwrap();
         assert_eq!(cache.stats().result_hits, 0);
-        let p = evaluate_with_cache(&reach_query("u"), &db, ExactBudget::default(), &mut cache)
-            .unwrap();
+        let p = eval_tree_impl(&reach_query("u"), &db, ExactBudget::default(), &mut cache).unwrap();
         assert_eq!(p, Ratio::new(1, 2));
         assert_eq!(cache.stats().result_hits, 1);
         assert_eq!(cache.stats().result_misses, 1);
@@ -325,12 +294,12 @@ mod tests {
         );
         let mut cache = EvalCache::default();
         let q = reach_query("w");
-        let p = evaluate_pc_with_cache(&q, &input, ExactBudget::default(), &mut cache).unwrap();
+        let p = eval_pc_tree_impl(&q, &input, ExactBudget::default(), &mut cache).unwrap();
         assert_eq!(p, Ratio::new(1, 2));
         // Two worlds were enumerated cold …
         assert_eq!(cache.stats().result_misses, 2);
         // … and a repeat of the whole pc query is served from the memo.
-        let p2 = evaluate_pc_with_cache(&q, &input, ExactBudget::default(), &mut cache).unwrap();
+        let p2 = eval_pc_tree_impl(&q, &input, ExactBudget::default(), &mut cache).unwrap();
         assert_eq!(p2, p);
         assert_eq!(cache.stats().result_hits, 2);
         assert_eq!(cache.stats().result_misses, 2);

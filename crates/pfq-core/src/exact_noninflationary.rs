@@ -2,10 +2,11 @@
 //!
 //! Builds the explicit Markov chain of reachable database instances by
 //! evaluating the transition kernel on each state, then computes the
-//! long-run (time-average) distribution: directly by Gaussian elimination
-//! when the chain is irreducible (Prop. 5.4), or via absorption into the
-//! closed SCCs of the condensation in general (Thm. 5.5). The query
-//! result is the summed long-run probability of event states.
+//! long-run (time-average) distribution: directly by sparse GTH
+//! elimination when the chain is irreducible (Prop. 5.4), or via
+//! absorption into the closed SCCs of the condensation in general
+//! (Thm. 5.5). The query result is the summed long-run probability of
+//! event states.
 
 use crate::cache::ChainCache;
 use crate::engine::{Engine, EvalRequest, Strategy};
@@ -13,8 +14,8 @@ use crate::{CoreError, EvalCache, ForeverQuery};
 use pfq_algebra::AlgebraError;
 use pfq_data::intern::{fingerprint64, StateId};
 use pfq_data::Database;
-use pfq_markov::absorption::long_run_distribution_with;
-use pfq_markov::{MarkovChain, StationaryMethod};
+use pfq_markov::absorption::long_run_distribution;
+use pfq_markov::MarkovChain;
 use pfq_num::{Distribution, Ratio};
 use std::sync::Arc;
 
@@ -40,9 +41,9 @@ impl Default for ChainBudget {
 /// Builds the explicit Markov chain over database instances reachable
 /// from `db` under the query's kernel.
 ///
-/// This is the legacy path keying the chain on whole `Database` values
-/// (every dedup an `O(|db|)` comparison); [`build_chain_interned`] runs
-/// the same exploration over dense [`StateId`]s.
+/// This reference oracle keys the chain on whole `Database` values
+/// (every dedup an `O(|db|)` comparison); the engine runs the same
+/// exploration over dense [`StateId`]s with [`build_chain_interned`].
 pub fn build_chain(
     query: &ForeverQuery,
     db: &Database,
@@ -122,69 +123,15 @@ pub fn evaluate(
         .into_exact()
 }
 
-/// [`evaluate`] with an explicit choice of exact linear-algebra backend
-/// for the long-run solve — sparse GTH by default everywhere, the dense
-/// reference for differential testing and A/B timing. Both methods
-/// return bit-identical `Ratio` results.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_with_method(
-    query: &ForeverQuery,
-    db: &Database,
-    budget: ChainBudget,
-    method: StationaryMethod,
-) -> Result<Ratio, CoreError> {
-    eval_with_cache_and_method_impl(query, db, budget, &mut EvalCache::default(), method)
-}
-
-/// Like [`evaluate`], but threads an explicit [`EvalCache`]: the chain
-/// is explored over interned states and kernel rows are shared across
-/// evaluations. A disabled cache routes through the legacy
-/// [`build_chain`] reference path.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_with_cache(
+/// The Thm. 5.5 primitive the engine executes: build the interned
+/// explicit chain, solve the long-run distribution by sparse GTH
+/// elimination, and sum the event states' mass.
+pub(crate) fn eval_chain_impl(
     query: &ForeverQuery,
     db: &Database,
     budget: ChainBudget,
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
-    eval_with_cache_and_method_impl(query, db, budget, cache, StationaryMethod::default())
-}
-
-/// The fully explicit entry point: caching *and* stationary-method
-/// control.
-#[deprecated(note = "use pfq_core::engine")]
-pub fn evaluate_with_cache_and_method(
-    query: &ForeverQuery,
-    db: &Database,
-    budget: ChainBudget,
-    cache: &mut EvalCache,
-    method: StationaryMethod,
-) -> Result<Ratio, CoreError> {
-    eval_with_cache_and_method_impl(query, db, budget, cache, method)
-}
-
-/// The Thm. 5.5 primitive the engine executes: build the (interned or
-/// legacy) explicit chain, solve the long-run distribution with the
-/// chosen backend, and sum the event states' mass.
-pub(crate) fn eval_with_cache_and_method_impl(
-    query: &ForeverQuery,
-    db: &Database,
-    budget: ChainBudget,
-    cache: &mut EvalCache,
-    method: StationaryMethod,
-) -> Result<Ratio, CoreError> {
-    if !cache.enabled() {
-        let chain = build_chain(query, db, budget)?;
-        let start = chain.index_of(db).expect("start state was interned");
-        let long_run = long_run_distribution_with(&chain, start, method)?;
-        let mut total = Ratio::zero();
-        for (i, p) in long_run.iter().enumerate() {
-            if !p.is_zero() && query.event.holds(chain.state(i)) {
-                total = total.add_ref(p);
-            }
-        }
-        return Ok(total);
-    }
     let chain = build_chain_interned(query, db, budget, cache)?;
     let start_id = cache
         .chain
@@ -192,7 +139,7 @@ pub(crate) fn eval_with_cache_and_method_impl(
         .lookup(db)
         .expect("start state was interned");
     let start = chain.index_of(&start_id).expect("start state in chain");
-    let long_run = long_run_distribution_with(&chain, start, method)?;
+    let long_run = long_run_distribution(&chain, start)?;
     let mut total = Ratio::zero();
     for (i, p) in long_run.iter().enumerate() {
         if !p.is_zero()
@@ -206,8 +153,29 @@ pub(crate) fn eval_with_cache_and_method_impl(
     Ok(total)
 }
 
+/// The reference oracle for [`eval_chain_impl`]: the `Database`-keyed
+/// [`build_chain`] solved by dense rational elimination.
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated wrappers are deliberately pinned here
+pub(crate) fn reference_chain_probability(
+    query: &ForeverQuery,
+    db: &Database,
+    budget: ChainBudget,
+) -> Result<Ratio, CoreError> {
+    use pfq_markov::absorption::long_run_distribution_with;
+    use pfq_markov::StationaryMethod;
+    let chain = build_chain(query, db, budget)?;
+    let start = chain.index_of(db).expect("start state was explored");
+    let long_run = long_run_distribution_with(&chain, start, StationaryMethod::DenseReference)?;
+    let mut total = Ratio::zero();
+    for (i, p) in long_run.iter().enumerate() {
+        if !p.is_zero() && query.event.holds(chain.state(i)) {
+            total = total.add_ref(p);
+        }
+    }
+    Ok(total)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::Event;
@@ -349,16 +317,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_disabled_paths_agree() {
+    fn cached_path_matches_dense_reference_oracle() {
+        let mut shared = EvalCache::default();
         for target in [1, 2, 3, 99] {
             let (q, db) = walk_query(target);
-            let mut on = EvalCache::default();
-            let mut off = EvalCache::new(crate::CacheConfig::disabled());
             assert_eq!(
-                evaluate_with_cache(&q, &db, ChainBudget::default(), &mut on).unwrap(),
-                evaluate_with_cache(&q, &db, ChainBudget::default(), &mut off).unwrap(),
+                eval_chain_impl(&q, &db, ChainBudget::default(), &mut shared).unwrap(),
+                reference_chain_probability(&q, &db, ChainBudget::default()).unwrap(),
             );
-            assert_eq!(off.stats(), crate::CacheStats::default());
         }
     }
 
@@ -383,35 +349,17 @@ mod tests {
     }
 
     #[test]
-    fn stationary_methods_agree_end_to_end() {
-        for target in [1, 2, 3, 99] {
-            let (q, db) = walk_query(target);
-            assert_eq!(
-                evaluate_with_method(
-                    &q,
-                    &db,
-                    ChainBudget::default(),
-                    StationaryMethod::DenseReference
-                )
-                .unwrap(),
-                evaluate_with_method(&q, &db, ChainBudget::default(), StationaryMethod::SparseGth)
-                    .unwrap(),
-            );
-        }
-    }
-
-    #[test]
     fn kernel_rows_are_reused_across_evaluations() {
         let (q1, db) = walk_query(1);
         let mut cache = EvalCache::default();
-        evaluate_with_cache(&q1, &db, ChainBudget::default(), &mut cache).unwrap();
+        eval_chain_impl(&q1, &db, ChainBudget::default(), &mut cache).unwrap();
         let cold = cache.stats();
         assert_eq!(cold.kernel_hits, 0);
         assert_eq!(cold.kernel_misses, 3);
         assert_eq!(cold.db_states, 3);
         // Same kernel, different event: every row is served from the memo.
         let (q2, _) = walk_query(2);
-        let p = evaluate_with_cache(&q2, &db, ChainBudget::default(), &mut cache).unwrap();
+        let p = eval_chain_impl(&q2, &db, ChainBudget::default(), &mut cache).unwrap();
         assert_eq!(p, Ratio::new(1, 4));
         let warm = cache.stats();
         assert_eq!(warm.kernel_hits, 3);

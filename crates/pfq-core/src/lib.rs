@@ -23,19 +23,21 @@
 //! (same seed ⇒ bit-identical estimates at any thread count) and
 //! adaptive early stopping under the `(ε, δ)` guarantee.
 //!
-//! Both exact evaluators run over the interning/memoization layer in
-//! [`cache`]: states are hash-consed to dense ids and transition work is
-//! memoized per `(fingerprint, state)`, with an [`EvalCache`] shareable
-//! across queries and across the possible worlds of a pc-table.
+//! Each exact algorithm has one production path. Both run over the
+//! interning/memoization layer in [`cache`]: states are hash-consed to
+//! dense ids and transition work is memoized per `(fingerprint, state)`,
+//! with an [`EvalCache`] shareable across queries and across the
+//! possible worlds of a pc-table. Long-run solves always use sparse GTH
+//! elimination. The un-memoized tree enumeration, the `Database`-keyed
+//! [`exact_noninflationary::build_chain`] and the dense solver remain
+//! public as reference oracles for tests, the fuzzer and benches.
 //!
 //! All of the above is unified behind the [`engine`] layer: an
 //! [`EvalRequest`] names the task and the knobs, the [`engine::Planner`]
 //! analyzes eligibility (negation-freedom, §5.1 partitioning, budget
 //! probes) and emits an explainable [`Plan`], and the [`Engine`]
 //! executes it. The per-module `evaluate*` free functions are thin
-//! wrappers over the engine kept for API stability; the combinatorial
-//! `*_with_cache`/`*_with_method` entry points are deprecated in its
-//! favor.
+//! wrappers over the engine.
 
 pub mod cache;
 pub mod engine;
@@ -49,11 +51,10 @@ pub mod query;
 pub mod sample_inflationary;
 pub mod sampler;
 
-pub use cache::{CacheConfig, CacheStats, EvalCache};
+pub use cache::{CacheStats, EvalCache};
 pub use engine::{
     Engine, EvalOutcome, EvalRequest, EvalValue, Plan, PlanAction, Strategy, Task, TaskKind,
 };
 pub use error::CoreError;
 pub use event::Event;
-pub use pfq_markov::StationaryMethod;
 pub use query::{DatalogQuery, ForeverQuery};

@@ -26,7 +26,6 @@ use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_data::{Database, Tuple};
 use pfq_datalog::eval::{head_key, instantiate_head, prepare_database, Valuation};
 use pfq_datalog::{Program, Term};
-use pfq_markov::StationaryMethod;
 use pfq_num::Ratio;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -255,23 +254,18 @@ pub fn evaluate_partitioned(
 /// the direct path has: the per-class Theorem 5.5 solves share one
 /// [`EvalCache`] (kernel rows memoized across classes — the per-class
 /// kernels differ only in their base tuples, so identical sub-states
-/// recur) and one [`StationaryMethod`]. Before the engine existed this
-/// path could use neither, silently pinning partitioned evaluation to
-/// fresh caches and the default solver.
+/// recur).
 pub fn evaluate_partitioned_with(
     query: &DatalogQuery,
     db: &Database,
     budget: ChainBudget,
     cache: &mut EvalCache,
-    method: StationaryMethod,
 ) -> Result<Ratio, CoreError> {
     let classes = partition_classes(&query.program, db)?;
     let mut p_not = Ratio::one();
     for class_db in &classes {
         let (fq, prepared) = query.to_forever_query(class_db)?;
-        let p = exact_noninflationary::eval_with_cache_and_method_impl(
-            &fq, &prepared, budget, cache, method,
-        )?;
+        let p = exact_noninflationary::eval_chain_impl(&fq, &prepared, budget, cache)?;
         p_not = p_not.mul_ref(&Ratio::one().sub_ref(&p));
     }
     Ok(Ratio::one().sub_ref(&p_not))
@@ -373,8 +367,8 @@ mod tests {
     #[test]
     fn partitioned_capabilities_match_direct_dense() {
         // Regression for the capability gap: partitioned evaluation with
-        // a shared cache and the GTH solver is bit-identical to the
-        // direct dense whole-database solve.
+        // a shared cache is bit-identical to the dense whole-database
+        // reference oracle.
         for event in [
             Event::tuple_in("H", tuple![1, 1]),
             Event::tuple_in("H", tuple![1, 1]).or(Event::tuple_in("H", tuple![2, 1])),
@@ -384,24 +378,17 @@ mod tests {
             let db = coin_db();
             let direct_dense = {
                 let (fq, prepared) = query.to_forever_query(&db).unwrap();
-                exact_noninflationary::eval_with_cache_and_method_impl(
+                exact_noninflationary::reference_chain_probability(
                     &fq,
                     &prepared,
                     ChainBudget::default(),
-                    &mut EvalCache::default(),
-                    StationaryMethod::DenseReference,
                 )
                 .unwrap()
             };
             let mut shared = EvalCache::default();
-            let partitioned = evaluate_partitioned_with(
-                &query,
-                &db,
-                ChainBudget::default(),
-                &mut shared,
-                StationaryMethod::SparseGth,
-            )
-            .unwrap();
+            let partitioned =
+                evaluate_partitioned_with(&query, &db, ChainBudget::default(), &mut shared)
+                    .unwrap();
             assert_eq!(direct_dense, partitioned);
             // The shared cache really was used across the class solves.
             assert!(shared.stats().db_states > 0);

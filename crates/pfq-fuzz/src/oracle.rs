@@ -11,10 +11,10 @@
 //! | `CacheReuse` | fresh memo vs campaign-shared memo | intern-id independence: same distribution |
 //! | `SamplerBound` | exact vs Thm 4.3 sampler | `\|p̂ − p\| ≤ ε` at confidence `1 − δ` (deterministic seed) |
 //! | `ThreadInvariance` | sampler at 1 vs 3 threads | bit-identical estimates for the same seed |
-//! | `StationaryDifferential` | dense GE vs sparse GTH (Thm 5.5) | bit-identical long-run probabilities |
+//! | `StationaryDifferential` | engine (interned chain, sparse GTH) vs reference (`build_chain`, dense GE) (Thm 5.5) | bit-identical long-run probabilities |
 //! | `PartitionDifferential` | §5.1 partitioned vs whole chain | identical exact probabilities (negation-free only) |
 //! | `BurnInConsistency` | Thm 5.6 restart sampler vs exact `P^B` mass | `\|p̂ − p_B\| ≤ ε` at confidence `1 − δ` |
-//! | `PlannerDifferential` | engine `Strategy::Auto` vs every forced-eligible exact path | bit-identical exact probabilities |
+//! | `PlannerDifferential` | engine `Strategy::Auto` vs every forced-eligible exact path and the reference oracles | bit-identical exact probabilities |
 //!
 //! Budget exhaustion on a path is a *skip*, not a failure; any other
 //! disagreement (including one path erroring where its twin succeeds)
@@ -26,13 +26,63 @@ use pfq_core::exact_inflationary::ExactBudget;
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::SamplerConfig;
 use pfq_core::{
-    mixing_sampler, partition, sample_inflationary, DatalogQuery, Engine, EvalRequest,
-    StationaryMethod, Strategy,
+    mixing_sampler, partition, sample_inflationary, CoreError, DatalogQuery, Engine, EvalRequest,
+    ForeverQuery, Strategy,
 };
+use pfq_ctable::PcDatabase;
 use pfq_data::Database;
 use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo, FixpointMemo};
 use pfq_datalog::{eval, DatalogError};
+use pfq_markov::absorption::long_run_distribution_with;
+use pfq_markov::StationaryMethod;
 use pfq_num::{Distribution, Ratio};
+
+/// The Prop. 4.4 reference oracle: the event probability over the
+/// un-memoized [`enumerate_fixpoints`] distribution.
+pub fn reference_tree_probability(
+    query: &DatalogQuery,
+    db: &Database,
+    node_budget: Option<usize>,
+) -> Result<Ratio, DatalogError> {
+    let dist = enumerate_fixpoints(&query.program, db, node_budget)?;
+    Ok(dist.probability_that(|db| query.event.holds(db)))
+}
+
+/// The §3.2 reference oracle for pc-table inputs: every possible world
+/// of `input` is enumerated and weighted by its
+/// [`reference_tree_probability`], with nothing shared between worlds.
+pub fn reference_pc_probability(
+    query: &DatalogQuery,
+    input: &PcDatabase,
+    node_budget: Option<usize>,
+) -> Result<Ratio, CoreError> {
+    let mut total = Ratio::zero();
+    for (world, p) in input.enumerate_worlds()?.iter() {
+        let conditional = reference_tree_probability(query, world, node_budget)?;
+        total = total.add_ref(&p.mul_ref(&conditional));
+    }
+    Ok(total)
+}
+
+/// The Thm. 5.5 reference oracle: the long-run event probability on the
+/// `Database`-keyed [`exact_noninflationary::build_chain`], solved by
+/// dense rational elimination.
+pub fn reference_chain_probability(
+    query: &ForeverQuery,
+    db: &Database,
+    budget: ChainBudget,
+) -> Result<Ratio, CoreError> {
+    let chain = exact_noninflationary::build_chain(query, db, budget)?;
+    let start = chain.index_of(db).expect("start state was explored");
+    let long_run = long_run_distribution_with(&chain, start, StationaryMethod::DenseReference)?;
+    let mut total = Ratio::zero();
+    for (i, p) in long_run.iter().enumerate() {
+        if !p.is_zero() && query.event.holds(chain.state(i)) {
+            total = total.add_ref(p);
+        }
+    }
+    Ok(total)
+}
 
 /// Identifies one oracle check — the unit of pass/skip/fail accounting
 /// and the thing a shrink run must keep reproducing.
@@ -50,7 +100,8 @@ pub enum CheckId {
     SamplerBound,
     /// Same seed ⇒ bit-identical estimates at any thread count.
     ThreadInvariance,
-    /// Dense and GTH stationary solvers agree bit-for-bit.
+    /// The engine's exact chain agrees bit-for-bit with the dense
+    /// reference oracle.
     StationaryDifferential,
     /// §5.1 partitioned evaluation equals whole-chain evaluation.
     PartitionDifferential,
@@ -438,9 +489,8 @@ impl Oracle {
     /// seeded inflationary fault should be caught by the inflationary
     /// checks, not blur the sampler's reference).
     fn exact_event_probability(&self, case: &FuzzCase) -> Result<Ratio, DatalogError> {
-        let dist = enumerate_fixpoints(&case.program, &case.db, Some(self.cfg.node_budget))?;
-        let event = case.event();
-        Ok(dist.probability_that(|db| event.holds(db)))
+        let query = DatalogQuery::new(case.program.clone(), case.event());
+        reference_tree_probability(&query, &case.db, Some(self.cfg.node_budget))
     }
 
     fn sampler_bound(&self, case: &FuzzCase, case_seed: u64) -> Outcome {
@@ -515,19 +565,16 @@ impl Oracle {
             Ok(t) => t,
             Err(e) => return Outcome::Skip(format!("no non-inflationary translation: {e}")),
         };
-        let eval = |method: StationaryMethod| {
-            Engine::new()
-                .run(
-                    &EvalRequest::forever(&fq, &prepared)
-                        .with_strategy(Strategy::ExactChain)
-                        .with_chain_budget(self.cfg.chain_budget)
-                        .with_stationary_method(method),
-                )?
-                .into_exact()
-        };
+        let gth = Engine::new()
+            .run(
+                &EvalRequest::forever(&fq, &prepared)
+                    .with_strategy(Strategy::ExactChain)
+                    .with_chain_budget(self.cfg.chain_budget),
+            )
+            .and_then(|o| o.into_exact());
         match (
-            eval(StationaryMethod::DenseReference),
-            eval(StationaryMethod::SparseGth),
+            reference_chain_probability(&fq, &prepared, self.cfg.chain_budget),
+            gth,
         ) {
             (Ok(dense), Ok(gth)) => {
                 if dense == gth {
@@ -698,8 +745,8 @@ impl Oracle {
             skips.push("inflationary probe over budget: planner chose sampling".to_string());
         }
 
-        // Non-inflationary task: Auto vs forced exact-chain (both
-        // solvers) and forced §5.1 partitioning.
+        // Non-inflationary task: Auto vs the dense reference chain,
+        // forced exact-chain and forced §5.1 partitioning.
         let request =
             EvalRequest::noninflationary(&query, &case.db).with_chain_budget(self.cfg.chain_budget);
         let mut engine = Engine::new();
@@ -729,34 +776,29 @@ impl Oracle {
             .value
             .exact()
             .expect("exact plan yields an exact value");
-        let mut forced: Vec<(&str, Strategy, StationaryMethod)> = vec![
-            (
-                "forced exact-chain (dense)",
-                Strategy::ExactChain,
-                StationaryMethod::DenseReference,
-            ),
-            (
-                "forced exact-chain (gth)",
-                Strategy::ExactChain,
-                StationaryMethod::SparseGth,
-            ),
-        ];
-        if !case.program.has_negation() {
-            forced.push((
-                "forced partitioned",
-                Strategy::Partitioned,
-                StationaryMethod::SparseGth,
-            ));
-        }
-        for (label, strategy, method) in forced {
-            let result = Engine::new()
+        let run_forced = |strategy: Strategy| {
+            Engine::new()
                 .run(
                     &EvalRequest::noninflationary(&query, &case.db)
                         .with_strategy(strategy)
-                        .with_chain_budget(self.cfg.chain_budget)
-                        .with_stationary_method(method),
+                        .with_chain_budget(self.cfg.chain_budget),
                 )
-                .and_then(|o| o.into_exact());
+                .and_then(|o| o.into_exact())
+        };
+        let dense = query
+            .to_forever_query(&case.db)
+            .map_err(CoreError::Datalog)
+            .and_then(|(fq, prepared)| {
+                reference_chain_probability(&fq, &prepared, self.cfg.chain_budget)
+            });
+        let mut forced = vec![
+            ("dense reference chain", dense),
+            ("forced exact-chain", run_forced(Strategy::ExactChain)),
+        ];
+        if !case.program.has_negation() {
+            forced.push(("forced partitioned", run_forced(Strategy::Partitioned)));
+        }
+        for (label, result) in forced {
             match result {
                 Ok(p) if p == *p_auto => compared += 1,
                 Ok(p) => {
@@ -792,8 +834,7 @@ impl Oracle {
 
 /// Whether `e` is a budget exhaustion rather than a genuine failure
 /// (mirrors the planner's own fallback classification).
-fn is_budget_error(e: &pfq_core::CoreError) -> bool {
-    use pfq_core::CoreError;
+fn is_budget_error(e: &CoreError) -> bool {
     matches!(
         e,
         CoreError::Datalog(DatalogError::BudgetExceeded { .. })

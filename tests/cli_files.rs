@@ -1,9 +1,7 @@
 //! The `.pfq` example files in the repository stay valid and produce the
 //! documented exact answers.
 
-use pfq_cli::{
-    plan_file_with_options, render_results, run_file, run_file_with_options, RunOptions,
-};
+use pfq_cli::{parse_file, render_results, PfqFile, QueryResult, RunOptions};
 use std::path::Path;
 
 fn repo_example(name: &str) -> std::path::PathBuf {
@@ -12,9 +10,21 @@ fn repo_example(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
+/// Reads and parses a `.pfq` file, as `pfq run` and `pfq plan` do.
+fn load(path: &Path) -> Result<PfqFile, Box<dyn std::error::Error>> {
+    parse_file(&std::fs::read_to_string(path)?)
+}
+
+fn run_path(
+    path: &Path,
+    options: &RunOptions,
+) -> Result<Vec<QueryResult>, Box<dyn std::error::Error>> {
+    pfq_cli::run(&load(path)?, options)
+}
+
 #[test]
 fn fork_pfq_runs_with_documented_answers() {
-    let results = run_file(&repo_example("fork.pfq")).unwrap();
+    let results = run_path(&repo_example("fork.pfq"), &RunOptions::default()).unwrap();
     assert_eq!(results.len(), 2);
     // Weights 1:3 toward u, so Pr[w] = 1/4 exactly.
     assert!(
@@ -27,7 +37,7 @@ fn fork_pfq_runs_with_documented_answers() {
 
 #[test]
 fn pagerank_pfq_is_exact_and_sums_to_one() {
-    let results = run_file(&repo_example("pagerank.pfq")).unwrap();
+    let results = run_path(&repo_example("pagerank.pfq"), &RunOptions::default()).unwrap();
     assert_eq!(results.len(), 4);
     // The three exact long-run probabilities sum to 1.
     let mut total = pfq::num::Ratio::zero();
@@ -68,7 +78,7 @@ fn stats_demo_pfq_matches_golden_output() {
         stats: true,
         ..RunOptions::default()
     };
-    let results = run_file_with_options(&repo_example("stats_demo.pfq"), &options).unwrap();
+    let results = run_path(&repo_example("stats_demo.pfq"), &options).unwrap();
     let rendered = render_results(&results);
     let golden = std::fs::read_to_string(
         Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -126,8 +136,8 @@ fn every_example_pfq_matches_golden_output() {
             stats: stem == "stats_demo",
             ..RunOptions::default()
         };
-        let results = run_file_with_options(&path, &options)
-            .unwrap_or_else(|e| panic!("examples/{stem}.pfq failed: {e}"));
+        let results =
+            run_path(&path, &options).unwrap_or_else(|e| panic!("examples/{stem}.pfq failed: {e}"));
         let rendered = normalize(&render_results(&results));
         let golden_path = golden_dir.join(format!("{stem}.out"));
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -165,7 +175,8 @@ fn example_plans_match_golden_output() {
         .join("golden");
     for stem in ["coloring", "fork", "pagerank"] {
         let options = RunOptions::default().with_threads(1);
-        let rendered = plan_file_with_options(&repo_example(&format!("{stem}.pfq")), &options)
+        let rendered = load(&repo_example(&format!("{stem}.pfq")))
+            .and_then(|file| pfq_cli::plan(&file, &options))
             .unwrap_or_else(|e| panic!("pfq plan examples/{stem}.pfq failed: {e}"));
         let golden_path = golden_dir.join(format!("plan_{stem}.out"));
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -197,7 +208,7 @@ fn example_explain_runs_match_golden_output() {
         .join("golden");
     for stem in ["coloring", "fork", "pagerank"] {
         let options = RunOptions::default().with_threads(1).with_explain(true);
-        let results = run_file_with_options(&repo_example(&format!("{stem}.pfq")), &options)
+        let results = run_path(&repo_example(&format!("{stem}.pfq")), &options)
             .unwrap_or_else(|e| panic!("examples/{stem}.pfq --explain failed: {e}"));
         assert!(
             results.iter().all(|r| r.plan.is_some()),
@@ -225,7 +236,7 @@ fn example_explain_runs_match_golden_output() {
 
 #[test]
 fn coloring_pfq_is_uniform() {
-    let results = run_file(&repo_example("coloring.pfq")).unwrap();
+    let results = run_path(&repo_example("coloring.pfq"), &RunOptions::default()).unwrap();
     assert_eq!(results.len(), 2);
     assert!(
         results[0].value.starts_with("p = 1/3"),

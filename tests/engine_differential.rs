@@ -1,16 +1,14 @@
-//! Differential tests for the engine layer: the legacy `evaluate*` free
-//! functions are now thin wrappers over `pfq::lang::engine`, and this
-//! suite proves the rewiring is **bit-identical** — every wrapper is
-//! replayed against the deprecated legacy entry point (which still holds
-//! the original evaluation body) over a seeded fuzz-generated corpus.
-//! Exact paths must agree `Ratio`-for-`Ratio`; sampling paths must agree
-//! to the bit on the same derived seed. Planner properties ride along:
-//! plans are deterministic (cold == warm) and §5.1 partitioning is never
-//! chosen for a program with negation.
-
-// The deprecated entry points are pinned on purpose: they are the legacy
-// surface the engine wrappers must stay bit-identical to.
-#![allow(deprecated)]
+//! Differential tests for the engine layer: the `evaluate*` free
+//! functions are thin wrappers over `pfq::lang::engine`, and this suite
+//! proves them **bit-identical** to the un-memoized reference paths over
+//! a seeded fuzz-generated corpus. Exact wrappers are replayed against
+//! the reference oracles (`enumerate_fixpoints`, and the
+//! `Database`-keyed `build_chain` solved by dense elimination) and must
+//! agree `Ratio`-for-`Ratio`; rng-taking sampling wrappers must agree
+//! to the bit with their config primitives on the same derived seed.
+//! Planner properties ride along: plans are deterministic (cold ==
+//! warm) and §5.1 partitioning is never chosen for a program with
+//! negation.
 
 use pfq::lang::engine::Planner;
 use pfq::lang::exact_inflationary::{self, ExactBudget};
@@ -21,6 +19,7 @@ use pfq::lang::{
     mixing_sampler, partition, DatalogQuery, Engine, EvalCache, EvalRequest, PlanAction, Strategy,
 };
 use pfq_fuzz::gen::{generate, GenConfig};
+use pfq_fuzz::oracle::{reference_chain_probability, reference_tree_probability};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -43,7 +42,7 @@ fn case_query(seed: u64) -> (pfq_fuzz::gen::FuzzCase, DatalogQuery) {
 }
 
 /// The ≥200-case corpus differential: every engine-routed wrapper versus
-/// its deprecated legacy twin, bit for bit.
+/// its reference path, bit for bit.
 #[test]
 fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
     let mut exact_hits = 0usize;
@@ -54,12 +53,10 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
     for i in 0..200u64 {
         let (case, query) = case_query(0xE47_0000 + i);
 
-        // Prop 4.4 exact tree: wrapper vs the deprecated cached body.
+        // Prop 4.4 exact tree: wrapper vs the un-memoized oracle.
         let engine_p = exact_inflationary::evaluate(&query, &case.db, NODE_BUDGET);
-        let mut cache = EvalCache::default();
-        let legacy_p =
-            exact_inflationary::evaluate_with_cache(&query, &case.db, NODE_BUDGET, &mut cache);
-        match (engine_p, legacy_p) {
+        let oracle_p = reference_tree_probability(&query, &case.db, NODE_BUDGET.node_budget);
+        match (engine_p, oracle_p) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a, b, "case {i}: exact tree diverged");
                 exact_hits += 1;
@@ -68,30 +65,21 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
             (a, b) => panic!("case {i}: one exact-tree path errored: {a:?} vs {b:?}"),
         }
 
-        // Thm 5.5 exact chain: wrapper vs the deprecated cached body,
-        // under both stationary solvers.
+        // Thm 5.5 exact chain: wrapper (interned chain, GTH) vs the
+        // reference oracle (whole-database chain, dense elimination).
         if let Ok((fq, prepared)) = query.to_forever_query(&case.db) {
             let engine_p = exact_noninflationary::evaluate(&fq, &prepared, CHAIN_BUDGET);
-            for method in [
-                pfq::markov::stationary::StationaryMethod::DenseReference,
-                pfq::markov::stationary::StationaryMethod::SparseGth,
-            ] {
-                let mut cache = EvalCache::default();
-                let legacy_p = exact_noninflationary::evaluate_with_cache_and_method(
-                    &fq,
-                    &prepared,
-                    CHAIN_BUDGET,
-                    &mut cache,
-                    method,
-                );
-                match (&engine_p, legacy_p) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(*a, b, "case {i}: exact chain diverged under {method:?}");
-                        chain_hits += 1;
-                    }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!("case {i}: one exact-chain path errored: {a:?} vs {b:?}"),
+            let oracle_p = reference_chain_probability(&fq, &prepared, CHAIN_BUDGET);
+            match (&engine_p, oracle_p) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(
+                        *a, b,
+                        "case {i}: exact chain diverged from the dense oracle"
+                    );
+                    chain_hits += 1;
                 }
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("case {i}: one exact-chain path errored: {a:?} vs {b:?}"),
             }
 
             // §5.1: the partitioned wrapper must still equal the whole

@@ -1,33 +1,50 @@
-//! Differential tests for the interning/memoization layer: the memoized
-//! evaluators must return **bit-identical** `Ratio` results to the
-//! legacy un-memoized paths (reached through `CacheConfig::disabled()`)
-//! on every workload family, including when one shared cache serves
+//! Differential tests for the interning/memoization layer: the engine's
+//! memoized evaluators must return **bit-identical** `Ratio` results to
+//! the un-memoized reference oracles (`enumerate_fixpoints` and the
+//! `Database`-keyed `build_chain` solved by dense elimination) on every
+//! workload family, including when one engine's shared cache serves
 //! many repeated and interleaved queries. Exact rational mass is merged
 //! commutatively, so any deviation is a real engine bug, not noise.
 
-// This suite deliberately pins the deprecated `*_with_cache*` entry
-// points: they are the legacy surface the engine wrappers must stay
-// bit-identical to.
-#![allow(deprecated)]
-
 use pfq::data::Database;
-use pfq::lang::exact_inflationary::{self, ExactBudget};
-use pfq::lang::exact_noninflationary::{self, ChainBudget};
-use pfq::lang::{CacheConfig, EvalCache};
+use pfq::lang::exact_inflationary::ExactBudget;
+use pfq::lang::exact_noninflationary::ChainBudget;
+use pfq::lang::{DatalogQuery, Engine, EvalRequest, ForeverQuery, Strategy};
 use pfq::num::Ratio;
 use pfq::workloads::coloring::ColoringMcmc;
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
 use pfq::workloads::queue::BirthDeathQueue;
 use pfq::workloads::sat::{theorem_4_1_pc, Cnf};
+use pfq_fuzz::oracle::{
+    reference_chain_probability, reference_pc_probability, reference_tree_probability,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn disabled() -> EvalCache {
-    EvalCache::new(CacheConfig::disabled())
+/// Prop 4.4 through the engine's memoized exact-tree plan.
+fn exact_tree(engine: &mut Engine, q: &DatalogQuery, db: &Database, budget: ExactBudget) -> Ratio {
+    let request = EvalRequest::inflationary(q, db)
+        .with_strategy(Strategy::ExactTree)
+        .with_exact_budget(budget);
+    engine.run(&request).unwrap().into_exact().unwrap()
+}
+
+/// Thm 5.5 through the engine's interned exact-chain plan.
+fn exact_chain(engine: &mut Engine, q: &ForeverQuery, db: &Database) -> Ratio {
+    let request = EvalRequest::forever(q, db).with_strategy(Strategy::ExactChain);
+    engine.run(&request).unwrap().into_exact().unwrap()
+}
+
+fn tree_oracle(q: &DatalogQuery, db: &Database) -> Ratio {
+    reference_tree_probability(q, db, None).unwrap()
+}
+
+fn chain_oracle(q: &ForeverQuery, db: &Database) -> Ratio {
+    reference_chain_probability(q, db, ChainBudget::default()).unwrap()
 }
 
 /// Inflationary reachability over random and structured graphs: one
-/// shared cache across every (graph, target) pair vs the legacy path.
+/// shared engine across every (graph, target) pair vs the oracle.
 #[test]
 fn differential_graph_reachability() {
     let mut rng = ChaCha8Rng::seed_from_u64(101);
@@ -35,26 +52,18 @@ fn differential_graph_reachability() {
     for _ in 0..3 {
         graphs.push(WeightedGraph::erdos_renyi(5, 0.5, &mut rng));
     }
-    let mut shared = EvalCache::default();
+    let mut shared = Engine::new();
     for g in &graphs {
         let db = Database::new().with("E", g.edge_relation());
         for target in 0..g.n as i64 {
             let q = pfq::workloads::graphs::reachability_query(0, target);
-            let legacy = exact_inflationary::evaluate_with_cache(
-                &q,
-                &db,
-                ExactBudget::default(),
-                &mut disabled(),
-            )
-            .unwrap();
-            let memoized = exact_inflationary::evaluate_with_cache(
-                &q,
-                &db,
-                ExactBudget::default(),
-                &mut shared,
-            )
-            .unwrap();
-            assert_eq!(memoized, legacy, "graph n={} target={target}", g.n);
+            let memoized = exact_tree(&mut shared, &q, &db, ExactBudget::default());
+            assert_eq!(
+                memoized,
+                tree_oracle(&q, &db),
+                "graph n={} target={target}",
+                g.n
+            );
         }
     }
     assert!(shared.stats().engine_states > 0);
@@ -64,32 +73,19 @@ fn differential_graph_reachability() {
 }
 
 /// Glauber-coloring long-run marginals (non-inflationary chains): the
-/// interned chain vs the legacy whole-database chain.
+/// interned chain vs the reference whole-database chain.
 #[test]
 fn differential_coloring() {
     let cases = vec![
         ColoringMcmc::new(3, vec![(0, 1), (0, 2), (1, 2)], 4),
         ColoringMcmc::new(4, vec![(0, 1), (1, 2), (2, 3), (0, 3)], 3),
     ];
-    let mut shared = EvalCache::default();
+    let mut shared = Engine::new();
     for g in &cases {
         for vertex in 0..2 {
             let (q, db) = g.color_query(vertex, 0);
-            let legacy = exact_noninflationary::evaluate_with_cache(
-                &q,
-                &db,
-                ChainBudget::default(),
-                &mut disabled(),
-            )
-            .unwrap();
-            let memoized = exact_noninflationary::evaluate_with_cache(
-                &q,
-                &db,
-                ChainBudget::default(),
-                &mut shared,
-            )
-            .unwrap();
-            assert_eq!(memoized, legacy, "coloring vertex {vertex}");
+            let memoized = exact_chain(&mut shared, &q, &db);
+            assert_eq!(memoized, chain_oracle(&q, &db), "coloring vertex {vertex}");
         }
     }
     // Same kernel across the per-vertex queries ⇒ rows were reused.
@@ -102,60 +98,38 @@ fn differential_coloring() {
 fn differential_queue() {
     let queue = BirthDeathQueue::new(3, 2, 3, 2);
     let reference = queue.stationary_reference();
-    let mut shared = EvalCache::default();
+    let mut shared = Engine::new();
     for k in 0..=3i64 {
         let (q, db) = queue.length_query(0, k);
-        let legacy = exact_noninflationary::evaluate_with_cache(
-            &q,
-            &db,
-            ChainBudget::default(),
-            &mut disabled(),
-        )
-        .unwrap();
-        let memoized = exact_noninflationary::evaluate_with_cache(
-            &q,
-            &db,
-            ChainBudget::default(),
-            &mut shared,
-        )
-        .unwrap();
-        assert_eq!(memoized, legacy, "queue length {k}");
+        let memoized = exact_chain(&mut shared, &q, &db);
+        assert_eq!(memoized, chain_oracle(&q, &db), "queue length {k}");
         assert_eq!(memoized, reference[k as usize], "closed form, length {k}");
     }
 }
 
 /// The Theorem 4.1 3-SAT pc-tables: every possible world of each
-/// pc-table runs through one shared cache, and the mixture must still
-/// equal both the legacy answer and the model-counting identity.
+/// pc-table runs through one shared engine, and the mixture must still
+/// equal both the oracle's world-by-world sum and the model-counting
+/// identity.
 #[test]
 fn differential_pc_table_sat() {
     let mut rng = ChaCha8Rng::seed_from_u64(107);
-    let mut shared = EvalCache::default();
+    let mut shared = Engine::new();
     for _ in 0..3 {
         let f = Cnf::random(4, 3, &mut rng);
         let (query, input) = theorem_4_1_pc(&f);
-        let legacy = exact_inflationary::evaluate_pc_with_cache(
-            &query,
-            &input,
-            ExactBudget::default(),
-            &mut disabled(),
-        )
-        .unwrap();
-        let memoized = exact_inflationary::evaluate_pc_with_cache(
-            &query,
-            &input,
-            ExactBudget::default(),
-            &mut shared,
-        )
-        .unwrap();
-        assert_eq!(memoized, legacy);
+        let oracle = reference_pc_probability(&query, &input, None).unwrap();
+        let request =
+            EvalRequest::inflationary_pc(&query, &input).with_strategy(Strategy::ExactTree);
+        let memoized = shared.run(&request).unwrap().into_exact().unwrap();
+        assert_eq!(memoized, oracle);
         assert_eq!(memoized, Ratio::new(f.count_satisfying() as i64, 16));
     }
 }
 
-/// Repeated and interleaved queries against one shared cache: answers
-/// never drift as the cache warms, whatever order the engines are hit
-/// in — and warm repeats are served from the result memo.
+/// Repeated and interleaved queries against one shared engine: answers
+/// never drift as the cache warms, whatever order the evaluators are
+/// hit in — and warm repeats are served from the result memo.
 #[test]
 fn interleaved_queries_on_one_shared_cache() {
     let g = WeightedGraph::dumbbell(3);
@@ -163,39 +137,15 @@ fn interleaved_queries_on_one_shared_cache() {
     let (walk_q, walk_db) = walk_query(&g, 0, 4);
     let reach_q = pfq::workloads::graphs::reachability_query(0, 4);
 
-    let legacy_reach = exact_inflationary::evaluate_with_cache(
-        &reach_q,
-        &reach_db,
-        ExactBudget::default(),
-        &mut disabled(),
-    )
-    .unwrap();
-    let legacy_walk = exact_noninflationary::evaluate_with_cache(
-        &walk_q,
-        &walk_db,
-        ChainBudget::default(),
-        &mut disabled(),
-    )
-    .unwrap();
+    let oracle_reach = tree_oracle(&reach_q, &reach_db);
+    let oracle_walk = chain_oracle(&walk_q, &walk_db);
 
-    let mut shared = EvalCache::default();
+    let mut shared = Engine::new();
     for round in 0..3 {
-        let reach = exact_inflationary::evaluate_with_cache(
-            &reach_q,
-            &reach_db,
-            ExactBudget::default(),
-            &mut shared,
-        )
-        .unwrap();
-        let walk = exact_noninflationary::evaluate_with_cache(
-            &walk_q,
-            &walk_db,
-            ChainBudget::default(),
-            &mut shared,
-        )
-        .unwrap();
-        assert_eq!(reach, legacy_reach, "round {round}");
-        assert_eq!(walk, legacy_walk, "round {round}");
+        let reach = exact_tree(&mut shared, &reach_q, &reach_db, ExactBudget::default());
+        let walk = exact_chain(&mut shared, &walk_q, &walk_db);
+        assert_eq!(reach, oracle_reach, "round {round}");
+        assert_eq!(walk, oracle_walk, "round {round}");
     }
     let stats = shared.stats();
     assert_eq!(stats.result_misses, 1, "one cold inflationary traversal");
@@ -205,7 +155,7 @@ fn interleaved_queries_on_one_shared_cache() {
 
 /// Regression for the node-budget off-by-one: `Some(limit)` admits
 /// exactly `limit` tree nodes — fixpoint leaves included — on both the
-/// memoized and legacy paths.
+/// memoized engine and the un-memoized oracle.
 #[test]
 fn node_budget_boundary_is_exact_on_both_paths() {
     // Deterministic transitive closure on a 2-edge path: the tree is a
@@ -219,23 +169,21 @@ fn node_budget_boundary_is_exact_on_both_paths() {
     );
     let program =
         pfq::datalog::parse_program("T(X, Y) :- E(X, Y).\nT(X, Z) :- T(X, Y), E(Y, Z).").unwrap();
-    let q = pfq::lang::DatalogQuery::new(
+    let q = DatalogQuery::new(
         program,
         pfq::lang::Event::tuple_in("T", pfq::data::tuple![1, 3]),
     );
-    for cache in [&mut EvalCache::default(), &mut disabled()] {
-        let enough = ExactBudget {
-            node_budget: Some(3),
-            world_budget: None,
-        };
-        let p = exact_inflationary::evaluate_with_cache(&q, &db, enough, cache).unwrap();
-        assert!(p.is_one());
-    }
-    for cache in [&mut EvalCache::default(), &mut disabled()] {
-        let short = ExactBudget {
-            node_budget: Some(2),
-            world_budget: None,
-        };
-        assert!(exact_inflationary::evaluate_with_cache(&q, &db, short, cache).is_err());
-    }
+    let budget = |nodes| ExactBudget {
+        node_budget: Some(nodes),
+        world_budget: None,
+    };
+    assert!(exact_tree(&mut Engine::new(), &q, &db, budget(3)).is_one());
+    assert!(reference_tree_probability(&q, &db, Some(3))
+        .unwrap()
+        .is_one());
+    let short = EvalRequest::inflationary(&q, &db)
+        .with_strategy(Strategy::ExactTree)
+        .with_exact_budget(budget(2));
+    assert!(Engine::new().run(&short).is_err());
+    assert!(reference_tree_probability(&q, &db, Some(2)).is_err());
 }

@@ -5,17 +5,13 @@
 //! non-inflationary query evaluation — plus the structural edge cases
 //! (single state, periodic cycles, reducible chains).
 
-// This suite deliberately pins the deprecated `*_with_method` entry
-// points: they are the legacy surface the engine wrappers must stay
-// bit-identical to.
-#![allow(deprecated)]
-
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
 use pfq::markov::absorption::long_run_distribution_with;
 use pfq::markov::stationary::{exact_stationary_with, StationaryMethod};
 use pfq::markov::MarkovChain;
 use pfq::num::Ratio;
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
+use pfq_fuzz::oracle::reference_chain_probability;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -110,17 +106,16 @@ proptest! {
         }
     }
 
-    /// End to end: exact non-inflationary query evaluation returns the
-    /// same rational under both backends on random walk queries.
+    /// End to end: the engine's exact non-inflationary evaluation (GTH)
+    /// returns the same rational as the dense reference oracle on random
+    /// walk queries.
     #[test]
     fn prop_evaluate_agrees_end_to_end(seed in any::<u64>(), n in 2usize..6, p in 0.3f64..0.9) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = WeightedGraph::erdos_renyi(n, p, &mut rng);
         let (q, db) = walk_query(&g, 0, n as i64 - 1);
-        let dense = exact_noninflationary::evaluate_with_method(
-            &q, &db, ChainBudget::default(), StationaryMethod::DenseReference).unwrap();
-        let sparse = exact_noninflationary::evaluate_with_method(
-            &q, &db, ChainBudget::default(), StationaryMethod::SparseGth).unwrap();
+        let dense = reference_chain_probability(&q, &db, ChainBudget::default()).unwrap();
+        let sparse = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
         prop_assert_eq!(dense, sparse);
     }
 }
