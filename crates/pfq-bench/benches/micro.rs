@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfq_algebra::repair_key::{enumerate_repairs, sample_repair};
-use pfq_core::exact_inflationary::{self, ExactBudget};
+use pfq_bench::{chain_probability, tree_probability};
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_markov::stationary;
 use pfq_num::Ratio;
@@ -54,7 +54,7 @@ fn bench_e10_pagerank(c: &mut Criterion) {
         let g = WeightedGraph::cycle(n);
         let (q, db) = pagerank_query(&g, Ratio::new(3, 20), 0, 0);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap())
+            b.iter(|| chain_probability(&q, &db))
         });
     }
     group.finish();
@@ -72,7 +72,7 @@ fn bench_e11_bayes(c: &mut Criterion) {
         let db = net.to_database();
         let query = net.marginal_query(&[(n - 1, true)]);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| exact_inflationary::evaluate(&query, &db, ExactBudget::default()).unwrap())
+            b.iter(|| tree_probability(&query, &db))
         });
     }
     group.finish();

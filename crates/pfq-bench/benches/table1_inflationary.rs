@@ -4,12 +4,13 @@
 //! Run with `cargo bench -p pfq-bench --bench table1_inflationary`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pfq_core::exact_inflationary::{self, ExactBudget};
+use pfq_bench::{pc_probability, tree_probability};
 use pfq_core::sample_inflationary;
+use pfq_core::sampler::SamplerConfig;
 use pfq_data::Database;
 use pfq_workloads::graphs::{reachability_query, WeightedGraph};
 use pfq_workloads::sat::{theorem_4_1_pc, Cnf};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 
@@ -25,9 +26,7 @@ fn bench_e1_exact_linear_datalog(c: &mut Criterion) {
         let (f, _) = Cnf::random_satisfiable(n, n, &mut rng);
         let (query, input) = theorem_4_1_pc(&f);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap()
-            })
+            b.iter(|| pc_probability(&query, &input))
         });
     }
     group.finish();
@@ -45,7 +44,9 @@ fn bench_e2_absolute_approx_datalog(c: &mut Criterion) {
         let (query, input) = theorem_4_1_pc(&f);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                sample_inflationary::evaluate_pc(&query, &input, 0.1, 0.05, &mut rng).unwrap()
+                let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+                sample_inflationary::evaluate_pc_with_config(&query, &input, 0.1, 0.05, &config)
+                    .unwrap()
             })
         });
     }
@@ -65,7 +66,7 @@ fn bench_e4_exact_inflationary(c: &mut Criterion) {
         let db = Database::new().with("E", g.edge_relation());
         let query = reachability_query(0, n as i64 - 1);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| exact_inflationary::evaluate(&query, &db, ExactBudget::default()).unwrap())
+            b.iter(|| tree_probability(&query, &db))
         });
     }
     group.finish();
@@ -84,7 +85,8 @@ fn bench_e5_sampling_inflationary(c: &mut Criterion) {
         let query = reachability_query(0, n as i64 - 1);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                sample_inflationary::evaluate_with_samples(&query, &db, 50, &mut rng).unwrap()
+                let config = SamplerConfig::seeded(rng.gen());
+                sample_inflationary::evaluate_with_samples_config(&query, &db, 50, &config).unwrap()
             })
         });
     }

@@ -4,12 +4,14 @@
 //! Run with `cargo bench -p pfq-bench --bench table1_noninflationary`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pfq_bench::chain_probability;
 use pfq_core::exact_noninflationary::{self, ChainBudget};
-use pfq_core::{mixing_sampler, partition, DatalogQuery, Event};
+use pfq_core::sampler::SamplerConfig;
+use pfq_core::{mixing_sampler, partition, DatalogQuery, EvalCache, Event};
 use pfq_data::{tuple, Database, Relation, Schema};
 use pfq_workloads::graphs::{walk_query, WeightedGraph};
 use pfq_workloads::sat::{theorem_4_1_pc, Cnf};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 
@@ -58,14 +60,14 @@ fn bench_e6_exact_noninflationary(c: &mut Criterion) {
         let g = WeightedGraph::cycle(n).lazy(1);
         let (q, db) = walk_query(&g, 0, (n / 2) as i64);
         group.bench_with_input(BenchmarkId::new("lazy_cycle", n), &n, |b, _| {
-            b.iter(|| exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap())
+            b.iter(|| chain_probability(&q, &db))
         });
     }
     for n in [8usize, 16] {
         let g = WeightedGraph::path(n);
         let (q, db) = walk_query(&g, 0, n as i64 - 1);
         group.bench_with_input(BenchmarkId::new("absorbing_path", n), &n, |b, _| {
-            b.iter(|| exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap())
+            b.iter(|| chain_probability(&q, &db))
         });
     }
     group.finish();
@@ -90,7 +92,8 @@ fn bench_e7_mixing_time_sampling(c: &mut Criterion) {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         group.bench_function(name, |b| {
             b.iter(|| {
-                mixing_sampler::evaluate_with_burn_in(&q, &db, t, 0.2, 0.1, &mut rng).unwrap()
+                let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+                mixing_sampler::evaluate_with_burn_in_config(&q, &db, t, 0.2, 0.1, &config).unwrap()
             })
         });
     }
@@ -126,11 +129,19 @@ fn bench_e8_partitioning(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("direct", k), &k, |b, _| {
             b.iter(|| {
                 let (fq, prepared) = query.to_forever_query(&db).unwrap();
-                exact_noninflationary::evaluate(&fq, &prepared, ChainBudget::default()).unwrap()
+                chain_probability(&fq, &prepared)
             })
         });
         group.bench_with_input(BenchmarkId::new("partitioned", k), &k, |b, _| {
-            b.iter(|| partition::evaluate_partitioned(&query, &db, ChainBudget::default()).unwrap())
+            b.iter(|| {
+                partition::evaluate_partitioned(
+                    &query,
+                    &db,
+                    ChainBudget::default(),
+                    &mut EvalCache::default(),
+                )
+                .unwrap()
+            })
         });
     }
     group.finish();

@@ -10,11 +10,12 @@
 //! re-bases every experiment's RNG seed, reproducing all estimates
 //! bit for bit at any thread count.
 
-use pfq_bench::{fmt_duration, print_table, time_once};
-use pfq_core::exact_inflationary::{self, ExactBudget};
+use pfq_bench::{
+    chain_probability, fmt_duration, pc_probability, print_table, time_once, tree_probability,
+};
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::SamplerConfig;
-use pfq_core::{mixing_sampler, partition, sample_inflationary};
+use pfq_core::{mixing_sampler, partition, sample_inflationary, EvalCache};
 use pfq_data::{tuple, Database, Relation, Schema};
 use pfq_markov::{mixing, stationary};
 use pfq_num::Ratio;
@@ -101,9 +102,7 @@ fn e1_exact_linear_datalog() {
         let (f, _) = Cnf::random_satisfiable(n, n, &mut rng);
         let (query, input) = theorem_4_1_pc(&f);
         assert!(query.is_linear());
-        let (d, p) = time_once(|| {
-            exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap()
-        });
+        let (d, p) = time_once(|| pc_probability(&query, &input));
         let expected = Ratio::new(f.count_satisfying() as i64, 1 << n);
         assert_eq!(p, expected);
         rows.push(vec![
@@ -244,9 +243,7 @@ fn e4_exact_inflationary() {
         let g = WeightedGraph::erdos_renyi(n, 0.6, &mut rng);
         let db = Database::new().with("E", g.edge_relation());
         let query = pfq_workloads::graphs::reachability_query(0, n as i64 - 1);
-        let (d, p) = time_once(|| {
-            exact_inflationary::evaluate(&query, &db, ExactBudget::default()).unwrap()
-        });
+        let (d, p) = time_once(|| tree_probability(&query, &db));
         rows.push(vec![
             n.to_string(),
             g.edges.len().to_string(),
@@ -270,9 +267,7 @@ fn e5_sampling_inflationary(knobs: &Knobs) {
     let g_small = WeightedGraph::erdos_renyi(5, 0.5, &mut rng);
     let db_small = Database::new().with("E", g_small.edge_relation());
     let q_small = pfq_workloads::graphs::reachability_query(0, 4);
-    let exact = exact_inflationary::evaluate(&q_small, &db_small, ExactBudget::default())
-        .unwrap()
-        .to_f64();
+    let exact = tree_probability(&q_small, &db_small).to_f64();
     let est = sample_inflationary::evaluate_with_config(
         &q_small,
         &db_small,
@@ -315,8 +310,7 @@ fn e6_exact_noninflationary() {
     for n in [4usize, 8, 16, 32] {
         let g = WeightedGraph::cycle(n).lazy(1);
         let (q, db) = walk_query(&g, 0, (n / 2) as i64);
-        let (d, p) =
-            time_once(|| exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap());
+        let (d, p) = time_once(|| chain_probability(&q, &db));
         assert_eq!(p, Ratio::new(1, n as i64));
         rows.push(vec![
             format!("lazy cycle {n}"),
@@ -329,8 +323,7 @@ fn e6_exact_noninflationary() {
     for n in [4usize, 8, 16] {
         let g = WeightedGraph::path(n);
         let (q, db) = walk_query(&g, 0, n as i64 - 1);
-        let (d, p) =
-            time_once(|| exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap());
+        let (d, p) = time_once(|| chain_probability(&q, &db));
         assert!(p.is_one());
         rows.push(vec![
             format!("absorbing path {n}"),
@@ -359,9 +352,7 @@ fn e7_mixing_time_sampling(knobs: &Knobs) {
     ];
     for (case, (name, g)) in cases.into_iter().enumerate() {
         let (q, db) = walk_query(&g, 0, 0);
-        let exact = exact_noninflationary::evaluate(&q, &db, ChainBudget::default())
-            .unwrap()
-            .to_f64();
+        let exact = chain_probability(&q, &db).to_f64();
         let chain = exact_noninflationary::build_chain(&q, &db, ChainBudget::default()).unwrap();
         let t = mixing::mixing_time(&chain, 0.05, 100_000).expect("ergodic workload");
         let config = knobs.config(7, case as u64);
@@ -410,10 +401,16 @@ fn e8_partitioning() {
         let query = pfq_core::DatalogQuery::new(program, event);
         let (d_direct, p_direct) = time_once(|| {
             let (fq, prepared) = query.to_forever_query(&db).unwrap();
-            exact_noninflationary::evaluate(&fq, &prepared, ChainBudget::default()).unwrap()
+            chain_probability(&fq, &prepared)
         });
         let (d_part, p_part) = time_once(|| {
-            partition::evaluate_partitioned(&query, &db, ChainBudget::default()).unwrap()
+            partition::evaluate_partitioned(
+                &query,
+                &db,
+                ChainBudget::default(),
+                &mut EvalCache::default(),
+            )
+            .unwrap()
         });
         assert_eq!(p_direct, p_part);
         rows.push(vec![
@@ -505,9 +502,7 @@ fn e10_pagerank() {
         let (d, ()) = time_once(|| {
             for target in 0..n as i64 {
                 let (q, db) = pagerank_query(&g, alpha.clone(), 0, target);
-                let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default())
-                    .unwrap()
-                    .to_f64();
+                let p = chain_probability(&q, &db).to_f64();
                 max_diff = max_diff.max((p - reference[target as usize]).abs());
             }
         });
@@ -541,9 +536,7 @@ fn e11_bayes(knobs: &Knobs) {
         let db = net.to_database();
         let target = n - 1;
         let query = net.marginal_query(&[(target, true)]);
-        let (d_exact, p_exact) = time_once(|| {
-            exact_inflationary::evaluate(&query, &db, ExactBudget::default()).unwrap()
-        });
+        let (d_exact, p_exact) = time_once(|| tree_probability(&query, &db));
         let reference = net.marginal_reference(&[(target, true)]);
         assert_eq!(p_exact, reference);
         let config = knobs.config(11, n as u64);

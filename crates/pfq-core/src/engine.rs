@@ -46,6 +46,7 @@ use pfq_datalog::DatalogError;
 use pfq_num::Ratio;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -124,7 +125,11 @@ impl fmt::Display for TaskKind {
     }
 }
 
-impl Task<'_> {
+/// A forever-query and the database its walk starts from, borrowed from
+/// the request or owned after translation.
+type ForeverInput<'a> = (Cow<'a, crate::ForeverQuery>, Cow<'a, Database>);
+
+impl<'a> Task<'a> {
     /// The task family.
     pub fn kind(&self) -> TaskKind {
         match self {
@@ -134,11 +139,24 @@ impl Task<'_> {
             Task::Forever { .. } => TaskKind::Forever,
         }
     }
+
+    /// The forever-query the chain-based actions run on: a raw kernel as
+    /// given, or non-inflationary datalog translated to one over its
+    /// prepared database (§3.3). `None` for inflationary tasks.
+    fn forever_query(&self) -> Result<Option<ForeverInput<'a>>, CoreError> {
+        match *self {
+            Task::Forever { query, db } => Ok(Some((Cow::Borrowed(query), Cow::Borrowed(db)))),
+            Task::Noninflationary { query, db } => {
+                let (fq, prepared) = query.to_forever_query(db).map_err(CoreError::Datalog)?;
+                Ok(Some((Cow::Owned(fq), Cow::Owned(prepared))))
+            }
+            Task::Inflationary { .. } | Task::InflationaryPc { .. } => Ok(None),
+        }
+    }
 }
 
 /// The caller's strategy choice: [`Strategy::Auto`] lets the planner
-/// pick; everything else forces one evaluation path (the legacy entry
-/// points force their historical path, keeping them bit-identical).
+/// pick; everything else forces one evaluation path.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Strategy {
     /// Let the planner choose by eligibility and budget probes.
@@ -573,11 +591,11 @@ impl Planner {
     pub fn plan(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
         match request.strategy {
             Strategy::Auto => Self::auto(request, cache),
-            _ => Self::forced(request),
+            _ => Self::forced(request, cache),
         }
     }
 
-    fn forced(request: &EvalRequest<'_>) -> Result<Plan, CoreError> {
+    fn forced(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
         let kind = request.task.kind();
         let fixed = "strategy fixed by caller".to_string();
         let plan = |action: PlanAction, notes: Vec<String>| Plan {
@@ -653,7 +671,7 @@ impl Planner {
                 let mut notes = vec![fixed];
                 let burn_in = match burn_in {
                     Some(b) => b,
-                    None => Self::auto_burn_in(request, &mut notes)?,
+                    None => Self::auto_burn_in(request, cache, &mut notes)?,
                 };
                 Ok(plan(
                     PlanAction::BurnInSample {
@@ -672,26 +690,24 @@ impl Planner {
 
     /// Measures the mixing time for a burn-in request with no explicit
     /// depth, falling back to [`DEFAULT_BURN_IN`] when the chain is over
-    /// budget or not ergodic.
+    /// budget or not ergodic. The chain is explored through `cache`, so
+    /// its kernel rows serve later exact chain runs.
     fn auto_burn_in(
         request: &EvalRequest<'_>,
+        cache: &mut EvalCache,
         notes: &mut Vec<String>,
     ) -> Result<usize, CoreError> {
-        let translated;
-        let (fq, db): (&crate::ForeverQuery, &Database) = match &request.task {
-            Task::Forever { query, db } => (query, db),
-            Task::Noninflationary { query, db } => {
-                translated = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-                (&translated.0, &translated.1)
-            }
-            _ => unreachable!("burn-in applies to non-inflationary tasks only"),
-        };
+        let (fq, db) = request
+            .task
+            .forever_query()?
+            .expect("burn-in applies to non-inflationary tasks only");
         match mixing_sampler::auto_burn_in(
-            fq,
-            db,
+            &fq,
+            &db,
             request.epsilon,
             AUTO_MIXING_MAX_T,
             request.chain_budget,
+            cache,
         ) {
             Ok(Some(t)) => {
                 notes.push(format!(
@@ -952,11 +968,11 @@ fn execute_action(
     let config = request.sampler_config();
     match (&plan.action, &request.task) {
         (PlanAction::ExactTree { budget }, Task::Inflationary { query, db }) => {
-            let p = exact_inflationary::eval_tree_impl(query, db, *budget, cache)?;
+            let p = exact_inflationary::evaluate(query, db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::ExactTree { budget }, Task::InflationaryPc { query, input }) => {
-            let p = exact_inflationary::eval_pc_tree_impl(query, input, *budget, cache)?;
+            let p = exact_inflationary::evaluate_pc(query, input, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::SampleFixpoint { epsilon, delta, .. }, Task::Inflationary { query, db }) => {
@@ -973,35 +989,25 @@ fn execute_action(
             )?;
             Ok((EvalValue::Estimate(report.estimate), Some(report)))
         }
-        (PlanAction::ExactChain { budget }, Task::Noninflationary { query, db }) => {
-            let (fq, prepared) = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-            let p = exact_noninflationary::eval_chain_impl(&fq, &prepared, *budget, cache)?;
-            Ok((EvalValue::Exact(p), None))
-        }
-        (PlanAction::ExactChain { budget }, Task::Forever { query, db }) => {
-            let p = exact_noninflationary::eval_chain_impl(query, db, *budget, cache)?;
+        (PlanAction::ExactChain { budget }, task) => {
+            let Some((fq, db)) = task.forever_query()? else {
+                return Err(plan_mismatch(&plan.action, task));
+            };
+            let p = exact_noninflationary::evaluate(&fq, &db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::Partitioned { budget, .. }, Task::Noninflationary { query, db }) => {
-            let p = partition::evaluate_partitioned_with(query, db, *budget, cache)?;
+            let p = partition::evaluate_partitioned(query, db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
         (PlanAction::TimeAverage { steps, seed }, task) => {
-            let translated;
-            let (fq, db): (&crate::ForeverQuery, &Database) = match task {
-                Task::Forever { query, db } => (query, db),
-                Task::Noninflationary { query, db } => {
-                    translated = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-                    (&translated.0, &translated.1)
-                }
-                _ => {
-                    return Err(CoreError::BadParameter(
-                        "time-average plan does not match an inflationary task".into(),
-                    ))
-                }
+            let Some((fq, db)) = task.forever_query()? else {
+                return Err(CoreError::BadParameter(
+                    "time-average plan does not match an inflationary task".into(),
+                ));
             };
             let mut rng = ChaCha8Rng::seed_from_u64(*seed);
-            let avg = mixing_sampler::evaluate_time_average(fq, db, *steps, &mut rng)?;
+            let avg = mixing_sampler::evaluate_time_average(&fq, &db, *steps, &mut rng)?;
             Ok((EvalValue::Estimate(avg), None))
         }
         (
@@ -1013,84 +1019,46 @@ fn execute_action(
             },
             task,
         ) => {
-            let translated;
-            let (fq, db): (&crate::ForeverQuery, &Database) = match task {
-                Task::Forever { query, db } => (query, db),
-                Task::Noninflationary { query, db } => {
-                    translated = query.to_forever_query(db).map_err(CoreError::Datalog)?;
-                    (&translated.0, &translated.1)
-                }
-                _ => {
-                    return Err(CoreError::BadParameter(
-                        "burn-in plan does not match an inflationary task".into(),
-                    ))
-                }
+            let Some((fq, db)) = task.forever_query()? else {
+                return Err(CoreError::BadParameter(
+                    "burn-in plan does not match an inflationary task".into(),
+                ));
             };
             let report = mixing_sampler::evaluate_with_burn_in_config(
-                fq, db, *burn_in, *epsilon, *delta, &config,
+                &fq, &db, *burn_in, *epsilon, *delta, &config,
             )?;
             Ok((EvalValue::Estimate(report.estimate), Some(report)))
         }
-        (action, task) => Err(CoreError::BadParameter(format!(
-            "plan {} does not match a {}",
-            action.name(),
-            task.kind()
-        ))),
+        (action, task) => Err(plan_mismatch(action, task)),
     }
+}
+
+/// The error for a plan executed against a task it was not made for.
+fn plan_mismatch(action: &PlanAction, task: &Task<'_>) -> CoreError {
+    CoreError::BadParameter(format!(
+        "plan {} does not match a {}",
+        action.name(),
+        task.kind()
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{coin_db, coin_program, fork_db, lazy_flip, reach_query};
     use crate::Event;
-    use pfq_data::{tuple, Relation, Schema, Value};
+    use pfq_data::tuple;
 
-    fn fork_query(target: &str) -> DatalogQuery {
-        DatalogQuery::parse(
-            "C(v).\nC2(X!, Y) @P :- C(X), E(X, Y, P).\nC(Y) :- C2(X, Y).",
-            Event::tuple_in("C", tuple![target]),
-        )
-        .unwrap()
-    }
-
-    fn fork_db() -> Database {
-        Database::new().with(
-            "E",
-            Relation::from_rows(
-                Schema::new(["i", "j", "p"]),
-                [
-                    tuple!["v", "w", Value::frac(1, 2)],
-                    tuple!["v", "u", Value::frac(1, 2)],
-                ],
-            ),
-        )
-    }
-
-    /// Two independent weighted coins (from `partition.rs`'s tests):
-    /// negation-free, two independence classes.
+    /// Two independent weighted coins: negation-free, two independence
+    /// classes.
     fn coin_case() -> (DatalogQuery, Database) {
-        let db = Database::new().with(
-            "R",
-            Relation::from_rows(
-                Schema::new(["k", "v", "w"]),
-                [
-                    tuple![1, 0, 1],
-                    tuple![1, 1, 3],
-                    tuple![2, 0, 1],
-                    tuple![2, 1, 1],
-                ],
-            ),
-        );
-        let program = pfq_datalog::parse_program("H(K!, V) @W :- R(K, V, W).").unwrap();
-        (
-            DatalogQuery::new(program, Event::tuple_in("H", tuple![1, 1])),
-            db,
-        )
+        let event = Event::tuple_in("H", tuple![1, 1]);
+        (DatalogQuery::new(coin_program(), event), coin_db())
     }
 
     #[test]
     fn auto_inflationary_picks_exact_tree_when_small() {
-        let query = fork_query("w");
+        let query = reach_query("w");
         let db = fork_db();
         let mut engine = Engine::new();
         let outcome = engine.run(&EvalRequest::inflationary(&query, &db)).unwrap();
@@ -1102,7 +1070,7 @@ mod tests {
 
     #[test]
     fn auto_inflationary_falls_back_to_sampling_over_budget() {
-        let query = fork_query("w");
+        let query = reach_query("w");
         let db = fork_db();
         let mut engine = Engine::new();
         let request = EvalRequest::inflationary(&query, &db)
@@ -1196,27 +1164,7 @@ mod tests {
 
     #[test]
     fn forced_burn_in_auto_measures_mixing_time() {
-        // Lazy two-state flip (from mixing_sampler's tests): mixes fast.
-        let e = Relation::from_rows(
-            Schema::new(["i", "j", "p"]),
-            [
-                tuple![1, 1, 3],
-                tuple![1, 2, 1],
-                tuple![2, 1, 1],
-                tuple![2, 2, 3],
-            ],
-        );
-        let c = Relation::from_rows(Schema::new(["i"]), [tuple![1]]);
-        let db = Database::new().with("E", e).with("C", c);
-        let kernel = pfq_algebra::Interpretation::new().with(
-            "C",
-            pfq_algebra::Expr::rel("C")
-                .join(pfq_algebra::Expr::rel("E"))
-                .repair_key(["i"], Some("p"))
-                .project(["j"])
-                .rename([("j", "i")]),
-        );
-        let fq = crate::ForeverQuery::new(kernel, Event::tuple_in("C", tuple![1]));
+        let (fq, db) = lazy_flip();
         let mut engine = Engine::new();
         let plan = engine
             .plan(
@@ -1230,6 +1178,28 @@ mod tests {
             ref other => panic!("expected burn-in plan, got {other:?}"),
         }
         assert!(plan.notes.iter().any(|n| n.contains("auto burn-in")));
+    }
+
+    #[test]
+    fn burn_in_probe_warms_the_kernel_cache() {
+        let (fq, db) = lazy_flip();
+        let mut engine = Engine::new();
+        engine
+            .plan(
+                &EvalRequest::forever(&fq, &db)
+                    .with_strategy(Strategy::BurnInSample { burn_in: None })
+                    .with_epsilon_delta(0.03125, 0.05),
+            )
+            .unwrap();
+        let probed = engine.stats();
+        assert!(probed.kernel_misses > 0, "{probed:?}");
+        // The exact chain over the same kernel reuses every probed row.
+        let outcome = engine
+            .run(&EvalRequest::forever(&fq, &db).with_strategy(Strategy::ExactChain))
+            .unwrap();
+        assert_eq!(outcome.value, EvalValue::Exact(Ratio::new(1, 2)));
+        assert!(outcome.stats.kernel_hits > probed.kernel_hits);
+        assert_eq!(outcome.stats.kernel_misses, probed.kernel_misses);
     }
 
     #[test]
@@ -1265,7 +1235,7 @@ mod tests {
 
     #[test]
     fn execute_reruns_a_plan() {
-        let query = fork_query("w");
+        let query = reach_query("w");
         let db = fork_db();
         let mut engine = Engine::new();
         let request = EvalRequest::inflationary(&query, &db).with_strategy(Strategy::ExactTree);
@@ -1280,7 +1250,7 @@ mod tests {
 
     #[test]
     fn outcome_accessors() {
-        let query = fork_query("w");
+        let query = reach_query("w");
         let db = fork_db();
         let mut engine = Engine::new();
         let outcome = engine

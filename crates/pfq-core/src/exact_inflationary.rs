@@ -7,7 +7,6 @@
 //! over its possible worlds first (§3.2: pc-table choices are made
 //! *once*, at the beginning).
 
-use crate::engine::{Engine, EvalRequest, Strategy};
 use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
@@ -24,30 +23,12 @@ pub struct ExactBudget {
 }
 
 /// Computes the exact probability of the query event over a certain
-/// (non-probabilistic) input database. Thin wrapper over
-/// [`crate::engine`] with a forced [`Strategy::ExactTree`] plan — a
-/// fresh engine means a fresh private cache, exactly as before.
-///
-/// [`Strategy::ExactTree`]: crate::engine::Strategy::ExactTree
+/// (non-probabilistic) input database — the Prop. 4.4 traversal, memoized
+/// through `cache`. Repeated queries over the same program and database
+/// are served from the whole-tree result memo, and distinct inputs still
+/// share interned states and successor rows. Pass a fresh
+/// `EvalCache::default()` for a one-off query.
 pub fn evaluate(
-    query: &DatalogQuery,
-    db: &Database,
-    budget: ExactBudget,
-) -> Result<Ratio, CoreError> {
-    Engine::new()
-        .run(
-            &EvalRequest::inflationary(query, db)
-                .with_strategy(Strategy::ExactTree)
-                .with_exact_budget(budget),
-        )?
-        .into_exact()
-}
-
-/// The Prop. 4.4 primitive the engine executes: memoized traversal
-/// through the cache. Repeated queries over the same program and
-/// database are served from the whole-tree result memo, and distinct
-/// inputs still share interned states and successor rows.
-pub(crate) fn eval_tree_impl(
     query: &DatalogQuery,
     db: &Database,
     budget: ExactBudget,
@@ -59,29 +40,11 @@ pub(crate) fn eval_tree_impl(
 }
 
 /// Computes the exact probability of the query event over a probabilistic
-/// c-table input: `Σ_worlds Pr(world) · Pr(event | world)`. Thin wrapper
-/// over [`crate::engine`] with a forced exact-tree plan; the fresh
-/// engine's cache is shared across the worlds, exactly as before.
-pub fn evaluate_pc(
-    query: &DatalogQuery,
-    input: &PcDatabase,
-    budget: ExactBudget,
-) -> Result<Ratio, CoreError> {
-    Engine::new()
-        .run(
-            &EvalRequest::inflationary_pc(query, input)
-                .with_strategy(Strategy::ExactTree)
-                .with_exact_budget(budget),
-        )?
-        .into_exact()
-}
-
-/// The §3.2 possible-worlds primitive the engine executes: enumerate the
-/// pc-table's worlds and mix the per-world exact results. One cache
-/// serves every world, so worlds reuse each other's interned states and
-/// transition rows — §3.2 worlds differ in a handful of input tuples,
+/// c-table input: `Σ_worlds Pr(world) · Pr(event | world)` (§3.2). One
+/// cache serves every world, so worlds reuse each other's interned states
+/// and transition rows — §3.2 worlds differ in a handful of input tuples,
 /// leaving most of the computation tree shared.
-pub(crate) fn eval_pc_tree_impl(
+pub fn evaluate_pc(
     query: &DatalogQuery,
     input: &PcDatabase,
     budget: ExactBudget,
@@ -98,7 +61,7 @@ pub(crate) fn eval_pc_tree_impl(
     }
     let mut total = Ratio::zero();
     for (world, p) in worlds.iter() {
-        let conditional = eval_tree_impl(query, world, budget, cache)?;
+        let conditional = evaluate(query, world, budget, cache)?;
         total = total.add_ref(&p.mul_ref(&conditional));
     }
     Ok(total)
@@ -107,44 +70,41 @@ pub(crate) fn eval_pc_tree_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Event;
+    use crate::fixtures::{fork_db, reach_query};
     use pfq_ctable::{Condition, PcTable, RandomVariable};
-    use pfq_data::{tuple, Relation, Schema, Value};
+    use pfq_data::{tuple, Relation, Schema};
     use pfq_datalog::inflationary::enumerate_fixpoints;
-
-    fn reach_query(target: &str) -> DatalogQuery {
-        DatalogQuery::parse(
-            "C(v).\nC2(X!, Y) @P :- C(X), E(X, Y, P).\nC(Y) :- C2(X, Y).",
-            Event::tuple_in("C", tuple![target]),
-        )
-        .unwrap()
-    }
-
-    fn fork_db() -> Database {
-        Database::new().with(
-            "E",
-            Relation::from_rows(
-                Schema::new(["i", "j", "p"]),
-                [
-                    tuple!["v", "w", Value::frac(1, 2)],
-                    tuple!["v", "u", Value::frac(1, 2)],
-                ],
-            ),
-        )
-    }
 
     #[test]
     fn example_3_9_exact() {
         assert_eq!(
-            evaluate(&reach_query("w"), &fork_db(), ExactBudget::default()).unwrap(),
+            evaluate(
+                &reach_query("w"),
+                &fork_db(),
+                ExactBudget::default(),
+                &mut EvalCache::default()
+            )
+            .unwrap(),
             Ratio::new(1, 2)
         );
         assert_eq!(
-            evaluate(&reach_query("v"), &fork_db(), ExactBudget::default()).unwrap(),
+            evaluate(
+                &reach_query("v"),
+                &fork_db(),
+                ExactBudget::default(),
+                &mut EvalCache::default()
+            )
+            .unwrap(),
             Ratio::one()
         );
         assert_eq!(
-            evaluate(&reach_query("nowhere"), &fork_db(), ExactBudget::default()).unwrap(),
+            evaluate(
+                &reach_query("nowhere"),
+                &fork_db(),
+                ExactBudget::default(),
+                &mut EvalCache::default()
+            )
+            .unwrap(),
             Ratio::zero()
         );
     }
@@ -160,7 +120,13 @@ mod tests {
             ),
         );
         assert_eq!(
-            evaluate(&reach_query("u"), &db, ExactBudget::default()).unwrap(),
+            evaluate(
+                &reach_query("u"),
+                &db,
+                ExactBudget::default(),
+                &mut EvalCache::default()
+            )
+            .unwrap(),
             Ratio::new(3, 4)
         );
     }
@@ -182,7 +148,13 @@ mod tests {
             ),
         );
         assert_eq!(
-            evaluate(&reach_query("t"), &db, ExactBudget::default()).unwrap(),
+            evaluate(
+                &reach_query("t"),
+                &db,
+                ExactBudget::default(),
+                &mut EvalCache::default()
+            )
+            .unwrap(),
             Ratio::new(1, 4)
         );
     }
@@ -199,7 +171,13 @@ mod tests {
             PcTable::new(Schema::new(["i", "j", "p"]))
                 .with(tuple!["v", "w", 1], Condition::eq("x", 1)),
         );
-        let p = evaluate_pc(&reach_query("w"), &input, ExactBudget::default()).unwrap();
+        let p = evaluate_pc(
+            &reach_query("w"),
+            &input,
+            ExactBudget::default(),
+            &mut EvalCache::default(),
+        )
+        .unwrap();
         assert_eq!(p, Ratio::new(1, 2));
     }
 
@@ -223,7 +201,12 @@ mod tests {
             world_budget: Some(3),
         };
         assert!(matches!(
-            evaluate_pc(&reach_query("w0"), &input, budget),
+            evaluate_pc(
+                &reach_query("w0"),
+                &input,
+                budget,
+                &mut EvalCache::default()
+            ),
             Err(CoreError::BadParameter(_))
         ));
         // Unused variables merge worlds: a single gated edge plus three
@@ -239,7 +222,7 @@ mod tests {
             PcTable::new(Schema::new(["i", "j", "p"]))
                 .with(tuple!["v", "w", 1], Condition::eq("y0", 1)),
         );
-        let p = evaluate_pc(&reach_query("w"), &small, budget).unwrap();
+        let p = evaluate_pc(&reach_query("w"), &small, budget, &mut EvalCache::default()).unwrap();
         assert_eq!(p, Ratio::new(1, 2));
     }
 
@@ -249,7 +232,13 @@ mod tests {
             node_budget: Some(0),
             world_budget: None,
         };
-        assert!(evaluate(&reach_query("w"), &fork_db(), budget).is_err());
+        assert!(evaluate(
+            &reach_query("w"),
+            &fork_db(),
+            budget,
+            &mut EvalCache::default()
+        )
+        .is_err());
     }
 
     #[test]
@@ -258,7 +247,7 @@ mod tests {
         let mut shared = EvalCache::default();
         for target in ["w", "v", "u", "nowhere"] {
             let q = reach_query(target);
-            let memoized = eval_tree_impl(&q, &db, ExactBudget::default(), &mut shared).unwrap();
+            let memoized = evaluate(&q, &db, ExactBudget::default(), &mut shared).unwrap();
             let oracle = enumerate_fixpoints(&q.program, &db, None)
                 .unwrap()
                 .probability_that(|db| q.event.holds(db));
@@ -273,9 +262,9 @@ mod tests {
         // so the second query is a whole-tree memo hit.
         let db = fork_db();
         let mut cache = EvalCache::default();
-        eval_tree_impl(&reach_query("w"), &db, ExactBudget::default(), &mut cache).unwrap();
+        evaluate(&reach_query("w"), &db, ExactBudget::default(), &mut cache).unwrap();
         assert_eq!(cache.stats().result_hits, 0);
-        let p = eval_tree_impl(&reach_query("u"), &db, ExactBudget::default(), &mut cache).unwrap();
+        let p = evaluate(&reach_query("u"), &db, ExactBudget::default(), &mut cache).unwrap();
         assert_eq!(p, Ratio::new(1, 2));
         assert_eq!(cache.stats().result_hits, 1);
         assert_eq!(cache.stats().result_misses, 1);
@@ -294,12 +283,12 @@ mod tests {
         );
         let mut cache = EvalCache::default();
         let q = reach_query("w");
-        let p = eval_pc_tree_impl(&q, &input, ExactBudget::default(), &mut cache).unwrap();
+        let p = evaluate_pc(&q, &input, ExactBudget::default(), &mut cache).unwrap();
         assert_eq!(p, Ratio::new(1, 2));
         // Two worlds were enumerated cold …
         assert_eq!(cache.stats().result_misses, 2);
         // … and a repeat of the whole pc query is served from the memo.
-        let p2 = eval_pc_tree_impl(&q, &input, ExactBudget::default(), &mut cache).unwrap();
+        let p2 = evaluate_pc(&q, &input, ExactBudget::default(), &mut cache).unwrap();
         assert_eq!(p2, p);
         assert_eq!(cache.stats().result_hits, 2);
         assert_eq!(cache.stats().result_misses, 2);

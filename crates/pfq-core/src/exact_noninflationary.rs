@@ -9,7 +9,6 @@
 //! event states.
 
 use crate::cache::ChainCache;
-use crate::engine::{Engine, EvalRequest, Strategy};
 use crate::{CoreError, EvalCache, ForeverQuery};
 use pfq_algebra::AlgebraError;
 use pfq_data::intern::{fingerprint64, StateId};
@@ -42,8 +41,12 @@ impl Default for ChainBudget {
 /// from `db` under the query's kernel.
 ///
 /// This reference oracle keys the chain on whole `Database` values
-/// (every dedup an `O(|db|)` comparison); the engine runs the same
-/// exploration over dense [`StateId`]s with [`build_chain_interned`].
+/// (every dedup an `O(|db|)` comparison). Evaluation never calls it: the
+/// engine, [`evaluate`] and the burn-in probe explore over dense
+/// [`StateId`]s with [`build_chain_interned`]. It serves the tests, the
+/// fuzzer and the benches as the oracle, and examples and workloads as
+/// the public way to obtain a `MarkovChain<Database>` for mixing-time and
+/// conductance analysis.
 pub fn build_chain(
     query: &ForeverQuery,
     db: &Database,
@@ -102,31 +105,13 @@ pub fn build_chain_interned(
     Ok(chain)
 }
 
-/// The exact query result: the long-run probability that the event holds
-/// on the random walk of database instances started at `db`. Thin
-/// wrapper over [`crate::engine`] with a forced
-/// [`Strategy::ExactChain`] plan — a fresh engine means a fresh private
-/// cache, exactly as before.
-///
-/// [`Strategy::ExactChain`]: crate::engine::Strategy::ExactChain
+/// The exact query result (Thm. 5.5): the long-run probability that the
+/// event holds on the random walk of database instances started at `db`.
+/// Builds the interned explicit chain through `cache` (kernel rows
+/// memoized across calls), solves the long-run distribution by sparse GTH
+/// elimination, and sums the event states' mass. Pass a fresh
+/// `EvalCache::default()` for a one-off query.
 pub fn evaluate(
-    query: &ForeverQuery,
-    db: &Database,
-    budget: ChainBudget,
-) -> Result<Ratio, CoreError> {
-    Engine::new()
-        .run(
-            &EvalRequest::forever(query, db)
-                .with_strategy(Strategy::ExactChain)
-                .with_chain_budget(budget),
-        )?
-        .into_exact()
-}
-
-/// The Thm. 5.5 primitive the engine executes: build the interned
-/// explicit chain, solve the long-run distribution by sparse GTH
-/// elimination, and sum the event states' mass.
-pub(crate) fn eval_chain_impl(
     query: &ForeverQuery,
     db: &Database,
     budget: ChainBudget,
@@ -153,7 +138,7 @@ pub(crate) fn eval_chain_impl(
     Ok(total)
 }
 
-/// The reference oracle for [`eval_chain_impl`]: the `Database`-keyed
+/// The reference oracle for [`evaluate`]: the `Database`-keyed
 /// [`build_chain`] solved by dense rational elimination.
 #[cfg(test)]
 pub(crate) fn reference_chain_probability(
@@ -178,6 +163,7 @@ pub(crate) fn reference_chain_probability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::walk;
     use crate::Event;
     use pfq_algebra::{Expr, Interpretation};
     use pfq_data::{tuple, Relation, Schema, Value};
@@ -186,28 +172,17 @@ mod tests {
     /// Example 3.3's random-walk query over a weighted triangle:
     /// 1 → 2 (1/2), 1 → 3 (1/2), 2 → 1 (1), 3 → 1 (1).
     fn walk_query(target: i64) -> (ForeverQuery, Database) {
-        let e = Relation::from_rows(
-            Schema::new(["i", "j", "p"]),
-            [
-                tuple![1, 2, Value::frac(1, 2)],
-                tuple![1, 3, Value::frac(1, 2)],
-                tuple![2, 1, 1],
-                tuple![3, 1, 1],
+        let half = Value::frac(1, 2);
+        let one = Value::from(1);
+        walk(
+            &[
+                (1, 2, half.clone()),
+                (1, 3, half),
+                (2, 1, one.clone()),
+                (3, 1, one),
             ],
-        );
-        let c = Relation::from_rows(Schema::new(["i"]), [tuple![1]]);
-        let db = Database::new().with("E", e).with("C", c);
-        let kernel = Interpretation::new().with(
-            "C",
-            Expr::rel("C")
-                .join(Expr::rel("E"))
-                .repair_key(["i"], Some("p"))
-                .project(["j"])
-                .rename([("j", "i")]),
-        );
-        (
-            ForeverQuery::new(kernel, Event::tuple_in("C", tuple![target])),
-            db,
+            1,
+            target,
         )
     }
 
@@ -224,17 +199,23 @@ mod tests {
         // Balance: π1 = π2 + π3, π2 = π3 = π1/2 ⇒ π = (1/2, 1/4, 1/4).
         let (q1, db) = walk_query(1);
         assert_eq!(
-            evaluate(&q1, &db, ChainBudget::default()).unwrap(),
+            evaluate(&q1, &db, ChainBudget::default(), &mut EvalCache::default()).unwrap(),
             Ratio::new(1, 2)
         );
         let (q2, _) = walk_query(2);
         assert_eq!(
-            evaluate(&q2, &db, ChainBudget::default()).unwrap(),
+            evaluate(&q2, &db, ChainBudget::default(), &mut EvalCache::default()).unwrap(),
             Ratio::new(1, 4)
         );
         let (q_miss, _) = walk_query(99);
         assert_eq!(
-            evaluate(&q_miss, &db, ChainBudget::default()).unwrap(),
+            evaluate(
+                &q_miss,
+                &db,
+                ChainBudget::default(),
+                &mut EvalCache::default()
+            )
+            .unwrap(),
             Ratio::zero()
         );
     }
@@ -242,28 +223,9 @@ mod tests {
     #[test]
     fn absorbing_walk_uses_theorem_5_5_path() {
         // 0 → {1 w.p. 1/3, 2 w.p. 2/3}; 1, 2 absorbing (self-loop edges).
-        let e = Relation::from_rows(
-            Schema::new(["i", "j", "p"]),
-            [
-                tuple![0, 1, 1],
-                tuple![0, 2, 2],
-                tuple![1, 1, 1],
-                tuple![2, 2, 1],
-            ],
-        );
-        let c = Relation::from_rows(Schema::new(["i"]), [tuple![0]]);
-        let db = Database::new().with("E", e).with("C", c);
-        let kernel = Interpretation::new().with(
-            "C",
-            Expr::rel("C")
-                .join(Expr::rel("E"))
-                .repair_key(["i"], Some("p"))
-                .project(["j"])
-                .rename([("j", "i")]),
-        );
-        let q = ForeverQuery::new(kernel, Event::tuple_in("C", tuple![1]));
+        let (q, db) = walk(&[(0, 1, 1), (0, 2, 2), (1, 1, 1), (2, 2, 1)], 0, 1);
         assert_eq!(
-            evaluate(&q, &db, ChainBudget::default()).unwrap(),
+            evaluate(&q, &db, ChainBudget::default(), &mut EvalCache::default()).unwrap(),
             Ratio::new(1, 3)
         );
     }
@@ -294,7 +256,7 @@ mod tests {
             .with("C", Expr::rel("C").union(step));
         let q = ForeverQuery::new(kernel, Event::tuple_in("C", tuple![2]));
         assert_eq!(
-            evaluate(&q, &db, ChainBudget::default()).unwrap(),
+            evaluate(&q, &db, ChainBudget::default(), &mut EvalCache::default()).unwrap(),
             Ratio::new(1, 2)
         );
     }
@@ -306,14 +268,21 @@ mod tests {
             max_states: 1,
             world_limit: 100,
         };
-        assert!(matches!(evaluate(&q, &db, tight), Err(CoreError::Chain(_))));
+        assert!(matches!(
+            evaluate(&q, &db, tight, &mut EvalCache::default()),
+            Err(CoreError::Chain(_))
+        ));
     }
 
     #[test]
     fn identity_kernel_stays_put() {
         let db = Database::new().with("C", Relation::from_rows(Schema::new(["i"]), [tuple![5]]));
         let q = ForeverQuery::new(Interpretation::new(), Event::tuple_in("C", tuple![5]));
-        assert!(evaluate(&q, &db, ChainBudget::default()).unwrap().is_one());
+        assert!(
+            evaluate(&q, &db, ChainBudget::default(), &mut EvalCache::default())
+                .unwrap()
+                .is_one()
+        );
     }
 
     #[test]
@@ -322,7 +291,7 @@ mod tests {
         for target in [1, 2, 3, 99] {
             let (q, db) = walk_query(target);
             assert_eq!(
-                eval_chain_impl(&q, &db, ChainBudget::default(), &mut shared).unwrap(),
+                evaluate(&q, &db, ChainBudget::default(), &mut shared).unwrap(),
                 reference_chain_probability(&q, &db, ChainBudget::default()).unwrap(),
             );
         }
@@ -352,14 +321,14 @@ mod tests {
     fn kernel_rows_are_reused_across_evaluations() {
         let (q1, db) = walk_query(1);
         let mut cache = EvalCache::default();
-        eval_chain_impl(&q1, &db, ChainBudget::default(), &mut cache).unwrap();
+        evaluate(&q1, &db, ChainBudget::default(), &mut cache).unwrap();
         let cold = cache.stats();
         assert_eq!(cold.kernel_hits, 0);
         assert_eq!(cold.kernel_misses, 3);
         assert_eq!(cold.db_states, 3);
         // Same kernel, different event: every row is served from the memo.
         let (q2, _) = walk_query(2);
-        let p = eval_chain_impl(&q2, &db, ChainBudget::default(), &mut cache).unwrap();
+        let p = evaluate(&q2, &db, ChainBudget::default(), &mut cache).unwrap();
         assert_eq!(p, Ratio::new(1, 4));
         let warm = cache.stats();
         assert_eq!(warm.kernel_hits, 3);

@@ -36,8 +36,10 @@
 //! [`EvalRequest`] names the task and the knobs, the [`engine::Planner`]
 //! analyzes eligibility (negation-freedom, §5.1 partitioning, budget
 //! probes) and emits an explainable [`Plan`], and the [`Engine`]
-//! executes it. The per-module `evaluate*` free functions are thin
-//! wrappers over the engine.
+//! executes it. Every plan action calls its module's public `evaluate*`
+//! function directly, with no wrapper in between: the exact ones take
+//! the [`EvalCache`] to work through (pass `&mut EvalCache::default()`
+//! for a one-off query), the sampling ones a [`sampler::SamplerConfig`].
 
 pub mod cache;
 pub mod engine;
@@ -45,6 +47,8 @@ pub mod error;
 pub mod event;
 pub mod exact_inflationary;
 pub mod exact_noninflationary;
+#[cfg(test)]
+mod fixtures;
 pub mod mixing_sampler;
 pub mod partition;
 pub mod query;

@@ -8,15 +8,14 @@
 //! database size and in the mixing time `T(q, D)`.
 //!
 //! The walk applies the kernel *directly* (sampling one successor per
-//! step) — the exponential explicit chain is never built. The explicit
-//! route is still available through [`auto_burn_in`], which measures the
-//! true mixing time on a budgeted chain for experiment calibration.
+//! step) — the exponential explicit chain is never built. The planner's
+//! burn-in probe, [`auto_burn_in`], measures the true mixing time on the
+//! budgeted interned chain instead, through the engine's [`EvalCache`],
+//! so the kernel rows it computes serve later exact chain runs.
 
-use crate::engine::{Engine, EvalRequest, Strategy};
-use crate::exact_noninflationary::{build_chain, ChainBudget};
-use crate::sample_inflationary::{hoeffding_sample_count, SampleEstimate};
+use crate::exact_noninflationary::{build_chain_interned, ChainBudget};
 use crate::sampler::{self, SampleReport, SamplerConfig};
-use crate::{CoreError, ForeverQuery};
+use crate::{CoreError, EvalCache, ForeverQuery};
 use pfq_data::Database;
 use pfq_markov::mixing::mixing_time_exact;
 use pfq_num::Ratio;
@@ -52,38 +51,6 @@ pub fn evaluate_with_burn_in_config(
     sampler::run(config, epsilon, delta, |rng| trial(query, db, burn_in, rng))
 }
 
-/// Estimates the query probability by restart sampling: each of the `m`
-/// samples walks `burn_in` kernel steps from `db` and observes the event
-/// (the Theorem 5.6 procedure with `burn_in` standing in for `T(q, D)`).
-/// Thin wrapper over [`crate::engine`] with a forced
-/// [`Strategy::BurnInSample`] plan and adaptivity off — always the full
-/// Hoeffding sample count, bit-identical to the old `run_fixed` path
-/// (use [`evaluate_with_burn_in_config`] for early stopping and
-/// execution stats).
-///
-/// [`Strategy::BurnInSample`]: crate::engine::Strategy::BurnInSample
-pub fn evaluate_with_burn_in<R: Rng + ?Sized>(
-    query: &ForeverQuery,
-    db: &Database,
-    burn_in: usize,
-    epsilon: f64,
-    delta: f64,
-    rng: &mut R,
-) -> Result<SampleEstimate, CoreError> {
-    // Validate (ε, δ) before consuming the caller's rng, as before.
-    hoeffding_sample_count(epsilon, delta)?;
-    let outcome = Engine::new().run(
-        &EvalRequest::forever(query, db)
-            .with_strategy(Strategy::BurnInSample {
-                burn_in: Some(burn_in),
-            })
-            .with_epsilon_delta(epsilon, delta)
-            .with_seed(rng.gen())
-            .with_adaptive(false),
-    )?;
-    Ok(outcome.into_report()?.into())
-}
-
 /// Estimates the query probability from a *single* long walk's time
 /// average — the direct simulation of the paper's `Pr(s)` definition.
 /// Cheaper than restart sampling but with correlated observations (no
@@ -109,9 +76,9 @@ pub fn evaluate_time_average<R: Rng + ?Sized>(
 }
 
 /// Measures the kernel's true mixing time `t(ε_mix)` by building the
-/// explicit (budgeted) chain — the `T(q, D)` the Theorem 5.6 complexity
-/// bound is parameterized by. Returns `None` when the induced chain is
-/// not ergodic or does not mix within `max_t`.
+/// explicit (budgeted) interned chain through `cache` — the `T(q, D)` the
+/// Theorem 5.6 complexity bound is parameterized by. Returns `None` when
+/// the induced chain is not ergodic or does not mix within `max_t`.
 ///
 /// The tolerance is converted to the *exact* rational value of the given
 /// `f64` and the mixing time computed per §2.3's `TV ≤ ε` in [`Ratio`]
@@ -123,10 +90,11 @@ pub fn auto_burn_in(
     epsilon_mix: f64,
     max_t: usize,
     budget: ChainBudget,
+    cache: &mut EvalCache,
 ) -> Result<Option<usize>, CoreError> {
     let eps = Ratio::from_f64(epsilon_mix)
         .ok_or_else(|| CoreError::BadParameter("epsilon_mix must be finite".into()))?;
-    let chain = build_chain(query, db, budget)?;
+    let chain = build_chain_interned(query, db, budget, cache)?;
     Ok(mixing_time_exact(&chain, &eps, max_t))
 }
 
@@ -134,49 +102,37 @@ pub fn auto_burn_in(
 mod tests {
     use super::*;
     use crate::exact_noninflationary;
-    use crate::Event;
-    use pfq_algebra::{Expr, Interpretation};
-    use pfq_data::{tuple, Relation, Schema};
+    use crate::fixtures::{lazy_flip, walk};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     /// Lazy walk on a triangle (self-loops make it ergodic).
     fn lazy_walk(target: i64) -> (ForeverQuery, Database) {
-        let e = Relation::from_rows(
-            Schema::new(["i", "j", "p"]),
-            [
-                tuple![1, 1, 1],
-                tuple![1, 2, 1],
-                tuple![2, 2, 1],
-                tuple![2, 3, 1],
-                tuple![3, 3, 1],
-                tuple![3, 1, 1],
-            ],
-        );
-        let c = Relation::from_rows(Schema::new(["i"]), [tuple![1]]);
-        let db = Database::new().with("E", e).with("C", c);
-        let kernel = Interpretation::new().with(
-            "C",
-            Expr::rel("C")
-                .join(Expr::rel("E"))
-                .repair_key(["i"], Some("p"))
-                .project(["j"])
-                .rename([("j", "i")]),
-        );
-        (
-            ForeverQuery::new(kernel, Event::tuple_in("C", tuple![target])),
-            db,
-        )
+        let edges = [
+            (1, 1, 1),
+            (1, 2, 1),
+            (2, 2, 1),
+            (2, 3, 1),
+            (3, 3, 1),
+            (3, 1, 1),
+        ];
+        walk(&edges, 1, target)
     }
 
     #[test]
     fn burn_in_estimate_matches_exact() {
         let (q, db) = lazy_walk(2);
-        let exact = exact_noninflationary::evaluate(&q, &db, ChainBudget::default())
-            .unwrap()
-            .to_f64();
+        let exact = exact_noninflationary::evaluate(
+            &q,
+            &db,
+            ChainBudget::default(),
+            &mut EvalCache::default(),
+        )
+        .unwrap()
+        .to_f64();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let est = evaluate_with_burn_in(&q, &db, 40, 0.08, 0.05, &mut rng).unwrap();
+        let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+        let est = evaluate_with_burn_in_config(&q, &db, 40, 0.08, 0.05, &config).unwrap();
         assert!(
             (est.estimate - exact).abs() < 0.08,
             "estimate {} vs exact {exact}",
@@ -202,9 +158,14 @@ mod tests {
     #[test]
     fn time_average_matches_exact() {
         let (q, db) = lazy_walk(3);
-        let exact = exact_noninflationary::evaluate(&q, &db, ChainBudget::default())
-            .unwrap()
-            .to_f64();
+        let exact = exact_noninflationary::evaluate(
+            &q,
+            &db,
+            ChainBudget::default(),
+            &mut EvalCache::default(),
+        )
+        .unwrap()
+        .to_f64();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let avg = evaluate_time_average(&q, &db, 30_000, &mut rng).unwrap();
         assert!((avg - exact).abs() < 0.02, "avg {avg} vs exact {exact}");
@@ -213,7 +174,8 @@ mod tests {
     #[test]
     fn auto_burn_in_finds_mixing_time() {
         let (q, db) = lazy_walk(1);
-        let t = auto_burn_in(&q, &db, 0.05, 1000, ChainBudget::default()).unwrap();
+        let mut cache = EvalCache::default();
+        let t = auto_burn_in(&q, &db, 0.05, 1000, ChainBudget::default(), &mut cache).unwrap();
         let t = t.expect("lazy walk is ergodic");
         assert!(t > 0 && t < 100, "t = {t}");
     }
@@ -224,32 +186,14 @@ mod tests {
         // TV after t steps is exactly 2^-(t+1) and TV(4) = 1/32 — equal
         // to ε_mix = 0.03125 (exactly representable in f64). §2.3's
         // `TV ≤ ε` gives burn-in 4; the old float strict-< path said 5.
-        let e = Relation::from_rows(
-            Schema::new(["i", "j", "p"]),
-            [
-                tuple![1, 1, 3],
-                tuple![1, 2, 1],
-                tuple![2, 1, 1],
-                tuple![2, 2, 3],
-            ],
-        );
-        let c = Relation::from_rows(Schema::new(["i"]), [tuple![1]]);
-        let db = Database::new().with("E", e).with("C", c);
-        let kernel = Interpretation::new().with(
-            "C",
-            Expr::rel("C")
-                .join(Expr::rel("E"))
-                .repair_key(["i"], Some("p"))
-                .project(["j"])
-                .rename([("j", "i")]),
-        );
-        let q = ForeverQuery::new(kernel, Event::tuple_in("C", tuple![1]));
+        let (q, db) = lazy_flip();
+        let mut cache = EvalCache::default();
         assert_eq!(
-            auto_burn_in(&q, &db, 0.03125, 100, ChainBudget::default()).unwrap(),
+            auto_burn_in(&q, &db, 0.03125, 100, ChainBudget::default(), &mut cache).unwrap(),
             Some(4)
         );
         assert!(matches!(
-            auto_burn_in(&q, &db, f64::NAN, 100, ChainBudget::default()),
+            auto_burn_in(&q, &db, f64::NAN, 100, ChainBudget::default(), &mut cache),
             Err(CoreError::BadParameter(_))
         ));
     }
@@ -257,23 +201,10 @@ mod tests {
     #[test]
     fn auto_burn_in_none_for_periodic_kernel() {
         // Pure 2-cycle without self-loops: periodic, never mixes.
-        let e = Relation::from_rows(
-            Schema::new(["i", "j", "p"]),
-            [tuple![1, 2, 1], tuple![2, 1, 1]],
-        );
-        let c = Relation::from_rows(Schema::new(["i"]), [tuple![1]]);
-        let db = Database::new().with("E", e).with("C", c);
-        let kernel = Interpretation::new().with(
-            "C",
-            Expr::rel("C")
-                .join(Expr::rel("E"))
-                .repair_key(["i"], Some("p"))
-                .project(["j"])
-                .rename([("j", "i")]),
-        );
-        let q = ForeverQuery::new(kernel, Event::tuple_in("C", tuple![1]));
+        let (q, db) = walk(&[(1, 2, 1), (2, 1, 1)], 1, 1);
+        let mut cache = EvalCache::default();
         assert_eq!(
-            auto_burn_in(&q, &db, 0.05, 500, ChainBudget::default()).unwrap(),
+            auto_burn_in(&q, &db, 0.05, 500, ChainBudget::default(), &mut cache).unwrap(),
             None
         );
     }

@@ -20,7 +20,6 @@
 //! choice group could land in different classes and the independence
 //! assumption would be violated.
 
-use crate::engine::{Engine, EvalRequest, Strategy};
 use crate::exact_noninflationary::{self, ChainBudget};
 use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_data::{Database, Tuple};
@@ -137,7 +136,6 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
         )));
     }
     let prepared = prepare_database(program, db)?;
-    let idb: BTreeSet<&str> = program.idb_relations();
 
     // Assign base ids to EDB tuples (and any pre-populated IDB tuples,
     // which also count as inputs).
@@ -206,17 +204,13 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
     let empty_template = {
         let mut t = Database::new();
         for (name, rel) in prepared.iter() {
-            let keep_empty = idb.contains(name);
-            let _ = keep_empty;
             t.declare(name, rel.schema().clone());
         }
         t
     };
+    // Pre-populated IDB tuples stay with their class like any other
+    // base tuple.
     for (id, (name, tuple)) in base.iter().enumerate() {
-        if idb.contains(name.as_str()) {
-            // Pre-populated IDB tuples stay with their class like any
-            // other base tuple.
-        }
         let root = uf.find(id);
         let class_idx = *class_of_root.entry(root).or_insert_with(|| {
             classes.push(empty_template.clone());
@@ -231,31 +225,10 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
 
 /// Evaluates a (datalog-defined) non-inflationary query exactly via
 /// partitioning: per-class Theorem 5.5 evaluation combined by the §5.1
-/// product formula. Thin wrapper over [`crate::engine`] with a forced
-/// [`Strategy::Partitioned`] plan — the per-class solves share the fresh
-/// engine's cache.
-///
-/// [`Strategy::Partitioned`]: crate::engine::Strategy::Partitioned
+/// product formula. The per-class solves share `cache` (kernel rows
+/// memoized across classes — the per-class kernels differ only in their
+/// base tuples, so identical sub-states recur).
 pub fn evaluate_partitioned(
-    query: &DatalogQuery,
-    db: &Database,
-    budget: ChainBudget,
-) -> Result<Ratio, CoreError> {
-    Engine::new()
-        .run(
-            &EvalRequest::noninflationary(query, db)
-                .with_strategy(Strategy::Partitioned)
-                .with_chain_budget(budget),
-        )?
-        .into_exact()
-}
-
-/// The §5.1 primitive the engine executes, with the full capability set
-/// the direct path has: the per-class Theorem 5.5 solves share one
-/// [`EvalCache`] (kernel rows memoized across classes — the per-class
-/// kernels differ only in their base tuples, so identical sub-states
-/// recur).
-pub fn evaluate_partitioned_with(
     query: &DatalogQuery,
     db: &Database,
     budget: ChainBudget,
@@ -265,7 +238,7 @@ pub fn evaluate_partitioned_with(
     let mut p_not = Ratio::one();
     for class_db in &classes {
         let (fq, prepared) = query.to_forever_query(class_db)?;
-        let p = exact_noninflationary::eval_chain_impl(&fq, &prepared, budget, cache)?;
+        let p = exact_noninflationary::evaluate(&fq, &prepared, budget, cache)?;
         p_not = p_not.mul_ref(&Ratio::one().sub_ref(&p));
     }
     Ok(Ratio::one().sub_ref(&p_not))
@@ -274,33 +247,9 @@ pub fn evaluate_partitioned_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{coin_db, coin_program};
     use crate::Event;
     use pfq_data::{tuple, Relation, Schema};
-
-    /// Two independent weighted coins: R(k, v, w) with k ∈ {1, 2}.
-    fn coin_db() -> Database {
-        Database::new().with(
-            "R",
-            Relation::from_rows(
-                Schema::new(["k", "v", "w"]),
-                [
-                    tuple![1, 0, 1],
-                    tuple![1, 1, 3],
-                    tuple![2, 0, 1],
-                    tuple![2, 1, 1],
-                ],
-            ),
-        )
-    }
-
-    /// Choose one value per key, fresh each iteration — a memoryless
-    /// non-inflationary kernel whose stationary distribution is the
-    /// product of the per-key choice distributions. (Adding a
-    /// `H(K,V) :- H(K,V)` persistence rule would accumulate *all* values
-    /// with probability → 1, the paper's Example 3.6 effect.)
-    fn coin_program() -> Program {
-        pfq_datalog::parse_program("H(K!, V) @W :- R(K, V, W).").unwrap()
-    }
 
     #[test]
     fn classes_split_by_key_group() {
@@ -338,9 +287,21 @@ mod tests {
         let db = coin_db();
         let direct = {
             let (fq, prepared) = query.to_forever_query(&db).unwrap();
-            exact_noninflationary::evaluate(&fq, &prepared, ChainBudget::default()).unwrap()
+            exact_noninflationary::evaluate(
+                &fq,
+                &prepared,
+                ChainBudget::default(),
+                &mut EvalCache::default(),
+            )
+            .unwrap()
         };
-        let partitioned = evaluate_partitioned(&query, &db, ChainBudget::default()).unwrap();
+        let partitioned = evaluate_partitioned(
+            &query,
+            &db,
+            ChainBudget::default(),
+            &mut EvalCache::default(),
+        )
+        .unwrap();
         assert_eq!(direct, partitioned);
         // Weight 3 out of 4 to land on (1, 1).
         assert_eq!(partitioned, Ratio::new(3, 4));
@@ -356,11 +317,23 @@ mod tests {
         let db = coin_db();
         let direct = {
             let (fq, prepared) = query.to_forever_query(&db).unwrap();
-            exact_noninflationary::evaluate(&fq, &prepared, ChainBudget::default()).unwrap()
+            exact_noninflationary::evaluate(
+                &fq,
+                &prepared,
+                ChainBudget::default(),
+                &mut EvalCache::default(),
+            )
+            .unwrap()
         };
         // 1 − (1 − 3/4)(1 − 1/2) = 7/8.
         assert_eq!(direct, Ratio::new(7, 8));
-        let partitioned = evaluate_partitioned(&query, &db, ChainBudget::default()).unwrap();
+        let partitioned = evaluate_partitioned(
+            &query,
+            &db,
+            ChainBudget::default(),
+            &mut EvalCache::default(),
+        )
+        .unwrap();
         assert_eq!(partitioned, direct);
     }
 
@@ -387,8 +360,7 @@ mod tests {
             };
             let mut shared = EvalCache::default();
             let partitioned =
-                evaluate_partitioned_with(&query, &db, ChainBudget::default(), &mut shared)
-                    .unwrap();
+                evaluate_partitioned(&query, &db, ChainBudget::default(), &mut shared).unwrap();
             assert_eq!(direct_dense, partitioned);
             // The shared cache really was used across the class solves.
             assert!(shared.stats().db_states > 0);

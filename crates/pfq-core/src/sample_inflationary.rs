@@ -9,18 +9,15 @@
 //! database size, making the whole algorithm PTIME data complexity.
 //!
 //! Samples are drawn on the shared parallel engine in [`crate::sampler`].
-//! The `*_with_config` entry points expose its knobs (seed, threads,
-//! adaptive early stopping) and return the full [`SampleReport`]; the
-//! classic `rng`-taking entry points below are thin deterministic
-//! wrappers that always draw the full Hoeffding sample count.
+//! Each entry point takes a [`SamplerConfig`] (seed, threads, adaptive
+//! early stopping) and returns the full [`SampleReport`]. A config with
+//! adaptivity off always draws the full Hoeffding sample count.
 
-use crate::engine::{Engine, EvalRequest, Strategy};
 use crate::sampler::{self, SampleReport, SamplerConfig};
 use crate::{CoreError, DatalogQuery};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
 use pfq_datalog::inflationary::sample_fixpoint;
-use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 /// Defensive cap on inflationary steps per sample; the semantics
@@ -41,24 +38,6 @@ pub fn hoeffding_sample_count(epsilon: f64, delta: f64) -> Result<usize, CoreErr
         )));
     }
     Ok(((2.0 / delta).ln() / (2.0 * epsilon * epsilon)).ceil() as usize)
-}
-
-/// The result of a sampling run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SampleEstimate {
-    /// The estimated event probability.
-    pub estimate: f64,
-    /// How many samples were drawn.
-    pub samples: usize,
-}
-
-impl From<SampleReport> for SampleEstimate {
-    fn from(report: SampleReport) -> Self {
-        SampleEstimate {
-            estimate: report.estimate,
-            samples: report.samples,
-        }
-    }
 }
 
 /// One Theorem 4.3 trial over a certain input: a random computation
@@ -116,96 +95,15 @@ pub fn evaluate_with_samples_config(
     sampler::run_fixed(config, samples, |rng| trial(query, db, rng))
 }
 
-/// Estimates the query probability over a certain input database with an
-/// explicit sample count. Thin wrapper: draws a root seed from `rng`
-/// and runs the parallel engine.
-pub fn evaluate_with_samples<R: Rng + ?Sized>(
-    query: &DatalogQuery,
-    db: &Database,
-    samples: usize,
-    rng: &mut R,
-) -> Result<SampleEstimate, CoreError> {
-    let config = SamplerConfig::seeded(rng.gen());
-    Ok(evaluate_with_samples_config(query, db, samples, &config)?.into())
-}
-
-/// Theorem 4.3 over a certain input: absolute `(ε, δ)`-approximation.
-/// Thin wrapper over [`crate::engine`] with a forced
-/// [`Strategy::SampleFixpoint`] plan and adaptivity off, which always
-/// draws the full Hoeffding sample count — bit-identical to the old
-/// `run_fixed` path because a non-adaptive `(ε, δ)` run *is* a fixed
-/// run of the worst-case count (use [`evaluate_with_config`] for early
-/// stopping).
-///
-/// [`Strategy::SampleFixpoint`]: crate::engine::Strategy::SampleFixpoint
-pub fn evaluate<R: Rng + ?Sized>(
-    query: &DatalogQuery,
-    db: &Database,
-    epsilon: f64,
-    delta: f64,
-    rng: &mut R,
-) -> Result<SampleEstimate, CoreError> {
-    // Validate (ε, δ) before consuming the caller's rng, as before.
-    hoeffding_sample_count(epsilon, delta)?;
-    let outcome = Engine::new().run(
-        &EvalRequest::inflationary(query, db)
-            .with_strategy(Strategy::SampleFixpoint)
-            .with_epsilon_delta(epsilon, delta)
-            .with_seed(rng.gen())
-            .with_adaptive(false),
-    )?;
-    Ok(outcome.into_report()?.into())
-}
-
-/// Theorem 4.3 over a probabilistic c-table input. Thin wrapper over
-/// [`crate::engine`], always drawing the full Hoeffding sample count.
-pub fn evaluate_pc<R: Rng + ?Sized>(
-    query: &DatalogQuery,
-    input: &PcDatabase,
-    epsilon: f64,
-    delta: f64,
-    rng: &mut R,
-) -> Result<SampleEstimate, CoreError> {
-    hoeffding_sample_count(epsilon, delta)?;
-    let outcome = Engine::new().run(
-        &EvalRequest::inflationary_pc(query, input)
-            .with_strategy(Strategy::SampleFixpoint)
-            .with_epsilon_delta(epsilon, delta)
-            .with_seed(rng.gen())
-            .with_adaptive(false),
-    )?;
-    Ok(outcome.into_report()?.into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact_inflationary::{self, ExactBudget};
-    use crate::Event;
+    use crate::fixtures::{fork_db, reach_query};
+    use crate::EvalCache;
     use pfq_ctable::{Condition, PcTable, RandomVariable};
-    use pfq_data::{tuple, Relation, Schema, Value};
-    use rand::SeedableRng;
-
-    fn reach_query(target: &str) -> DatalogQuery {
-        DatalogQuery::parse(
-            "C(v).\nC2(X!, Y) @P :- C(X), E(X, Y, P).\nC(Y) :- C2(X, Y).",
-            Event::tuple_in("C", tuple![target]),
-        )
-        .unwrap()
-    }
-
-    fn fork_db() -> Database {
-        Database::new().with(
-            "E",
-            Relation::from_rows(
-                Schema::new(["i", "j", "p"]),
-                [
-                    tuple!["v", "w", Value::frac(1, 2)],
-                    tuple!["v", "u", Value::frac(1, 2)],
-                ],
-            ),
-        )
-    }
+    use pfq_data::{tuple, Schema};
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sample_counts() {
@@ -221,11 +119,17 @@ mod tests {
     fn estimate_close_to_exact() {
         let query = reach_query("w");
         let db = fork_db();
-        let exact = exact_inflationary::evaluate(&query, &db, ExactBudget::default())
-            .unwrap()
-            .to_f64();
+        let exact = exact_inflationary::evaluate(
+            &query,
+            &db,
+            ExactBudget::default(),
+            &mut EvalCache::default(),
+        )
+        .unwrap()
+        .to_f64();
         let mut rng = ChaCha8Rng::seed_from_u64(100);
-        let est = evaluate(&query, &db, 0.05, 0.05, &mut rng).unwrap();
+        let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+        let est = evaluate_with_config(&query, &db, 0.05, 0.05, &config).unwrap();
         assert!(
             (est.estimate - exact).abs() < 0.05,
             "{} vs {exact}",
@@ -248,10 +152,12 @@ mod tests {
     fn deterministic_events_hit_zero_or_one() {
         let query = reach_query("v");
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let est = evaluate_with_samples(&query, &fork_db(), 50, &mut rng).unwrap();
+        let config = SamplerConfig::seeded(rng.gen());
+        let est = evaluate_with_samples_config(&query, &fork_db(), 50, &config).unwrap();
         assert_eq!(est.estimate, 1.0);
         let query = reach_query("nowhere");
-        let est = evaluate_with_samples(&query, &fork_db(), 50, &mut rng).unwrap();
+        let config = SamplerConfig::seeded(rng.gen());
+        let est = evaluate_with_samples_config(&query, &fork_db(), 50, &config).unwrap();
         assert_eq!(est.estimate, 0.0);
     }
 
@@ -267,11 +173,17 @@ mod tests {
                 .with(tuple!["v", "w", 1], Condition::eq("x", 1)),
         );
         let query = reach_query("w");
-        let exact = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default())
-            .unwrap()
-            .to_f64();
+        let exact = exact_inflationary::evaluate_pc(
+            &query,
+            &input,
+            ExactBudget::default(),
+            &mut EvalCache::default(),
+        )
+        .unwrap()
+        .to_f64();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let est = evaluate_pc(&query, &input, 0.05, 0.05, &mut rng).unwrap();
+        let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+        let est = evaluate_pc_with_config(&query, &input, 0.05, 0.05, &config).unwrap();
         assert!((est.estimate - exact).abs() < 0.05);
         // Same inputs, same seed, through the config API: identical.
         let config = SamplerConfig::seeded(42).with_adaptive(false);
@@ -285,8 +197,9 @@ mod tests {
     #[test]
     fn zero_samples_rejected() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let config = SamplerConfig::seeded(rng.gen());
         assert!(matches!(
-            evaluate_with_samples(&reach_query("w"), &fork_db(), 0, &mut rng),
+            evaluate_with_samples_config(&reach_query("w"), &fork_db(), 0, &config),
             Err(CoreError::BadParameter(_))
         ));
     }

@@ -26,8 +26,8 @@ use pfq_core::exact_inflationary::ExactBudget;
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::SamplerConfig;
 use pfq_core::{
-    mixing_sampler, partition, sample_inflationary, CoreError, DatalogQuery, Engine, EvalRequest,
-    ForeverQuery, Strategy,
+    mixing_sampler, partition, sample_inflationary, CoreError, DatalogQuery, Engine, EvalCache,
+    EvalRequest, ForeverQuery, Strategy,
 };
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
@@ -600,11 +600,21 @@ impl Oracle {
             Ok(t) => t,
             Err(e) => return Outcome::Skip(format!("no non-inflationary translation: {e}")),
         };
-        let whole = match exact_noninflationary::evaluate(&fq, &prepared, self.cfg.chain_budget) {
+        let whole = match exact_noninflationary::evaluate(
+            &fq,
+            &prepared,
+            self.cfg.chain_budget,
+            &mut EvalCache::default(),
+        ) {
             Ok(p) => p,
             Err(e) => return Outcome::Skip(format!("whole chain unavailable: {e}")),
         };
-        match partition::evaluate_partitioned(&query, &case.db, self.cfg.chain_budget) {
+        match partition::evaluate_partitioned(
+            &query,
+            &case.db,
+            self.cfg.chain_budget,
+            &mut EvalCache::default(),
+        ) {
             Ok(p) if p == whole => Outcome::Pass,
             Ok(p) => Outcome::Fail(format!(
                 "partitioned probability {p} differs from whole-chain {whole}"

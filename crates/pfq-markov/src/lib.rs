@@ -23,8 +23,7 @@
 //!   i.e. the Theorem 5.5 algorithm;
 //! * [`mixing`] — total-variation distance and exact mixing times t(ε);
 //! * [`conductance`] — exact conductance and Cheeger-style mixing bounds
-//!   (the §5.1 pointer to rapid-mixing certificates);
-//! * [`walk`] — random walks and time-average/burn-in estimators.
+//!   (the §5.1 pointer to rapid-mixing certificates).
 
 pub mod absorption;
 pub mod chain;
@@ -34,7 +33,6 @@ pub mod linalg;
 pub mod mixing;
 pub mod scc;
 pub mod stationary;
-pub mod walk;
 
 pub use chain::{ChainError, MarkovChain};
 pub use scc::Condensation;

@@ -219,7 +219,8 @@ impl BayesNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfq_core::exact_inflationary::{self, ExactBudget};
+    use crate::exact::tree_probability;
+
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -267,7 +268,7 @@ mod tests {
             vec![(0, false), (1, true)],
         ] {
             let q = net.marginal_query(&observed);
-            let got = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+            let got = tree_probability(&q, &db);
             let want = net.marginal_reference(&observed);
             assert_eq!(got, want, "observed {observed:?}");
         }
@@ -279,7 +280,7 @@ mod tests {
         let net = BayesNet::random(4, 2, &mut rng);
         let db = net.to_database();
         let q = net.marginal_query(&[(3, true)]);
-        let got = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+        let got = tree_probability(&q, &db);
         assert_eq!(got, net.marginal_reference(&[(3, true)]));
     }
 

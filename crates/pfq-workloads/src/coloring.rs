@@ -192,11 +192,14 @@ impl ColoringMcmc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::chain_probability;
     use pfq_core::exact_noninflationary::{self, ChainBudget};
     use pfq_core::mixing_sampler;
+    use pfq_core::sampler::SamplerConfig;
+
     use pfq_markov::{scc, stationary};
     use pfq_num::Ratio;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn triangle(q: usize) -> ColoringMcmc {
@@ -255,7 +258,7 @@ mod tests {
         // Path with q = 3 (Δ = 2, so q = Δ + 1; on paths Glauber with
         // q ≥ 3 is still irreducible).
         let (query, db) = g.color_query(1, 0);
-        let p = exact_noninflationary::evaluate(&query, &db, ChainBudget::default()).unwrap();
+        let p = chain_probability(&query, &db);
         let all = g.enumerate_proper_colorings();
         let with = all.iter().filter(|c| c[1] == 0).count();
         assert_eq!(p, Ratio::new(with as i64, all.len() as i64));
@@ -265,12 +268,12 @@ mod tests {
     fn sampling_estimates_the_marginal() {
         let g = triangle(4);
         let (query, db) = g.color_query(2, 3);
-        let exact = exact_noninflationary::evaluate(&query, &db, ChainBudget::default())
-            .unwrap()
-            .to_f64();
+        let exact = chain_probability(&query, &db).to_f64();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
         let est =
-            mixing_sampler::evaluate_with_burn_in(&query, &db, 60, 0.05, 0.05, &mut rng).unwrap();
+            mixing_sampler::evaluate_with_burn_in_config(&query, &db, 60, 0.05, 0.05, &config)
+                .unwrap();
         assert!(
             (est.estimate - exact).abs() < 0.05,
             "estimate {} vs exact {exact}",

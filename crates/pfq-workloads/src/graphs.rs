@@ -203,7 +203,9 @@ pub fn disjoint_copies(graph: &WeightedGraph, k: usize, start: i64) -> Database 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::{chain_probability, tree_probability};
     use pfq_core::exact_noninflationary::{self, ChainBudget};
+
     use pfq_markov::{mixing, scc, MarkovChain};
     use pfq_num::Ratio;
     use rand::SeedableRng;
@@ -218,7 +220,7 @@ mod tests {
     fn cycle_walk_is_uniform() {
         let g = WeightedGraph::cycle(5);
         let (q, db) = walk_query(&g, 0, 3);
-        let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
+        let p = chain_probability(&q, &db);
         assert_eq!(p, Ratio::new(1, 5));
     }
 
@@ -243,7 +245,7 @@ mod tests {
     fn path_walk_absorbs_at_end() {
         let g = WeightedGraph::path(4);
         let (q, db) = walk_query(&g, 0, 3);
-        let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
+        let p = chain_probability(&q, &db);
         assert!(p.is_one());
         let chain = explicit_chain(&g, 0);
         assert!(!scc::is_irreducible(&chain));
@@ -276,12 +278,7 @@ mod tests {
             ),
         );
         let q = reachability_query(0, 1);
-        let p = pfq_core::exact_inflationary::evaluate(
-            &q,
-            &db,
-            pfq_core::exact_inflationary::ExactBudget::default(),
-        )
-        .unwrap();
+        let p = tree_probability(&q, &db);
         assert_eq!(p, Ratio::new(1, 2));
     }
 

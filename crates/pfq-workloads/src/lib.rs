@@ -25,6 +25,8 @@
 pub mod basketball;
 pub mod bayes;
 pub mod coloring;
+#[cfg(test)]
+mod exact;
 pub mod graphs;
 pub mod pagerank;
 pub mod queue;

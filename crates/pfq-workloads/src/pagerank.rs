@@ -80,6 +80,7 @@ pub fn pagerank_reference(graph: &WeightedGraph, alpha: f64, iters: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::chain_probability;
     use pfq_core::exact_noninflationary::{self, ChainBudget};
 
     #[test]
@@ -99,7 +100,7 @@ mod tests {
     fn symmetric_graph_has_uniform_pagerank() {
         let g = WeightedGraph::cycle(4);
         let (q, db) = pagerank_query(&g, Ratio::new(1, 5), 0, 2);
-        let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
+        let p = chain_probability(&q, &db);
         assert_eq!(p, Ratio::new(1, 4));
     }
 
@@ -114,9 +115,7 @@ mod tests {
         let reference = pagerank_reference(&g, 0.15, 500);
         for target in 0..3 {
             let (q, db) = pagerank_query(&g, alpha.clone(), 0, target);
-            let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default())
-                .unwrap()
-                .to_f64();
+            let p = chain_probability(&q, &db).to_f64();
             assert!(
                 (p - reference[target as usize]).abs() < 1e-9,
                 "node {target}: exact {p} vs reference {}",

@@ -132,8 +132,10 @@ impl BirthDeathQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::chain_probability;
     use pfq_core::exact_noninflationary::{self, ChainBudget};
     use pfq_core::mixing_sampler;
+
     use pfq_markov::{conductance, scc};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -155,7 +157,7 @@ mod tests {
         assert!(total.is_one());
         for k in 0..=4i64 {
             let (query, db) = q.length_query(0, k);
-            let p = exact_noninflationary::evaluate(&query, &db, ChainBudget::default()).unwrap();
+            let p = chain_probability(&query, &db);
             assert_eq!(p, reference[k as usize], "length {k}");
         }
     }
@@ -204,9 +206,7 @@ mod tests {
         let mut answers = Vec::new();
         for start in 0..=3 {
             let (query, db) = q.length_query(start, 1);
-            answers.push(
-                exact_noninflationary::evaluate(&query, &db, ChainBudget::default()).unwrap(),
-            );
+            answers.push(chain_probability(&query, &db));
         }
         for w in answers.windows(2) {
             assert_eq!(w[0], w[1]);

@@ -261,8 +261,10 @@ pub fn theorem_5_1_forever_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfq_core::exact_inflationary::{self, ExactBudget};
+    use crate::exact::{pc_probability, tree_probability};
+
     use pfq_core::exact_noninflationary::{self, ChainBudget};
+
     use pfq_num::Ratio;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -298,14 +300,14 @@ mod tests {
         let f = easy();
         let (query, input) = theorem_4_1_pc(&f);
         assert!(query.is_linear());
-        let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+        let p = pc_probability(&query, &input);
         assert_eq!(p, Ratio::new(7, 8));
     }
 
     #[test]
     fn lemma_4_2_unsatisfiable_is_zero() {
         let (query, input) = theorem_4_1_pc(&Cnf::unsatisfiable());
-        let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+        let p = pc_probability(&query, &input);
         assert!(p.is_zero());
     }
 
@@ -314,8 +316,8 @@ mod tests {
         let f = Cnf::new(3, vec![[1, -2, 3], [-1, 2, -3]]);
         let (q_pc, in_pc) = theorem_4_1_pc(&f);
         let (q_rk, db_rk) = theorem_4_1_repair_key(&f);
-        let p_pc = exact_inflationary::evaluate_pc(&q_pc, &in_pc, ExactBudget::default()).unwrap();
-        let p_rk = exact_inflationary::evaluate(&q_rk, &db_rk, ExactBudget::default()).unwrap();
+        let p_pc = pc_probability(&q_pc, &in_pc);
+        let p_rk = tree_probability(&q_rk, &db_rk);
         assert_eq!(p_pc, p_rk);
         assert_eq!(p_pc, Ratio::new(f.count_satisfying() as i64, 8));
     }
@@ -325,7 +327,7 @@ mod tests {
         // (x1 ∨ x2 ∨ x3) ∧ (¬x1 ∨ ¬x2 ∨ ¬x3): 6 of 8 satisfy.
         let f = Cnf::new(3, vec![[1, 2, 3], [-1, -2, -3]]);
         let (query, input) = theorem_4_1_pc(&f);
-        let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+        let p = pc_probability(&query, &input);
         assert_eq!(p, Ratio::new(6, 8));
     }
 
@@ -369,7 +371,7 @@ mod tests {
         // clauses is large); the event probability must be 0.
         let f = Cnf::unsatisfiable();
         let (query, input) = theorem_4_1_pc(&f);
-        let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+        let p = pc_probability(&query, &input);
         assert!(p.is_zero());
     }
 
@@ -396,8 +398,7 @@ mod tests {
             let f = Cnf::pinned(k);
             assert_eq!(f.count_satisfying(), 4, "k = {k}");
             let (query, input) = theorem_4_1_pc(&f);
-            let p =
-                exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+            let p = pc_probability(&query, &input);
             assert_eq!(p, Ratio::new(1, 1 << k));
         }
     }

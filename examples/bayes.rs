@@ -7,10 +7,11 @@
 //! Run with `cargo run --example bayes`.
 
 use pfq::lang::exact_inflationary::{self, ExactBudget};
-use pfq::lang::sample_inflationary;
+use pfq::lang::sampler::SamplerConfig;
+use pfq::lang::{sample_inflationary, EvalCache};
 use pfq::num::Ratio;
 use pfq::workloads::bayes::BayesNet;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,7 +46,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     for (label, observed) in cases {
         let query = net.marginal_query(observed);
-        let exact = exact_inflationary::evaluate(&query, &db, ExactBudget::default())?;
+        let exact = exact_inflationary::evaluate(
+            &query,
+            &db,
+            ExactBudget::default(),
+            &mut EvalCache::default(),
+        )?;
         let reference = net.marginal_reference(observed);
         assert_eq!(exact, reference, "datalog marginal must match brute force");
         println!(
@@ -58,7 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // scales past brute force.
     let query = net.marginal_query(&[(2, true)]);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let est = sample_inflationary::evaluate(&query, &db, 0.02, 0.05, &mut rng)?;
+    let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+    let est = sample_inflationary::evaluate_with_config(&query, &db, 0.02, 0.05, &config)?;
     println!(
         "\nPr[wet] ≈ {:.4} by sampling ({} samples, ε = 0.02, δ = 0.05)",
         est.estimate, est.samples

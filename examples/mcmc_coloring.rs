@@ -12,10 +12,11 @@
 //! Run with `cargo run --release --example mcmc_coloring`.
 
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
-use pfq::lang::mixing_sampler;
+use pfq::lang::sampler::SamplerConfig;
+use pfq::lang::{mixing_sampler, EvalCache};
 use pfq::markov::{conductance, mixing, scc};
 use pfq::workloads::coloring::ColoringMcmc;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,7 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(chain.len(), proper.len());
 
     // Exact stationary distribution: uniform over proper colorings.
-    let p = exact_noninflationary::evaluate(&query, &db, ChainBudget::default())?;
+    let p = exact_noninflationary::evaluate(
+        &query,
+        &db,
+        ChainBudget::default(),
+        &mut EvalCache::default(),
+    )?;
     let count_with = proper.iter().filter(|c| c[0] == 0).count();
     println!(
         "Pr[vertex 0 colored 0] = {p} (counting: {count_with}/{} = {})",
@@ -59,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Theorem 5.6 sampling. Burn-in 2t halves the residual TV bias; the
     // total error budget is ε_mix + ε_sampling.
     let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let est = mixing_sampler::evaluate_with_burn_in(&query, &db, 2 * t, 0.05, 0.05, &mut rng)?;
+    let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+    let est =
+        mixing_sampler::evaluate_with_burn_in_config(&query, &db, 2 * t, 0.05, 0.05, &config)?;
     println!(
         "sampled Pr[vertex 0 colored 0] ≈ {:.4} ({} samples, burn-in {})",
         est.estimate,

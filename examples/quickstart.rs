@@ -7,8 +7,9 @@ use pfq::algebra::{Expr, Interpretation};
 use pfq::data::{tuple, Database, Relation, Schema, Value};
 use pfq::lang::exact_inflationary::{self, ExactBudget};
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
-use pfq::lang::{sample_inflationary, DatalogQuery, Event, ForeverQuery};
-use rand::SeedableRng;
+use pfq::lang::sampler::SamplerConfig;
+use pfq::lang::{sample_inflationary, DatalogQuery, EvalCache, Event, ForeverQuery};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,12 +37,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // Exact evaluation (Proposition 4.4): traverse the computation tree.
-    let exact = exact_inflationary::evaluate(&reach, &db, ExactBudget::default())?;
+    let exact = exact_inflationary::evaluate(
+        &reach,
+        &db,
+        ExactBudget::default(),
+        &mut EvalCache::default(),
+    )?;
     println!("Pr[w ever reached]            = {exact} (exact)");
 
     // Absolute (ε, δ)-approximation (Theorem 4.3): Monte Carlo sampling.
     let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let approx = sample_inflationary::evaluate(&reach, &db, 0.02, 0.05, &mut rng)?;
+    let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+    let approx = sample_inflationary::evaluate_with_config(&reach, &db, 0.02, 0.05, &config)?;
     println!(
         "Pr[w ever reached]            ≈ {:.3} ({} samples, ε = 0.02)",
         approx.estimate, approx.samples
@@ -62,7 +69,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Exact evaluation (Theorem 5.5): explicit Markov chain + exact
     // stationary analysis over rationals.
-    let stationary = exact_noninflationary::evaluate(&walk, &db, ChainBudget::default())?;
+    let stationary = exact_noninflationary::evaluate(
+        &walk,
+        &db,
+        ChainBudget::default(),
+        &mut EvalCache::default(),
+    )?;
     println!("Pr[walker at v, long run]     = {stationary} (exact)");
 
     Ok(())

@@ -3,12 +3,13 @@
 //! Run with `cargo run --example random_walk`.
 
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
-use pfq::lang::mixing_sampler;
+use pfq::lang::sampler::SamplerConfig;
+use pfq::lang::{mixing_sampler, EvalCache};
 use pfq::markov::{mixing, scc};
 use pfq::num::Ratio;
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
 use pfq::workloads::pagerank::{pagerank_query, pagerank_reference};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,7 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (query, db) = walk_query(&graph, 0, 3);
 
     // Exact stationary probability via the explicit chain.
-    let exact = exact_noninflationary::evaluate(&query, &db, ChainBudget::default())?;
+    let exact = exact_noninflationary::evaluate(
+        &query,
+        &db,
+        ChainBudget::default(),
+        &mut EvalCache::default(),
+    )?;
     println!("  Pr[walker at node 3] = {exact} (exact; uniform by symmetry)");
 
     // The chain's structure and mixing time.
@@ -33,7 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Theorem 5.6: sample after a burn-in of one mixing time.
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let est = mixing_sampler::evaluate_with_burn_in(&query, &db, t, 0.05, 0.05, &mut rng)?;
+    let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+    let est = mixing_sampler::evaluate_with_burn_in_config(&query, &db, t, 0.05, 0.05, &config)?;
     println!(
         "  Pr[walker at node 3] ≈ {:.3} (burn-in {t}, {} samples)",
         est.estimate, est.samples
@@ -49,7 +56,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference = pagerank_reference(&g, 0.15, 300);
     for node in 0..4 {
         let (q, db) = pagerank_query(&g, alpha.clone(), 0, node);
-        let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default())?;
+        let p = exact_noninflationary::evaluate(
+            &q,
+            &db,
+            ChainBudget::default(),
+            &mut EvalCache::default(),
+        )?;
         println!(
             "  node {node}: query = {:.6}, direct power iteration = {:.6}",
             p.to_f64(),

@@ -8,7 +8,7 @@ use pfq::algebra::{Expr, Interpretation};
 use pfq::data::{tuple, Database, Relation, Schema};
 use pfq::lang::exact_inflationary::{self, ExactBudget};
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
-use pfq::lang::{Event, ForeverQuery};
+use pfq::lang::{EvalCache, Event, ForeverQuery};
 use pfq::workloads::graphs::reachability_query;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let query = reachability_query(0, 3);
     println!("probabilistic datalog (Example 3.9):\n{}", query.program);
     let db = Database::new().with("E", edges.clone());
-    let p_datalog = exact_inflationary::evaluate(&query, &db, ExactBudget::default())?;
+    let p_datalog = exact_inflationary::evaluate(
+        &query,
+        &db,
+        ExactBudget::default(),
+        &mut EvalCache::default(),
+    )?;
     // Hand computation: Pr = 1/3·1 + 2/3·(1/4) = 1/2.
     println!("Pr[3 ever reached] = {p_datalog} (expect 1/2)\n");
 
@@ -55,7 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fq = ForeverQuery::new(kernel, Event::tuple_in("C", tuple![3]));
     // The kernel is inflationary, so the long-run probability of the
     // event equals the probability 3 is ever reached.
-    let p_algebra = exact_noninflationary::evaluate(&fq, &db, ChainBudget::default())?;
+    let p_algebra = exact_noninflationary::evaluate(
+        &fq,
+        &db,
+        ChainBudget::default(),
+        &mut EvalCache::default(),
+    )?;
     println!("Pr[3 ever reached] = {p_algebra} (expect 1/2)");
 
     assert_eq!(p_datalog, p_algebra, "the two formulations must agree");

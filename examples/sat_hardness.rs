@@ -12,11 +12,11 @@
 //! Run with `cargo run --release --example sat_hardness`.
 
 use pfq::lang::exact_inflationary::{self, ExactBudget};
-use pfq::lang::mixing_sampler;
-use pfq::lang::sample_inflationary;
+use pfq::lang::sampler::SamplerConfig;
+use pfq::lang::{mixing_sampler, sample_inflationary, EvalCache};
 use pfq::num::Ratio;
 use pfq::workloads::sat::{theorem_4_1_pc, theorem_5_1_forever_query, Cnf};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("unsatisfiable", &unsatisfiable),
     ] {
         let (query, input) = theorem_4_1_pc(f);
-        let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default())?;
+        let p = exact_inflationary::evaluate_pc(
+            &query,
+            &input,
+            ExactBudget::default(),
+            &mut EvalCache::default(),
+        )?;
         let expected = Ratio::new(f.count_satisfying() as i64, 1 << f.num_vars);
         assert_eq!(p, expected);
         println!(
@@ -44,7 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // relative approximation could.
     let (query, input) = theorem_4_1_pc(&satisfiable);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let est = sample_inflationary::evaluate_pc(&query, &input, 0.05, 0.05, &mut rng)?;
+    let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+    let est = sample_inflationary::evaluate_pc_with_config(&query, &input, 0.05, 0.05, &config)?;
     println!(
         "  absolute (ε=0.05) estimate on the satisfiable instance: {:.3} \
          ({} samples — fine for ±ε, useless for relative error)",

@@ -60,6 +60,7 @@ fn pagerank_pfq_is_exact_and_sums_to_one() {
         &q,
         &db,
         pfq::lang::exact_noninflationary::ChainBudget::default(),
+        &mut pfq::lang::EvalCache::default(),
     )
     .unwrap();
     assert!(

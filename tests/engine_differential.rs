@@ -1,27 +1,26 @@
-//! Differential tests for the engine layer: the `evaluate*` free
-//! functions are thin wrappers over `pfq::lang::engine`, and this suite
-//! proves them **bit-identical** to the un-memoized reference paths over
-//! a seeded fuzz-generated corpus. Exact wrappers are replayed against
-//! the reference oracles (`enumerate_fixpoints`, and the
-//! `Database`-keyed `build_chain` solved by dense elimination) and must
-//! agree `Ratio`-for-`Ratio`; rng-taking sampling wrappers must agree
-//! to the bit with their config primitives on the same derived seed.
-//! Planner properties ride along: plans are deterministic (cold ==
-//! warm) and §5.1 partitioning is never chosen for a program with
-//! negation.
+//! Differential tests for the engine layer: every forced strategy the
+//! engine executes is proved **bit-identical** to its reference path over
+//! a seeded fuzz-generated corpus. The exact strategies (`ExactTree`,
+//! `ExactChain`, `Partitioned`) are replayed against the reference
+//! oracles (`enumerate_fixpoints`, and the `Database`-keyed `build_chain`
+//! solved by dense elimination) and must agree `Ratio`-for-`Ratio`; the
+//! sampling strategies (`SampleFixpoint`, `BurnInSample`) must agree to
+//! the bit with their config primitives on the same seed. Planner
+//! properties ride along: plans are deterministic (cold == warm) and §5.1
+//! partitioning is never chosen for a program with negation.
 
 use pfq::lang::engine::Planner;
-use pfq::lang::exact_inflationary::{self, ExactBudget};
-use pfq::lang::exact_noninflationary::{self, ChainBudget};
+use pfq::lang::exact_inflationary::ExactBudget;
+use pfq::lang::exact_noninflationary::ChainBudget;
 use pfq::lang::sample_inflationary::{self, hoeffding_sample_count};
 use pfq::lang::sampler::SamplerConfig;
 use pfq::lang::{
-    mixing_sampler, partition, DatalogQuery, Engine, EvalCache, EvalRequest, PlanAction, Strategy,
+    mixing_sampler, DatalogQuery, Engine, EvalCache, EvalRequest, PlanAction, Strategy,
 };
 use pfq_fuzz::gen::{generate, GenConfig};
 use pfq_fuzz::oracle::{reference_chain_probability, reference_tree_probability};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 const NODE_BUDGET: ExactBudget = ExactBudget {
@@ -41,8 +40,9 @@ fn case_query(seed: u64) -> (pfq_fuzz::gen::FuzzCase, DatalogQuery) {
     (case, query)
 }
 
-/// The ≥200-case corpus differential: every engine-routed wrapper versus
-/// its reference path, bit for bit.
+/// The ≥200-case corpus differential: every forced engine strategy
+/// versus its reference path, bit for bit. (The name predates the
+/// removal of the per-module wrappers that used to sit on the engine.)
 #[test]
 fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
     let mut exact_hits = 0usize;
@@ -53,8 +53,14 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
     for i in 0..200u64 {
         let (case, query) = case_query(0xE47_0000 + i);
 
-        // Prop 4.4 exact tree: wrapper vs the un-memoized oracle.
-        let engine_p = exact_inflationary::evaluate(&query, &case.db, NODE_BUDGET);
+        // Prop 4.4 exact tree: the engine vs the un-memoized oracle.
+        let engine_p = Engine::new()
+            .run(
+                &EvalRequest::inflationary(&query, &case.db)
+                    .with_strategy(Strategy::ExactTree)
+                    .with_exact_budget(NODE_BUDGET),
+            )
+            .and_then(|outcome| outcome.into_exact());
         let oracle_p = reference_tree_probability(&query, &case.db, NODE_BUDGET.node_budget);
         match (engine_p, oracle_p) {
             (Ok(a), Ok(b)) => {
@@ -65,10 +71,16 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
             (a, b) => panic!("case {i}: one exact-tree path errored: {a:?} vs {b:?}"),
         }
 
-        // Thm 5.5 exact chain: wrapper (interned chain, GTH) vs the
+        // Thm 5.5 exact chain: the engine (interned chain, GTH) vs the
         // reference oracle (whole-database chain, dense elimination).
         if let Ok((fq, prepared)) = query.to_forever_query(&case.db) {
-            let engine_p = exact_noninflationary::evaluate(&fq, &prepared, CHAIN_BUDGET);
+            let engine_p = Engine::new()
+                .run(
+                    &EvalRequest::forever(&fq, &prepared)
+                        .with_strategy(Strategy::ExactChain)
+                        .with_chain_budget(CHAIN_BUDGET),
+                )
+                .and_then(|outcome| outcome.into_exact());
             let oracle_p = reference_chain_probability(&fq, &prepared, CHAIN_BUDGET);
             match (&engine_p, oracle_p) {
                 (Ok(a), Ok(b)) => {
@@ -82,78 +94,81 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
                 (a, b) => panic!("case {i}: one exact-chain path errored: {a:?} vs {b:?}"),
             }
 
-            // §5.1: the partitioned wrapper must still equal the whole
+            // §5.1: the partitioned strategy must still equal the whole
             // chain (the capability-gap regression lives in pfq-core;
             // this corpus check covers arbitrary generated programs).
             if !case.program.has_negation() {
-                if let (Ok(whole), Ok(split)) = (
-                    &engine_p,
-                    partition::evaluate_partitioned(&query, &case.db, CHAIN_BUDGET),
-                ) {
+                let split = Engine::new()
+                    .run(
+                        &EvalRequest::noninflationary(&query, &case.db)
+                            .with_strategy(Strategy::Partitioned)
+                            .with_chain_budget(CHAIN_BUDGET),
+                    )
+                    .and_then(|outcome| outcome.into_exact());
+                if let (Ok(whole), Ok(split)) = (&engine_p, split) {
                     assert_eq!(*whole, split, "case {i}: partitioned diverged");
                     partition_hits += 1;
                 }
             }
 
-            // Thm 5.6 restart sampling: the rng-taking wrapper vs the
-            // config primitive with the same derived seed, adaptivity
-            // off on both sides.
+            // Thm 5.6 restart sampling: the engine's forced burn-in run
+            // vs the config primitive on the same seed, adaptivity off on
+            // both sides.
             if i % 4 == 0 {
-                let mut wrapper_rng = ChaCha8Rng::seed_from_u64(0xB1_0000 + i);
-                let mut primitive_rng = wrapper_rng.clone();
-                let est = mixing_sampler::evaluate_with_burn_in(
-                    &fq,
-                    &prepared,
-                    2,
-                    0.2,
-                    0.2,
-                    &mut wrapper_rng,
-                )
-                .unwrap();
-                let config = SamplerConfig {
-                    seed: primitive_rng.gen(),
-                    adaptive: false,
-                    ..SamplerConfig::default()
-                };
+                let seed = 0xB1_0000 + i;
+                let engine = Engine::new()
+                    .run(
+                        &EvalRequest::forever(&fq, &prepared)
+                            .with_strategy(Strategy::BurnInSample { burn_in: Some(2) })
+                            .with_epsilon_delta(0.2, 0.2)
+                            .with_seed(seed)
+                            .with_adaptive(false),
+                    )
+                    .and_then(|outcome| outcome.into_report())
+                    .unwrap();
+                let config = SamplerConfig::seeded(seed).with_adaptive(false);
                 let report = mixing_sampler::evaluate_with_burn_in_config(
                     &fq, &prepared, 2, 0.2, 0.2, &config,
                 )
                 .unwrap();
                 assert_eq!(
-                    est.estimate.to_bits(),
+                    engine.estimate.to_bits(),
                     report.estimate.to_bits(),
-                    "case {i}: burn-in wrapper diverged from primitive"
+                    "case {i}: engine burn-in diverged from primitive"
                 );
-                assert_eq!(est.samples, report.samples);
+                assert_eq!(engine.samples, report.samples);
                 sample_hits += 1;
             }
         }
 
-        // Thm 4.3 sampling: the rng-taking wrapper vs the fixed-count
-        // primitive with the same derived seed.
+        // Thm 4.3 sampling: the engine's forced non-adaptive run vs the
+        // fixed-count primitive on the same seed.
         if i % 4 == 0 {
-            let mut wrapper_rng = ChaCha8Rng::seed_from_u64(0xA5_0000 + i);
-            let mut primitive_rng = wrapper_rng.clone();
-            let est = sample_inflationary::evaluate(&query, &case.db, 0.2, 0.2, &mut wrapper_rng)
+            let seed = 0xA5_0000 + i;
+            let engine = Engine::new()
+                .run(
+                    &EvalRequest::inflationary(&query, &case.db)
+                        .with_strategy(Strategy::SampleFixpoint)
+                        .with_epsilon_delta(0.2, 0.2)
+                        .with_seed(seed)
+                        .with_adaptive(false),
+                )
+                .and_then(|outcome| outcome.into_report())
                 .unwrap();
             let m = hoeffding_sample_count(0.2, 0.2).unwrap();
             let report = sample_inflationary::evaluate_with_samples_config(
                 &query,
                 &case.db,
                 m,
-                &SamplerConfig {
-                    seed: primitive_rng.gen(),
-                    adaptive: false,
-                    ..SamplerConfig::default()
-                },
+                &SamplerConfig::seeded(seed),
             )
             .unwrap();
             assert_eq!(
-                est.estimate.to_bits(),
+                engine.estimate.to_bits(),
                 report.estimate.to_bits(),
-                "case {i}: sampler wrapper diverged from primitive"
+                "case {i}: engine sampler diverged from primitive"
             );
-            assert_eq!(est.samples, report.samples);
+            assert_eq!(engine.samples, report.samples);
             sample_hits += 1;
         }
     }

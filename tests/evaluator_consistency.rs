@@ -2,16 +2,18 @@
 //! (or approximates) the same quantity, so they must agree with each
 //! other on instances small enough for exact evaluation.
 
+mod common;
+
+use common::{chain_probability, tree_probability};
 use pfq::ctable::{translate, Condition, PcDatabase, PcTable, RandomVariable};
 use pfq::data::{tuple, Database, Relation, Schema};
-use pfq::lang::exact_inflationary::{self, ExactBudget};
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
 use pfq::lang::sampler::SamplerConfig;
-use pfq::lang::{mixing_sampler, partition, sample_inflationary, DatalogQuery, Event};
+use pfq::lang::{mixing_sampler, partition, sample_inflationary, DatalogQuery, EvalCache, Event};
 use pfq::markov::{mixing, stationary, MarkovChain};
 use pfq::num::{Distribution, Ratio};
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Theorem 4.3's estimator lands within ε of Proposition 4.4's exact
@@ -32,11 +34,10 @@ fn sampling_matches_exact_inflationary() {
         ),
     );
     let q = pfq::workloads::graphs::reachability_query(0, 3);
-    let exact = exact_inflationary::evaluate(&q, &db, ExactBudget::default())
-        .unwrap()
-        .to_f64();
+    let exact = tree_probability(&q, &db).to_f64();
     let mut rng = ChaCha8Rng::seed_from_u64(17);
-    let est = sample_inflationary::evaluate(&q, &db, 0.03, 0.05, &mut rng).unwrap();
+    let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+    let est = sample_inflationary::evaluate_with_config(&q, &db, 0.03, 0.05, &config).unwrap();
     assert!(
         (est.estimate - exact).abs() < 0.03,
         "{} vs {exact}",
@@ -50,11 +51,10 @@ fn sampling_matches_exact_inflationary() {
 fn noninflationary_evaluators_agree() {
     let g = WeightedGraph::dumbbell(3);
     let (q, db) = walk_query(&g, 0, 4);
-    let exact = exact_noninflationary::evaluate(&q, &db, ChainBudget::default())
-        .unwrap()
-        .to_f64();
+    let exact = chain_probability(&q, &db).to_f64();
     let mut rng = ChaCha8Rng::seed_from_u64(23);
-    let burn = mixing_sampler::evaluate_with_burn_in(&q, &db, 120, 0.05, 0.05, &mut rng)
+    let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+    let burn = mixing_sampler::evaluate_with_burn_in_config(&q, &db, 120, 0.05, 0.05, &config)
         .unwrap()
         .estimate;
     let avg = mixing_sampler::evaluate_time_average(&q, &db, 60_000, &mut rng).unwrap();
@@ -123,9 +123,15 @@ fn partitioning_matches_direct_and_shrinks_chains() {
 
     let direct = {
         let (fq, prepared) = query.to_forever_query(&db).unwrap();
-        exact_noninflationary::evaluate(&fq, &prepared, ChainBudget::default()).unwrap()
+        chain_probability(&fq, &prepared)
     };
-    let partitioned = partition::evaluate_partitioned(&query, &db, ChainBudget::default()).unwrap();
+    let partitioned = partition::evaluate_partitioned(
+        &query,
+        &db,
+        ChainBudget::default(),
+        &mut EvalCache::default(),
+    )
+    .unwrap();
     assert_eq!(direct, partitioned);
     // 1 − (1/2)(1/3)(1/4) = 23/24.
     assert_eq!(direct, Ratio::new(23, 24));
@@ -227,9 +233,7 @@ fn differential_graph_reachability() {
     for (seed, (name, g)) in cases.into_iter().enumerate() {
         let db = Database::new().with("E", g.edge_relation());
         let query = pfq::workloads::graphs::reachability_query(0, g.n as i64 - 1);
-        let exact = exact_inflationary::evaluate(&query, &db, ExactBudget::default())
-            .unwrap()
-            .to_f64();
+        let exact = tree_probability(&query, &db).to_f64();
         let config = differential_config(40 + seed as u64);
         let report =
             sample_inflationary::evaluate_with_config(&query, &db, 0.05, 0.05, &config).unwrap();
@@ -255,9 +259,7 @@ fn differential_coloring_mcmc() {
     ];
     for (seed, (name, g)) in cases.into_iter().enumerate() {
         let (query, db) = g.color_query(0, 0);
-        let exact = exact_noninflationary::evaluate(&query, &db, ChainBudget::default())
-            .unwrap()
-            .to_f64();
+        let exact = chain_probability(&query, &db).to_f64();
         let chain =
             exact_noninflationary::build_chain(&query, &db, ChainBudget::default()).unwrap();
         let burn_in = mixing::mixing_time(&chain, 0.01, 100_000).expect("Glauber chain mixes");
@@ -278,7 +280,7 @@ fn differential_queue_lengths() {
     let reference = queue.stationary_reference();
     for k in 0..=3i64 {
         let (query, db) = queue.length_query(0, k);
-        let exact = exact_noninflationary::evaluate(&query, &db, ChainBudget::default()).unwrap();
+        let exact = chain_probability(&query, &db);
         assert_eq!(exact, reference[k as usize], "closed form, length {k}");
         let chain =
             exact_noninflationary::build_chain(&query, &db, ChainBudget::default()).unwrap();

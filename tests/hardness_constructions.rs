@@ -1,12 +1,15 @@
 //! The Theorem 4.1 / 5.1 reductions behave exactly as their lemmas
 //! claim, across random formulas.
 
-use pfq::lang::exact_inflationary::{self, ExactBudget};
+mod common;
+
+use common::{pc_probability, tree_probability};
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
 use pfq::lang::sample_inflationary;
+use pfq::lang::sampler::SamplerConfig;
 use pfq::num::Ratio;
 use pfq::workloads::sat::{theorem_4_1_pc, theorem_4_1_repair_key, theorem_5_1_forever_query, Cnf};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Lemma 4.2, strengthened to the exact identity our implementation
@@ -21,7 +24,7 @@ fn lemma_4_2_exact_identity_on_random_formulas() {
             query.is_linear(),
             "the reduction must stay in linear datalog"
         );
-        let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+        let p = pc_probability(&query, &input);
         let expected = Ratio::new(f.count_satisfying() as i64, 16);
         assert_eq!(p, expected, "trial {trial}: {f:?}");
     }
@@ -36,8 +39,8 @@ fn reduction_variants_agree_on_random_formulas() {
         let f = Cnf::random(3, 2, &mut rng);
         let (q_pc, in_pc) = theorem_4_1_pc(&f);
         let (q_rk, db_rk) = theorem_4_1_repair_key(&f);
-        let p_pc = exact_inflationary::evaluate_pc(&q_pc, &in_pc, ExactBudget::default()).unwrap();
-        let p_rk = exact_inflationary::evaluate(&q_rk, &db_rk, ExactBudget::default()).unwrap();
+        let p_pc = pc_probability(&q_pc, &in_pc);
+        let p_rk = tree_probability(&q_rk, &db_rk);
         assert_eq!(p_pc, p_rk, "{f:?}");
     }
 }
@@ -49,11 +52,11 @@ fn lemma_4_2_separation() {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let (sat, _) = Cnf::random_satisfiable(4, 4, &mut rng);
     let (query, input) = theorem_4_1_pc(&sat);
-    let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+    let p = pc_probability(&query, &input);
     assert!(p >= Ratio::new(1, 16), "satisfiable ⇒ p ≥ 1/2ⁿ, got {p}");
 
     let (query, input) = theorem_4_1_pc(&Cnf::unsatisfiable());
-    let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+    let p = pc_probability(&query, &input);
     assert!(p.is_zero());
 }
 
@@ -66,7 +69,7 @@ fn relative_vs_absolute_separation() {
     for n in [3usize, 5, 7] {
         let f = Cnf::new(n, vec![[1, 2, 3]]);
         let (query, input) = theorem_4_1_pc(&f);
-        let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+        let p = pc_probability(&query, &input);
         assert_eq!(p, Ratio::new(7, 8), "padding variables don't change p");
     }
     // Force a genuinely tiny probability: x1 ∧ x2 ∧ x3 as three clauses
@@ -88,13 +91,15 @@ fn relative_vs_absolute_separation() {
     let f = Cnf::new(3, clauses);
     assert_eq!(f.count_satisfying(), 1);
     let (query, input) = theorem_4_1_pc(&f);
-    let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+    let p = pc_probability(&query, &input);
     assert_eq!(p, Ratio::new(1, 8));
     // An absolute approximation with ε = 0.2 may legitimately answer 0 —
     // it cannot distinguish 1/8-satisfiable from unsatisfiable without
     // exponentially many samples as n grows.
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let est = sample_inflationary::evaluate_pc(&query, &input, 0.2, 0.1, &mut rng).unwrap();
+    let config = SamplerConfig::seeded(rng.gen()).with_adaptive(false);
+    let est =
+        sample_inflationary::evaluate_pc_with_config(&query, &input, 0.2, 0.1, &config).unwrap();
     assert!((est.estimate - 0.125).abs() <= 0.2);
 }
 

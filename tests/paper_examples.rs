@@ -1,10 +1,11 @@
 //! End-to-end reproductions of every worked example in the paper.
 
+mod common;
+
+use common::{chain_probability, tree_probability};
 use pfq::algebra::repair_key::enumerate_repairs;
 use pfq::algebra::{Expr, Interpretation};
 use pfq::data::{tuple, Database, Relation, Schema, Value};
-use pfq::lang::exact_inflationary::{self, ExactBudget};
-use pfq::lang::exact_noninflationary::{self, ChainBudget};
 use pfq::lang::{DatalogQuery, Event, ForeverQuery};
 use pfq::num::Ratio;
 use pfq::workloads::basketball;
@@ -54,7 +55,7 @@ fn example_3_3_random_walk_stationary() {
     let expect = [Ratio::new(1, 8), Ratio::new(1, 2), Ratio::new(3, 8)];
     for (node, want) in expect.iter().enumerate() {
         let (q, db) = walk_query(&g, 0, node as i64);
-        let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
+        let p = chain_probability(&q, &db);
         assert_eq!(&p, want, "node {node}");
     }
 }
@@ -64,7 +65,7 @@ fn example_3_3_random_walk_stationary() {
 fn example_3_3_pagerank() {
     let g = WeightedGraph::cycle(3);
     let (q, db) = pagerank_query(&g, Ratio::new(1, 4), 0, 1);
-    let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
+    let p = chain_probability(&q, &db);
     assert_eq!(p, Ratio::new(1, 3)); // symmetric ⇒ uniform
 }
 
@@ -93,7 +94,7 @@ fn example_3_5_reachability_algebra() {
         .with("Cold", Expr::rel("C"))
         .with("C", Expr::rel("C").union(step));
     let q = ForeverQuery::new(kernel, Event::tuple_in("C", tuple![3]));
-    let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
+    let p = chain_probability(&q, &db);
     assert_eq!(p, Ratio::new(1, 2));
 }
 
@@ -124,7 +125,7 @@ fn example_3_6_unrestricted_reuse() {
         ),
     );
     let q = ForeverQuery::new(kernel, Event::tuple_in("C", tuple!["b"]));
-    let p = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
+    let p = chain_probability(&q, &db);
     assert!(p.is_one(), "unrestricted reuse must flood: got {p}");
 }
 
@@ -147,7 +148,7 @@ fn example_3_9_staged_choice() {
         Event::tuple_in("C", tuple!["w"]),
     )
     .unwrap();
-    let p = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+    let p = tree_probability(&q, &db);
     assert_eq!(p, Ratio::new(1, 2));
 }
 
@@ -201,11 +202,11 @@ fn example_3_10_bayesian_network() {
     let db = net.to_database();
     // Pr[x2 = 1] by brute force and by the datalog query.
     let q = net.marginal_query(&[(2, true)]);
-    let got = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+    let got = tree_probability(&q, &db);
     assert_eq!(got, net.marginal_reference(&[(2, true)]));
     // Joint marginal Pr[x0 = 1 ∧ x2 = 1].
     let q = net.marginal_query(&[(0, true), (2, true)]);
-    let got = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+    let got = tree_probability(&q, &db);
     assert_eq!(got, net.marginal_reference(&[(0, true), (2, true)]));
 }
 
@@ -240,7 +241,7 @@ fn example_3_5_in_datalog_with_negation() {
         .with("E", edges)
         .with("C", Relation::from_rows(Schema::new(["c0"]), [tuple![0]]));
     let (fq, prepared) = query.to_forever_query(&db).unwrap();
-    let p = exact_noninflationary::evaluate(&fq, &prepared, ChainBudget::default()).unwrap();
+    let p = chain_probability(&fq, &prepared);
     assert_eq!(p, Ratio::new(1, 2));
     // And the datalog inflationary engine (Example 3.9 style) agrees.
     let q_39 = pfq::workloads::graphs::reachability_query(0, 3);
@@ -257,7 +258,7 @@ fn example_3_5_in_datalog_with_negation() {
             ],
         ),
     );
-    let p_39 = exact_inflationary::evaluate(&q_39, &db_39, ExactBudget::default()).unwrap();
+    let p_39 = tree_probability(&q_39, &db_39);
     assert_eq!(p, p_39);
 }
 
@@ -280,7 +281,7 @@ fn proposition_3_8_datalog_vs_inflationary_interpretation() {
     // Datalog route.
     let q = pfq::workloads::graphs::reachability_query(0, 3);
     let db = Database::new().with("E", edges.clone());
-    let p_datalog = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+    let p_datalog = tree_probability(&q, &db);
 
     // Algebra route (Example 3.5 kernel).
     let db = Database::new()
@@ -297,7 +298,7 @@ fn proposition_3_8_datalog_vs_inflationary_interpretation() {
         .with("Cold", Expr::rel("C"))
         .with("C", Expr::rel("C").union(step));
     let fq = ForeverQuery::new(kernel, Event::tuple_in("C", tuple![3]));
-    let p_algebra = exact_noninflationary::evaluate(&fq, &db, ChainBudget::default()).unwrap();
+    let p_algebra = chain_probability(&fq, &db);
 
     assert_eq!(p_datalog, p_algebra);
     assert_eq!(p_datalog, Ratio::new(1, 2));

@@ -1,8 +1,10 @@
 //! Property-based integration tests: randomized instances, exact
 //! invariants.
 
+mod common;
+
+use common::{chain_probability, pc_probability, tree_probability};
 use pfq::data::{tuple, Database, Relation, Schema, Value};
-use pfq::lang::exact_inflationary::{self, ExactBudget};
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
 use pfq::lang::Event;
 use pfq::markov::absorption::long_run_distribution;
@@ -38,7 +40,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let f = Cnf::random(3, 2, &mut rng);
         let (query, input) = theorem_4_1_pc(&f);
-        let p = exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default()).unwrap();
+        let p = pc_probability(&query, &input);
         prop_assert_eq!(p, Ratio::new(f.count_satisfying() as i64, 8));
     }
 
@@ -51,7 +53,7 @@ proptest! {
         let db = net.to_database();
         let target = n - 1;
         let q = net.marginal_query(&[(target, true)]);
-        let got = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+        let got = tree_probability(&q, &db);
         prop_assert_eq!(got, net.marginal_reference(&[(target, true)]));
     }
 
@@ -64,7 +66,7 @@ proptest! {
         let db = Database::new().with("E", g.edge_relation());
         for target in 0..n as i64 {
             let q = pfq::workloads::graphs::reachability_query(0, target);
-            let p = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+            let p = tree_probability(&q, &db);
             prop_assert!(p.is_probability(), "p = {}", p);
             if target == 0 {
                 prop_assert!(p.is_one());
@@ -106,7 +108,7 @@ fn start_independence_on_irreducible_chains() {
     let mut answers = Vec::new();
     for start in 0..5 {
         let (q, db) = walk_query(&g, start, 2);
-        answers.push(exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap());
+        answers.push(chain_probability(&q, &db));
     }
     for w in answers.windows(2) {
         assert_eq!(w[0], w[1]);
@@ -129,7 +131,7 @@ fn exact_tiny_probabilities() {
         Relation::from_rows(Schema::new(["i", "j", "p"]), edges),
     );
     let q = pfq::workloads::graphs::reachability_query(0, 12);
-    let p = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+    let p = tree_probability(&q, &db);
     assert_eq!(p, Ratio::new(1, 2).pow(12));
 }
 
@@ -148,8 +150,8 @@ fn compound_events() {
     let either = Event::tuple_in("C", tuple![1]).or(Event::tuple_in("C", tuple![2]));
     let q_both = pfq::lang::DatalogQuery::new(program.clone(), both);
     let q_either = pfq::lang::DatalogQuery::new(program, either);
-    let p_both = exact_inflationary::evaluate(&q_both, &db, ExactBudget::default()).unwrap();
-    let p_either = exact_inflationary::evaluate(&q_either, &db, ExactBudget::default()).unwrap();
+    let p_both = tree_probability(&q_both, &db);
+    let p_either = tree_probability(&q_either, &db);
     assert!(p_both.is_zero()); // exactly one branch is ever taken
     assert!(p_either.is_one());
 }
@@ -170,6 +172,6 @@ fn rational_weights_end_to_end() {
         ),
     );
     let q = pfq::workloads::graphs::reachability_query(0, 3);
-    let p = exact_inflationary::evaluate(&q, &db, ExactBudget::default()).unwrap();
+    let p = tree_probability(&q, &db);
     assert_eq!(p, Ratio::new(4, 7));
 }

@@ -5,7 +5,10 @@
 //! non-inflationary query evaluation — plus the structural edge cases
 //! (single state, periodic cycles, reducible chains).
 
-use pfq::lang::exact_noninflationary::{self, ChainBudget};
+mod common;
+
+use common::chain_probability;
+use pfq::lang::exact_noninflationary::ChainBudget;
 use pfq::markov::absorption::long_run_distribution_with;
 use pfq::markov::stationary::{exact_stationary_with, StationaryMethod};
 use pfq::markov::MarkovChain;
@@ -115,7 +118,7 @@ proptest! {
         let g = WeightedGraph::erdos_renyi(n, p, &mut rng);
         let (q, db) = walk_query(&g, 0, n as i64 - 1);
         let dense = reference_chain_probability(&q, &db, ChainBudget::default()).unwrap();
-        let sparse = exact_noninflationary::evaluate(&q, &db, ChainBudget::default()).unwrap();
+        let sparse = chain_probability(&q, &db);
         prop_assert_eq!(dense, sparse);
     }
 }
