@@ -9,6 +9,8 @@ use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::SamplerConfig;
 use pfq_core::{mixing_sampler, partition, DatalogQuery, EvalCache, Event};
 use pfq_data::{tuple, Database, Relation, Schema};
+use pfq_datalog::eval::CompiledProgram;
+use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
 use pfq_workloads::graphs::{walk_query, WeightedGraph};
 use pfq_workloads::sat::{theorem_4_1_pc, Cnf};
 use rand::{Rng, SeedableRng};
@@ -26,19 +28,15 @@ fn bench_e3_relative_vs_absolute(c: &mut Criterion) {
     for k in [1usize, 3, 5] {
         let f = Cnf::pinned(k);
         let (query, input) = theorem_4_1_pc(&f);
+        let program = CompiledProgram::new(&query.program);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
                 // One "relative-approximation probe": sample until hit.
                 loop {
                     let world = input.sample_world(&mut rng).unwrap();
-                    let fp = pfq_datalog::inflationary::sample_fixpoint(
-                        &query.program,
-                        &world,
-                        &mut rng,
-                        1_000_000,
-                    )
-                    .unwrap();
+                    let start = EngineState::initial(&query.program, &world).unwrap();
+                    let fp = sample_fixpoint(&program, &start, &mut rng, 1_000_000).unwrap();
                     if query.event.holds(&fp) {
                         break;
                     }

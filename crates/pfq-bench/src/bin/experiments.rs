@@ -17,6 +17,8 @@ use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::SamplerConfig;
 use pfq_core::{mixing_sampler, partition, sample_inflationary, EvalCache};
 use pfq_data::{tuple, Database, Relation, Schema};
+use pfq_datalog::eval::CompiledProgram;
+use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
 use pfq_markov::{mixing, stationary};
 use pfq_num::Ratio;
 use pfq_workloads::basketball;
@@ -157,6 +159,7 @@ fn e3_relative_vs_absolute() {
     for k in [1usize, 2, 4, 6, 8] {
         let f = Cnf::pinned(k);
         let (query, input) = theorem_4_1_pc(&f);
+        let program = CompiledProgram::new(&query.program);
         // Empirical samples until the first positive observation,
         // averaged over a few trials — a lower bound on any relative
         // scheme's work, since it must distinguish p > 0 from p = 0.
@@ -167,13 +170,8 @@ fn e3_relative_vs_absolute() {
             loop {
                 count += 1;
                 let world = input.sample_world(&mut rng).unwrap();
-                let fp = pfq_datalog::inflationary::sample_fixpoint(
-                    &query.program,
-                    &world,
-                    &mut rng,
-                    1_000_000,
-                )
-                .unwrap();
+                let start = EngineState::initial(&query.program, &world).unwrap();
+                let fp = sample_fixpoint(&program, &start, &mut rng, 1_000_000).unwrap();
                 if query.event.holds(&fp) {
                     break;
                 }

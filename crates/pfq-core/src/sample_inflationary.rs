@@ -17,7 +17,8 @@ use crate::sampler::{self, SampleReport, SamplerConfig};
 use crate::{CoreError, DatalogQuery};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
-use pfq_datalog::inflationary::sample_fixpoint;
+use pfq_datalog::eval::CompiledProgram;
+use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
 use rand_chacha::ChaCha8Rng;
 
 /// Defensive cap on inflationary steps per sample; the semantics
@@ -40,10 +41,15 @@ pub fn hoeffding_sample_count(epsilon: f64, delta: f64) -> Result<usize, CoreErr
     Ok(((2.0 / delta).ln() / (2.0 * epsilon * epsilon)).ceil() as usize)
 }
 
-/// One Theorem 4.3 trial over a certain input: a random computation
-/// path to its fixpoint, then the event test.
-fn trial(query: &DatalogQuery, db: &Database, rng: &mut ChaCha8Rng) -> Result<bool, CoreError> {
-    let fixpoint = sample_fixpoint(&query.program, db, rng, MAX_STEPS_PER_SAMPLE)?;
+/// One Theorem 4.3 trial: a random computation path from `start` to its
+/// fixpoint, then the event test.
+fn trial(
+    query: &DatalogQuery,
+    program: &CompiledProgram,
+    start: &EngineState,
+    rng: &mut ChaCha8Rng,
+) -> Result<bool, CoreError> {
+    let fixpoint = sample_fixpoint(program, start, rng, MAX_STEPS_PER_SAMPLE)?;
     Ok(query.event.holds(&fixpoint))
 }
 
@@ -52,17 +58,19 @@ fn trial(query: &DatalogQuery, db: &Database, rng: &mut ChaCha8Rng) -> Result<bo
 /// beginning”, §3.2), then proceed as over a certain input.
 fn trial_pc(
     query: &DatalogQuery,
+    program: &CompiledProgram,
     input: &PcDatabase,
     rng: &mut ChaCha8Rng,
 ) -> Result<bool, CoreError> {
     let world = input.sample_world(rng)?;
-    let fixpoint = sample_fixpoint(&query.program, &world, rng, MAX_STEPS_PER_SAMPLE)?;
-    Ok(query.event.holds(&fixpoint))
+    let start = EngineState::initial(&query.program, &world)?;
+    trial(query, program, &start, rng)
 }
 
 /// Theorem 4.3 over a certain input, with full control of the engine:
 /// `(ε, δ)`-approximation that may stop before the Hoeffding worst
-/// case when `config.adaptive` is set.
+/// case when `config.adaptive` is set. The program is compiled and the
+/// start state prepared once, for all trials.
 pub fn evaluate_with_config(
     query: &DatalogQuery,
     db: &Database,
@@ -70,7 +78,13 @@ pub fn evaluate_with_config(
     delta: f64,
     config: &SamplerConfig,
 ) -> Result<SampleReport, CoreError> {
-    sampler::run(config, epsilon, delta, |rng| trial(query, db, rng))
+    // Parameter errors take precedence over program errors.
+    hoeffding_sample_count(epsilon, delta)?;
+    let program = CompiledProgram::new(&query.program);
+    let start = EngineState::initial(&query.program, db)?;
+    sampler::run(config, epsilon, delta, |rng| {
+        trial(query, &program, &start, rng)
+    })
 }
 
 /// Theorem 4.3 over a pc-table input, with full control of the engine.
@@ -81,7 +95,10 @@ pub fn evaluate_pc_with_config(
     delta: f64,
     config: &SamplerConfig,
 ) -> Result<SampleReport, CoreError> {
-    sampler::run(config, epsilon, delta, |rng| trial_pc(query, input, rng))
+    let program = CompiledProgram::new(&query.program);
+    sampler::run(config, epsilon, delta, |rng| {
+        trial_pc(query, &program, input, rng)
+    })
 }
 
 /// An explicit-sample-count run over a certain input, with full
@@ -92,7 +109,9 @@ pub fn evaluate_with_samples_config(
     samples: usize,
     config: &SamplerConfig,
 ) -> Result<SampleReport, CoreError> {
-    sampler::run_fixed(config, samples, |rng| trial(query, db, rng))
+    let program = CompiledProgram::new(&query.program);
+    let start = EngineState::initial(&query.program, db)?;
+    sampler::run_fixed(config, samples, |rng| trial(query, &program, &start, rng))
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 //! [`Interner`] that produced them.
 
 use crate::{Database, Value};
+use pfq_num::Ratio;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -169,8 +170,20 @@ pub fn value_approx_bytes(v: &Value) -> usize {
     match v {
         Value::Int(_) => 8,
         Value::Str(s) => s.len(),
-        Value::Ratio(r) => r.to_string().len(),
+        Value::Ratio(r) => ratio_display_len(r),
     }
+}
+
+/// `r.to_string().len()` by digit counting: `[-]num` for integers,
+/// `[-]num/den` otherwise.
+fn ratio_display_len(r: &Ratio) -> usize {
+    let sign = usize::from(r.is_negative());
+    let den = if r.denom().is_one() {
+        0
+    } else {
+        1 + r.denom().decimal_digits()
+    };
+    sign + r.numer().magnitude().decimal_digits() + den
 }
 
 /// Estimated logical size of a [`Database`] in bytes: relation and column
@@ -389,7 +402,33 @@ mod tests {
     fn value_bytes_cover_all_variants() {
         assert_eq!(value_approx_bytes(&Value::int(7)), 8);
         assert_eq!(value_approx_bytes(&Value::str("abc")), 3);
-        assert!(value_approx_bytes(&Value::frac(1, 3)) >= 3); // "1/3"
+        assert_eq!(value_approx_bytes(&Value::frac(1, 3)), 3); // "1/3"
+    }
+
+    #[test]
+    fn ratio_bytes_match_display_length() {
+        let big = Ratio::new(1, 3).pow(90); // 3⁹⁰ spans three limbs
+        let mut cases = vec![
+            Ratio::zero(),
+            Ratio::one(),
+            Ratio::new(-1, 2),
+            Ratio::new(-7, 1),
+            Ratio::new(999, 1000),
+            Ratio::new(i64::MAX, 10),
+            Ratio::new(i64::MIN + 1, 9),
+            big.clone(),
+            big.recip().neg_ref(),
+            big.add_ref(&Ratio::new(-5, 7)),
+        ];
+        cases.extend((0..=40).map(|k| Ratio::from_integer(10).pow(k)));
+        cases.extend((1..=40).map(|k| Ratio::from_integer(10).pow(k).sub_ref(&Ratio::one())));
+        for r in cases {
+            assert_eq!(
+                value_approx_bytes(&Value::Ratio(r.clone())),
+                r.to_string().len(),
+                "{r}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Relations: schema-carrying ordered sets of tuples.
 
-use crate::{Schema, Tuple};
+use crate::{Schema, Tuple, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Bound;
 
 /// A relation instance: a [`Schema`] plus an ordered set of tuples.
 ///
@@ -51,6 +52,20 @@ impl Relation {
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
         self.tuples.contains(t)
+    }
+
+    /// Membership test for a borrowed field slice.
+    pub fn contains_values(&self, values: &[Value]) -> bool {
+        self.tuples.contains(values)
+    }
+
+    /// The tuples whose leading fields equal `prefix`, in sorted order:
+    /// a range scan over the ordered set rather than a full pass. An
+    /// empty prefix yields every tuple.
+    pub fn prefix_scan<'a>(&'a self, prefix: &'a [Value]) -> impl Iterator<Item = &'a Tuple> + 'a {
+        self.tuples
+            .range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |t| t.values().starts_with(prefix))
     }
 
     /// Inserts a tuple; returns whether it was new. Panics on arity
@@ -158,6 +173,34 @@ mod tests {
 
     fn rel(rows: &[i64]) -> Relation {
         Relation::from_rows(Schema::new(["x"]), rows.iter().map(|&v| tuple![v]))
+    }
+
+    #[test]
+    fn prefix_scan_stops_at_the_prefix_boundary() {
+        let r = Relation::from_rows(
+            Schema::new(["a", "b", "c"]),
+            [
+                tuple![1, 9, 9],
+                tuple![2, 1, 1],
+                tuple![2, 1, 7],
+                tuple![2, 3, 0],
+                tuple![3, 0, 0],
+            ],
+        );
+        let scan = |p: &[Value]| r.prefix_scan(p).cloned().collect::<Vec<_>>();
+        assert_eq!(
+            scan(&[Value::int(2)]),
+            [tuple![2, 1, 1], tuple![2, 1, 7], tuple![2, 3, 0]]
+        );
+        assert_eq!(
+            scan(&[Value::int(2), Value::int(1)]),
+            [tuple![2, 1, 1], tuple![2, 1, 7]]
+        );
+        assert_eq!(scan(&[Value::int(2), Value::int(2)]), Vec::<Tuple>::new());
+        assert_eq!(scan(&[Value::int(4)]), Vec::<Tuple>::new());
+        assert_eq!(scan(&[]).len(), 5);
+        assert!(r.contains_values(&[Value::int(2), Value::int(3), Value::int(0)]));
+        assert!(!r.contains_values(&[Value::int(2), Value::int(3)]));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Tuples: fixed-arity sequences of [`Value`]s.
 
 use crate::Value;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// An immutable database tuple.
@@ -57,6 +58,14 @@ impl Tuple {
         v.extend_from_slice(&self.values);
         v.extend_from_slice(&other.values);
         Tuple::new(v)
+    }
+}
+
+/// A tuple compares, orders and hashes exactly as its field slice, so
+/// tuple sets can be probed with a borrowed `&[Value]` — no tuple built.
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.values
     }
 }
 

@@ -1,5 +1,14 @@
-//! Body-valuation computation — the `valuations of the body of r` step of
-//! the paper's inflationary pseudocode, shared by every engine.
+//! Body matching — the `valuations of the body of r` step of the
+//! paper's inflationary pseudocode, shared by every engine.
+//!
+//! Each rule is compiled once per program into a slot plan
+//! ([`CompiledRule`]). The rule's variables get dense indices in
+//! [`Rule::all_variables`] order, which is both the order the body binds
+//! them in and the column order of the paper's `oldVals[r]` tuples, so a
+//! valuation is a `&[Value]` that *is* its `oldVals` encoding. Body atoms
+//! test constants and already bound slots before anything is cloned, and
+//! leading bound or constant columns become a prefix range scan on the
+//! relation's ordered tuple set.
 
 use crate::ast::{Atom, Head, Program, Rule, Term};
 use crate::DatalogError;
@@ -7,138 +16,344 @@ use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_num::Ratio;
 use std::collections::BTreeMap;
 
-/// A variable assignment produced by matching a rule body.
+/// A variable assignment by name — the shape of the annotated matcher
+/// in `pfq-core`'s partitioning.
 pub type Valuation = BTreeMap<String, Value>;
 
-/// Computes all valuations of `body` against `db`, with optional per-atom
-/// relation overrides (used by semi-naive deltas): `overrides[i]`, when
-/// present, replaces the relation of the `i`-th atom.
-pub fn body_valuations(
-    body: &[Atom],
-    db: &Database,
-    overrides: &BTreeMap<usize, &Relation>,
-) -> Result<Vec<Valuation>, DatalogError> {
-    let mut vals: Vec<Valuation> = vec![Valuation::new()];
-    for (i, atom) in body.iter().enumerate() {
-        let rel = match overrides.get(&i) {
-            Some(r) => *r,
-            None => db
-                .get(&atom.relation)
-                .ok_or_else(|| DatalogError::UnknownRelation(atom.relation.clone()))?,
-        };
-        if rel.schema().arity() != atom.terms.len() {
-            return Err(DatalogError::ArityMismatch {
-                relation: atom.relation.clone(),
-                expected: rel.schema().arity(),
-                found: atom.terms.len(),
-            });
-        }
-        let mut next = Vec::new();
-        for val in &vals {
-            'tuples: for t in rel.iter() {
-                let mut extended = val.clone();
-                for (pos, term) in atom.terms.iter().enumerate() {
-                    let actual = t.get(pos);
-                    match term {
-                        Term::Const(c) => {
-                            if c != actual {
-                                continue 'tuples;
-                            }
-                        }
-                        Term::Var(v) => match extended.get(v) {
-                            Some(bound) if bound != actual => continue 'tuples,
-                            Some(_) => {}
-                            None => {
-                                extended.insert(v.clone(), actual.clone());
-                            }
-                        },
-                    }
-                }
-                next.push(extended);
-            }
-        }
-        vals = next;
-        if vals.is_empty() {
-            break;
-        }
-    }
-    Ok(vals)
+/// Where a compiled rule reads a value from.
+#[derive(Clone, Debug)]
+enum Operand {
+    /// A constant of the rule text.
+    Const(Value),
+    /// Slot `i` of the valuation being built.
+    Slot(usize),
+    /// A variable the positive body never binds (an unsafe rule that
+    /// bypassed [`Program::new`]); reading it is an error.
+    Unbound(String),
 }
 
-/// Filters valuations by negated atoms: a valuation survives iff no
-/// negated atom, grounded under it, matches a tuple of its relation.
-/// Safety (checked at parse) guarantees the grounded atom has no free
-/// variables left.
-pub fn filter_negatives(
-    vals: Vec<Valuation>,
-    negatives: &[Atom],
-    db: &Database,
-) -> Result<Vec<Valuation>, DatalogError> {
-    if negatives.is_empty() {
-        return Ok(vals);
-    }
-    // Resolve relations once.
-    let rels: Vec<&Relation> = negatives
-        .iter()
-        .map(|a| {
-            db.get(&a.relation)
-                .ok_or_else(|| DatalogError::UnknownRelation(a.relation.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    for (atom, rel) in negatives.iter().zip(&rels) {
-        if rel.schema().arity() != atom.terms.len() {
-            return Err(DatalogError::ArityMismatch {
-                relation: atom.relation.clone(),
-                expected: rel.schema().arity(),
-                found: atom.terms.len(),
-            });
+impl Operand {
+    fn compile(term: &Term, slots: &BTreeMap<&str, usize>) -> Operand {
+        match term {
+            Term::Const(c) => Operand::Const(c.clone()),
+            Term::Var(v) => match slots.get(v.as_str()) {
+                Some(&i) => Operand::Slot(i),
+                None => Operand::Unbound(v.clone()),
+            },
         }
     }
-    let mut out = Vec::with_capacity(vals.len());
-    'vals: for val in vals {
-        for (atom, rel) in negatives.iter().zip(&rels) {
-            let grounded: Vec<Value> = atom
+
+    /// The value under `vals`, or the unbound variable's name.
+    fn read<'a>(&'a self, vals: &'a [Value]) -> Result<&'a Value, &'a str> {
+        match self {
+            Operand::Const(c) => Ok(c),
+            Operand::Slot(i) => Ok(&vals[*i]),
+            Operand::Unbound(v) => Err(v),
+        }
+    }
+}
+
+/// The scan plan of one positive body atom.
+#[derive(Clone, Debug)]
+struct AtomPlan {
+    /// Leading columns fixed before the scan (constants and slots bound
+    /// by earlier atoms): the range-scan prefix.
+    prefix: Vec<Operand>,
+    /// Later columns that must equal a constant or an earlier slot.
+    checks: Vec<(usize, Operand)>,
+    /// Later columns that must equal an earlier column of the same
+    /// tuple (a variable repeated within the atom).
+    repeats: Vec<(usize, usize)>,
+    /// Columns that bind new slots, in slot order.
+    binds: Vec<usize>,
+}
+
+/// One rule compiled to slot form; see the module docs.
+#[derive(Clone, Debug)]
+pub struct CompiledRule {
+    /// The source rule: relation names, arities and error messages.
+    rule: Rule,
+    body: Vec<AtomPlan>,
+    negatives: Vec<Vec<Operand>>,
+    head: Vec<Operand>,
+    /// Head positions that are key (underlined), in order.
+    key: Vec<usize>,
+    weight: Option<Operand>,
+    /// Slots bound by the positive body.
+    slots: usize,
+    /// Total prefix length over all atoms (the key buffer's size).
+    key_len: usize,
+}
+
+impl CompiledRule {
+    /// Compiles `rule`. Never fails: an unsafe rule compiles, and
+    /// matching it reports [`DatalogError::UnsafeRule`] at the first
+    /// valuation that reads an unbound variable.
+    pub fn new(rule: &Rule) -> CompiledRule {
+        let mut slots: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut body = Vec::with_capacity(rule.body.len());
+        let mut key_len = 0;
+        for atom in &rule.body {
+            let fixed = atom
                 .terms
                 .iter()
-                .map(|t| match t {
-                    Term::Const(c) => Ok(c.clone()),
-                    Term::Var(v) => val.get(v).cloned().ok_or_else(|| DatalogError::UnsafeRule {
-                        rule: atom.to_string(),
-                        variable: v.clone(),
-                    }),
-                })
-                .collect::<Result<_, _>>()?;
-            if rel.contains(&Tuple::new(grounded)) {
-                continue 'vals; // blocked by the negated atom
+                .take_while(|t| t.as_var().is_none_or(|v| slots.contains_key(v)))
+                .count();
+            let prefix: Vec<Operand> = atom.terms[..fixed]
+                .iter()
+                .map(|t| Operand::compile(t, &slots))
+                .collect();
+            let mut plan = AtomPlan {
+                prefix,
+                checks: Vec::new(),
+                repeats: Vec::new(),
+                binds: Vec::new(),
+            };
+            key_len += fixed;
+            let mut first_col: BTreeMap<&str, usize> = BTreeMap::new();
+            for (col, term) in atom.terms.iter().enumerate().skip(fixed) {
+                match term.as_var() {
+                    Some(v) if !slots.contains_key(v) => match first_col.get(v) {
+                        Some(&earlier) => plan.repeats.push((col, earlier)),
+                        None => {
+                            first_col.insert(v, col);
+                            plan.binds.push(col);
+                        }
+                    },
+                    _ => plan.checks.push((col, Operand::compile(term, &slots))),
+                }
+            }
+            for &col in &plan.binds {
+                let next = slots.len();
+                slots.insert(atom.terms[col].as_var().expect("bind column"), next);
+            }
+            body.push(plan);
+        }
+        let compile_all =
+            |terms: &[Term]| terms.iter().map(|t| Operand::compile(t, &slots)).collect();
+        CompiledRule {
+            negatives: rule
+                .negatives
+                .iter()
+                .map(|a| compile_all(&a.terms))
+                .collect(),
+            head: compile_all(&rule.head.terms),
+            key: (0..rule.head.terms.len())
+                .filter(|&i| rule.head.keys[i])
+                .collect(),
+            weight: rule
+                .head
+                .weight
+                .as_ref()
+                .map(|w| Operand::compile(&Term::Var(w.clone()), &slots)),
+            slots: slots.len(),
+            key_len,
+            body,
+            rule: rule.clone(),
+        }
+    }
+
+    /// The source rule.
+    pub fn rule(&self) -> &Rule {
+        &self.rule
+    }
+
+    /// Calls `emit` with every valuation of the positive body, against
+    /// `db`, that no negated atom blocks. The slice holds the body
+    /// variables in [`Rule::all_variables`] order — the rule's `oldVals`
+    /// tuple. `delta = Some((i, rel))` reads atom `i` from `rel` instead
+    /// of `db` (the semi-naive override).
+    ///
+    /// Errors if a body or negated relation is missing from `db` or has
+    /// the wrong arity, if a negated atom reads an unbound variable, or
+    /// with whatever `emit` returns.
+    pub fn for_each_valuation<F>(
+        &self,
+        db: &Database,
+        delta: Option<(usize, &Relation)>,
+        mut emit: F,
+    ) -> Result<(), DatalogError>
+    where
+        F: FnMut(&[Value]) -> Result<(), DatalogError>,
+    {
+        let mut rels = Vec::with_capacity(self.rule.body.len() + self.rule.negatives.len());
+        for (i, atom) in self.rule.body.iter().enumerate() {
+            let rel = match delta {
+                Some((d, rel)) if d == i => rel,
+                _ => lookup(db, atom)?,
+            };
+            check_arity(atom, rel)?;
+            rels.push(rel);
+        }
+        for atom in &self.rule.negatives {
+            let rel = lookup(db, atom)?;
+            check_arity(atom, rel)?;
+            rels.push(rel);
+        }
+        let (body_rels, negative_rels) = rels.split_at(self.body.len());
+        let mut vals = Vec::with_capacity(self.slots);
+        let mut key = vec![Value::Int(0); self.key_len];
+        let mut matcher = Matcher {
+            rule: self,
+            body_rels,
+            negative_rels,
+            ground: Vec::new(),
+            emit: &mut emit,
+        };
+        matcher.descend(0, &mut vals, &mut key)
+    }
+
+    /// The head tuple under a valuation from
+    /// [`CompiledRule::for_each_valuation`].
+    pub fn head_tuple(&self, vals: &[Value]) -> Result<Tuple, DatalogError> {
+        let mut out = Vec::with_capacity(self.head.len());
+        for op in &self.head {
+            out.push(
+                op.read(vals)
+                    .map_err(|v| unsafe_rule(&self.rule.head, v))?
+                    .clone(),
+            );
+        }
+        Ok(Tuple::new(out))
+    }
+
+    /// The key part of a head tuple (values at key positions) — the
+    /// repair-key group identity.
+    pub fn head_key(&self, head: &Tuple) -> Tuple {
+        head.project(&self.key)
+    }
+
+    /// The rule weight under a valuation: the value bound to the `@`
+    /// variable (checked positive), or 1 for uniform rules.
+    pub fn weight(&self, vals: &[Value]) -> Result<Ratio, DatalogError> {
+        match &self.weight {
+            None => Ok(Ratio::one()),
+            Some(op) => op
+                .read(vals)
+                .map_err(|v| unsafe_rule(&self.rule, v))?
+                .as_weight()
+                .map_err(DatalogError::BadWeight),
+        }
+    }
+}
+
+/// A program with every rule compiled, in rule order.
+#[derive(Clone, Debug)]
+pub struct CompiledProgram {
+    rules: Vec<CompiledRule>,
+}
+
+impl CompiledProgram {
+    /// Compiles every rule of `program`.
+    pub fn new(program: &Program) -> CompiledProgram {
+        CompiledProgram {
+            rules: program.rules.iter().map(CompiledRule::new).collect(),
+        }
+    }
+
+    /// The compiled rules, in program order.
+    pub fn rules(&self) -> &[CompiledRule] {
+        &self.rules
+    }
+}
+
+/// One matching run of a [`CompiledRule`]: the resolved relations plus
+/// the grounding buffer for negated atoms.
+struct Matcher<'a, F> {
+    rule: &'a CompiledRule,
+    body_rels: &'a [&'a Relation],
+    negative_rels: &'a [&'a Relation],
+    ground: Vec<Value>,
+    emit: &'a mut F,
+}
+
+impl<F> Matcher<'_, F>
+where
+    F: FnMut(&[Value]) -> Result<(), DatalogError>,
+{
+    /// Depth-first nested-loop join over body atoms `level..`. `vals`
+    /// holds the slots bound so far; `key` is the prefix buffer of this
+    /// atom and every later one.
+    fn descend(
+        &mut self,
+        level: usize,
+        vals: &mut Vec<Value>,
+        key: &mut [Value],
+    ) -> Result<(), DatalogError> {
+        let Some(plan) = self.rule.body.get(level) else {
+            return if self.blocked(vals)? {
+                Ok(())
+            } else {
+                (self.emit)(vals)
+            };
+        };
+        let (prefix, rest) = key.split_at_mut(plan.prefix.len());
+        for (k, op) in prefix.iter_mut().zip(&plan.prefix) {
+            k.clone_from(op.read(vals).expect("prefix operands are bound"));
+        }
+        'tuples: for t in self.body_rels[level].prefix_scan(prefix) {
+            let cols = t.values();
+            for (col, op) in &plan.checks {
+                if cols[*col] != *op.read(vals).expect("check operands are bound") {
+                    continue 'tuples;
+                }
+            }
+            for &(col, earlier) in &plan.repeats {
+                if cols[col] != cols[earlier] {
+                    continue 'tuples;
+                }
+            }
+            let depth = vals.len();
+            vals.extend(plan.binds.iter().map(|&c| cols[c].clone()));
+            let descended = self.descend(level + 1, vals, rest);
+            vals.truncate(depth);
+            descended?;
+        }
+        Ok(())
+    }
+
+    /// Whether some negated atom, grounded under `vals`, holds.
+    fn blocked(&mut self, vals: &[Value]) -> Result<bool, DatalogError> {
+        let negatives = self.rule.rule.negatives.iter();
+        for ((atom, ops), rel) in negatives.zip(&self.rule.negatives).zip(self.negative_rels) {
+            self.ground.clear();
+            for op in ops {
+                let v = op.read(vals).map_err(|v| unsafe_rule(atom, v))?;
+                self.ground.push(v.clone());
+            }
+            if rel.contains_values(&self.ground) {
+                return Ok(true);
             }
         }
-        out.push(val);
+        Ok(false)
     }
-    Ok(out)
 }
 
-/// The valuations of a whole rule: positive body matching followed by
-/// negated-atom filtering, both against the same database state.
-pub fn rule_valuations(
-    rule: &Rule,
-    db: &Database,
-    overrides: &BTreeMap<usize, &Relation>,
-) -> Result<Vec<Valuation>, DatalogError> {
-    let vals = body_valuations(&rule.body, db, overrides)?;
-    filter_negatives(vals, &rule.negatives, db)
+fn lookup<'a>(db: &'a Database, atom: &Atom) -> Result<&'a Relation, DatalogError> {
+    db.get(&atom.relation)
+        .ok_or_else(|| DatalogError::UnknownRelation(atom.relation.clone()))
 }
 
-/// Encodes a valuation as a tuple over the rule's canonical variable
-/// order — the set element stored in `oldVals[r]`.
-pub fn encode_valuation(vars: &[String], val: &Valuation) -> Tuple {
-    Tuple::new(
-        vars.iter()
-            .map(|v| val.get(v).cloned().unwrap_or_else(|| Value::int(0)))
-            .collect::<Vec<_>>(),
-    )
+fn check_arity(atom: &Atom, rel: &Relation) -> Result<(), DatalogError> {
+    if rel.schema().arity() != atom.terms.len() {
+        return Err(DatalogError::ArityMismatch {
+            relation: atom.relation.clone(),
+            expected: rel.schema().arity(),
+            found: atom.terms.len(),
+        });
+    }
+    Ok(())
 }
 
-/// Instantiates a head under a valuation: the concrete tuple to insert.
+fn unsafe_rule(rendered: &impl std::fmt::Display, variable: &str) -> DatalogError {
+    DatalogError::UnsafeRule {
+        rule: rendered.to_string(),
+        variable: variable.to_string(),
+    }
+}
+
+/// Instantiates a head under a name-keyed valuation: the concrete tuple
+/// to insert. (Used by `pfq-core`'s annotated partitioning matcher.)
 pub fn instantiate_head(head: &Head, val: &Valuation) -> Result<Tuple, DatalogError> {
     let mut out = Vec::with_capacity(head.terms.len());
     for term in &head.terms {
@@ -166,21 +381,6 @@ pub fn head_key(head: &Head, tuple: &Tuple) -> Tuple {
     tuple.project(&idx)
 }
 
-/// The rule weight of a valuation: the value bound to the `@` variable
-/// (checked positive), or 1 for uniform rules.
-pub fn rule_weight(rule: &Rule, val: &Valuation) -> Result<Ratio, DatalogError> {
-    match &rule.head.weight {
-        None => Ok(Ratio::one()),
-        Some(w) => {
-            let v = val.get(w).ok_or_else(|| DatalogError::UnsafeRule {
-                rule: rule.to_string(),
-                variable: w.clone(),
-            })?;
-            v.as_weight().map_err(DatalogError::BadWeight)
-        }
-    }
-}
-
 /// Declares every IDB relation of `program` in `db` (if absent) with
 /// inferred arity and generated column names `c0, c1, …`, and checks that
 /// every body atom's arity matches its relation.
@@ -203,16 +403,7 @@ pub fn prepare_database(program: &Program, db: &Database) -> Result<Database, Da
     }
     for rule in &program.rules {
         for atom in rule.body.iter().chain(rule.negatives.iter()) {
-            let rel = out
-                .get(&atom.relation)
-                .ok_or_else(|| DatalogError::UnknownRelation(atom.relation.clone()))?;
-            if rel.schema().arity() != atom.terms.len() {
-                return Err(DatalogError::ArityMismatch {
-                    relation: atom.relation.clone(),
-                    expected: rel.schema().arity(),
-                    found: atom.terms.len(),
-                });
-            }
+            check_arity(atom, lookup(&out, atom)?)?;
         }
     }
     Ok(out)
@@ -233,84 +424,228 @@ mod tests {
         Database::new().with("E", e).with("C", c)
     }
 
-    fn body_of(src: &str) -> Vec<Atom> {
-        parse_program(src).unwrap().rules[0].body.clone()
+    fn rule_of(src: &str) -> CompiledRule {
+        CompiledRule::new(&parse_program(src).unwrap().rules[0])
+    }
+
+    /// Every valuation of the rule, as `oldVals` tuples in match order.
+    fn valuations(rule: &CompiledRule, db: &Database) -> Result<Vec<Tuple>, DatalogError> {
+        let mut out = Vec::new();
+        rule.for_each_valuation(db, None, |vals| {
+            out.push(Tuple::new(vals.to_vec()));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     #[test]
     fn single_atom_valuations() {
-        let body = body_of("H(X, Y) :- E(X, Y).");
-        let vals = body_valuations(&body, &db(), &BTreeMap::new()).unwrap();
-        assert_eq!(vals.len(), 3);
+        let vals = valuations(&rule_of("H(X, Y) :- E(X, Y)."), &db()).unwrap();
+        assert_eq!(vals, [tuple![1, 2], tuple![1, 3], tuple![2, 3]]);
     }
 
     #[test]
     fn join_on_shared_variable() {
-        let body = body_of("H(X, Y) :- C(X), E(X, Y).");
-        let vals = body_valuations(&body, &db(), &BTreeMap::new()).unwrap();
         // C = {1}, edges from 1: (1,2), (1,3).
-        assert_eq!(vals.len(), 2);
-        for v in &vals {
-            assert_eq!(v["X"], Value::int(1));
-        }
+        let vals = valuations(&rule_of("H(X, Y) :- C(X), E(X, Y)."), &db()).unwrap();
+        assert_eq!(vals, [tuple![1, 2], tuple![1, 3]]);
     }
 
     #[test]
-    fn constants_filter() {
-        let body = body_of("H(Y) :- E(2, Y).");
-        let vals = body_valuations(&body, &db(), &BTreeMap::new()).unwrap();
-        assert_eq!(vals.len(), 1);
-        assert_eq!(vals[0]["Y"], Value::int(3));
+    fn constant_first_atom_scans_its_prefix() {
+        let rule = rule_of("H(Y) :- E(2, Y).");
+        assert_eq!(rule.body[0].prefix.len(), 1);
+        assert_eq!(valuations(&rule, &db()).unwrap(), [tuple![3]]);
+    }
+
+    #[test]
+    fn constant_after_a_bind_is_checked() {
+        let rule = rule_of("H(X) :- E(X, 3).");
+        assert!(rule.body[0].prefix.is_empty());
+        assert_eq!(rule.body[0].checks.len(), 1);
+        assert_eq!(valuations(&rule, &db()).unwrap(), [tuple![1], tuple![2]]);
     }
 
     #[test]
     fn repeated_variable_within_atom() {
         let mut database = db();
         database.insert_tuple("E", tuple![5, 5]).unwrap();
-        let body = body_of("H(X) :- E(X, X).");
-        let vals = body_valuations(&body, &database, &BTreeMap::new()).unwrap();
-        assert_eq!(vals.len(), 1);
-        assert_eq!(vals[0]["X"], Value::int(5));
+        let rule = rule_of("H(X) :- E(X, X).");
+        assert_eq!(rule.body[0].repeats, [(1, 0)]);
+        assert_eq!(valuations(&rule, &database).unwrap(), [tuple![5]]);
+    }
+
+    #[test]
+    fn bound_prefix_scan_stops_at_the_boundary() {
+        // X = 1 fixes E's first column: the scan yields (1,2), (1,3) and
+        // stops before (2,3); Y then fixes a two-column prefix of F.
+        let mut database = db();
+        database.declare("F", Schema::new(["a", "b", "c"]));
+        for t in [
+            tuple![1, 2, 7],
+            tuple![1, 3, 8],
+            tuple![1, 3, 9],
+            tuple![2, 2, 0],
+        ] {
+            database.insert_tuple("F", t).unwrap();
+        }
+        let rule = rule_of("H(Y, Z) :- C(X), E(X, Y), F(X, Y, Z).");
+        assert_eq!(rule.body[1].prefix.len(), 1);
+        assert_eq!(rule.body[2].prefix.len(), 2);
+        assert_eq!(
+            valuations(&rule, &database).unwrap(),
+            [tuple![1, 2, 7], tuple![1, 3, 8], tuple![1, 3, 9]]
+        );
     }
 
     #[test]
     fn transitive_join_chain() {
-        let body = body_of("H(X, Z) :- E(X, Y), E(Y, Z).");
-        let vals = body_valuations(&body, &db(), &BTreeMap::new()).unwrap();
         // Paths of length 2: 1→2→3.
-        assert_eq!(vals.len(), 1);
-        assert_eq!(vals[0]["Z"], Value::int(3));
+        let vals = valuations(&rule_of("H(X, Z) :- E(X, Y), E(Y, Z)."), &db()).unwrap();
+        assert_eq!(vals, [tuple![1, 2, 3]]);
     }
 
     #[test]
     fn empty_body_is_single_empty_valuation() {
-        let vals = body_valuations(&[], &db(), &BTreeMap::new()).unwrap();
-        assert_eq!(vals.len(), 1);
-        assert!(vals[0].is_empty());
+        assert_eq!(
+            valuations(&rule_of("C(v)."), &db()).unwrap(),
+            [Tuple::empty()]
+        );
     }
 
     #[test]
-    fn overrides_replace_atom_relation() {
-        let body = body_of("H(X, Y) :- E(X, Y).");
-        let delta = Relation::from_rows(Schema::new(["i", "j"]), [tuple![9, 9]]);
-        let overrides: BTreeMap<usize, &Relation> = [(0usize, &delta)].into_iter().collect();
-        let vals = body_valuations(&body, &db(), &overrides).unwrap();
-        assert_eq!(vals.len(), 1);
-        assert_eq!(vals[0]["X"], Value::int(9));
+    fn negated_atom_is_grounded_under_the_valuation() {
+        // E(X, Y), not E(Y, X), with E ∪ {(3, 1)}: (1,3) is blocked by
+        // (3,1) and (3,1) by (1,3).
+        let mut database = db();
+        database.insert_tuple("E", tuple![3, 1]).unwrap();
+        let rule = rule_of("H(X, Y) :- E(X, Y), not E(Y, X).");
+        assert_eq!(
+            valuations(&rule, &database).unwrap(),
+            [tuple![1, 2], tuple![2, 3]]
+        );
+        // A constant inside the negated atom.
+        let rule = rule_of("H(Y) :- E(1, Y), not E(Y, 3).");
+        assert_eq!(valuations(&rule, &db()).unwrap(), [tuple![3]]);
+    }
+
+    #[test]
+    fn delta_override_replaces_one_atom() {
+        let rule = rule_of("H(X, Z) :- E(X, Y), E(Y, Z).");
+        let delta = Relation::from_rows(Schema::new(["i", "j"]), [tuple![3, 9]]);
+        let mut out = Vec::new();
+        rule.for_each_valuation(&db(), Some((1, &delta)), |vals| {
+            out.push(Tuple::new(vals.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        // Paths 1→3→9 and 2→3→9 through the delta edge only.
+        assert_eq!(out, [tuple![1, 3, 9], tuple![2, 3, 9]]);
     }
 
     #[test]
     fn unknown_relation_and_arity_errors() {
-        let body = body_of("H(X) :- Zed(X).");
         assert!(matches!(
-            body_valuations(&body, &db(), &BTreeMap::new()),
+            valuations(&rule_of("H(X) :- Zed(X)."), &db()),
             Err(DatalogError::UnknownRelation(_))
         ));
-        let body = body_of("H(X) :- E(X).");
         assert!(matches!(
-            body_valuations(&body, &db(), &BTreeMap::new()),
+            valuations(&rule_of("H(X) :- E(X)."), &db()),
             Err(DatalogError::ArityMismatch { .. })
         ));
+        assert!(matches!(
+            valuations(&rule_of("H(X) :- C(X), not E(X)."), &db()),
+            Err(DatalogError::ArityMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn head_key_and_ratio_weight_column() {
+        let p = parse_program("H(X!, Y, 7) @P :- E(X, Y), W(P).").unwrap();
+        let rule = CompiledRule::new(&p.rules[0]);
+        let database = db().with(
+            "W",
+            Relation::from_rows(Schema::new(["p"]), [tuple![Value::frac(1, 2)]]),
+        );
+        let mut seen = Vec::new();
+        rule.for_each_valuation(&database, None, |vals| {
+            let head = rule.head_tuple(vals)?;
+            seen.push((head.clone(), rule.head_key(&head), rule.weight(vals)?));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen.len(), 3);
+        // Keys: X (marked) and the constant 7.
+        assert_eq!(seen[0], (tuple![1, 2, 7], tuple![1, 7], Ratio::new(1, 2)));
+        let uniform = rule_of("H(X) :- C(X).");
+        assert_eq!(uniform.weight(&[Value::int(1)]).unwrap(), Ratio::one());
+    }
+
+    #[test]
+    fn bad_weight_value() {
+        let rule = rule_of("H(X) @P :- R(X, P).");
+        assert!(matches!(
+            rule.weight(&[Value::int(1), Value::int(0)]),
+            Err(DatalogError::BadWeight(_))
+        ));
+        assert!(matches!(
+            rule.weight(&[Value::int(1), Value::str("x")]),
+            Err(DatalogError::BadWeight(_))
+        ));
+    }
+
+    #[test]
+    fn unsafe_rule_bypassing_program_new_still_errors() {
+        // `Program::new` rejects these; built directly, matching reports
+        // the unbound variable once a valuation reads it.
+        let head_unsafe = Rule::new(
+            Head::deterministic("H", [Term::var("X"), Term::var("Q")]),
+            [Atom::new("E", [Term::var("X"), Term::var("Y")])],
+        );
+        assert!(Program::new([head_unsafe.clone()]).is_err());
+        let rule = CompiledRule::new(&head_unsafe);
+        let err = rule
+            .for_each_valuation(&db(), None, |vals| rule.head_tuple(vals).map(drop))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DatalogError::UnsafeRule {
+                rule: "H(X, Q)".into(),
+                variable: "Q".into()
+            }
+        );
+        let negative_unsafe = Rule::with_negatives(
+            Head::deterministic("H", [Term::var("X")]),
+            [Atom::new("C", [Term::var("X")])],
+            [Atom::new("E", [Term::var("X"), Term::var("Q")])],
+        );
+        assert!(matches!(
+            valuations(&CompiledRule::new(&negative_unsafe), &db()),
+            Err(DatalogError::UnsafeRule { variable, .. }) if variable == "Q"
+        ));
+        let weight_unsafe = Rule::new(
+            Head::probabilistic("H", [Term::var("X")], vec![false], Some("P".into())),
+            [Atom::new("C", [Term::var("X")])],
+        );
+        let rule = CompiledRule::new(&weight_unsafe);
+        assert!(matches!(
+            rule.for_each_valuation(&db(), None, |vals| rule.weight(vals).map(drop)),
+            Err(DatalogError::UnsafeRule { variable, .. }) if variable == "P"
+        ));
+    }
+
+    #[test]
+    fn slots_follow_all_variables_order() {
+        let p = parse_program("H(Z, X) :- E(X, Y), E(Y, Z), C(X).").unwrap();
+        let rule = CompiledRule::new(&p.rules[0]);
+        assert_eq!(p.rules[0].all_variables(), ["X", "Y", "Z"]);
+        assert_eq!(rule.slots, 3);
+        let mut database = db();
+        database.insert_tuple("E", tuple![3, 4]).unwrap();
+        assert_eq!(
+            valuations(&rule, &database).unwrap(),
+            [tuple![1, 2, 3], tuple![1, 3, 4]]
+        );
     }
 
     #[test]
@@ -328,22 +663,6 @@ mod tests {
         assert_eq!(t, tuple![1, 2, 7]);
         // Keys: X (marked) and the constant 7.
         assert_eq!(head_key(&rule.head, &t), tuple![1, 7]);
-        assert_eq!(rule_weight(rule, &val).unwrap(), Ratio::new(1, 2));
-    }
-
-    #[test]
-    fn bad_weight_value() {
-        let p = parse_program("H(X) @P :- R(X, P).").unwrap();
-        let val: Valuation = [
-            ("X".to_string(), Value::int(1)),
-            ("P".to_string(), Value::int(0)),
-        ]
-        .into_iter()
-        .collect();
-        assert!(matches!(
-            rule_weight(&p.rules[0], &val),
-            Err(DatalogError::BadWeight(_))
-        ));
     }
 
     #[test]
@@ -372,17 +691,5 @@ mod tests {
             prepare_database(&p, &base),
             Err(DatalogError::Structure(_))
         ));
-    }
-
-    #[test]
-    fn encode_valuation_is_stable() {
-        let vars = vec!["X".to_string(), "Y".to_string()];
-        let val: Valuation = [
-            ("Y".to_string(), Value::int(2)),
-            ("X".to_string(), Value::int(1)),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(encode_valuation(&vars, &val), tuple![1, 2]);
     }
 }

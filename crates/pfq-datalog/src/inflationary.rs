@@ -23,10 +23,8 @@
 //! `oldVals` grows strictly on every non-fixpoint step and is bounded by
 //! the (polynomially many) valuations over the active domain.
 
-use crate::ast::{Program, Rule};
-use crate::eval::{
-    encode_valuation, head_key, instantiate_head, prepare_database, rule_valuations, rule_weight,
-};
+use crate::ast::Program;
+use crate::eval::{prepare_database, CompiledProgram, CompiledRule};
 use crate::DatalogError;
 use pfq_data::intern::{self, Interner, StateId, TransitionCache};
 use pfq_data::{Database, Tuple};
@@ -58,47 +56,49 @@ impl EngineState {
     }
 }
 
+/// One repair-key choice group: candidate head tuples with their
+/// (unnormalized) weights, in parallel vectors.
+#[derive(Default)]
+struct ChoiceGroup {
+    tuples: Vec<Tuple>,
+    weights: Vec<Ratio>,
+}
+
 /// What one rule contributes to one step: its repair-key choice groups.
 struct RuleFiring {
-    /// Per group: the candidate head tuples with their (unnormalized)
-    /// weights.
-    groups: Vec<Vec<(Tuple, Ratio)>>,
+    groups: Vec<ChoiceGroup>,
     /// The valuation encodings consumed (to be added to `oldVals`).
     consumed: BTreeSet<Tuple>,
 }
 
 /// Computes rule `r`'s firing against the *old* database.
 fn fire_rule(
-    rule: &Rule,
+    rule: &CompiledRule,
     state: &EngineState,
     rule_index: usize,
 ) -> Result<Option<RuleFiring>, DatalogError> {
-    let vars = rule.all_variables();
-    let vals = rule_valuations(rule, &state.db, &BTreeMap::new())?;
+    let old_vals = &state.old_vals[rule_index];
     let mut consumed = BTreeSet::new();
     // π_{X̄,Ȳ,P}(newVals): project new valuations onto the head tuple and
     // weight, de-duplicating (set semantics of the projection).
     let mut projected: BTreeSet<(Tuple, Ratio)> = BTreeSet::new();
-    for val in &vals {
-        let enc = encode_valuation(&vars, val);
-        if state.old_vals[rule_index].contains(&enc) {
-            continue;
+    rule.for_each_valuation(&state.db, None, |vals| {
+        if old_vals.contains(vals) {
+            return Ok(());
         }
-        consumed.insert(enc);
-        let head_tuple = instantiate_head(&rule.head, val)?;
-        let w = rule_weight(rule, val)?;
-        projected.insert((head_tuple, w));
-    }
+        consumed.insert(Tuple::new(vals.to_vec()));
+        projected.insert((rule.head_tuple(vals)?, rule.weight(vals)?));
+        Ok(())
+    })?;
     if consumed.is_empty() {
         return Ok(None);
     }
     // Group by the key (underlined) positions.
-    let mut groups: BTreeMap<Tuple, Vec<(Tuple, Ratio)>> = BTreeMap::new();
+    let mut groups: BTreeMap<Tuple, ChoiceGroup> = BTreeMap::new();
     for (t, w) in projected {
-        groups
-            .entry(head_key(&rule.head, &t))
-            .or_default()
-            .push((t, w));
+        let group = groups.entry(rule.head_key(&t)).or_default();
+        group.tuples.push(t);
+        group.weights.push(w);
     }
     Ok(Some(RuleFiring {
         groups: groups.into_values().collect(),
@@ -106,9 +106,24 @@ fn fire_rule(
     }))
 }
 
+/// Every rule's firing against `state`, in rule order; empty at a
+/// fixpoint.
+fn fire_all(
+    program: &CompiledProgram,
+    state: &EngineState,
+) -> Result<Vec<(usize, RuleFiring)>, DatalogError> {
+    let mut firings = Vec::new();
+    for (i, rule) in program.rules().iter().enumerate() {
+        if let Some(f) = fire_rule(rule, state, i)? {
+            firings.push((i, f));
+        }
+    }
+    Ok(firings)
+}
+
 /// Whether `state` is a fixpoint: no rule has new valuations.
-pub fn is_fixpoint(program: &Program, state: &EngineState) -> Result<bool, DatalogError> {
-    for (i, rule) in program.rules.iter().enumerate() {
+pub fn is_fixpoint(program: &CompiledProgram, state: &EngineState) -> Result<bool, DatalogError> {
+    for (i, rule) in program.rules().iter().enumerate() {
         if fire_rule(rule, state, i)?.is_some() {
             return Ok(false);
         }
@@ -121,15 +136,10 @@ pub fn is_fixpoint(program: &Program, state: &EngineState) -> Result<bool, Datal
 /// Returns `None` if `state` is a fixpoint. Probabilities multiply across
 /// rules and across key groups (independent repair-key applications).
 pub fn step_distribution(
-    program: &Program,
+    program: &CompiledProgram,
     state: &EngineState,
 ) -> Result<Option<Distribution<EngineState>>, DatalogError> {
-    let mut firings: Vec<(usize, RuleFiring)> = Vec::new();
-    for (i, rule) in program.rules.iter().enumerate() {
-        if let Some(f) = fire_rule(rule, state, i)? {
-            firings.push((i, f));
-        }
-    }
+    let firings = fire_all(program, state)?;
     if firings.is_empty() {
         return Ok(None);
     }
@@ -143,11 +153,15 @@ pub fn step_distribution(
     // Probabilistic part: the product over all choice groups.
     let mut out = Distribution::singleton(base);
     for (i, f) in &firings {
-        let relation = &program.rules[*i].head.relation;
+        let relation = &program.rules()[*i].rule().head.relation;
         for group in &f.groups {
-            let total: Ratio = group.iter().map(|(_, w)| w).sum();
-            let choice: Distribution<&Tuple> =
-                group.iter().map(|(t, w)| (t, w.div_ref(&total))).collect();
+            let total: Ratio = group.weights.iter().sum();
+            let choice: Distribution<&Tuple> = group
+                .tuples
+                .iter()
+                .zip(&group.weights)
+                .map(|(t, w)| (t, w.div_ref(&total)))
+                .collect();
             out = out.product(&choice, |s: &EngineState, t: &&Tuple| {
                 let mut next = s.clone();
                 next.db
@@ -198,13 +212,14 @@ pub fn enumerate_fixpoints(
     db: &Database,
     node_budget: Option<usize>,
 ) -> Result<Distribution<Database>, DatalogError> {
+    let compiled = CompiledProgram::new(program);
     let mut frontier: BTreeMap<EngineState, Ratio> = BTreeMap::new();
     frontier.insert(EngineState::initial(program, db)?, Ratio::one());
     let mut fixpoints = Distribution::new();
     let mut expanded = 0usize;
     while let Some((state, p)) = frontier.pop_first() {
         charge_node_budget(&mut expanded, node_budget)?;
-        match step_distribution(program, &state)? {
+        match step_distribution(&compiled, &state)? {
             None => fixpoints.add(state.db, p),
             Some(successors) => {
                 for (next, q) in successors.into_iter() {
@@ -330,6 +345,7 @@ pub fn enumerate_fixpoints_memo(
     if let Some(done) = memo.results.get(fp, initial) {
         return Ok(done);
     }
+    let compiled = CompiledProgram::new(program);
     let mut frontier: BTreeMap<StateId, Ratio> = BTreeMap::new();
     frontier.insert(initial, Ratio::one());
     let mut fixpoints = Distribution::new();
@@ -340,7 +356,7 @@ pub fn enumerate_fixpoints_memo(
             Some(row) => row,
             None => {
                 let state = memo.states.resolve(sid).clone();
-                let row: StepRow = step_distribution(program, &state)?.map(|successors| {
+                let row: StepRow = step_distribution(&compiled, &state)?.map(|successors| {
                     Arc::new(
                         successors
                             .into_iter()
@@ -371,37 +387,33 @@ pub fn enumerate_fixpoints_memo(
 }
 
 /// One random computation path to a fixpoint — the sampling primitive of
-/// Theorem 4.3. `max_steps` is a defensive bound; the semantics
-/// guarantees termination.
+/// Theorem 4.3 — from `start` (an [`EngineState::initial`] of the
+/// program `program` was compiled from). `max_steps` is a defensive
+/// bound; the semantics guarantees termination.
+///
+/// The rng is drawn once per choice group, in rule order and then key
+/// order, so a fixed seed gives a fixed path.
 pub fn sample_fixpoint<R: Rng + ?Sized>(
-    program: &Program,
-    db: &Database,
+    program: &CompiledProgram,
+    start: &EngineState,
     rng: &mut R,
     max_steps: usize,
 ) -> Result<Database, DatalogError> {
-    let mut state = EngineState::initial(program, db)?;
+    let mut state = start.clone();
     for _ in 0..max_steps {
-        let mut fired = false;
         // Compute all firings against the old state before mutating.
-        let mut firings: Vec<(usize, RuleFiring)> = Vec::new();
-        for (i, rule) in program.rules.iter().enumerate() {
-            if let Some(f) = fire_rule(rule, &state, i)? {
-                firings.push((i, f));
-                fired = true;
-            }
-        }
-        if !fired {
+        let firings = fire_all(program, &state)?;
+        if firings.is_empty() {
             return Ok(state.db);
         }
         for (i, f) in firings {
             state.old_vals[i].extend(f.consumed);
-            let relation = program.rules[i].head.relation.clone();
-            for group in f.groups {
-                let weights: Vec<Ratio> = group.iter().map(|(_, w)| w.clone()).collect();
-                let pick = pick_weighted_index(&weights, rng.gen::<u64>());
+            let relation = &program.rules()[i].rule().head.relation;
+            for mut group in f.groups {
+                let pick = pick_weighted_index(&group.weights, rng.gen::<u64>());
                 state
                     .db
-                    .insert_tuple(&relation, group[pick].0.clone())
+                    .insert_tuple(relation, group.tuples.swap_remove(pick))
                     .expect("IDB relation was prepared");
             }
         }
@@ -509,15 +521,16 @@ mod tests {
         let p = parse_program("B(X) :- A(X).\nC(X) :- B(X).").unwrap();
         let db = Database::new().with("A", Relation::from_rows(Schema::new(["v"]), [tuple![1]]));
         let init = EngineState::initial(&p, &db).unwrap();
-        let step1 = step_distribution(&p, &init).unwrap().unwrap();
+        let compiled = CompiledProgram::new(&p);
+        let step1 = step_distribution(&compiled, &init).unwrap().unwrap();
         assert_eq!(step1.support_size(), 1);
         let (s1, _) = step1.iter().next().unwrap();
         assert!(s1.db.get("B").unwrap().contains(&tuple![1]));
         assert!(s1.db.get("C").unwrap().is_empty());
-        let step2 = step_distribution(&p, s1).unwrap().unwrap();
+        let step2 = step_distribution(&compiled, s1).unwrap().unwrap();
         let (s2, _) = step2.iter().next().unwrap();
         assert!(s2.db.get("C").unwrap().contains(&tuple![1]));
-        assert!(is_fixpoint(&p, s2).unwrap());
+        assert!(is_fixpoint(&compiled, s2).unwrap());
     }
 
     #[test]
@@ -675,11 +688,13 @@ mod tests {
         let db = fork_db();
         let exact = enumerate_fixpoints(&program, &db, None).unwrap();
         let p_w_exact = exact.probability_that(|d| d.get("C").unwrap().contains(&tuple!["w"]));
+        let compiled = CompiledProgram::new(&program);
+        let start = EngineState::initial(&program, &db).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let n = 4000;
         let hits = (0..n)
             .filter(|_| {
-                let fp = sample_fixpoint(&program, &db, &mut rng, 10_000).unwrap();
+                let fp = sample_fixpoint(&compiled, &start, &mut rng, 10_000).unwrap();
                 fp.get("C").unwrap().contains(&tuple!["w"])
             })
             .count();

@@ -19,8 +19,9 @@
 //!
 //! The crate provides:
 //! * [`ast`] + [`parser`] — the language itself;
-//! * [`eval`] — body-valuation computation (the `newVals` of the paper's
-//!   inflationary pseudocode);
+//! * [`eval`] — rules compiled to slot plans and the one body matcher
+//!   every engine uses (the `newVals` of the paper's inflationary
+//!   pseudocode);
 //! * [`seminaive`] — classical datalog evaluation (the “datalog without
 //!   probabilistic rules” row of Table 1);
 //! * [`inflationary`] — the paper's inflationary semantics: per-rule

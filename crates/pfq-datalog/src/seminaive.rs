@@ -5,7 +5,7 @@
 //! (`not Cold(X)`) is expressible.
 
 use crate::ast::Program;
-use crate::eval::{instantiate_head, prepare_database, rule_valuations};
+use crate::eval::{prepare_database, CompiledProgram, CompiledRule};
 use crate::DatalogError;
 use pfq_data::{Database, Relation};
 use std::collections::BTreeMap;
@@ -71,6 +71,7 @@ pub fn evaluate(program: &Program, db: &Database) -> Result<Database, DatalogErr
         ));
     }
     let (stratum_of, n_strata) = stratify(program)?;
+    let compiled = CompiledProgram::new(program);
     let mut total = prepare_database(program, db)?;
     for s in 1..=n_strata {
         let rules: Vec<usize> = program
@@ -80,7 +81,7 @@ pub fn evaluate(program: &Program, db: &Database) -> Result<Database, DatalogErr
             .filter(|(_, r)| stratum_of[&r.head.relation] == s)
             .map(|(i, _)| i)
             .collect();
-        evaluate_stratum(program, &rules, &mut total)?;
+        evaluate_stratum(&compiled, &rules, &mut total)?;
     }
     Ok(total)
 }
@@ -90,45 +91,21 @@ pub fn evaluate(program: &Program, db: &Database) -> Result<Database, DatalogErr
 /// read `total` directly (their relations belong to lower strata and are
 /// already complete).
 fn evaluate_stratum(
-    program: &Program,
+    program: &CompiledProgram,
     rule_indices: &[usize],
     total: &mut Database,
 ) -> Result<(), DatalogError> {
     let heads: Vec<String> = {
         let mut v: Vec<String> = rule_indices
             .iter()
-            .map(|&i| program.rules[i].head.relation.clone())
+            .map(|&i| program.rules()[i].rule().head.relation.clone())
             .collect();
         v.sort();
         v.dedup();
         v
     };
-
-    // Round 0: naive evaluation of every rule of the stratum once.
-    let mut delta: BTreeMap<String, Relation> = heads
-        .iter()
-        .map(|r| {
-            (
-                r.clone(),
-                Relation::empty(total.get(r).unwrap().schema().clone()),
-            )
-        })
-        .collect();
-    for &i in rule_indices {
-        let rule = &program.rules[i];
-        for val in rule_valuations(rule, total, &BTreeMap::new())? {
-            let t = instantiate_head(&rule.head, &val)?;
-            let target = total.get_mut(&rule.head.relation).expect("prepared IDB");
-            if target.insert(t.clone()) {
-                delta.get_mut(&rule.head.relation).unwrap().insert(t);
-            }
-        }
-    }
-
-    // Semi-naive rounds: new derivations must pass through a delta of a
-    // same-stratum relation in a *positive* position.
-    loop {
-        let mut next_delta: BTreeMap<String, Relation> = heads
+    let empty_deltas = |total: &Database| -> BTreeMap<String, Relation> {
+        heads
             .iter()
             .map(|r| {
                 (
@@ -136,33 +113,60 @@ fn evaluate_stratum(
                     Relation::empty(total.get(r).unwrap().schema().clone()),
                 )
             })
-            .collect();
-        let mut progress = false;
+            .collect()
+    };
+
+    // Round 0: naive evaluation of every rule of the stratum once.
+    let mut delta = empty_deltas(total);
+    for &i in rule_indices {
+        derive(&program.rules()[i], total, None, &mut delta)?;
+    }
+
+    // Semi-naive rounds: new derivations must pass through a delta of a
+    // same-stratum relation in a *positive* position.
+    loop {
+        let mut next_delta = empty_deltas(total);
         for &ri in rule_indices {
-            let rule = &program.rules[ri];
-            for (i, atom) in rule.body.iter().enumerate() {
+            let rule = &program.rules()[ri];
+            for (i, atom) in rule.rule().body.iter().enumerate() {
                 let Some(d) = delta.get(&atom.relation) else {
                     continue;
                 };
                 if d.is_empty() {
                     continue;
                 }
-                let overrides: BTreeMap<usize, &Relation> = [(i, d)].into_iter().collect();
-                for val in rule_valuations(rule, total, &overrides)? {
-                    let t = instantiate_head(&rule.head, &val)?;
-                    let target = total.get_mut(&rule.head.relation).expect("prepared IDB");
-                    if target.insert(t.clone()) {
-                        next_delta.get_mut(&rule.head.relation).unwrap().insert(t);
-                        progress = true;
-                    }
-                }
+                derive(rule, total, Some((i, d)), &mut next_delta)?;
             }
         }
-        if !progress {
+        if next_delta.values().all(Relation::is_empty) {
             return Ok(());
         }
         delta = next_delta;
     }
+}
+
+/// Fires `rule` once against `total` (atom `i` reading `delta` when
+/// given) and inserts the derived head tuples into `total`, recording
+/// the new ones in `new_tuples`.
+fn derive(
+    rule: &CompiledRule,
+    total: &mut Database,
+    delta: Option<(usize, &Relation)>,
+    new_tuples: &mut BTreeMap<String, Relation>,
+) -> Result<(), DatalogError> {
+    let mut derived = Vec::new();
+    rule.for_each_valuation(total, delta, |vals| {
+        derived.push(rule.head_tuple(vals)?);
+        Ok(())
+    })?;
+    let relation = &rule.rule().head.relation;
+    let target = total.get_mut(relation).expect("prepared IDB");
+    for t in derived {
+        if target.insert(t.clone()) {
+            new_tuples.get_mut(relation).unwrap().insert(t);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -17,6 +17,8 @@
 
 use pfq_core::Event;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
+use pfq_datalog::eval::CompiledProgram;
+use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
 use pfq_datalog::{Atom, Head, Program, Rule, Term};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -446,7 +448,9 @@ fn event_tuple(
     data: &[Value],
     rng: &mut ChaCha8Rng,
 ) -> Tuple {
-    if let Ok(fixpoint) = pfq_datalog::inflationary::sample_fixpoint(program, db, rng, 64) {
+    let fixpoint = EngineState::initial(program, db)
+        .and_then(|start| sample_fixpoint(&CompiledProgram::new(program), &start, rng, 64));
+    if let Ok(fixpoint) = fixpoint {
         if let Some(rel) = fixpoint.get(relation) {
             if !rel.is_empty() && rng.gen_bool(0.8) {
                 let tuples: Vec<&Tuple> = rel.iter().collect();

@@ -11,6 +11,7 @@ use pfq_core::error::CoreError;
 use pfq_core::sampler::{SampleReport, SamplerConfig};
 use pfq_core::{mixing_sampler, ForeverQuery};
 use pfq_data::Database;
+use pfq_datalog::eval::CompiledProgram;
 use pfq_datalog::inflationary::{step_distribution, EngineState};
 use pfq_datalog::{DatalogError, Program};
 use pfq_num::{Distribution, Ratio};
@@ -50,6 +51,7 @@ pub fn enumerate_fixpoints_lossy(
     db: &Database,
     node_budget: Option<usize>,
 ) -> Result<Distribution<Database>, DatalogError> {
+    let compiled = CompiledProgram::new(program);
     let mut frontier: BTreeMap<EngineState, Ratio> = BTreeMap::new();
     frontier.insert(EngineState::initial(program, db)?, Ratio::one());
     let mut fixpoints = Distribution::new();
@@ -64,7 +66,7 @@ pub fn enumerate_fixpoints_lossy(
                 });
             }
         }
-        match step_distribution(program, &state)? {
+        match step_distribution(&compiled, &state)? {
             None => fixpoints.add(state.db, p),
             Some(successors) => {
                 for (next, q) in successors.into_iter() {

@@ -30,12 +30,14 @@ use pfq_core::{
     EvalRequest, ForeverQuery, Strategy,
 };
 use pfq_ctable::PcDatabase;
-use pfq_data::Database;
+use pfq_data::{Database, Relation, Tuple, Value};
+use pfq_datalog::eval::{self, Valuation};
 use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo, FixpointMemo};
-use pfq_datalog::{eval, DatalogError};
+use pfq_datalog::{Atom, DatalogError, Rule, Term};
 use pfq_markov::absorption::long_run_distribution_with;
 use pfq_markov::StationaryMethod;
 use pfq_num::{Distribution, Ratio};
+use std::collections::BTreeSet;
 
 /// The Prop. 4.4 reference oracle: the event probability over the
 /// un-memoized [`enumerate_fixpoints`] distribution.
@@ -82,6 +84,128 @@ pub fn reference_chain_probability(
         }
     }
     Ok(total)
+}
+
+/// The reference body matcher: every valuation of `body` against `db`,
+/// level by level over name-keyed maps, with no plan and no index. It
+/// shares nothing with the engines' compiled matcher
+/// ([`pfq_datalog::eval::CompiledRule`]), which the matcher differential
+/// test compares against it. `delta = Some((i, rel))` reads atom `i`
+/// from `rel` instead of `db`.
+pub fn reference_body_valuations(
+    body: &[Atom],
+    db: &Database,
+    delta: Option<(usize, &Relation)>,
+) -> Result<Vec<Valuation>, DatalogError> {
+    let mut vals: Vec<Valuation> = vec![Valuation::new()];
+    for (i, atom) in body.iter().enumerate() {
+        let rel = match delta {
+            Some((d, rel)) if d == i => rel,
+            _ => db
+                .get(&atom.relation)
+                .ok_or_else(|| DatalogError::UnknownRelation(atom.relation.clone()))?,
+        };
+        if rel.schema().arity() != atom.terms.len() {
+            return Err(DatalogError::ArityMismatch {
+                relation: atom.relation.clone(),
+                expected: rel.schema().arity(),
+                found: atom.terms.len(),
+            });
+        }
+        let mut next = Vec::new();
+        for val in &vals {
+            'tuples: for t in rel.iter() {
+                let mut extended = val.clone();
+                for (pos, term) in atom.terms.iter().enumerate() {
+                    let actual = t.get(pos);
+                    match term {
+                        Term::Const(c) => {
+                            if c != actual {
+                                continue 'tuples;
+                            }
+                        }
+                        Term::Var(v) => match extended.get(v) {
+                            Some(bound) if bound != actual => continue 'tuples,
+                            Some(_) => {}
+                            None => {
+                                extended.insert(v.clone(), actual.clone());
+                            }
+                        },
+                    }
+                }
+                next.push(extended);
+            }
+        }
+        vals = next;
+        if vals.is_empty() {
+            break;
+        }
+    }
+    Ok(vals)
+}
+
+/// The reference negation filter: a valuation survives iff no negated
+/// atom, grounded under it, matches a tuple of its relation.
+pub fn reference_filter_negatives(
+    vals: Vec<Valuation>,
+    negatives: &[Atom],
+    db: &Database,
+) -> Result<Vec<Valuation>, DatalogError> {
+    let rels: Vec<&Relation> = negatives
+        .iter()
+        .map(|a| {
+            db.get(&a.relation)
+                .ok_or_else(|| DatalogError::UnknownRelation(a.relation.clone()))
+        })
+        .collect::<Result<_, _>>()?;
+    for (atom, rel) in negatives.iter().zip(&rels) {
+        if rel.schema().arity() != atom.terms.len() {
+            return Err(DatalogError::ArityMismatch {
+                relation: atom.relation.clone(),
+                expected: rel.schema().arity(),
+                found: atom.terms.len(),
+            });
+        }
+    }
+    let mut out = Vec::with_capacity(vals.len());
+    'vals: for val in vals {
+        for (atom, rel) in negatives.iter().zip(&rels) {
+            let grounded: Vec<Value> = atom
+                .terms
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => Ok(c.clone()),
+                    Term::Var(v) => val.get(v).cloned().ok_or_else(|| DatalogError::UnsafeRule {
+                        rule: atom.to_string(),
+                        variable: v.clone(),
+                    }),
+                })
+                .collect::<Result<_, _>>()?;
+            if rel.contains(&Tuple::new(grounded)) {
+                continue 'vals; // blocked by the negated atom
+            }
+        }
+        out.push(val);
+    }
+    Ok(out)
+}
+
+/// The reference `oldVals` view of a rule's valuations: each surviving
+/// valuation encoded over [`Rule::all_variables`], as a set. Panics on a
+/// rule whose head uses a variable the body does not bind (generated
+/// cases are always range restricted).
+pub fn reference_rule_valuations(
+    rule: &Rule,
+    db: &Database,
+    delta: Option<(usize, &Relation)>,
+) -> Result<BTreeSet<Tuple>, DatalogError> {
+    let vars = rule.all_variables();
+    let vals = reference_body_valuations(&rule.body, db, delta)?;
+    let vals = reference_filter_negatives(vals, &rule.negatives, db)?;
+    Ok(vals
+        .iter()
+        .map(|val| Tuple::new(vars.iter().map(|v| val[v].clone()).collect::<Vec<_>>()))
+        .collect())
 }
 
 /// Identifies one oracle check — the unit of pass/skip/fail accounting

@@ -314,8 +314,19 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
-    /// Greatest common divisor (binary/Stein algorithm).
+    /// Greatest common divisor (binary/Stein algorithm). Operands that
+    /// fit in a `u128` are reduced in registers, without allocating per
+    /// step.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
+        match (self.to_u128(), other.to_u128()) {
+            (Some(a), Some(b)) => BigUint::from(gcd_u128(a, b)),
+            _ => self.gcd_multi_limb(other),
+        }
+    }
+
+    /// [`BigUint::gcd`] on limb vectors, allocating per iteration; the
+    /// path for operands wider than a `u128`.
+    pub(crate) fn gcd_multi_limb(&self, other: &BigUint) -> BigUint {
         if self.is_zero() {
             return other.clone();
         }
@@ -342,6 +353,22 @@ impl BigUint {
             a = a.shr_bits(z);
         }
         a.shl_bits(common)
+    }
+
+    /// Number of decimal digits — `self.to_string().len()` without
+    /// building the string (`0` has one digit).
+    pub fn decimal_digits(&self) -> usize {
+        if let Some(v) = self.to_u128() {
+            return v.checked_ilog10().map_or(1, |d| d as usize + 1);
+        }
+        // Peel off 19 digits at a time, as `Display` does.
+        let mut cur = self.clone();
+        let mut digits = 0;
+        while cur.limbs.len() > 2 {
+            cur = cur.div_rem_u64(DECIMAL_CHUNK).0;
+            digits += 19;
+        }
+        digits + cur.decimal_digits()
     }
 
     /// `self ^ exp` by repeated squaring.
@@ -372,6 +399,51 @@ impl BigUint {
         }
         Some(acc)
     }
+}
+
+/// `10¹⁹`, the largest power of ten below `2⁶⁴`.
+const DECIMAL_CHUNK: u64 = 10_000_000_000_000_000_000;
+
+/// Greatest common divisor of two machine words (binary/Stein, no
+/// allocation); `gcd(0, b) = b`.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let common = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    b >>= b.trailing_zeros();
+    // Invariant: a, b both odd.
+    while a != b {
+        if a < b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        a -= b;
+        a >>= a.trailing_zeros();
+    }
+    a << common
+}
+
+/// [`gcd_u64`] on double words; drops to single words once both
+/// operands fit.
+pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let common = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    b >>= b.trailing_zeros();
+    while a != b {
+        if (a | b) >> 64 == 0 {
+            return (gcd_u64(a as u64, b as u64) as u128) << common;
+        }
+        if a < b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        a -= b;
+        a >>= a.trailing_zeros();
+    }
+    a << common
 }
 
 impl From<u64> for BigUint {
@@ -477,9 +549,8 @@ impl fmt::Display for BigUint {
         // Peel off 19 decimal digits at a time (10^19 < 2^64).
         let mut digits = Vec::new();
         let mut cur = self.clone();
-        const CHUNK: u64 = 10_000_000_000_000_000_000;
         while !cur.is_zero() {
-            let (q, r) = cur.div_rem_u64(CHUNK);
+            let (q, r) = cur.div_rem_u64(DECIMAL_CHUNK);
             digits.push(r);
             cur = q;
         }
@@ -498,9 +569,21 @@ impl fmt::Debug for BigUint {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Operands clustered at the word-size boundaries the fast paths
+    /// switch on: tiny, around 2³² and 2⁶³, just below 2⁶⁴, and uniform.
+    pub(crate) fn edge_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..16,
+            (1u64 << 32) - 4..(1u64 << 32) + 4,
+            (1u64 << 63) - 8..(1u64 << 63) + 8,
+            u64::MAX - 15..=u64::MAX,
+            any::<u64>(),
+        ]
+    }
 
     fn big(v: u128) -> BigUint {
         BigUint::from(v)
@@ -723,6 +806,24 @@ mod tests {
         fn prop_display_roundtrip(a in any::<u128>()) {
             let x = big(a);
             prop_assert_eq!(BigUint::from_decimal(&x.to_string()).unwrap(), x);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn prop_gcd_matches_multi_limb(a in edge_u64(), b in edge_u64(),
+                                       c in edge_u64(), d in edge_u64(),
+                                       shift in 0u64..64) {
+            // Double words sharing the factor `c` and a power of two, a
+            // full double word, single words, and zero.
+            let x = big(a as u128 * c as u128);
+            let y = big((b >> shift) as u128 * c as u128).shl_bits(shift);
+            let z = big((a as u128) << 64 | d as u128);
+            let (p, q) = (big(a as u128), big(b as u128));
+            for (u, v) in [(&x, &y), (&y, &x), (&x, &z), (&z, &y), (&p, &q), (&x, &BigUint::zero())] {
+                prop_assert_eq!(u.gcd(v), u.gcd_multi_limb(v));
+            }
         }
     }
 }

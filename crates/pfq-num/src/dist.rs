@@ -5,6 +5,7 @@
 //! kernel yields a `Distribution<Database>`, and so on. Supports are kept
 //! in a `BTreeMap` so equal outcomes merge and iteration is deterministic.
 
+use crate::biguint::gcd_u64;
 use crate::Ratio;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -164,6 +165,9 @@ impl<T: Ord> Distribution<T> {
 /// `2⁻⁶⁴`. Panics if `weights` is empty or any weight is non-positive.
 pub fn pick_weighted_index(weights: &[Ratio], draw: u64) -> usize {
     assert!(!weights.is_empty(), "cannot pick from no weights");
+    if let Some(pick) = pick_integer_weighted_index(weights, draw) {
+        return pick;
+    }
     let total: Ratio = weights.iter().sum();
     assert!(total.is_positive(), "weights must be positive");
     let u = Ratio::from_parts(
@@ -180,6 +184,37 @@ pub fn pick_weighted_index(weights: &[Ratio], draw: u64) -> usize {
         }
     }
     weights.len() - 1 // 2⁻⁶⁴ edge case: draw = 2⁶⁴ − 1 rounding
+}
+
+/// [`pick_weighted_index`] in the integer domain: with `L` the common
+/// denominator, `Aᵢ = L·(w₀ + … + wᵢ)` and `T = A_last`, the rational
+/// test `draw/2⁶⁴ · total < accᵢ` is exactly `draw·T < Aᵢ·2⁶⁴`, one
+/// `u128` comparison. `None` (take the rational path) when a weight is
+/// non-positive or `L` or `T` does not fit in a `u64`.
+fn pick_integer_weighted_index(weights: &[Ratio], draw: u64) -> Option<usize> {
+    let mut lcm = 1u64;
+    for w in weights {
+        if !w.is_positive() {
+            return None;
+        }
+        let d = w.denom().to_u64()?;
+        lcm = lcm.checked_mul(d / gcd_u64(lcm, d))?;
+    }
+    let mut total = 0u64;
+    for w in weights {
+        let scale = lcm / w.denom().to_u64()?;
+        total = total.checked_add(w.numer().magnitude().to_u64()?.checked_mul(scale)?)?;
+    }
+    let target = draw as u128 * total as u128;
+    let mut acc = 0u64;
+    for (i, w) in weights.iter().enumerate() {
+        // Every prefix is at most `total`, so these cannot overflow.
+        acc += w.numer().magnitude().to_u64()? * (lcm / w.denom().to_u64()?);
+        if target < (acc as u128) << 64 {
+            return Some(i);
+        }
+    }
+    Some(weights.len() - 1) // 2⁻⁶⁴ edge case, as in the rational path
 }
 
 impl<T: Ord> Default for Distribution<T> {
@@ -207,6 +242,7 @@ impl<T: Ord + fmt::Debug> fmt::Debug for Distribution<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn half() -> Ratio {
         Ratio::new(1, 2)
@@ -277,6 +313,81 @@ mod tests {
         // Scaling by zero empties the distribution.
         let z = Distribution::singleton(1).scale(&Ratio::zero());
         assert!(z.is_empty());
+    }
+
+    /// The rational definition of [`pick_weighted_index`], kept here as
+    /// the reference for its integer-domain fast path.
+    fn reference_pick(weights: &[Ratio], draw: u64) -> usize {
+        let total: Ratio = weights.iter().sum();
+        let u = Ratio::from_parts(
+            crate::BigInt::from(draw),
+            crate::BigUint::one().shl_bits(64),
+        );
+        let target = u.mul_ref(&total);
+        let mut acc = Ratio::zero();
+        for (i, w) in weights.iter().enumerate() {
+            acc = acc.add_ref(w);
+            if target < acc {
+                return i;
+            }
+        }
+        weights.len() - 1
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+        #[test]
+        fn prop_pick_matches_rational_reference(
+            parts in proptest::collection::vec(
+                (
+                    prop_oneof![1u64..5, 1u64..1_000_000, u64::MAX - 3..=u64::MAX],
+                    prop_oneof![1u64..=1, 1u64..13, 1u64..1_000_000, u64::MAX - 3..=u64::MAX],
+                ),
+                1..7,
+            ),
+            draw in prop_oneof![Just(0u64), Just(u64::MAX), Just(1u64 << 63), any::<u64>()],
+        ) {
+            let weights: Vec<Ratio> = parts
+                .iter()
+                .map(|&(n, d)| {
+                    Ratio::from_parts(crate::BigInt::from(n), crate::BigUint::from(d))
+                })
+                .collect();
+            prop_assert_eq!(pick_weighted_index(&weights, draw), reference_pick(&weights, draw));
+        }
+    }
+
+    #[test]
+    fn integer_pick_covers_boundaries_and_declines_overflow() {
+        // Weights 1/3, 1/6, 1/2: L = 6, integer weights 2, 1, 3.
+        let weights = vec![Ratio::new(1, 3), Ratio::new(1, 6), Ratio::new(1, 2)];
+        // Boundary draws ⌈2⁶⁴·k/6⌉ land exactly on the next region.
+        for (draw, want) in [
+            (0, 0),
+            (6_148_914_691_236_517_205, 0),
+            (6_148_914_691_236_517_206, 1),
+            (9_223_372_036_854_775_807, 1),
+            (9_223_372_036_854_775_808, 2),
+            (u64::MAX, 2),
+        ] {
+            assert_eq!(
+                pick_integer_weighted_index(&weights, draw),
+                Some(want),
+                "{draw}"
+            );
+            assert_eq!(reference_pick(&weights, draw), want, "{draw}");
+        }
+        // A total past u64 declines the fast path; the rational path answers.
+        let huge = vec![
+            Ratio::from_integer(i64::MAX),
+            Ratio::from_integer(i64::MAX),
+            Ratio::new(1, 2),
+        ];
+        assert_eq!(pick_integer_weighted_index(&huge, 5), None);
+        assert_eq!(
+            pick_weighted_index(&huge, u64::MAX),
+            reference_pick(&huge, u64::MAX)
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! Canonical form makes `Eq`/`Hash` structural and `Ord` a true total
 //! order, so rationals can key `BTreeMap`s of possible worlds.
 
+use crate::biguint::{gcd_u128, gcd_u64};
 use crate::{BigInt, BigUint, Sign};
 use std::cmp::Ordering;
 use std::fmt;
@@ -117,8 +118,62 @@ impl Ratio {
         !self.is_negative() && *self <= Ratio::one()
     }
 
+    /// `(negative, |num|, den)` when numerator and denominator both fit
+    /// in a machine word — the operand shape of the word-sized fast
+    /// paths.
+    fn as_words(&self) -> Option<(bool, u64, u64)> {
+        Some((
+            self.num.is_negative(),
+            self.num.magnitude().to_u64()?,
+            self.den.to_u64()?,
+        ))
+    }
+
+    /// The ratio `±num/den` from an already reduced double-word pair.
+    fn from_reduced_words(negative: bool, num: u128, den: u128) -> Ratio {
+        if num == 0 {
+            return Ratio::zero();
+        }
+        let sign = if negative {
+            Sign::Negative
+        } else {
+            Sign::Positive
+        };
+        Ratio {
+            num: BigInt::from_sign_mag(sign, BigUint::from(num)),
+            den: BigUint::from(den),
+        }
+    }
+
     /// `self + other`.
     pub fn add_ref(&self, other: &Ratio) -> Ratio {
+        if let (Some(x), Some(y)) = (self.as_words(), other.as_words()) {
+            if let Some(sum) = Ratio::add_words(x, y) {
+                return sum;
+            }
+        }
+        self.add_multi_limb(other)
+    }
+
+    /// `a/b + c/d` in `u128` with a register gcd; `None` when the
+    /// cross-product sum overflows.
+    fn add_words((an, a, b): (bool, u64, u64), (cn, c, d): (bool, u64, u64)) -> Option<Ratio> {
+        let ad = a as u128 * d as u128;
+        let cb = c as u128 * b as u128;
+        let (negative, num) = if an == cn {
+            (an, ad.checked_add(cb)?)
+        } else if ad >= cb {
+            (an, ad - cb)
+        } else {
+            (cn, cb - ad)
+        };
+        let den = b as u128 * d as u128;
+        let g = gcd_u128(num, den);
+        Some(Ratio::from_reduced_words(negative, num / g, den / g))
+    }
+
+    /// [`Ratio::add_ref`] on limb vectors.
+    fn add_multi_limb(&self, other: &Ratio) -> Ratio {
         // a/b + c/d = (a*d + c*b) / (b*d)
         let num = self
             .num
@@ -137,6 +192,21 @@ impl Ratio {
         if self.is_zero() || other.is_zero() {
             return Ratio::zero();
         }
+        if let (Some((an, a, b)), Some((cn, c, d))) = (self.as_words(), other.as_words()) {
+            // Cross-reduced single-word factors multiply into a reduced
+            // double-word pair, which never overflows.
+            let (g1, g2) = (gcd_u64(a, d), gcd_u64(c, b));
+            return Ratio::from_reduced_words(
+                an != cn,
+                (a / g1) as u128 * (c / g2) as u128,
+                (b / g2) as u128 * (d / g1) as u128,
+            );
+        }
+        self.mul_multi_limb(other)
+    }
+
+    /// [`Ratio::mul_ref`] on limb vectors, for nonzero operands.
+    fn mul_multi_limb(&self, other: &Ratio) -> Ratio {
         // Cross-reduce before multiplying to keep intermediates small.
         let g1 = self.num.magnitude().gcd(&other.den);
         let g2 = other.num.magnitude().gcd(&self.den);
@@ -331,6 +401,27 @@ impl From<i64> for Ratio {
 
 impl Ord for Ratio {
     fn cmp(&self, other: &Self) -> Ordering {
+        let signs = self.num.sign().cmp(&other.num.sign());
+        if signs != Ordering::Equal || self.is_zero() {
+            return signs;
+        }
+        match (self.as_words(), other.as_words()) {
+            (Some((negative, a, b)), Some((_, c, d))) => {
+                let by_magnitude = (a as u128 * d as u128).cmp(&(c as u128 * b as u128));
+                if negative {
+                    by_magnitude.reverse()
+                } else {
+                    by_magnitude
+                }
+            }
+            _ => self.cmp_multi_limb(other),
+        }
+    }
+}
+
+impl Ratio {
+    /// [`Ratio::cmp`] on limb vectors.
+    fn cmp_multi_limb(&self, other: &Ratio) -> Ordering {
         // a/b ? c/d  ⇔  a*d ? c*b  (b, d > 0)
         self.num
             .mul_ref(&BigInt::from(other.den.clone()))
@@ -430,6 +521,7 @@ impl fmt::Debug for Ratio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::biguint::tests::edge_u64;
     use proptest::prelude::*;
 
     fn r(n: i64, d: i64) -> Ratio {
@@ -581,6 +673,64 @@ mod tests {
         let parts = [r(1, 4), r(1, 4), r(1, 2)];
         let total: Ratio = parts.iter().sum();
         assert_eq!(total, Ratio::one());
+    }
+
+    /// `±num/den` (with `den` forced nonzero), normalized by the
+    /// multi-limb gcd.
+    fn words(negative: bool, num: u64, den: u64) -> Ratio {
+        let sign = if negative {
+            Sign::Negative
+        } else {
+            Sign::Positive
+        };
+        Ratio::from_parts(
+            BigInt::from_sign_mag(sign, BigUint::from(num)),
+            BigUint::from(den.max(1)),
+        )
+    }
+
+    fn assert_canonical(x: &Ratio) {
+        assert!(!x.den.is_zero());
+        if x.is_zero() {
+            assert!(x.den.is_one(), "zero must be 0/1, got {x:?}");
+        } else {
+            assert!(x.num.magnitude().gcd_multi_limb(&x.den).is_one(), "{x:?}");
+        }
+    }
+
+    #[test]
+    fn add_overflow_edge_falls_back_to_limbs() {
+        // (2⁶⁴−1)/(2⁶⁴−2) + itself: the cross-product sum is ≈ 2¹²⁹.
+        let x = words(false, u64::MAX, u64::MAX - 1);
+        assert!(Ratio::add_words(x.as_words().unwrap(), x.as_words().unwrap()).is_none());
+        let sum = x.add_ref(&x);
+        assert_eq!(sum, x.add_multi_limb(&x));
+        assert_canonical(&sum);
+        // Opposite signs never overflow and cancel exactly.
+        assert!(x.add_ref(&x.neg_ref()).is_zero());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn prop_word_paths_match_multi_limb(
+            (xn, a, b) in (any::<bool>(), edge_u64(), edge_u64()),
+            (yn, c, d) in (any::<bool>(), edge_u64(), edge_u64()),
+        ) {
+            let (x, y) = (words(xn, a, b), words(yn, c, d));
+            let sum = x.add_ref(&y);
+            prop_assert_eq!(&sum, &x.add_multi_limb(&y));
+            assert_canonical(&sum);
+            if !x.is_zero() && !y.is_zero() {
+                let product = x.mul_ref(&y);
+                prop_assert_eq!(&product, &x.mul_multi_limb(&y));
+                assert_canonical(&product);
+            }
+            prop_assert_eq!(x.cmp(&y), x.cmp_multi_limb(&y));
+            prop_assert_eq!(y.cmp(&x), y.cmp_multi_limb(&x));
+            prop_assert_eq!(x.cmp(&x), Ordering::Equal);
+        }
+
     }
 
     proptest! {
