@@ -146,6 +146,10 @@ fn parse_value(token: &str, line: usize) -> Result<Value, FormatError> {
     if let Ok(i) = token.parse::<i64>() {
         return Ok(Value::int(i));
     }
+    let digits = token.strip_prefix('-').unwrap_or(token);
+    if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(err(line, "integer literal overflows i64"));
+    }
     if token.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
         return Ok(Value::str(token));
     }
@@ -446,6 +450,8 @@ mod tests {
         assert!(parse_value("", 1).is_err());
         assert!(parse_value("a b", 1).is_err());
         assert!(parse_value("1/0", 1).is_err());
+        let overflow = parse_value("99999999999999999999999999999", 1).unwrap_err();
+        assert_eq!(overflow.message, "integer literal overflows i64");
     }
 
     #[test]

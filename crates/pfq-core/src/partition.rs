@@ -23,8 +23,8 @@
 use crate::exact_noninflationary::{self, ChainBudget};
 use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_data::{Database, Tuple};
-use pfq_datalog::eval::{head_key, instantiate_head, prepare_database, Valuation};
-use pfq_datalog::{Program, Term};
+use pfq_datalog::eval::{prepare_database, CompiledProgram};
+use pfq_datalog::Program;
 use pfq_num::Ratio;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -68,61 +68,6 @@ impl UnionFind {
     }
 }
 
-/// Matches a rule body against annotated relations, returning each
-/// valuation together with the union of the matched tuples' id-sets.
-fn annotated_valuations(
-    body: &[pfq_datalog::Atom],
-    ann: &Annotated,
-) -> Result<Vec<(Valuation, BTreeSet<usize>)>, CoreError> {
-    let mut states: Vec<(Valuation, BTreeSet<usize>)> = vec![(Valuation::new(), BTreeSet::new())];
-    for atom in body {
-        let rel = ann.get(&atom.relation).ok_or_else(|| {
-            CoreError::Datalog(pfq_datalog::DatalogError::UnknownRelation(
-                atom.relation.clone(),
-            ))
-        })?;
-        let mut next = Vec::new();
-        for (val, ids) in &states {
-            'tuples: for (t, t_ids) in rel {
-                if t.arity() != atom.terms.len() {
-                    return Err(CoreError::Datalog(
-                        pfq_datalog::DatalogError::ArityMismatch {
-                            relation: atom.relation.clone(),
-                            expected: t.arity(),
-                            found: atom.terms.len(),
-                        },
-                    ));
-                }
-                let mut extended = val.clone();
-                for (pos, term) in atom.terms.iter().enumerate() {
-                    match term {
-                        Term::Const(c) => {
-                            if c != t.get(pos) {
-                                continue 'tuples;
-                            }
-                        }
-                        Term::Var(v) => match extended.get(v) {
-                            Some(bound) if bound != t.get(pos) => continue 'tuples,
-                            Some(_) => {}
-                            None => {
-                                extended.insert(v.clone(), t.get(pos).clone());
-                            }
-                        },
-                    }
-                }
-                let mut merged = ids.clone();
-                merged.extend(t_ids.iter().copied());
-                next.push((extended, merged));
-            }
-        }
-        states = next;
-        if states.is_empty() {
-            break;
-        }
-    }
-    Ok(states)
-}
-
 /// Computes the independence classes of the base tuples: each class is a
 /// sub-database containing its base tuples (IDB relations empty).
 pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Database>, CoreError> {
@@ -156,28 +101,45 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
     // Inflationary provenance fixpoint: treat every rule as deterministic
     // datalog, but connect ids that (a) co-occur in a derivation, or
     // (b) compete in the same repair-key group of a probabilistic rule.
+    // `derived` holds the prepared input plus every tuple derived so
+    // far — exactly the tuples `ann` annotates.
+    let compiled = CompiledProgram::new(program);
+    let mut derived = prepared;
     loop {
         let mut changed = false;
-        for rule in &program.rules {
-            let matches = annotated_valuations(&rule.body, &ann)?;
+        for rule in compiled.rules() {
+            // Each derivation's head tuple and the union of the id-sets
+            // of the tuples its positive atoms matched.
+            let body = &rule.rule().body;
+            let mut matches: Vec<(Tuple, BTreeSet<usize>)> = Vec::new();
+            rule.for_each_valuation(&derived, None, |vals| {
+                let mut ids = BTreeSet::new();
+                for (i, atom) in body.iter().enumerate() {
+                    ids.extend(&ann[&atom.relation][&rule.body_tuple(i, vals)]);
+                }
+                matches.push((rule.head_tuple(vals)?, ids));
+                Ok(())
+            })?;
+            let head = &rule.rule().head;
             // Group by repair-key key value for probabilistic rules.
             let mut group_ids: BTreeMap<Tuple, BTreeSet<usize>> = BTreeMap::new();
-            for (val, ids) in &matches {
-                let t = instantiate_head(&rule.head, val).map_err(CoreError::Datalog)?;
-                if !rule.head.is_deterministic() {
-                    let key = head_key(&rule.head, &t);
+            for (t, ids) in matches {
+                if !head.is_deterministic() {
                     group_ids
-                        .entry(key)
+                        .entry(rule.head_key(&t))
                         .or_default()
                         .extend(ids.iter().copied());
                 }
+                derived
+                    .insert_tuple(&head.relation, t.clone())
+                    .expect("IDB relation prepared");
                 let entry = ann
-                    .get_mut(&rule.head.relation)
+                    .get_mut(&head.relation)
                     .expect("IDB relation prepared")
                     .entry(t)
                     .or_default();
                 let before = entry.len();
-                entry.extend(ids.iter().copied());
+                entry.extend(ids);
                 if entry.len() != before {
                     changed = true;
                 }
@@ -203,7 +165,7 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
     let mut classes: Vec<Database> = Vec::new();
     let empty_template = {
         let mut t = Database::new();
-        for (name, rel) in prepared.iter() {
+        for (name, rel) in derived.iter() {
             t.declare(name, rel.schema().clone());
         }
         t
@@ -401,6 +363,19 @@ mod tests {
         );
         let classes = partition_classes(&p, &db).unwrap();
         // (1,2) and (2,3) co-derive 1→3; (7,8) is isolated.
+        assert_eq!(classes.len(), 2);
+    }
+
+    #[test]
+    fn fact_derived_tuple_does_not_join_classes() {
+        // F(v) comes from a body-less rule, so its provenance is empty:
+        // joining it with A(1) and with A(2) must not connect those two.
+        let p = pfq_datalog::parse_program("F(v).\nH(X, Y) :- F(X), A(Y).").unwrap();
+        let db = Database::new().with(
+            "A",
+            Relation::from_rows(Schema::new(["v"]), [tuple![1], tuple![2]]),
+        );
+        let classes = partition_classes(&p, &db).unwrap();
         assert_eq!(classes.len(), 2);
     }
 

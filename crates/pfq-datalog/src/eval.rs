@@ -10,15 +10,11 @@
 //! leading bound or constant columns become a prefix range scan on the
 //! relation's ordered tuple set.
 
-use crate::ast::{Atom, Head, Program, Rule, Term};
+use crate::ast::{Atom, Program, Rule, Term};
 use crate::DatalogError;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_num::Ratio;
 use std::collections::BTreeMap;
-
-/// A variable assignment by name — the shape of the annotated matcher
-/// in `pfq-core`'s partitioning.
-pub type Valuation = BTreeMap<String, Value>;
 
 /// Where a compiled rule reads a value from.
 #[derive(Clone, Debug)]
@@ -74,6 +70,8 @@ pub struct CompiledRule {
     /// The source rule: relation names, arities and error messages.
     rule: Rule,
     body: Vec<AtomPlan>,
+    /// Each positive body atom as a slot list (every operand bound).
+    atoms: Vec<Vec<Operand>>,
     negatives: Vec<Vec<Operand>>,
     head: Vec<Operand>,
     /// Head positions that are key (underlined), in order.
@@ -132,6 +130,7 @@ impl CompiledRule {
         let compile_all =
             |terms: &[Term]| terms.iter().map(|t| Operand::compile(t, &slots)).collect();
         CompiledRule {
+            atoms: rule.body.iter().map(|a| compile_all(&a.terms)).collect(),
             negatives: rule
                 .negatives
                 .iter()
@@ -162,7 +161,7 @@ impl CompiledRule {
     /// `db`, that no negated atom blocks. The slice holds the body
     /// variables in [`Rule::all_variables`] order — the rule's `oldVals`
     /// tuple. `delta = Some((i, rel))` reads atom `i` from `rel` instead
-    /// of `db` (the semi-naive override).
+    /// of `db` (a semi-naive delta override).
     ///
     /// Errors if a body or negated relation is missing from `db` or has
     /// the wrong arity, if a negated atom reads an unbound variable, or
@@ -215,6 +214,16 @@ impl CompiledRule {
             );
         }
         Ok(Tuple::new(out))
+    }
+
+    /// Positive body atom `atom` grounded under a valuation from
+    /// [`CompiledRule::for_each_valuation`]: the tuple that atom matched.
+    pub fn body_tuple(&self, atom: usize, vals: &[Value]) -> Tuple {
+        let values: Vec<Value> = self.atoms[atom]
+            .iter()
+            .map(|op| op.read(vals).expect("body operands are bound").clone())
+            .collect();
+        Tuple::new(values)
     }
 
     /// The key part of a head tuple (values at key positions) — the
@@ -352,35 +361,6 @@ fn unsafe_rule(rendered: &impl std::fmt::Display, variable: &str) -> DatalogErro
     }
 }
 
-/// Instantiates a head under a name-keyed valuation: the concrete tuple
-/// to insert. (Used by `pfq-core`'s annotated partitioning matcher.)
-pub fn instantiate_head(head: &Head, val: &Valuation) -> Result<Tuple, DatalogError> {
-    let mut out = Vec::with_capacity(head.terms.len());
-    for term in &head.terms {
-        match term {
-            Term::Const(c) => out.push(c.clone()),
-            Term::Var(v) => {
-                out.push(
-                    val.get(v)
-                        .cloned()
-                        .ok_or_else(|| DatalogError::UnsafeRule {
-                            rule: head.to_string(),
-                            variable: v.clone(),
-                        })?,
-                )
-            }
-        }
-    }
-    Ok(Tuple::new(out))
-}
-
-/// The key part of an instantiated head (values at key positions) — the
-/// repair-key group identity.
-pub fn head_key(head: &Head, tuple: &Tuple) -> Tuple {
-    let idx: Vec<usize> = (0..head.terms.len()).filter(|&i| head.keys[i]).collect();
-    tuple.project(&idx)
-}
-
 /// Declares every IDB relation of `program` in `db` (if absent) with
 /// inferred arity and generated column names `c0, c1, …`, and checks that
 /// every body atom's arity matches its relation.
@@ -412,6 +392,7 @@ pub fn prepare_database(program: &Program, db: &Database) -> Result<Database, Da
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Head;
     use crate::parse_program;
     use pfq_data::tuple;
 
@@ -646,23 +627,6 @@ mod tests {
             valuations(&rule, &database).unwrap(),
             [tuple![1, 2, 3], tuple![1, 3, 4]]
         );
-    }
-
-    #[test]
-    fn head_instantiation_and_keys() {
-        let p = parse_program("H(X!, Y, 7) @P :- E(X, Y), W(P).").unwrap();
-        let rule = &p.rules[0];
-        let val: Valuation = [
-            ("X".to_string(), Value::int(1)),
-            ("Y".to_string(), Value::int(2)),
-            ("P".to_string(), Value::frac(1, 2)),
-        ]
-        .into_iter()
-        .collect();
-        let t = instantiate_head(&rule.head, &val).unwrap();
-        assert_eq!(t, tuple![1, 2, 7]);
-        // Keys: X (marked) and the constant 7.
-        assert_eq!(head_key(&rule.head, &t), tuple![1, 7]);
     }
 
     #[test]

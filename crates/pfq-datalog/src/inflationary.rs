@@ -484,10 +484,12 @@ mod tests {
         assert_eq!(worlds.support_size(), 1);
         let (only, p1) = worlds.iter().next().unwrap();
         assert!(p1.is_one());
-        assert_eq!(only.get("T").unwrap().len(), 3);
-        // Matches the semi-naive engine exactly.
-        let classic = crate::seminaive::evaluate(&p, &db).unwrap();
-        assert_eq!(only.get("T"), classic.get("T"));
+        // Exactly the transitive closure of E.
+        let closure = Relation::from_rows(
+            Schema::new(["c0", "c1"]),
+            [tuple![1, 2], tuple![1, 3], tuple![2, 3]],
+        );
+        assert_eq!(only.get("T"), Some(&closure));
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! * [`eval`] — rules compiled to slot plans and the one body matcher
 //!   every engine uses (the `newVals` of the paper's inflationary
 //!   pseudocode);
-//! * [`seminaive`] — classical datalog evaluation (the “datalog without
-//!   probabilistic rules” row of Table 1);
 //! * [`inflationary`] — the paper's inflationary semantics: per-rule
 //!   `oldVals`/`newVals` bookkeeping, parallel firing, per-key-group
-//!   repair-key; with exact (computation-tree) and sampling engines;
+//!   repair-key; with exact (computation-tree) and sampling engines. It
+//!   is also the one deterministic evaluator: on a program without
+//!   probabilistic rules (the “datalog without probabilistic rules” row
+//!   of Table 1) it reaches a single fixpoint with probability 1;
 //! * [`noninflationary`] — translation of a program into a transition
 //!   kernel [`pfq_algebra::Interpretation`] (destructive assignment);
 //! * [`linear`] — the linear-datalog restriction (≤ 1 IDB atom per body).
@@ -38,7 +39,6 @@ pub mod inflationary;
 pub mod linear;
 pub mod noninflationary;
 pub mod parser;
-pub mod seminaive;
 
 pub use ast::{Atom, Head, Program, Rule, Term};
 pub use error::DatalogError;

@@ -31,13 +31,16 @@ use pfq_core::{
 };
 use pfq_ctable::PcDatabase;
 use pfq_data::{Database, Relation, Tuple, Value};
-use pfq_datalog::eval::{self, Valuation};
+use pfq_datalog::eval;
 use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo, FixpointMemo};
 use pfq_datalog::{Atom, DatalogError, Rule, Term};
 use pfq_markov::absorption::long_run_distribution_with;
 use pfq_markov::StationaryMethod;
 use pfq_num::{Distribution, Ratio};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A variable assignment by name — the reference matcher's valuation.
+pub type Valuation = BTreeMap<String, Value>;
 
 /// The Prop. 4.4 reference oracle: the event probability over the
 /// un-memoized [`enumerate_fixpoints`] distribution.

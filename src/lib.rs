@@ -13,8 +13,9 @@
 //! * [`ctable`] — probabilistic c-tables.
 //! * [`markov`] — finite Markov chains: SCCs, stationary distributions,
 //!   absorption, mixing times.
-//! * [`datalog`] — (probabilistic) datalog: parser, semi-naive engine,
-//!   the paper's inflationary semantics, translation to kernels.
+//! * [`datalog`] — (probabilistic) datalog: parser, compiled body
+//!   matching, the paper's inflationary semantics (also the evaluator
+//!   for deterministic programs), translation to kernels.
 //! * [`lang`] — the paper's query languages and evaluators: exact and
 //!   approximate, inflationary and non-inflationary.
 //! * [`workloads`] — generators for the experiments (graphs, Bayesian

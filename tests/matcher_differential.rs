@@ -8,7 +8,10 @@
 //! Cases come from the fuzz corpus (seed 42, the campaign's default
 //! generator). Each rule is matched against the prepared input and
 //! against a sampled fixpoint, whose IDB relations are populated, and
-//! once more per body atom with a semi-naive delta override.
+//! once more per body atom with a semi-naive delta override. Every
+//! compiled valuation also grounds each positive body atom
+//! (`CompiledRule::body_tuple`, the §5.1 provenance lookup), and the
+//! grounded tuple must belong to the relation that atom read.
 
 use pfq::data::{Database, Relation, Tuple};
 use pfq::datalog::eval::{CompiledProgram, CompiledRule};
@@ -29,6 +32,17 @@ fn compiled_valuations(
 ) -> Result<BTreeSet<Tuple>, DatalogError> {
     let mut out = BTreeSet::new();
     rule.for_each_valuation(db, delta, |vals| {
+        for (i, atom) in rule.rule().body.iter().enumerate() {
+            let read = match delta {
+                Some((d, rel)) if d == i => rel,
+                _ => db.get(&atom.relation).unwrap(),
+            };
+            let ground = rule.body_tuple(i, vals);
+            assert!(
+                read.contains(&ground),
+                "atom {atom} grounds to {ground:?}, not a tuple it read"
+            );
+        }
         assert!(
             out.insert(Tuple::new(vals.to_vec())),
             "valuation emitted twice"
