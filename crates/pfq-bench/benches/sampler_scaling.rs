@@ -3,10 +3,13 @@
 //! Fixed total work (a fixed sample count, no early stopping) on a
 //! Table-1-style reachability workload, swept over worker-thread
 //! counts. The engine's deterministic per-trial seeding means every
-//! row computes the *same* estimate — only the wall time changes.
-//! Expect near-linear speedup: ≥2× at 4 threads on a 4-core machine.
+//! row computes the *same* estimate (asserted to the bit) — only the
+//! wall time changes. Expect near-linear speedup: ≥2× at 4 threads on a
+//! 4-core machine.
+//!
+//! Run with `cargo bench -p pfq-bench --bench sampler_scaling`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pfq_bench::{fmt_duration, print_table, time_median};
 use pfq_core::sample_inflationary;
 use pfq_core::sampler::SamplerConfig;
 use pfq_data::Database;
@@ -15,44 +18,43 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 const SAMPLES: usize = 200;
+const RUNS: usize = 10;
 
-fn bench_thread_scaling(c: &mut Criterion) {
+fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let n = 40;
     let g = WeightedGraph::erdos_renyi(n, 0.3, &mut rng);
     let db = Database::new().with("E", g.edge_relation());
     let query = reachability_query(0, n as i64 - 1);
-
-    let mut group = c.benchmark_group("sampler_scaling");
-    group.sample_size(10);
-    let baseline = {
-        let config = SamplerConfig::seeded(7).with_threads(1);
+    let run = |threads: usize| {
+        let config = SamplerConfig::seeded(7).with_threads(threads);
         sample_inflationary::evaluate_with_samples_config(&query, &db, SAMPLES, &config).unwrap()
     };
+
+    let baseline = run(1);
+    let mut t_one = None;
+    let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        let config = SamplerConfig::seeded(7).with_threads(threads);
-        let report =
-            sample_inflationary::evaluate_with_samples_config(&query, &db, SAMPLES, &config)
-                .unwrap();
         assert_eq!(
-            report.estimate.to_bits(),
+            run(threads).estimate.to_bits(),
             baseline.estimate.to_bits(),
             "thread count changed the estimate"
         );
-        group.bench_with_input(
-            BenchmarkId::new("reach_n40_500_samples", threads),
-            &threads,
-            |b, &threads| {
-                let config = SamplerConfig::seeded(7).with_threads(threads);
-                b.iter(|| {
-                    sample_inflationary::evaluate_with_samples_config(&query, &db, SAMPLES, &config)
-                        .unwrap()
-                })
-            },
-        );
+        let t = time_median(RUNS, || run(threads));
+        let t_one = *t_one.get_or_insert(t);
+        rows.push(vec![
+            threads.to_string(),
+            fmt_duration(t),
+            format!("{:.1}×", t_one.as_secs_f64() / t.as_secs_f64()),
+        ]);
     }
-    group.finish();
+    print_table(
+        &format!(
+            "Sampler thread scaling (reachability, n = {n}, {SAMPLES} samples, \
+             median of {RUNS} runs, estimate {})",
+            baseline.estimate
+        ),
+        &["threads", "median wall-clock", "speedup"],
+        &rows,
+    );
 }
-
-criterion_group!(benches, bench_thread_scaling);
-criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Stationary-solver scaling benchmark: dense rational Gaussian
-//! elimination (the legacy reference) vs sparse GTH state elimination
-//! (the default), at asserted bit-identical `Ratio` answers.
+//! elimination (the `pfq_markov::dense` reference oracle) vs sparse GTH
+//! state elimination (the production path), at asserted bit-identical
+//! `Ratio` answers.
 //!
 //! Correctness first: on kernel-built queue and coloring chains, an
 //! absorbing chain, and a synthetic birth–death chain, both methods must
@@ -17,9 +18,8 @@
 
 use pfq_bench::{fmt_duration, print_table, time_once};
 use pfq_core::exact_noninflationary::{self, ChainBudget};
-use pfq_markov::gth;
-use pfq_markov::stationary::{exact_stationary_with, StationaryMethod};
-use pfq_markov::{absorption, MarkovChain};
+use pfq_markov::stationary::exact_stationary;
+use pfq_markov::{absorption, dense, gth, MarkovChain};
 use pfq_num::Ratio;
 use pfq_workloads::coloring::ColoringMcmc;
 use pfq_workloads::queue::BirthDeathQueue;
@@ -46,8 +46,8 @@ fn birth_death(n: usize) -> MarkovChain<u32> {
 
 /// Both exact methods on one chain, asserted bit-identical.
 fn assert_methods_agree(chain: &MarkovChain<u32>, what: &str) {
-    let dense = exact_stationary_with(chain, StationaryMethod::DenseReference);
-    let sparse = exact_stationary_with(chain, StationaryMethod::SparseGth);
+    let dense = dense::stationary(chain);
+    let sparse = exact_stationary(chain);
     assert_eq!(dense, sparse, "{what}: dense and GTH diverged");
 }
 
@@ -56,10 +56,8 @@ fn correctness_suite() {
     let q = BirthDeathQueue::new(6, 1, 1, 2);
     let (query, db) = q.length_query(0, 0);
     let chain = exact_noninflationary::build_chain(&query, &db, ChainBudget::default()).unwrap();
-    let dense = absorption::long_run_distribution_with(&chain, 0, StationaryMethod::DenseReference)
-        .unwrap();
-    let sparse =
-        absorption::long_run_distribution_with(&chain, 0, StationaryMethod::SparseGth).unwrap();
+    let dense = dense::long_run_distribution(&chain, 0).unwrap();
+    let sparse = absorption::long_run_distribution(&chain, 0).unwrap();
     assert_eq!(dense, sparse, "queue chain long-run diverged");
 
     // Kernel-built Glauber coloring chain (denser rows).
@@ -67,12 +65,8 @@ fn correctness_suite() {
     let (query, db) = g.color_query(0, 0);
     let chain = exact_noninflationary::build_chain(&query, &db, ChainBudget::default()).unwrap();
     for start in [0, chain.len() - 1] {
-        let dense =
-            absorption::long_run_distribution_with(&chain, start, StationaryMethod::DenseReference)
-                .unwrap();
-        let sparse =
-            absorption::long_run_distribution_with(&chain, start, StationaryMethod::SparseGth)
-                .unwrap();
+        let dense = dense::long_run_distribution(&chain, start).unwrap();
+        let sparse = absorption::long_run_distribution(&chain, start).unwrap();
         assert_eq!(dense, sparse, "coloring chain long-run diverged");
     }
 
@@ -90,15 +84,8 @@ fn correctness_suite() {
     )
     .unwrap();
     for start in 0..absorbing.len() {
-        let dense = absorption::long_run_distribution_with(
-            &absorbing,
-            start,
-            StationaryMethod::DenseReference,
-        )
-        .unwrap();
-        let sparse =
-            absorption::long_run_distribution_with(&absorbing, start, StationaryMethod::SparseGth)
-                .unwrap();
+        let dense = dense::long_run_distribution(&absorbing, start).unwrap();
+        let sparse = absorption::long_run_distribution(&absorbing, start).unwrap();
         assert_eq!(dense, sparse, "absorbing chain long-run diverged");
     }
 
@@ -130,9 +117,7 @@ fn main() {
             stats.peak_entries
         );
         let dense_cell = if n <= dense_cap {
-            let (d_dense, pi_dense) = time_once(|| {
-                exact_stationary_with(&chain, StationaryMethod::DenseReference).unwrap()
-            });
+            let (d_dense, pi_dense) = time_once(|| dense::stationary(&chain).unwrap());
             assert_eq!(pi_dense, pi_gth, "scaling row n = {n} diverged");
             fmt_duration(d_dense)
         } else {
@@ -165,8 +150,7 @@ fn main() {
         let chain = birth_death(n);
         let (d_gth, (pi_gth, stats)) =
             time_once(|| gth::stationary_sparse_with_stats(&chain).unwrap());
-        let (d_dense, pi_dense) =
-            time_once(|| exact_stationary_with(&chain, StationaryMethod::DenseReference).unwrap());
+        let (d_dense, pi_dense) = time_once(|| dense::stationary(&chain).unwrap());
         assert_eq!(pi_dense, pi_gth, "speedup gate chain diverged");
         let speedup = d_dense.as_secs_f64() / d_gth.as_secs_f64();
         print_table(

@@ -19,7 +19,7 @@ use pfq_core::{mixing_sampler, partition, sample_inflationary, EvalCache};
 use pfq_data::{tuple, Database, Relation, Schema};
 use pfq_datalog::eval::CompiledProgram;
 use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
-use pfq_markov::{mixing, stationary};
+use pfq_markov::{dense, mixing, stationary};
 use pfq_num::Ratio;
 use pfq_workloads::basketball;
 use pfq_workloads::bayes::BayesNet;
@@ -561,18 +561,13 @@ fn e11_bayes(knobs: &Knobs) {
 /// elimination vs sparse GTH elimination, asserted bit-identical) and
 /// f64 power iteration for stationary distributions.
 fn e12_stationary_ablation() {
-    use pfq_markov::StationaryMethod;
     let mut rows = Vec::new();
     for n in [8usize, 16, 32, 64] {
         let g = WeightedGraph::cycle(n).lazy(1);
         let (q, db) = walk_query(&g, 0, 0);
         let chain = exact_noninflationary::build_chain(&q, &db, ChainBudget::default()).unwrap();
-        let (d_dense, pi_dense) = time_once(|| {
-            stationary::exact_stationary_with(&chain, StationaryMethod::DenseReference).unwrap()
-        });
-        let (d_gth, pi_gth) = time_once(|| {
-            stationary::exact_stationary_with(&chain, StationaryMethod::SparseGth).unwrap()
-        });
+        let (d_dense, pi_dense) = time_once(|| dense::stationary(&chain).unwrap());
+        let (d_gth, pi_gth) = time_once(|| stationary::exact_stationary(&chain).unwrap());
         assert_eq!(pi_dense, pi_gth, "exact solvers must agree bit for bit");
         let (d_pi, pi_f64) =
             time_once(|| stationary::power_iteration(&chain, 1e-12, 1_000_000).unwrap());

@@ -1,10 +1,13 @@
 //! Shared measurement utilities for the experiment harness.
 //!
-//! The Criterion benches (`benches/`) measure steady-state throughput of
-//! each algorithm; the `experiments` binary (`src/bin/experiments.rs`)
-//! regenerates the *shape* of every Table 1 claim as a printed table —
-//! scaling sweeps with wall-clock timings and accuracy cross-checks —
-//! recorded in `EXPERIMENTS.md`.
+//! The `experiments` binary (`src/bin/experiments.rs`) is the one
+//! harness that times the paper's workloads: it regenerates the *shape*
+//! of every Table 1 claim as a printed table — scaling sweeps with
+//! wall-clock timings and asserted accuracy cross-checks — recorded in
+//! `EXPERIMENTS.md`. The four `harness = false` benches (`benches/`)
+//! each assert one implementation claim against its reference:
+//! memoization, the GTH stationary solver, planner overhead, and
+//! sampler thread scaling.
 
 use pfq_core::exact_inflationary::{self, ExactBudget};
 use pfq_core::exact_noninflationary::{self, ChainBudget};

@@ -300,36 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_capabilities_match_direct_dense() {
-        // Regression for the capability gap: partitioned evaluation with
-        // a shared cache is bit-identical to the dense whole-database
-        // reference oracle.
-        for event in [
-            Event::tuple_in("H", tuple![1, 1]),
-            Event::tuple_in("H", tuple![1, 1]).or(Event::tuple_in("H", tuple![2, 1])),
-            Event::tuple_in("H", tuple![9, 9]),
-        ] {
-            let query = DatalogQuery::new(coin_program(), event);
-            let db = coin_db();
-            let direct_dense = {
-                let (fq, prepared) = query.to_forever_query(&db).unwrap();
-                exact_noninflationary::reference_chain_probability(
-                    &fq,
-                    &prepared,
-                    ChainBudget::default(),
-                )
-                .unwrap()
-            };
-            let mut shared = EvalCache::default();
-            let partitioned =
-                evaluate_partitioned(&query, &db, ChainBudget::default(), &mut shared).unwrap();
-            assert_eq!(direct_dense, partitioned);
-            // The shared cache really was used across the class solves.
-            assert!(shared.stats().db_states > 0);
-        }
-    }
-
-    #[test]
     fn derivation_connects_joined_tuples() {
         // A rule joining A and B connects their tuples into one class.
         let p = pfq_datalog::parse_program("H(X) :- A(X), B(X).").unwrap();

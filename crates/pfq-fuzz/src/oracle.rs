@@ -34,8 +34,7 @@ use pfq_data::{Database, Relation, Tuple, Value};
 use pfq_datalog::eval;
 use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo, FixpointMemo};
 use pfq_datalog::{Atom, DatalogError, Rule, Term};
-use pfq_markov::absorption::long_run_distribution_with;
-use pfq_markov::StationaryMethod;
+use pfq_markov::dense;
 use pfq_num::{Distribution, Ratio};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,7 +78,7 @@ pub fn reference_chain_probability(
 ) -> Result<Ratio, CoreError> {
     let chain = exact_noninflationary::build_chain(query, db, budget)?;
     let start = chain.index_of(db).expect("start state was explored");
-    let long_run = long_run_distribution_with(&chain, start, StationaryMethod::DenseReference)?;
+    let long_run = dense::long_run_distribution(&chain, start)?;
     let mut total = Ratio::zero();
     for (i, p) in long_run.iter().enumerate() {
         if !p.is_zero() && query.event.holds(chain.state(i)) {

@@ -11,15 +11,17 @@
 //!
 //! where `π_L` is the stationary distribution of the (irreducible) chain
 //! restricted to `L`. The paper sketches enumerating all paths into each
-//! leaf; we compute the same absorption probabilities exactly by solving
-//! the standard linear system `(I − Q)·a = b` over the transient states —
-//! an implementation choice documented in `DESIGN.md`.
+//! leaf; we compute the same absorption probabilities exactly — the
+//! solution of the linear system `(I − Q)·a = b` over the transient
+//! states — by censoring the transient states out with sparse GTH
+//! elimination ([`crate::gth`]), an implementation choice documented in
+//! `DESIGN.md`. [`crate::dense::long_run_distribution`] solves the same
+//! systems densely and is kept as the differential oracle.
 
 use crate::scc::{condensation, Condensation};
-use crate::stationary::{exact_stationary_with, StationaryError, StationaryMethod};
-use crate::{gth, linalg, MarkovChain};
+use crate::stationary::{exact_stationary, StationaryError};
+use crate::{gth, MarkovChain};
 use pfq_num::Ratio;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors from long-run analysis.
@@ -51,39 +53,21 @@ impl std::error::Error for AbsorptionError {}
 /// eventually absorbed into it. Returned as `(leaf_component_index, p)`
 /// pairs over the condensation `cond`; probabilities sum to 1.
 ///
-/// Uses the default method ([`StationaryMethod::SparseGth`]); see
-/// [`absorption_probabilities_with`] to pick explicitly.
+/// Computed by censored GTH elimination of the transient states
+/// ([`crate::gth`]); the dense oracle
+/// [`crate::dense::absorption_probabilities`] returns the same values.
 pub fn absorption_probabilities<S: Ord + Clone>(
     chain: &MarkovChain<S>,
     cond: &Condensation,
     start: usize,
 ) -> Result<Vec<(usize, Ratio)>, AbsorptionError> {
-    absorption_probabilities_with(chain, cond, start, StationaryMethod::default())
-}
-
-/// [`absorption_probabilities`] with an explicit choice of exact
-/// algorithm. Both methods return bit-identical `Ratio` values.
-pub fn absorption_probabilities_with<S: Ord + Clone>(
-    chain: &MarkovChain<S>,
-    cond: &Condensation,
-    start: usize,
-    method: StationaryMethod,
-) -> Result<Vec<(usize, Ratio)>, AbsorptionError> {
     if start >= chain.len() {
         return Err(AbsorptionError::BadStart(start));
     }
-    let leaves = cond.leaves();
-    let is_leaf_comp: Vec<bool> = {
-        let mut v = vec![false; cond.len()];
-        for &l in &leaves {
-            v[l] = true;
-        }
-        v
-    };
-
     // If the start is already inside a leaf, absorption is certain there.
     let start_comp = cond.component_of[start];
-    if is_leaf_comp[start_comp] {
+    let leaves = cond.leaves();
+    if leaves.contains(&start_comp) {
         return Ok(leaves
             .iter()
             .map(|&l| {
@@ -98,58 +82,7 @@ pub fn absorption_probabilities_with<S: Ord + Clone>(
             })
             .collect());
     }
-
-    match method {
-        StationaryMethod::SparseGth => gth::absorption_sparse(chain, cond, start),
-        StationaryMethod::DenseReference => absorption_dense(chain, cond, start, &is_leaf_comp),
-    }
-}
-
-/// The dense reference implementation, kept as the differential oracle
-/// for [`gth::absorption_sparse`].
-fn absorption_dense<S: Ord + Clone>(
-    chain: &MarkovChain<S>,
-    cond: &Condensation,
-    start: usize,
-    is_leaf_comp: &[bool],
-) -> Result<Vec<(usize, Ratio)>, AbsorptionError> {
-    let leaves = cond.leaves();
-
-    // Transient states: those in non-leaf components.
-    let transient: Vec<usize> = (0..chain.len())
-        .filter(|&i| !is_leaf_comp[cond.component_of[i]])
-        .collect();
-    let t_index: BTreeMap<usize, usize> =
-        transient.iter().enumerate().map(|(k, &i)| (i, k)).collect();
-
-    // (I − Q)·a = b_L, solved once per leaf L, where Q is the
-    // transient→transient block and b_L(i) = Σ_{j ∈ L} P(i, j).
-    let nt = transient.len();
-    let mut i_minus_q = vec![vec![Ratio::zero(); nt]; nt];
-    for (k, &i) in transient.iter().enumerate() {
-        i_minus_q[k][k] = Ratio::one();
-        for (j, p) in chain.row(i) {
-            if let Some(&kj) = t_index.get(j) {
-                i_minus_q[k][kj] = i_minus_q[k][kj].sub_ref(p);
-            }
-        }
-    }
-
-    let start_t = t_index[&start];
-    let mut out = Vec::with_capacity(leaves.len());
-    for &l in &leaves {
-        let mut b = vec![Ratio::zero(); nt];
-        for (k, &i) in transient.iter().enumerate() {
-            for (j, p) in chain.row(i) {
-                if cond.component_of[*j] == l {
-                    b[k] = b[k].add_ref(p);
-                }
-            }
-        }
-        let a = linalg::solve(i_minus_q.clone(), b).ok_or(AbsorptionError::Singular)?;
-        out.push((l, a[start_t].clone()));
-    }
-    Ok(out)
+    gth::absorption_sparse(chain, cond, start)
 }
 
 /// The exact long-run time-average distribution over *all* states of a
@@ -162,16 +95,6 @@ pub fn long_run_distribution<S: Ord + Clone>(
     chain: &MarkovChain<S>,
     start: usize,
 ) -> Result<Vec<Ratio>, AbsorptionError> {
-    long_run_distribution_with(chain, start, StationaryMethod::default())
-}
-
-/// [`long_run_distribution`] with an explicit choice of exact algorithm
-/// for both the absorption solve and the per-leaf stationary solves.
-pub fn long_run_distribution_with<S: Ord + Clone>(
-    chain: &MarkovChain<S>,
-    start: usize,
-    method: StationaryMethod,
-) -> Result<Vec<Ratio>, AbsorptionError> {
     if start >= chain.len() {
         return Err(AbsorptionError::BadStart(start));
     }
@@ -180,18 +103,18 @@ pub fn long_run_distribution_with<S: Ord + Clone>(
 
     // Fast path: irreducible chain (Proposition 5.4).
     if cond.len() == 1 {
-        let pi = exact_stationary_with(chain, method).map_err(AbsorptionError::Stationary)?;
+        let pi = exact_stationary(chain).map_err(AbsorptionError::Stationary)?;
         return Ok(pi);
     }
 
-    let absorb = absorption_probabilities_with(chain, &cond, start, method)?;
+    let absorb = absorption_probabilities(chain, &cond, start)?;
     for (leaf, p_absorb) in absorb {
         if p_absorb.is_zero() {
             continue;
         }
         let members = &cond.components[leaf];
         let (sub, _) = chain.restrict(members);
-        let pi = exact_stationary_with(&sub, method).map_err(AbsorptionError::Stationary)?;
+        let pi = exact_stationary(&sub).map_err(AbsorptionError::Stationary)?;
         for (local, &global) in members.iter().enumerate() {
             result[global] = result[global].add_ref(&p_absorb.mul_ref(&pi[local]));
         }
@@ -202,6 +125,7 @@ pub fn long_run_distribution_with<S: Ord + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn r(n: i64, d: i64) -> Ratio {
         Ratio::new(n, d)
@@ -233,6 +157,19 @@ mod tests {
             .collect();
         assert_eq!(by_state[&1], r(1, 3));
         assert_eq!(by_state[&2], r(2, 3));
+    }
+
+    #[test]
+    fn start_inside_leaf_is_absorbed_there() {
+        let c = fork();
+        let cond = condensation(&c);
+        let probs = absorption_probabilities(&c, &cond, 1).unwrap();
+        let by_state: BTreeMap<usize, Ratio> = probs
+            .into_iter()
+            .map(|(l, p)| (cond.components[l][0], p))
+            .collect();
+        assert!(by_state[&1].is_one());
+        assert!(by_state[&2].is_zero());
     }
 
     #[test]
@@ -308,8 +245,8 @@ mod tests {
         let c = fork();
         for start in 0..c.len() {
             assert_eq!(
-                long_run_distribution_with(&c, start, StationaryMethod::DenseReference).unwrap(),
-                long_run_distribution_with(&c, start, StationaryMethod::SparseGth).unwrap()
+                crate::dense::long_run_distribution(&c, start).unwrap(),
+                long_run_distribution(&c, start).unwrap()
             );
         }
     }

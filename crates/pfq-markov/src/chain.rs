@@ -317,18 +317,6 @@ impl<S: Ord + Clone> MarkovChain<S> {
         out
     }
 
-    /// The f64 transition matrix (row-major), for numeric algorithms.
-    pub fn to_f64_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.len();
-        let mut m = vec![vec![0.0; n]; n];
-        for (i, row) in self.rows.iter().enumerate() {
-            for (j, p) in row {
-                m[i][*j] = p.to_f64();
-            }
-        }
-        m
-    }
-
     /// Restricts the chain to the given states (which must be closed
     /// under transitions); returns the sub-chain and the index mapping
     /// `old → new`.

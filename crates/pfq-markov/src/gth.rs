@@ -16,9 +16,12 @@
 //! (for an irreducible chain `S_k > 0` at every step, because each
 //! censored chain is itself irreducible). The result is bit-identical —
 //! canonical-`Ratio`-for-canonical-`Ratio` — to the dense Gaussian
-//! elimination in [`crate::linalg`], which stays around as the
-//! differential oracle behind
-//! [`StationaryMethod::DenseReference`](crate::stationary::StationaryMethod).
+//! elimination in [`crate::dense`], which stays around as the
+//! differential oracle.
+//!
+//! This module is reached through [`crate::stationary::exact_stationary`]
+//! and [`crate::absorption::absorption_probabilities`];
+//! [`stationary_sparse_with_stats`] additionally reports fill-in.
 //!
 //! # Cost model
 //!
@@ -57,15 +60,8 @@ pub struct GthStats {
 }
 
 /// The exact stationary distribution of an irreducible chain by sparse
-/// GTH elimination. Bit-identical to
-/// [`exact_stationary_dense`](crate::stationary::exact_stationary_dense).
-pub fn stationary_sparse<S: Ord + Clone>(
-    chain: &MarkovChain<S>,
-) -> Result<Vec<Ratio>, StationaryError> {
-    stationary_sparse_with_stats(chain).map(|(pi, _)| pi)
-}
-
-/// [`stationary_sparse`] plus the fill-in counters.
+/// GTH elimination, plus the fill-in counters. The distribution is
+/// bit-identical to [`dense::stationary`](crate::dense::stationary).
 pub fn stationary_sparse_with_stats<S: Ord + Clone>(
     chain: &MarkovChain<S>,
 ) -> Result<(Vec<Ratio>, GthStats), StationaryError> {
@@ -175,8 +171,8 @@ pub fn stationary_sparse_with_stats<S: Ord + Clone>(
 
 /// Exact absorption probabilities into each leaf SCC by sparse censoring
 /// — the GTH counterpart of the dense `(I − Q)·a = b` solves in
-/// [`crate::absorption::absorption_probabilities`], and bit-identical to
-/// them.
+/// [`dense::absorption_probabilities`](crate::dense::absorption_probabilities),
+/// and bit-identical to them.
 ///
 /// Works on a censored system whose columns are the transient states
 /// plus one aggregated column per leaf. Every transient state except
@@ -185,17 +181,16 @@ pub fn stationary_sparse_with_stats<S: Ord + Clone>(
 /// residual self-loop (one division by the row sum — still
 /// subtraction-free) yields the absorption probabilities.
 ///
-/// `start` must be a transient state of `cond`; callers handle the
-/// start-inside-a-leaf fast path. Returns `(leaf_component_index, p)`
-/// pairs in [`Condensation::leaves`] order.
-pub fn absorption_sparse<S: Ord + Clone>(
+/// `start` must be a transient state of `cond`: it panics otherwise.
+/// [`crate::absorption::absorption_probabilities`], the public entry,
+/// rejects an out-of-range start and answers a start inside a leaf
+/// before calling it. Returns `(leaf_component_index, p)` pairs in
+/// [`Condensation::leaves`] order.
+pub(crate) fn absorption_sparse<S: Ord + Clone>(
     chain: &MarkovChain<S>,
     cond: &Condensation,
     start: usize,
 ) -> Result<Vec<(usize, Ratio)>, AbsorptionError> {
-    if start >= chain.len() {
-        return Err(AbsorptionError::BadStart(start));
-    }
     let leaves = cond.leaves();
     let mut is_leaf_comp = vec![false; cond.len()];
     let mut leaf_col = vec![usize::MAX; cond.len()];
@@ -305,8 +300,9 @@ pub fn absorption_sparse<S: Ord + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense;
     use crate::scc::condensation;
-    use crate::stationary::exact_stationary_dense;
+    use crate::stationary::exact_stationary;
 
     fn r(n: i64, d: i64) -> Ratio {
         Ratio::new(n, d)
@@ -323,9 +319,9 @@ mod tests {
     #[test]
     fn matches_dense_two_state() {
         let c = two_state();
-        let pi = stationary_sparse(&c).unwrap();
+        let pi = exact_stationary(&c).unwrap();
         assert_eq!(pi, vec![r(1, 3), r(2, 3)]);
-        assert_eq!(pi, exact_stationary_dense(&c).unwrap());
+        assert_eq!(pi, dense::stationary(&c).unwrap());
     }
 
     #[test]
@@ -339,9 +335,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let pi = stationary_sparse(&c).unwrap();
+        let pi = exact_stationary(&c).unwrap();
         assert_eq!(pi, vec![r(1, 8), r(1, 2), r(3, 8)]);
-        assert_eq!(pi, exact_stationary_dense(&c).unwrap());
+        assert_eq!(pi, dense::stationary(&c).unwrap());
     }
 
     #[test]
@@ -355,13 +351,13 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(stationary_sparse(&c).unwrap(), vec![r(1, 3); 3]);
+        assert_eq!(exact_stationary(&c).unwrap(), vec![r(1, 3); 3]);
     }
 
     #[test]
     fn single_state() {
         let c = MarkovChain::from_rows(vec![0u32], vec![vec![(0, Ratio::one())]]).unwrap();
-        assert_eq!(stationary_sparse(&c).unwrap(), vec![Ratio::one()]);
+        assert_eq!(exact_stationary(&c).unwrap(), vec![Ratio::one()]);
     }
 
     #[test]
@@ -371,13 +367,13 @@ mod tests {
             vec![vec![(1, Ratio::one())], vec![(1, Ratio::one())]],
         )
         .unwrap();
-        assert_eq!(stationary_sparse(&c), Err(StationaryError::NotIrreducible));
+        assert_eq!(exact_stationary(&c), Err(StationaryError::NotIrreducible));
     }
 
     #[test]
     fn result_is_invariant() {
         let c = two_state();
-        let pi = stationary_sparse(&c).unwrap();
+        let pi = exact_stationary(&c).unwrap();
         assert_eq!(c.step_distribution(&pi), pi);
     }
 
@@ -399,7 +395,7 @@ mod tests {
             .collect();
         let c = MarkovChain::from_rows((0..n as u32).collect(), rows).unwrap();
         let (pi, stats) = stationary_sparse_with_stats(&c).unwrap();
-        assert_eq!(pi, exact_stationary_dense(&c).unwrap());
+        assert_eq!(pi, dense::stationary(&c).unwrap());
         assert_eq!(stats.fill_in, 0);
         assert_eq!(stats.peak_entries, stats.initial_entries);
         assert!(stats.peak_entries < 4 * n); // linear, nowhere near n²

@@ -1,47 +1,10 @@
-//! Stationary distributions: exact (sparse GTH elimination by default,
-//! dense Gaussian elimination as the reference oracle — both are the
-//! Proposition 5.4 route) and numeric (power iteration on the lazy chain).
+//! Stationary distributions: exact (sparse GTH elimination, the
+//! Proposition 5.4 route) and numeric (power iteration on the lazy
+//! chain). The dense Gaussian-elimination oracle lives in [`crate::dense`].
 
-use crate::{gth, linalg, scc, MarkovChain};
+use crate::{gth, MarkovChain};
 use pfq_num::Ratio;
 use std::fmt;
-
-/// Which exact algorithm computes stationary/absorption quantities.
-///
-/// Both are exact over [`Ratio`] and return bit-identical results; they
-/// differ only in cost. [`SparseGth`](StationaryMethod::SparseGth) is the
-/// default everywhere; [`DenseReference`](StationaryMethod::DenseReference)
-/// is kept as the differential-testing oracle and for A/B timing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum StationaryMethod {
-    /// Dense rational Gaussian elimination ([`crate::linalg`]):
-    /// `O(n³)` time, `O(n²)` memory regardless of sparsity.
-    DenseReference,
-    /// Sparse subtraction-free GTH state elimination ([`crate::gth`]):
-    /// near-linear on the bounded-row-width chains datalog kernels induce.
-    #[default]
-    SparseGth,
-}
-
-impl StationaryMethod {
-    /// Parses a CLI spelling: `"dense"` or `"gth"`.
-    pub fn parse(s: &str) -> Option<StationaryMethod> {
-        match s {
-            "dense" => Some(StationaryMethod::DenseReference),
-            "gth" => Some(StationaryMethod::SparseGth),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for StationaryMethod {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StationaryMethod::DenseReference => write!(f, "dense"),
-            StationaryMethod::SparseGth => write!(f, "gth"),
-        }
-    }
-}
 
 /// Errors from stationary-distribution computation.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -78,60 +41,12 @@ impl std::error::Error for StationaryError {}
 /// and equals the Cesàro (time-average) limit — precisely the paper's
 /// `Pr(s)` for forever-queries.
 ///
-/// Uses the default method ([`StationaryMethod::SparseGth`]); see
-/// [`exact_stationary_with`] to pick explicitly.
+/// Computed by sparse GTH elimination ([`crate::gth`]); the dense oracle
+/// [`crate::dense::stationary`] returns the same vector bit for bit.
 pub fn exact_stationary<S: Ord + Clone>(
     chain: &MarkovChain<S>,
 ) -> Result<Vec<Ratio>, StationaryError> {
-    exact_stationary_with(chain, StationaryMethod::default())
-}
-
-/// [`exact_stationary`] with an explicit choice of exact algorithm.
-/// Both methods return bit-identical `Ratio` vectors.
-pub fn exact_stationary_with<S: Ord + Clone>(
-    chain: &MarkovChain<S>,
-    method: StationaryMethod,
-) -> Result<Vec<Ratio>, StationaryError> {
-    match method {
-        StationaryMethod::DenseReference => exact_stationary_dense(chain),
-        StationaryMethod::SparseGth => gth::stationary_sparse(chain),
-    }
-}
-
-/// The dense reference implementation: builds the full balance-equation
-/// system and solves it by rational Gaussian elimination. `O(n³)` time
-/// and `O(n²)` memory — kept as the differential oracle for
-/// [`crate::gth`], not for production use.
-#[allow(clippy::needless_range_loop)] // the balance equations are naturally index-driven
-pub fn exact_stationary_dense<S: Ord + Clone>(
-    chain: &MarkovChain<S>,
-) -> Result<Vec<Ratio>, StationaryError> {
-    if !scc::is_irreducible(chain) {
-        return Err(StationaryError::NotIrreducible);
-    }
-    let n = chain.len();
-    if n == 1 {
-        return Ok(vec![Ratio::one()]);
-    }
-    // Equations 0..n-1: Σ_i π_i (P_ij − δ_ij) = 0 for j = 0..n-2
-    // (one balance equation is redundant), plus Σ_i π_i = 1.
-    let mut a = vec![vec![Ratio::zero(); n]; n];
-    for i in 0..n {
-        for (j, p) in chain.row(i) {
-            if *j < n - 1 {
-                a[*j][i] = p.clone();
-            }
-        }
-    }
-    for (j, row) in a.iter_mut().enumerate().take(n - 1) {
-        row[j] = row[j].sub_ref(&Ratio::one());
-    }
-    for i in 0..n {
-        a[n - 1][i] = Ratio::one();
-    }
-    let mut b = vec![Ratio::zero(); n];
-    b[n - 1] = Ratio::one();
-    linalg::solve(a, b).ok_or(StationaryError::Singular)
+    gth::stationary_sparse_with_stats(chain).map(|(pi, _)| pi)
 }
 
 /// Approximates the stationary distribution by power iteration on the
@@ -231,29 +146,9 @@ mod tests {
     fn methods_agree_bit_for_bit() {
         let c = two_state();
         assert_eq!(
-            exact_stationary_with(&c, StationaryMethod::DenseReference).unwrap(),
-            exact_stationary_with(&c, StationaryMethod::SparseGth).unwrap()
+            crate::dense::stationary(&c).unwrap(),
+            exact_stationary(&c).unwrap()
         );
-    }
-
-    #[test]
-    fn method_parse_and_display_round_trip() {
-        assert_eq!(
-            StationaryMethod::parse("dense"),
-            Some(StationaryMethod::DenseReference)
-        );
-        assert_eq!(
-            StationaryMethod::parse("gth"),
-            Some(StationaryMethod::SparseGth)
-        );
-        assert_eq!(StationaryMethod::parse("nope"), None);
-        for m in [
-            StationaryMethod::DenseReference,
-            StationaryMethod::SparseGth,
-        ] {
-            assert_eq!(StationaryMethod::parse(&m.to_string()), Some(m));
-        }
-        assert_eq!(StationaryMethod::default(), StationaryMethod::SparseGth);
     }
 
     #[test]

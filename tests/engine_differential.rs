@@ -7,15 +7,20 @@
 //! sampling strategies (`SampleFixpoint`, `BurnInSample`) must agree to
 //! the bit with their config primitives on the same seed. Planner
 //! properties ride along: plans are deterministic (cold == warm) and §5.1
-//! partitioning is never chosen for a program with negation.
+//! partitioning is never chosen for a program with negation. Two fixed
+//! regressions pin the cached chain path and §5.1 partitioning against
+//! the dense oracle on hand-built walks and coins.
 
+use pfq::algebra::{Expr, Interpretation};
+use pfq::data::{tuple, Database, Relation, Schema, Value};
 use pfq::lang::engine::Planner;
 use pfq::lang::exact_inflationary::ExactBudget;
-use pfq::lang::exact_noninflationary::ChainBudget;
+use pfq::lang::exact_noninflationary::{self, ChainBudget};
 use pfq::lang::sample_inflationary::{self, hoeffding_sample_count};
 use pfq::lang::sampler::SamplerConfig;
 use pfq::lang::{
-    mixing_sampler, DatalogQuery, Engine, EvalCache, EvalRequest, PlanAction, Strategy,
+    mixing_sampler, partition, DatalogQuery, Engine, EvalCache, EvalRequest, Event, ForeverQuery,
+    PlanAction, Strategy,
 };
 use pfq_fuzz::gen::{generate, GenConfig};
 use pfq_fuzz::oracle::{reference_chain_probability, reference_tree_probability};
@@ -95,8 +100,9 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
             }
 
             // §5.1: the partitioned strategy must still equal the whole
-            // chain (the capability-gap regression lives in pfq-core;
-            // this corpus check covers arbitrary generated programs).
+            // chain (the capability-gap regression is
+            // `partitioned_capabilities_match_direct_dense` below; this
+            // corpus check covers arbitrary generated programs).
             if !case.program.has_negation() {
                 let split = Engine::new()
                     .run(
@@ -189,6 +195,100 @@ fn wrappers_are_bit_identical_to_legacy_paths_on_fuzz_corpus() {
         "only {partition_hits} partition comparisons"
     );
     assert!(sample_hits >= 40, "only {sample_hits} sampling comparisons");
+}
+
+/// Example 3.3's random walk `C := ρ(π(repair-key_{i@p}(C ⋈ E)))` over
+/// the weighted triangle 1 → 2 (1/2), 1 → 3 (1/2), 2 → 1 (1), 3 → 1 (1),
+/// started at 1, with the event "`target` ∈ C".
+fn walk_query(target: i64) -> (ForeverQuery, Database) {
+    let half = Value::frac(1, 2);
+    let one = Value::from(1);
+    let e = Relation::from_rows(
+        Schema::new(["i", "j", "p"]),
+        [
+            tuple![1, 2, half.clone()],
+            tuple![1, 3, half],
+            tuple![2, 1, one.clone()],
+            tuple![3, 1, one],
+        ],
+    );
+    let c = Relation::from_rows(Schema::new(["i"]), [tuple![1]]);
+    let db = Database::new().with("E", e).with("C", c);
+    let kernel = Interpretation::new().with(
+        "C",
+        Expr::rel("C")
+            .join(Expr::rel("E"))
+            .repair_key(["i"], Some("p"))
+            .project(["j"])
+            .rename([("j", "i")]),
+    );
+    (
+        ForeverQuery::new(kernel, Event::tuple_in("C", tuple![target])),
+        db,
+    )
+}
+
+/// Two independent weighted coins: `R(k, v, w)` with `k ∈ {1, 2}`.
+fn coin_db() -> Database {
+    Database::new().with(
+        "R",
+        Relation::from_rows(
+            Schema::new(["k", "v", "w"]),
+            [
+                tuple![1, 0, 1],
+                tuple![1, 1, 3],
+                tuple![2, 0, 1],
+                tuple![2, 1, 1],
+            ],
+        ),
+    )
+}
+
+/// Choose one value per key, fresh each iteration: a memoryless,
+/// negation-free non-inflationary kernel with two independence classes
+/// over [`coin_db`].
+fn coin_program() -> pfq::datalog::Program {
+    pfq::datalog::parse_program("H(K!, V) @W :- R(K, V, W).").unwrap()
+}
+
+/// The interned, cached Thm 5.5 path (GTH) equals the dense reference
+/// oracle on the triangle walk, with one cache shared across events.
+#[test]
+fn cached_path_matches_dense_reference_oracle() {
+    let mut shared = EvalCache::default();
+    for target in [1, 2, 3, 99] {
+        let (q, db) = walk_query(target);
+        assert_eq!(
+            exact_noninflationary::evaluate(&q, &db, ChainBudget::default(), &mut shared).unwrap(),
+            reference_chain_probability(&q, &db, ChainBudget::default()).unwrap(),
+        );
+    }
+}
+
+/// Regression for the capability gap: partitioned evaluation with a
+/// shared cache is bit-identical to the dense whole-database reference
+/// oracle.
+#[test]
+fn partitioned_capabilities_match_direct_dense() {
+    for event in [
+        Event::tuple_in("H", tuple![1, 1]),
+        Event::tuple_in("H", tuple![1, 1]).or(Event::tuple_in("H", tuple![2, 1])),
+        Event::tuple_in("H", tuple![9, 9]),
+    ] {
+        let query = DatalogQuery::new(coin_program(), event);
+        let db = coin_db();
+        let direct_dense = {
+            let (fq, prepared) = query.to_forever_query(&db).unwrap();
+            reference_chain_probability(&fq, &prepared, ChainBudget::default()).unwrap()
+        };
+        let mut shared = EvalCache::default();
+        let partitioned =
+            partition::evaluate_partitioned(&query, &db, ChainBudget::default(), &mut shared)
+                .unwrap();
+        assert_eq!(direct_dense, partitioned);
+        // The shared cache really was used across the class solves.
+        assert!(shared.stats().db_states > 0);
+    }
 }
 
 proptest! {

@@ -9,8 +9,9 @@ mod common;
 
 use common::chain_probability;
 use pfq::lang::exact_noninflationary::ChainBudget;
-use pfq::markov::absorption::long_run_distribution_with;
-use pfq::markov::stationary::{exact_stationary_with, StationaryMethod};
+use pfq::markov::absorption::long_run_distribution;
+use pfq::markov::dense;
+use pfq::markov::stationary::exact_stationary;
 use pfq::markov::MarkovChain;
 use pfq::num::Ratio;
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
@@ -72,9 +73,8 @@ fn random_reducible(seed: u64, n: usize) -> MarkovChain<u32> {
 
 fn assert_long_run_agrees(chain: &MarkovChain<u32>) {
     for start in 0..chain.len() {
-        let dense =
-            long_run_distribution_with(chain, start, StationaryMethod::DenseReference).unwrap();
-        let sparse = long_run_distribution_with(chain, start, StationaryMethod::SparseGth).unwrap();
+        let dense = dense::long_run_distribution(chain, start).unwrap();
+        let sparse = long_run_distribution(chain, start).unwrap();
         assert_eq!(dense, sparse, "long-run diverged from start {start}");
         let total: Ratio = sparse.iter().sum();
         assert!(total.is_one(), "long-run not a distribution");
@@ -89,8 +89,8 @@ proptest! {
     #[test]
     fn prop_stationary_gth_matches_dense(seed in any::<u64>(), n in 2usize..24, extra in 0usize..3) {
         let chain = random_ergodic(seed, n, extra);
-        let dense = exact_stationary_with(&chain, StationaryMethod::DenseReference).unwrap();
-        let sparse = exact_stationary_with(&chain, StationaryMethod::SparseGth).unwrap();
+        let dense = dense::stationary(&chain).unwrap();
+        let sparse = exact_stationary(&chain).unwrap();
         prop_assert_eq!(&dense, &sparse);
         let total: Ratio = sparse.iter().sum();
         prop_assert!(total.is_one());
@@ -103,8 +103,8 @@ proptest! {
     fn prop_long_run_gth_matches_dense_on_reducible(seed in any::<u64>(), n in 1usize..16) {
         let chain = random_reducible(seed, n);
         for start in 0..chain.len() {
-            let dense = long_run_distribution_with(&chain, start, StationaryMethod::DenseReference).unwrap();
-            let sparse = long_run_distribution_with(&chain, start, StationaryMethod::SparseGth).unwrap();
+            let dense = dense::long_run_distribution(&chain, start).unwrap();
+            let sparse = long_run_distribution(&chain, start).unwrap();
             prop_assert_eq!(&dense, &sparse, "start {}", start);
         }
     }
@@ -126,8 +126,8 @@ proptest! {
 #[test]
 fn single_state_chain_agrees() {
     let chain = MarkovChain::from_rows(vec![0u32], vec![vec![(0, Ratio::one())]]).unwrap();
-    let dense = exact_stationary_with(&chain, StationaryMethod::DenseReference).unwrap();
-    let sparse = exact_stationary_with(&chain, StationaryMethod::SparseGth).unwrap();
+    let dense = dense::stationary(&chain).unwrap();
+    let sparse = exact_stationary(&chain).unwrap();
     assert_eq!(dense, sparse);
     assert_eq!(sparse, vec![Ratio::one()]);
     assert_long_run_agrees(&chain);
@@ -143,8 +143,8 @@ fn periodic_cycle_agrees() {
         vec![vec![(1, one())], vec![(2, one())], vec![(0, one())]],
     )
     .unwrap();
-    let dense = exact_stationary_with(&chain, StationaryMethod::DenseReference).unwrap();
-    let sparse = exact_stationary_with(&chain, StationaryMethod::SparseGth).unwrap();
+    let dense = dense::stationary(&chain).unwrap();
+    let sparse = exact_stationary(&chain).unwrap();
     assert_eq!(dense, sparse);
     assert_eq!(sparse, vec![Ratio::new(1, 3); 3]);
 }
@@ -169,7 +169,7 @@ fn reducible_chain_with_transient_start_agrees() {
     // Spot-check the start-0 split: h(0) = ½h(0) + ¼h(1) + ¼ with
     // h(1) = 1/3, so a(leaf {2}) = 2/3 and a(leaf {3,4}) = 1/3, spread
     // uniformly over the 2-cycle.
-    let lr = long_run_distribution_with(&chain, 0, StationaryMethod::SparseGth).unwrap();
+    let lr = long_run_distribution(&chain, 0).unwrap();
     assert_eq!(
         lr,
         vec![Ratio::zero(), Ratio::zero(), r(2, 3), r(1, 6), r(1, 6)]
