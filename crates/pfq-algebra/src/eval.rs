@@ -1,35 +1,21 @@
-//! Expression evaluation: deterministic, exact-enumeration, and sampling.
+//! One-off expression evaluation: deterministic, exact enumeration and
+//! sampling.
+//!
+//! Each entry point compiles its expression against `db` and runs the
+//! plan once (see [`crate::compiled`]); code that applies an expression
+//! repeatedly compiles it once through [`crate::CompiledKernel`].
 
-use crate::repair_key::{enumerate_repairs, sample_repair};
-use crate::{AlgebraError, Expr, Pred};
-use pfq_data::{Database, Relation, Schema, Tuple, Value};
+use crate::compiled::CompiledExpr;
+use crate::{AlgebraError, Expr};
+use pfq_data::{Database, Relation};
 use pfq_num::Distribution;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Evaluates a deterministic expression; fails with
 /// [`AlgebraError::RepairKeyNotAllowed`] if the expression contains a
 /// `repair-key`.
 pub fn eval(expr: &Expr, db: &Database) -> Result<Relation, AlgebraError> {
-    match expr {
-        Expr::Rel(name) => db
-            .get(name)
-            .cloned()
-            .ok_or_else(|| AlgebraError::MissingRelation(name.clone())),
-        Expr::Const(rel) => Ok(rel.clone()),
-        Expr::Select(pred, e) => select(pred, &eval(e, db)?),
-        Expr::Project(cols, e) => project(cols, &eval(e, db)?),
-        Expr::Rename(pairs, e) => rename(pairs, &eval(e, db)?),
-        Expr::Join(a, b) => Ok(join(&eval(a, db)?, &eval(b, db)?)),
-        Expr::Product(a, b) => product(&eval(a, db)?, &eval(b, db)?),
-        Expr::Union(a, b) => set_op(&eval(a, db)?, &eval(b, db)?, Relation::union),
-        Expr::Difference(a, b) => set_op(&eval(a, db)?, &eval(b, db)?, Relation::difference),
-        Expr::RepairKey { .. } => Err(AlgebraError::RepairKeyNotAllowed),
-        Expr::Let { name, value, body } => {
-            let v = eval(value, db)?;
-            eval(body, &db.clone().with(name.clone(), v))
-        }
-    }
+    CompiledExpr::new(expr, db)?.eval()
 }
 
 /// Exactly enumerates the distribution over result relations
@@ -43,42 +29,7 @@ pub fn enumerate(
     db: &Database,
     limit: Option<usize>,
 ) -> Result<Distribution<Relation>, AlgebraError> {
-    let out = match expr {
-        Expr::Rel(_) | Expr::Const(_) => Distribution::singleton(eval(expr, db)?),
-        Expr::Select(pred, e) => enumerate(e, db, limit)?.try_map(|r| select(pred, &r))?,
-        Expr::Project(cols, e) => enumerate(e, db, limit)?.try_map(|r| project(cols, &r))?,
-        Expr::Rename(pairs, e) => enumerate(e, db, limit)?.try_map(|r| rename(pairs, &r))?,
-        Expr::Join(a, b) => combine(expr, db, limit, a, b, |x, y| Ok(join(x, y)))?,
-        Expr::Product(a, b) => combine(expr, db, limit, a, b, product)?,
-        Expr::Union(a, b) => combine(expr, db, limit, a, b, |x, y| set_op(x, y, Relation::union))?,
-        Expr::Difference(a, b) => combine(expr, db, limit, a, b, |x, y| {
-            set_op(x, y, Relation::difference)
-        })?,
-        Expr::RepairKey { key, weight, input } => {
-            let mut out = Distribution::new();
-            for (world, p) in enumerate(input, db, limit)?.into_iter() {
-                let repairs = enumerate_repairs(&world, key, weight.as_deref(), limit)?;
-                out.merge(repairs.scale(&p));
-            }
-            out
-        }
-        Expr::Let { name, value, body } => {
-            // One `value` world is fixed for the whole `body` evaluation:
-            // this is exactly what distinguishes `let` from inlining.
-            let mut out = Distribution::new();
-            for (bound, p) in enumerate(value, db, limit)?.into_iter() {
-                let scoped = db.clone().with(name.clone(), bound);
-                out.merge(enumerate(body, &scoped, limit)?.scale(&p));
-            }
-            out
-        }
-    };
-    if let Some(l) = limit {
-        if out.support_size() > l {
-            return Err(AlgebraError::WorldLimitExceeded { limit: l });
-        }
-    }
-    Ok(out)
+    CompiledExpr::new(expr, db)?.enumerate(limit)
 }
 
 /// Samples one possible world of `expr` on `db`.
@@ -87,160 +38,14 @@ pub fn sample<R: Rng + ?Sized>(
     db: &Database,
     rng: &mut R,
 ) -> Result<Relation, AlgebraError> {
-    match expr {
-        Expr::Rel(_) | Expr::Const(_) => eval(expr, db),
-        Expr::Select(pred, e) => select(pred, &sample(e, db, rng)?),
-        Expr::Project(cols, e) => project(cols, &sample(e, db, rng)?),
-        Expr::Rename(pairs, e) => rename(pairs, &sample(e, db, rng)?),
-        Expr::Join(a, b) => Ok(join(&sample(a, db, rng)?, &sample(b, db, rng)?)),
-        Expr::Product(a, b) => product(&sample(a, db, rng)?, &sample(b, db, rng)?),
-        Expr::Union(a, b) => set_op(&sample(a, db, rng)?, &sample(b, db, rng)?, Relation::union),
-        Expr::Difference(a, b) => set_op(
-            &sample(a, db, rng)?,
-            &sample(b, db, rng)?,
-            Relation::difference,
-        ),
-        Expr::RepairKey { key, weight, input } => {
-            let world = sample(input, db, rng)?;
-            sample_repair(&world, key, weight.as_deref(), rng)
-        }
-        Expr::Let { name, value, body } => {
-            let bound = sample(value, db, rng)?;
-            sample(body, &db.clone().with(name.clone(), bound), rng)
-        }
-    }
-}
-
-fn combine(
-    _expr: &Expr,
-    db: &Database,
-    limit: Option<usize>,
-    a: &Expr,
-    b: &Expr,
-    op: impl Fn(&Relation, &Relation) -> Result<Relation, AlgebraError>,
-) -> Result<Distribution<Relation>, AlgebraError> {
-    let da = enumerate(a, db, limit)?;
-    let db_ = enumerate(b, db, limit)?;
-    let mut out = Distribution::new();
-    for (ra, pa) in da.iter() {
-        for (rb, pb) in db_.iter() {
-            out.add(op(ra, rb)?, pa.mul_ref(pb));
-        }
-    }
-    Ok(out)
-}
-
-fn select(pred: &Pred, rel: &Relation) -> Result<Relation, AlgebraError> {
-    let mut out = Relation::empty(rel.schema().clone());
-    for t in rel.iter() {
-        if pred.eval(rel.schema(), t)? {
-            out.insert(t.clone());
-        }
-    }
-    Ok(out)
-}
-
-fn project(cols: &[String], rel: &Relation) -> Result<Relation, AlgebraError> {
-    let idx = rel.schema().indices_of(cols).map_err(|_| {
-        let col = cols
-            .iter()
-            .find(|c| !rel.schema().contains(c))
-            .cloned()
-            .unwrap_or_default();
-        AlgebraError::MissingColumn {
-            column: col,
-            schema: rel.schema().to_string(),
-        }
-    })?;
-    let mut out = Relation::empty(Schema::new(cols.to_vec()));
-    for t in rel.iter() {
-        out.insert(t.project(&idx));
-    }
-    Ok(out)
-}
-
-fn rename(pairs: &[(String, String)], rel: &Relation) -> Result<Relation, AlgebraError> {
-    for (old, _) in pairs {
-        if !rel.schema().contains(old) {
-            return Err(AlgebraError::MissingColumn {
-                column: old.clone(),
-                schema: rel.schema().to_string(),
-            });
-        }
-    }
-    let cols: Vec<String> = rel
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| {
-            pairs
-                .iter()
-                .find(|(old, _)| old == c)
-                .map(|(_, new)| new.clone())
-                .unwrap_or_else(|| c.clone())
-        })
-        .collect();
-    Ok(rel.with_schema(Schema::new(cols)))
-}
-
-/// Natural join on shared column names (hash join on the key).
-fn join(left: &Relation, right: &Relation) -> Relation {
-    let (ls, rs) = (left.schema(), right.schema());
-    let common = ls.common_columns(rs);
-    let l_key: Vec<usize> = common.iter().map(|c| ls.index_of(c).unwrap()).collect();
-    let r_key: Vec<usize> = common.iter().map(|c| rs.index_of(c).unwrap()).collect();
-    let r_rest: Vec<usize> = (0..rs.arity()).filter(|i| !r_key.contains(i)).collect();
-
-    let mut index: BTreeMap<Vec<Value>, Vec<&Tuple>> = BTreeMap::new();
-    for t in right.iter() {
-        index
-            .entry(r_key.iter().map(|&i| t.get(i).clone()).collect())
-            .or_default()
-            .push(t);
-    }
-
-    let mut out = Relation::empty(ls.join_schema(rs));
-    for lt in left.iter() {
-        let key: Vec<Value> = l_key.iter().map(|&i| lt.get(i).clone()).collect();
-        if let Some(matches) = index.get(&key) {
-            for rt in matches {
-                out.insert(lt.concat(&rt.project(&r_rest)));
-            }
-        }
-    }
-    out
-}
-
-fn product(left: &Relation, right: &Relation) -> Result<Relation, AlgebraError> {
-    if !left.schema().common_columns(right.schema()).is_empty() {
-        return Err(AlgebraError::SchemaMismatch {
-            context: "product (operands share columns)",
-            left: left.schema().to_string(),
-            right: right.schema().to_string(),
-        });
-    }
-    Ok(join(left, right)) // with disjoint schemas the natural join is ×
-}
-
-fn set_op(
-    left: &Relation,
-    right: &Relation,
-    op: impl Fn(&Relation, &Relation) -> Relation,
-) -> Result<Relation, AlgebraError> {
-    if left.schema() != right.schema() {
-        return Err(AlgebraError::SchemaMismatch {
-            context: "set operation",
-            left: left.schema().to_string(),
-            right: right.schema().to_string(),
-        });
-    }
-    Ok(op(left, right))
+    CompiledExpr::new(expr, db)?.sample(rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfq_data::tuple;
+    use crate::Pred;
+    use pfq_data::{tuple, Schema, Value};
     use pfq_num::Ratio;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

@@ -188,15 +188,28 @@ impl Expr {
     /// Infers the output schema against the given database, checking all
     /// column references and schema compatibility statically.
     pub fn schema(&self, db: &Database) -> Result<Schema, AlgebraError> {
+        self.schema_in(db, &mut Vec::new())
+    }
+
+    /// [`schema`](Self::schema) under the `let` bindings in `scope`
+    /// (innermost last).
+    fn schema_in(
+        &self,
+        db: &Database,
+        scope: &mut Vec<(String, Schema)>,
+    ) -> Result<Schema, AlgebraError> {
         match self {
-            Expr::Rel(name) => db
-                .get(name)
-                .map(|r| r.schema().clone())
-                .ok_or_else(|| AlgebraError::MissingRelation(name.clone())),
+            Expr::Rel(name) => match scope.iter().rev().find(|(n, _)| n == name) {
+                Some((_, schema)) => Ok(schema.clone()),
+                None => db
+                    .get(name)
+                    .map(|r| r.schema().clone())
+                    .ok_or_else(|| AlgebraError::MissingRelation(name.clone())),
+            },
             Expr::Const(rel) => Ok(rel.schema().clone()),
-            Expr::Select(_, e) => e.schema(db),
+            Expr::Select(_, e) => e.schema_in(db, scope),
             Expr::Project(cols, e) => {
-                let s = e.schema(db)?;
+                let s = e.schema_in(db, scope)?;
                 for c in cols {
                     if !s.contains(c) {
                         return Err(AlgebraError::MissingColumn {
@@ -207,35 +220,13 @@ impl Expr {
                 }
                 Ok(Schema::new(cols.clone()))
             }
-            Expr::Rename(pairs, e) => {
-                let s = e.schema(db)?;
-                for (old, _) in pairs {
-                    if !s.contains(old) {
-                        return Err(AlgebraError::MissingColumn {
-                            column: old.clone(),
-                            schema: s.to_string(),
-                        });
-                    }
-                }
-                let cols: Vec<String> = s
-                    .columns()
-                    .iter()
-                    .map(|c| {
-                        pairs
-                            .iter()
-                            .find(|(old, _)| old == c)
-                            .map(|(_, new)| new.clone())
-                            .unwrap_or_else(|| c.clone())
-                    })
-                    .collect();
-                Ok(Schema::new(cols))
-            }
+            Expr::Rename(pairs, e) => renamed(&e.schema_in(db, scope)?, pairs),
             Expr::Join(a, b) => {
-                let (sa, sb) = (a.schema(db)?, b.schema(db)?);
+                let (sa, sb) = (a.schema_in(db, scope)?, b.schema_in(db, scope)?);
                 Ok(sa.join_schema(&sb))
             }
             Expr::Product(a, b) => {
-                let (sa, sb) = (a.schema(db)?, b.schema(db)?);
+                let (sa, sb) = (a.schema_in(db, scope)?, b.schema_in(db, scope)?);
                 if !sa.common_columns(&sb).is_empty() {
                     return Err(AlgebraError::SchemaMismatch {
                         context: "product (operands share columns)",
@@ -246,7 +237,7 @@ impl Expr {
                 Ok(sa.join_schema(&sb))
             }
             Expr::Union(a, b) | Expr::Difference(a, b) => {
-                let (sa, sb) = (a.schema(db)?, b.schema(db)?);
+                let (sa, sb) = (a.schema_in(db, scope)?, b.schema_in(db, scope)?);
                 if sa != sb {
                     return Err(AlgebraError::SchemaMismatch {
                         context: "set operation",
@@ -257,7 +248,7 @@ impl Expr {
                 Ok(sa)
             }
             Expr::RepairKey { key, weight, input } => {
-                let s = input.schema(db)?;
+                let s = input.schema_in(db, scope)?;
                 for c in key.iter().chain(weight.iter()) {
                     if !s.contains(c) {
                         return Err(AlgebraError::MissingColumn {
@@ -269,12 +260,34 @@ impl Expr {
                 Ok(s)
             }
             Expr::Let { name, value, body } => {
-                let vs = value.schema(db)?;
-                let scoped = db.clone().with(name.clone(), Relation::empty(vs));
-                body.schema(&scoped)
+                let vs = value.schema_in(db, scope)?;
+                scope.push((name.clone(), vs));
+                let out = body.schema_in(db, scope);
+                scope.pop();
+                out
             }
         }
     }
+}
+
+/// The schema `rename[pairs]` gives a relation of `schema`; every old
+/// column must exist.
+pub(crate) fn renamed(schema: &Schema, pairs: &[(String, String)]) -> Result<Schema, AlgebraError> {
+    for (old, _) in pairs {
+        if !schema.contains(old) {
+            return Err(AlgebraError::MissingColumn {
+                column: old.clone(),
+                schema: schema.to_string(),
+            });
+        }
+    }
+    Ok(Schema::new(schema.columns().iter().map(|c| {
+        pairs
+            .iter()
+            .find(|(old, _)| old == c)
+            .map(|(_, new)| new.clone())
+            .unwrap_or_else(|| c.clone())
+    })))
 }
 
 impl fmt::Display for Expr {

@@ -7,8 +7,8 @@
 //! carried over unchanged — the paper writes these as explicit identity
 //! kernels (`E := E  % unchanged`).
 
-use crate::{eval, AlgebraError, Expr};
-use pfq_data::{Database, Relation};
+use crate::{AlgebraError, CompiledKernel, Expr};
+use pfq_data::Database;
 use pfq_num::Distribution;
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -56,6 +56,8 @@ impl Interpretation {
 
     /// Checks that, against `db`, every kernel's output schema equals its
     /// target relation's schema (Definition 3.1's well-formedness).
+    /// [`CompiledKernel::new`] runs it, so no evaluator applies an
+    /// ill-formed kernel.
     pub fn validate(&self, db: &Database) -> Result<(), AlgebraError> {
         for (name, kernel) in &self.kernels {
             let target = db
@@ -78,38 +80,29 @@ impl Interpretation {
     /// Kernels are independent (Definition 3.1: the world probability is
     /// the *product* over the per-relation results), so the successor
     /// distribution is the product distribution over per-kernel worlds.
+    /// A one-off step: compiles a [`CompiledKernel`] and builds each
+    /// successor database; chain builders compile once and step over
+    /// target-only states instead.
     pub fn enumerate_step(
         &self,
         db: &Database,
         limit: Option<usize>,
     ) -> Result<Distribution<Database>, AlgebraError> {
-        let mut out = Distribution::singleton(db.clone());
-        for (name, kernel) in &self.kernels {
-            let worlds = eval::enumerate(kernel, db, limit)?;
-            out = out.product(&worlds, |acc: &Database, rel: &Relation| {
-                acc.clone().with(name.clone(), rel.clone())
-            });
-            if let Some(l) = limit {
-                if out.support_size() > l {
-                    return Err(AlgebraError::WorldLimitExceeded { limit: l });
-                }
-            }
-        }
-        Ok(out)
+        let kernel = CompiledKernel::new(self, db)?;
+        let next = kernel.enumerate(&kernel.targets_of(db), limit)?;
+        Ok(next.map(|state| kernel.with_targets(db, state)))
     }
 
-    /// Samples one successor database of `db`.
+    /// Samples one successor database of `db` (a one-off
+    /// [`CompiledKernel`] step).
     pub fn sample_step<R: Rng + ?Sized>(
         &self,
         db: &Database,
         rng: &mut R,
     ) -> Result<Database, AlgebraError> {
-        let mut out = db.clone();
-        for (name, kernel) in &self.kernels {
-            let rel = eval::sample(kernel, db, rng)?;
-            out.set(name.clone(), rel);
-        }
-        Ok(out)
+        let kernel = CompiledKernel::new(self, db)?;
+        let next = kernel.sample(&kernel.targets_of(db), rng)?;
+        Ok(kernel.with_targets(db, next))
     }
 
     /// Applies the algebraic optimizer to every kernel (see
@@ -152,7 +145,7 @@ impl fmt::Display for Interpretation {
 mod tests {
     use super::*;
     use crate::Pred;
-    use pfq_data::{tuple, Schema, Value};
+    use pfq_data::{tuple, Relation, Schema, Value};
     use pfq_num::Ratio;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

@@ -9,16 +9,24 @@
 //! * the probabilistic [`repair-key`](repair_key) operator, which samples
 //!   one maximal repair of a key and thereby turns a relation into a
 //!   *distribution over relations*;
-//! * three evaluators in [`eval`]: purely deterministic evaluation (errors
-//!   on `repair-key`), exact enumeration of all possible worlds with their
-//!   rational probabilities, and single-world sampling;
 //! * [`Interpretation`]s (Definition 3.1): one kernel expression per
 //!   relation, all fired in parallel against the old state, defining a
 //!   probabilistic transition between database instances;
+//! * the [`compiled`] evaluator, the one production path: a
+//!   [`CompiledKernel`] resolves an interpretation once against its start
+//!   database (borrowed leaves, `let` slots, column-map renames, static
+//!   subtrees evaluated once, prefix-scan joins) and then enumerates or
+//!   samples successor states that hold only the relations the kernel
+//!   writes;
+//! * one-off entry points in [`eval`]: deterministic evaluation (errors on
+//!   `repair-key`), exact enumeration of all possible worlds with their
+//!   rational probabilities, and single-world sampling, each compiling its
+//!   expression and running the plan once;
 //! * an algebraic [`optimize`]r (selection pushdown, projection cascade,
 //!   constant folding) — the paper's future-work pointer to “generic
 //!   optimization techniques”.
 
+pub mod compiled;
 pub mod error;
 pub mod eval;
 pub mod expr;
@@ -28,6 +36,7 @@ pub mod parser;
 pub mod pred;
 pub mod repair_key;
 
+pub use compiled::CompiledKernel;
 pub use error::AlgebraError;
 pub use expr::Expr;
 pub use interpretation::Interpretation;

@@ -8,21 +8,104 @@
 //! product of the normalized choice weights.
 
 use crate::AlgebraError;
-use pfq_data::{Relation, Tuple};
+use pfq_data::{Relation, Schema, Tuple};
 use pfq_num::{Distribution, Ratio};
 use rand::Rng;
 use std::collections::BTreeMap;
 
+/// The choice groups of one `repair-key` application: the input's
+/// tuples grouped by key value, in key order, each with its weights.
+/// Compiled kernels build these once for an input that never changes
+/// and draw from them at every step.
+pub(crate) struct Groups {
+    /// Schema of the input, and so of every repair.
+    schema: Schema,
+    groups: Vec<Group>,
+}
+
 /// A weighted choice group: the tuples sharing one key value.
 struct Group {
-    /// `(tuple, weight)` in tuple order.
-    choices: Vec<(Tuple, Ratio)>,
+    /// The tuples, in tuple order.
+    tuples: Vec<Tuple>,
+    /// Their weights, aligned with `tuples`.
+    weights: Vec<Ratio>,
     /// Sum of the weights (for normalization).
     total: Ratio,
 }
 
-/// Groups `rel` by the key columns and attaches normalizable weights.
-fn group(rel: &Relation, key: &[String], weight: Option<&str>) -> Result<Vec<Group>, AlgebraError> {
+impl Groups {
+    /// Groups the tuples of `rel` by the columns at `key` and weighs each
+    /// by the column at `weight` (uniformly if `None`). `schema` names
+    /// the repairs' columns.
+    pub(crate) fn new(
+        rel: &Relation,
+        schema: &Schema,
+        key: &[usize],
+        weight: Option<usize>,
+    ) -> Result<Groups, AlgebraError> {
+        let mut groups: BTreeMap<Tuple, Group> = BTreeMap::new();
+        for t in rel.iter() {
+            let w = match weight {
+                Some(i) => t.get(i).as_weight().map_err(AlgebraError::BadWeight)?,
+                None => Ratio::one(),
+            };
+            let g = groups.entry(t.project(key)).or_insert_with(|| Group {
+                tuples: Vec::new(),
+                weights: Vec::new(),
+                total: Ratio::zero(),
+            });
+            g.total = g.total.add_ref(&w);
+            g.tuples.push(t.clone());
+            g.weights.push(w);
+        }
+        Ok(Groups {
+            schema: schema.clone(),
+            groups: groups.into_values().collect(),
+        })
+    }
+
+    /// Every repair with its probability; `limit` bounds the worlds
+    /// carried after each group.
+    pub(crate) fn enumerate(
+        &self,
+        limit: Option<usize>,
+    ) -> Result<Distribution<Relation>, AlgebraError> {
+        let mut worlds = Distribution::singleton(Relation::empty(self.schema.clone()));
+        for g in &self.groups {
+            let choice: Distribution<&Tuple> = g
+                .tuples
+                .iter()
+                .zip(&g.weights)
+                .map(|(t, w)| (t, w.div_ref(&g.total)))
+                .collect();
+            worlds = worlds.product(&choice, |world, t| {
+                let mut w = world.clone();
+                w.insert((*t).clone());
+                w
+            });
+            if let Some(limit) = limit {
+                if worlds.support_size() > limit {
+                    return Err(AlgebraError::WorldLimitExceeded { limit });
+                }
+            }
+        }
+        Ok(worlds)
+    }
+
+    /// One repair, drawing one `u64` per group in key order (a group
+    /// with a single choice still draws).
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Relation {
+        let mut out = Relation::empty(self.schema.clone());
+        for g in &self.groups {
+            let i = pfq_num::dist::pick_weighted_index(&g.weights, rng.gen::<u64>());
+            out.insert(g.tuples[i].clone());
+        }
+        out
+    }
+}
+
+/// Resolves `key` and `weight` to column positions of `rel` and groups it.
+fn group(rel: &Relation, key: &[String], weight: Option<&str>) -> Result<Groups, AlgebraError> {
     let schema = rel.schema();
     let key_idx = schema.indices_of(key).map_err(|_| missing(key, rel))?;
     let weight_idx = match weight {
@@ -36,21 +119,7 @@ fn group(rel: &Relation, key: &[String], weight: Option<&str>) -> Result<Vec<Gro
         ),
         None => None,
     };
-
-    let mut groups: BTreeMap<Tuple, Group> = BTreeMap::new();
-    for t in rel.iter() {
-        let w = match weight_idx {
-            Some(i) => t.get(i).as_weight().map_err(AlgebraError::BadWeight)?,
-            None => Ratio::one(),
-        };
-        let g = groups.entry(t.project(&key_idx)).or_insert_with(|| Group {
-            choices: Vec::new(),
-            total: Ratio::zero(),
-        });
-        g.total = g.total.add_ref(&w);
-        g.choices.push((t.clone(), w));
-    }
-    Ok(groups.into_values().collect())
+    Groups::new(rel, schema, &key_idx, weight_idx)
 }
 
 fn missing(key: &[String], rel: &Relation) -> AlgebraError {
@@ -77,26 +146,7 @@ pub fn enumerate_repairs(
     weight: Option<&str>,
     limit: Option<usize>,
 ) -> Result<Distribution<Relation>, AlgebraError> {
-    let groups = group(rel, key, weight)?;
-    let mut worlds = Distribution::singleton(Relation::empty(rel.schema().clone()));
-    for g in &groups {
-        let choice: Distribution<&Tuple> = g
-            .choices
-            .iter()
-            .map(|(t, w)| (t, w.div_ref(&g.total)))
-            .collect();
-        worlds = worlds.product(&choice, |world, t| {
-            let mut w = world.clone();
-            w.insert((*t).clone());
-            w
-        });
-        if let Some(limit) = limit {
-            if worlds.support_size() > limit {
-                return Err(AlgebraError::WorldLimitExceeded { limit });
-            }
-        }
-    }
-    Ok(worlds)
+    group(rel, key, weight)?.enumerate(limit)
 }
 
 /// Samples one repair of `rel`, choosing independently per group.
@@ -106,14 +156,7 @@ pub fn sample_repair<R: Rng + ?Sized>(
     weight: Option<&str>,
     rng: &mut R,
 ) -> Result<Relation, AlgebraError> {
-    let groups = group(rel, key, weight)?;
-    let mut out = Relation::empty(rel.schema().clone());
-    for g in &groups {
-        let weights: Vec<Ratio> = g.choices.iter().map(|(_, w)| w.clone()).collect();
-        let i = pfq_num::dist::pick_weighted_index(&weights, rng.gen::<u64>());
-        out.insert(g.choices[i].0.clone());
-    }
-    Ok(out)
+    Ok(group(rel, key, weight)?.sample(rng))
 }
 
 #[cfg(test)]

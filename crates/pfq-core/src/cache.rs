@@ -3,18 +3,20 @@
 //! One [`EvalCache`] holds every memo the exact engines use: the
 //! inflationary engine's [`FixpointMemo`] (interned computation-tree
 //! nodes, successor rows, whole-tree results) and the non-inflationary
-//! engine's [`ChainCache`] (interned database states plus kernel rows).
+//! engine's [`ChainCache`] (interned chain states plus kernel rows).
 //! All entries are keyed by `(fingerprint, StateId)` over *immutable*
 //! values, so there is no invalidation story: a cache can be shared
 //! across queries, across the possible worlds of a pc-table, and across
 //! repeated evaluations for the lifetime of a process.
 //!
 //! This memoized path is the only one the engine runs. The un-memoized
-//! `enumerate_fixpoints` and the `Database`-keyed `build_chain` stay
-//! public as reference oracles; `tests/memo_consistency.rs` pins the
-//! engine to bit-identical results against them.
+//! `enumerate_fixpoints` and the fuzzer's `Database`-keyed reference
+//! chain stay as oracles; `tests/memo_consistency.rs` pins the engine to
+//! bit-identical results against them.
 
-use pfq_data::intern::{StateId, StateStore, TransitionCache};
+use pfq_algebra::CompiledKernel;
+use pfq_data::intern::{database_approx_bytes, relation_approx_bytes, Interner, TransitionCache};
+use pfq_data::{Database, Relation, StateId};
 use pfq_datalog::inflationary::FixpointMemo;
 use pfq_num::Ratio;
 use std::fmt;
@@ -24,11 +26,25 @@ use std::sync::Arc;
 /// exact one-step probabilities.
 pub(crate) type KernelRow = Arc<Vec<(StateId, Ratio)>>;
 
-/// Memo state of the non-inflationary engine: database instances
-/// interned to dense [`StateId`]s plus kernel rows cached per
+/// A non-inflationary chain state: the id of its start database's
+/// unchanging part (every relation the kernel does not write) and the
+/// relations the kernel writes, in kernel-name order.
+///
+/// The non-target relations are equal along a chain, so two states are
+/// equal exactly when the databases they stand for are.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct ChainState {
+    pub(crate) base: StateId,
+    pub(crate) targets: Vec<Relation>,
+}
+
+/// Memo state of the non-inflationary engine: chain states interned to
+/// dense [`StateId`]s, the bases they share, and kernel rows cached per
 /// `(kernel fingerprint, StateId)`.
 pub struct ChainCache {
-    pub(crate) store: StateStore,
+    /// Each distinct start database's non-target relations, once.
+    pub(crate) bases: Interner<Database>,
+    pub(crate) states: Interner<ChainState>,
     pub(crate) steps: TransitionCache<KernelRow>,
 }
 
@@ -36,19 +52,64 @@ impl ChainCache {
     /// An empty chain cache.
     pub fn new() -> ChainCache {
         ChainCache {
-            store: StateStore::new(),
+            bases: Interner::with_sizer(database_approx_bytes),
+            states: Interner::with_sizer(|s: &ChainState| {
+                s.targets.iter().map(relation_approx_bytes).sum()
+            }),
             steps: TransitionCache::new(),
         }
     }
 
-    /// Distinct database states interned so far.
-    pub fn states(&self) -> usize {
-        self.store.len()
+    /// Interns the state `db` is in under `kernel`, compiled against it.
+    pub(crate) fn intern_start(&mut self, kernel: &CompiledKernel, db: &Database) -> StateId {
+        let mut base = Database::new();
+        for (name, rel) in db.iter() {
+            if !kernel.targets().iter().any(|t| t == name) {
+                base.set(name, rel.clone());
+            }
+        }
+        let base = self.bases.intern(base);
+        self.states.intern(ChainState {
+            base,
+            targets: kernel.targets_of(db),
+        })
     }
 
-    /// Estimated logical bytes of the interned databases.
+    /// The relation `name` of state `id`, under a kernel writing
+    /// `targets`: targets first, then the base.
+    pub(crate) fn relation<'c>(
+        &'c self,
+        targets: &[&str],
+        id: StateId,
+        name: &str,
+    ) -> Option<&'c Relation> {
+        let state = self.states.resolve(id);
+        match targets.iter().position(|&t| t == name) {
+            Some(i) => Some(&state.targets[i]),
+            None => self.bases.resolve(state.base).get(name),
+        }
+    }
+
+    /// The database state `id` stands for, under a kernel writing
+    /// `targets`.
+    #[cfg(test)]
+    pub(crate) fn database(&self, targets: &[&str], id: StateId) -> Database {
+        let state = self.states.resolve(id);
+        let mut db = (**self.bases.resolve(state.base)).clone();
+        for (name, rel) in targets.iter().zip(&state.targets) {
+            db.set(*name, rel.clone());
+        }
+        db
+    }
+
+    /// Distinct chain states interned so far (bases not counted).
+    pub fn states(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Estimated logical bytes of the interned states and bases.
     pub fn approx_bytes(&self) -> usize {
-        self.store.approx_bytes()
+        self.states.approx_bytes() + self.bases.approx_bytes()
     }
 }
 
@@ -103,7 +164,8 @@ impl Default for EvalCache {
 pub struct CacheStats {
     /// Distinct inflationary computation-tree nodes interned.
     pub engine_states: usize,
-    /// Distinct database states interned by the chain builder.
+    /// Distinct non-inflationary chain states interned by the chain
+    /// builder (each one database instance).
     pub db_states: usize,
     /// Estimated logical bytes across both interners.
     pub approx_bytes: usize,

@@ -587,8 +587,13 @@ fn is_budget_error(e: &CoreError) -> bool {
 
 impl Planner {
     /// Plans `request`. Probes run through `cache`, so exact work done
-    /// while planning is reused by the executor.
+    /// while planning is reused by the executor. A kernel or
+    /// non-inflationary task whose event its (prepared) start database
+    /// cannot answer is rejected here ([`crate::Event::check`]).
     pub fn plan(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
+        if let Some((fq, db)) = request.task.forever_query()? {
+            fq.event.check(&db)?;
+        }
         match request.strategy {
             Strategy::Auto => Self::auto(request, cache),
             _ => Self::forced(request, cache),

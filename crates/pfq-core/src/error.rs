@@ -21,6 +21,9 @@ pub enum CoreError {
     Analysis(String),
     /// Invalid evaluation parameters (ε, δ, budgets).
     BadParameter(String),
+    /// A query event the start database cannot answer: it reads an
+    /// unknown relation, or a tuple of the wrong arity.
+    BadEvent(String),
 }
 
 impl fmt::Display for CoreError {
@@ -32,6 +35,7 @@ impl fmt::Display for CoreError {
             CoreError::Ctable(e) => write!(f, "{e}"),
             CoreError::Analysis(msg) => write!(f, "{msg}"),
             CoreError::BadParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            CoreError::BadEvent(msg) => write!(f, "bad event: {msg}"),
         }
     }
 }

@@ -4,7 +4,8 @@
 //! the obvious low-complexity closure (non-emptiness and boolean
 //! combinations), which changes none of the complexity results.
 
-use pfq_data::{Database, Tuple};
+use crate::CoreError;
+use pfq_data::{Database, Relation, Tuple};
 use std::fmt;
 
 /// A Boolean event over database states.
@@ -59,16 +60,55 @@ impl Event {
     }
 
     /// Whether the event holds in `db`. A missing relation makes
-    /// `t ∈ R` and `R ≠ ∅` false (the tuple is certainly not there).
+    /// `t ∈ R` and `R ≠ ∅` false (the tuple is certainly not there), and
+    /// so does a tuple of the wrong arity. The engine rejects both up
+    /// front on kernel and non-inflationary tasks ([`Event::check`]);
+    /// inflationary events are not checked yet.
     pub fn holds(&self, db: &Database) -> bool {
+        self.holds_in(&|name| db.get(name))
+    }
+
+    /// [`holds`](Self::holds) on a state given by its relation lookup.
+    pub fn holds_in<'r>(&self, relation: &dyn Fn(&str) -> Option<&'r Relation>) -> bool {
+        match self {
+            Event::TupleIn {
+                relation: name,
+                tuple,
+            } => relation(name).is_some_and(|r| r.contains(tuple)),
+            Event::NonEmpty(name) => relation(name).is_some_and(|r| !r.is_empty()),
+            Event::And(a, b) => a.holds_in(relation) && b.holds_in(relation),
+            Event::Or(a, b) => a.holds_in(relation) || b.holds_in(relation),
+            Event::Not(e) => !e.holds_in(relation),
+        }
+    }
+
+    /// Checks that `db` can answer the event: every observed relation
+    /// exists, and every `t ∈ R` tuple has `R`'s arity.
+    pub fn check(&self, db: &Database) -> Result<(), CoreError> {
         match self {
             Event::TupleIn { relation, tuple } => {
-                db.get(relation).is_some_and(|r| r.contains(tuple))
+                let rel = db.get(relation).ok_or_else(|| {
+                    CoreError::BadEvent(format!("no relation named {relation:?}"))
+                })?;
+                if tuple.arity() != rel.schema().arity() {
+                    return Err(CoreError::BadEvent(format!(
+                        "tuple {tuple} has arity {}, but {relation}{} has arity {}",
+                        tuple.arity(),
+                        rel.schema(),
+                        rel.schema().arity()
+                    )));
+                }
+                Ok(())
             }
-            Event::NonEmpty(relation) => db.get(relation).is_some_and(|r| !r.is_empty()),
-            Event::And(a, b) => a.holds(db) && b.holds(db),
-            Event::Or(a, b) => a.holds(db) || b.holds(db),
-            Event::Not(e) => !e.holds(db),
+            Event::NonEmpty(relation) => db
+                .get(relation)
+                .map(|_| ())
+                .ok_or_else(|| CoreError::BadEvent(format!("no relation named {relation:?}"))),
+            Event::And(a, b) | Event::Or(a, b) => {
+                a.check(db)?;
+                b.check(db)
+            }
+            Event::Not(e) => e.check(db),
         }
     }
 
@@ -107,6 +147,26 @@ mod tests {
         Database::new()
             .with("C", Relation::from_rows(Schema::new(["n"]), [tuple![1]]))
             .with("D", Relation::empty(Schema::new(["n"])))
+    }
+
+    #[test]
+    fn check_rejects_unknown_relations_and_wrong_arity() {
+        let db = db();
+        assert!(Event::tuple_in("C", tuple![1])
+            .and(Event::non_empty("D"))
+            .check(&db)
+            .is_ok());
+        let unknown = Event::tuple_in("Colour", tuple![1]).check(&db).unwrap_err();
+        assert_eq!(
+            unknown.to_string(),
+            "bad event: no relation named \"Colour\""
+        );
+        assert!(Event::non_empty("Missing").not().check(&db).is_err());
+        let arity = Event::tuple_in("C", tuple![1, 0]).check(&db).unwrap_err();
+        assert_eq!(
+            arity.to_string(),
+            "bad event: tuple (1, 0) has arity 2, but C(n) has arity 1"
+        );
     }
 
     #[test]

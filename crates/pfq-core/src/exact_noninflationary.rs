@@ -8,9 +8,9 @@
 //! (Thm. 5.5). The query result is the summed long-run probability of
 //! event states.
 
-use crate::cache::ChainCache;
+use crate::cache::{ChainCache, ChainState};
 use crate::{CoreError, EvalCache, ForeverQuery};
-use pfq_algebra::AlgebraError;
+use pfq_algebra::{AlgebraError, CompiledKernel};
 use pfq_data::intern::{fingerprint64, StateId};
 use pfq_data::Database;
 use pfq_markov::absorption::long_run_distribution;
@@ -40,22 +40,24 @@ impl Default for ChainBudget {
 /// Builds the explicit Markov chain over database instances reachable
 /// from `db` under the query's kernel.
 ///
-/// This reference oracle keys the chain on whole `Database` values
-/// (every dedup an `O(|db|)` comparison). Evaluation never calls it: the
-/// engine, [`evaluate`] and the burn-in probe explore over dense
-/// [`StateId`]s with [`build_chain_interned`]. It serves the tests, the
-/// fuzzer and the benches as the oracle, and examples and workloads as
-/// the public way to obtain a `MarkovChain<Database>` for mixing-time and
-/// conductance analysis.
+/// The public way to obtain a `MarkovChain<Database>` for mixing-time
+/// and conductance analysis. It runs the same [`CompiledKernel`] as the
+/// engine but keys the chain on whole databases (every dedup an
+/// `O(|db|)` comparison, every successor a database copy); evaluation
+/// never calls it: the engine, [`evaluate`] and the burn-in probe explore
+/// interned target-only states with [`build_chain_interned`].
 pub fn build_chain(
     query: &ForeverQuery,
     db: &Database,
     budget: ChainBudget,
 ) -> Result<MarkovChain<Database>, CoreError> {
-    let kernel = &query.kernel;
+    let kernel = CompiledKernel::new(&query.kernel, db)?;
     let chain = MarkovChain::explore(
         [db.clone()],
-        |state: &Database| kernel.enumerate_step(state, Some(budget.world_limit)),
+        |state: &Database| -> Result<Distribution<Database>, AlgebraError> {
+            let next = kernel.enumerate(&kernel.targets_of(state), Some(budget.world_limit))?;
+            Ok(next.map(|targets| kernel.with_targets(state, targets)))
+        },
         Some(budget.max_states),
     )?;
     Ok(chain)
@@ -67,13 +69,19 @@ pub fn kernel_fingerprint(query: &ForeverQuery) -> u64 {
     fingerprint64(&query.kernel.to_string())
 }
 
-/// Theorem 5.5 chain construction over interned states: databases are
-/// hash-consed to [`StateId`]s in the cache's state store (dedup becomes
-/// a `u32` compare) and kernel rows are memoized per
-/// `(kernel fingerprint, StateId)`, so re-evaluating the same query —
-/// or any query with the same kernel — reuses every transition already
-/// computed. Resolve chain states back to databases through
-/// [`EvalCache`]'s store.
+/// The relations `query`'s kernel writes, in name order: the layout of
+/// its chain states.
+pub(crate) fn kernel_targets(query: &ForeverQuery) -> Vec<&str> {
+    query.kernel.iter().map(|(name, _)| name).collect()
+}
+
+/// Theorem 5.5 chain construction over interned states. The kernel is
+/// compiled once, against `db`; a state is `db`'s unchanging part (one
+/// interned base id) plus the relations the kernel writes, hash-consed
+/// to a [`StateId`] in the cache (dedup becomes a `u32` compare). Kernel
+/// rows are memoized per `(kernel fingerprint, StateId)`, so
+/// re-evaluating the same query — or any query with the same kernel —
+/// reuses every transition already computed. The first state is `db`'s.
 pub fn build_chain_interned(
     query: &ForeverQuery,
     db: &Database,
@@ -81,20 +89,21 @@ pub fn build_chain_interned(
     cache: &mut EvalCache,
 ) -> Result<MarkovChain<StateId>, CoreError> {
     let fp = kernel_fingerprint(query);
-    let ChainCache { store, steps } = &mut cache.chain;
-    let start = store.intern(db.clone());
-    let kernel = &query.kernel;
+    let kernel = CompiledKernel::new(&query.kernel, db)?;
+    let start = cache.chain.intern_start(&kernel, db);
+    let ChainCache { states, steps, .. } = &mut cache.chain;
     let chain = MarkovChain::explore(
         [start],
         |&sid: &StateId| -> Result<Distribution<StateId>, AlgebraError> {
             if let Some(row) = steps.get(fp, sid) {
                 return Ok(row.iter().cloned().collect());
             }
-            let state = store.resolve(sid).clone();
-            let succ = kernel.enumerate_step(&state, Some(budget.world_limit))?;
-            let mut row = Vec::with_capacity(succ.support_size());
-            for (next, q) in succ.into_iter() {
-                row.push((store.intern(next), q));
+            let state = states.resolve(sid);
+            let base = state.base;
+            let next = kernel.enumerate(&state.targets, Some(budget.world_limit))?;
+            let mut row = Vec::with_capacity(next.support_size());
+            for (targets, q) in next.into_iter() {
+                row.push((states.intern(ChainState { base, targets }), q));
             }
             let row = Arc::new(row);
             steps.insert(fp, sid, row.clone());
@@ -118,19 +127,15 @@ pub fn evaluate(
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
     let chain = build_chain_interned(query, db, budget, cache)?;
-    let start_id = cache
-        .chain
-        .store
-        .lookup(db)
-        .expect("start state was interned");
-    let start = chain.index_of(&start_id).expect("start state in chain");
-    let long_run = long_run_distribution(&chain, start)?;
+    let long_run = long_run_distribution(&chain, 0)?;
+    let targets = kernel_targets(query);
     let mut total = Ratio::zero();
     for (i, p) in long_run.iter().enumerate() {
+        let sid = *chain.state(i);
         if !p.is_zero()
             && query
                 .event
-                .holds(cache.chain.store.resolve(*chain.state(i)))
+                .holds_in(&|name| cache.chain.relation(&targets, sid, name))
         {
             total = total.add_ref(p);
         }
@@ -142,7 +147,7 @@ pub fn evaluate(
 mod tests {
     use super::*;
     use crate::fixtures::walk;
-    use crate::Event;
+    use crate::{Engine, EvalRequest, Event, Strategy};
     use pfq_algebra::{Expr, Interpretation};
     use pfq_data::{tuple, Relation, Schema, Value};
     use pfq_num::Ratio;
@@ -272,15 +277,39 @@ mod tests {
         assert_eq!(legacy.len(), interned.len());
         // Resolving every interned state yields exactly the legacy state
         // set, with identical outgoing rows modulo the index permutation.
+        let targets = kernel_targets(&q);
         for i in 0..interned.len() {
-            let db_i: &Database = cache.chain.store.resolve(*interned.state(i));
-            let li = legacy.index_of(db_i).expect("state in legacy chain");
+            let db_i = cache.chain.database(&targets, *interned.state(i));
+            let li = legacy.index_of(&db_i).expect("state in legacy chain");
             for (j, p) in interned.row(i) {
-                let db_j: &Database = cache.chain.store.resolve(*interned.state(*j));
-                let lj = legacy.index_of(db_j).unwrap();
+                let db_j = cache.chain.database(&targets, *interned.state(*j));
+                let lj = legacy.index_of(&db_j).unwrap();
                 assert_eq!(legacy.prob(li, lj), p.clone());
             }
         }
+    }
+
+    #[test]
+    fn states_of_different_start_databases_stay_apart() {
+        // One kernel, two start databases that differ only in the
+        // non-target edge weights, with the walker at node 1 in both. The
+        // chain states pair equal walker relations with different bases:
+        // were the base left out of the state key, the second run would
+        // reuse the first run's kernel rows and answer wrongly.
+        let (q, lopsided) = walk(&[(1, 2, 3), (1, 3, 1), (2, 1, 1), (3, 1, 1)], 1, 2);
+        let (_, even) = walk(&[(1, 2, 1), (1, 3, 1), (2, 1, 1), (3, 1, 1)], 1, 2);
+        assert_eq!(lopsided.get("C"), even.get("C"));
+        let mut engine = Engine::new();
+        let mut sizes = 0;
+        for db in [&lopsided, &even] {
+            let request = EvalRequest::forever(&q, db).with_strategy(Strategy::ExactChain);
+            let shared = engine.run(&request).unwrap().into_exact().unwrap();
+            let fresh = Engine::new().run(&request).unwrap().into_exact().unwrap();
+            assert_eq!(shared, fresh);
+            sizes += build_chain(&q, db, ChainBudget::default()).unwrap().len();
+        }
+        assert_eq!(engine.stats().db_states, sizes);
+        assert_eq!(sizes, 6);
     }
 
     #[test]

@@ -28,9 +28,13 @@
 //! dense ids and transition work is memoized per `(fingerprint, state)`,
 //! with an [`EvalCache`] shareable across queries and across the
 //! possible worlds of a pc-table. Long-run solves always use sparse GTH
-//! elimination. The un-memoized tree enumeration, the `Database`-keyed
-//! [`exact_noninflationary::build_chain`] and the dense solver remain
-//! public as reference oracles for tests, the fuzzer and benches.
+//! elimination. Every kernel application runs one compiled plan
+//! ([`pfq_algebra::CompiledKernel`]), and non-inflationary chain states
+//! hold only the relations the kernel writes. The un-memoized tree
+//! enumeration and the dense solver remain public as reference oracles
+//! for tests, the fuzzer and benches; the `Database`-keyed
+//! [`exact_noninflationary::build_chain`] stays public for chain
+//! analysis.
 //!
 //! All of the above is unified behind the [`engine`] layer: an
 //! [`EvalRequest`] names the task and the knobs, the [`engine::Planner`]

@@ -8,33 +8,66 @@
 //! database size and in the mixing time `T(q, D)`.
 //!
 //! The walk applies the kernel *directly* (sampling one successor per
-//! step) — the exponential explicit chain is never built. The planner's
-//! burn-in probe, [`auto_burn_in`], measures the true mixing time on the
-//! budgeted interned chain instead, through the engine's [`EvalCache`],
-//! so the kernel rows it computes serve later exact chain runs.
+//! step) — the exponential explicit chain is never built. The kernel is
+//! compiled once per query, and a walk state holds only the relations
+//! the kernel writes. The planner's burn-in probe, [`auto_burn_in`],
+//! measures the true mixing time on the budgeted interned chain instead,
+//! through the engine's [`EvalCache`], so the kernel rows it computes
+//! serve later exact chain runs.
 
 use crate::exact_noninflationary::{build_chain_interned, ChainBudget};
 use crate::sampler::{self, SampleReport, SamplerConfig};
 use crate::{CoreError, EvalCache, ForeverQuery};
-use pfq_data::Database;
+use pfq_algebra::CompiledKernel;
+use pfq_data::{Database, Relation};
 use pfq_markov::mixing::mixing_time_exact;
 use pfq_num::Ratio;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 
-/// One restart-sampling trial: walk `burn_in` kernel steps from `db`,
-/// then observe the event.
-fn trial(
-    query: &ForeverQuery,
-    db: &Database,
-    burn_in: usize,
-    rng: &mut ChaCha8Rng,
-) -> Result<bool, CoreError> {
-    let mut state = db.clone();
-    for _ in 0..burn_in {
-        state = query.kernel.sample_step(&state, rng)?;
+/// A forever-query's kernel compiled against its start database, with
+/// the start state: the walk both samplers take.
+struct Walk<'q> {
+    query: &'q ForeverQuery,
+    db: &'q Database,
+    kernel: CompiledKernel,
+    start: Vec<Relation>,
+}
+
+impl<'q> Walk<'q> {
+    fn new(query: &'q ForeverQuery, db: &'q Database) -> Result<Walk<'q>, CoreError> {
+        let kernel = CompiledKernel::new(&query.kernel, db)?;
+        let start = kernel.targets_of(db);
+        Ok(Walk {
+            query,
+            db,
+            kernel,
+            start,
+        })
     }
-    Ok(query.event.holds(&state))
+
+    /// Whether the event holds in `state`: targets first, then the rest
+    /// of the start database.
+    fn holds(&self, state: &[Relation]) -> bool {
+        let targets = self.kernel.targets();
+        self.query
+            .event
+            .holds_in(&|name| match targets.iter().position(|t| t == name) {
+                Some(i) => Some(&state[i]),
+                None => self.db.get(name),
+            })
+    }
+
+    /// One restart-sampling trial: walk `burn_in` kernel steps from the
+    /// start, then observe the event.
+    fn trial(&self, burn_in: usize, rng: &mut ChaCha8Rng) -> Result<bool, CoreError> {
+        let mut state = Cow::Borrowed(self.start.as_slice());
+        for _ in 0..burn_in {
+            state = Cow::Owned(self.kernel.sample(&state, rng)?);
+        }
+        Ok(self.holds(&state))
+    }
 }
 
 /// Theorem 5.6 restart sampling with full control of the parallel
@@ -48,7 +81,8 @@ pub fn evaluate_with_burn_in_config(
     delta: f64,
     config: &SamplerConfig,
 ) -> Result<SampleReport, CoreError> {
-    sampler::run(config, epsilon, delta, |rng| trial(query, db, burn_in, rng))
+    let walk = Walk::new(query, db)?;
+    sampler::run(config, epsilon, delta, |rng| walk.trial(burn_in, rng))
 }
 
 /// Estimates the query probability from a *single* long walk's time
@@ -64,11 +98,12 @@ pub fn evaluate_time_average<R: Rng + ?Sized>(
     if steps == 0 {
         return Err(CoreError::BadParameter("steps must be positive".into()));
     }
-    let mut state = db.clone();
+    let walk = Walk::new(query, db)?;
+    let mut state = walk.start.clone();
     let mut hits = 0usize;
     for _ in 0..steps {
-        state = query.kernel.sample_step(&state, rng)?;
-        if query.event.holds(&state) {
+        state = walk.kernel.sample(&state, rng)?;
+        if walk.holds(&state) {
             hits += 1;
         }
     }

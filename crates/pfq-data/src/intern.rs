@@ -10,8 +10,11 @@
 //! * [`Interner<T>`] — generic hash-consing: each distinct value is stored
 //!   once behind an [`Arc`] and named by a dense [`StateId`]; after
 //!   interning, equality and ordering are `u32` operations.
-//! * [`StateStore`] — an `Interner<Database>` with logical byte
-//!   accounting, the canonical state table of the exact evaluators.
+//! * [`database_approx_bytes`] and [`relation_approx_bytes`] — the
+//!   deterministic byte estimates the interners' sizers use: the
+//!   non-inflationary chain interns only the relations its kernel
+//!   writes (plus each start database's unchanging rest, once), the
+//!   inflationary tree interns whole computation states.
 //! * [`TransitionCache<V>`] — a memo table keyed by
 //!   `(program fingerprint, StateId)` with hit/miss counters, used to
 //!   cache `step_distribution` rows and whole kernel-enumeration results.
@@ -24,7 +27,7 @@
 //! store they reference. Ids are only meaningful relative to the
 //! [`Interner`] that produced them.
 
-use crate::{Database, Value};
+use crate::{Database, Relation, Value};
 use pfq_num::Ratio;
 use std::collections::HashMap;
 use std::fmt;
@@ -190,73 +193,20 @@ fn ratio_display_len(r: &Ratio) -> usize {
 /// names plus every stored value. Deterministic, so it is safe to print
 /// in golden-tested `--stats` output.
 pub fn database_approx_bytes(db: &Database) -> usize {
-    let mut bytes = 0;
-    for (name, rel) in db.iter() {
-        bytes += name.len();
-        bytes += rel
-            .schema()
-            .columns()
-            .iter()
-            .map(String::len)
-            .sum::<usize>();
-        for t in rel.iter() {
-            bytes += t.values().iter().map(value_approx_bytes).sum::<usize>();
-        }
-    }
-    bytes
+    db.iter()
+        .map(|(name, rel)| name.len() + relation_approx_bytes(rel))
+        .sum()
 }
 
-/// The state store of the exact evaluators: a [`Database`] interner with
-/// content-aware byte accounting. One canonical `Arc<Database>` per
-/// distinct instance; after interning, frontier dedup and `index_of`
-/// compare `u32` ids instead of whole databases.
-#[derive(Debug, Default)]
-pub struct StateStore {
-    inner: Interner<Database>,
-}
-
-impl StateStore {
-    /// An empty store.
-    pub fn new() -> StateStore {
-        StateStore {
-            inner: Interner::with_sizer(database_approx_bytes),
-        }
-    }
-
-    /// Interns a database instance.
-    pub fn intern(&mut self, db: Database) -> StateId {
-        self.inner.intern(db)
-    }
-
-    /// The id of `db`, if already interned.
-    pub fn lookup(&self, db: &Database) -> Option<StateId> {
-        self.inner.lookup(db)
-    }
-
-    /// The canonical instance behind `id`.
-    pub fn resolve(&self, id: StateId) -> &Arc<Database> {
-        self.inner.resolve(id)
-    }
-
-    /// Number of distinct instances interned.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// How many interns found an existing instance.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Estimated logical bytes of all distinct instances.
-    pub fn approx_bytes(&self) -> usize {
-        self.inner.approx_bytes()
-    }
+/// Estimated logical size of a [`Relation`] in bytes: column names plus
+/// every stored value.
+pub fn relation_approx_bytes(rel: &Relation) -> usize {
+    let columns: usize = rel.schema().columns().iter().map(String::len).sum();
+    let values: usize = rel
+        .iter()
+        .map(|t| t.values().iter().map(value_approx_bytes).sum::<usize>())
+        .sum();
+    columns + values
 }
 
 /// Stable 64-bit FNV-1a fingerprint of a canonical text rendering.
@@ -355,9 +305,13 @@ mod tests {
         )
     }
 
+    fn db_store() -> Interner<Database> {
+        Interner::with_sizer(database_approx_bytes)
+    }
+
     #[test]
     fn interning_dedups_and_resolves() {
-        let mut store = StateStore::new();
+        let mut store = db_store();
         let a = store.intern(db(1));
         let b = store.intern(db(2));
         let a2 = store.intern(db(1));
@@ -372,7 +326,7 @@ mod tests {
 
     #[test]
     fn ids_are_dense_in_intern_order() {
-        let mut store = StateStore::new();
+        let mut store = db_store();
         for n in 0..5 {
             let id = store.intern(db(n));
             assert_eq!(id.index(), n as usize);
@@ -383,7 +337,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_is_deterministic_and_monotone() {
-        let mut store = StateStore::new();
+        let mut store = db_store();
         assert_eq!(store.approx_bytes(), 0);
         store.intern(db(1));
         let one = store.approx_bytes();
@@ -393,7 +347,7 @@ mod tests {
         store.intern(db(2));
         assert_eq!(store.approx_bytes(), 2 * one); // same shape ⇒ same size
 
-        let mut other = StateStore::new();
+        let mut other = db_store();
         other.intern(db(1));
         assert_eq!(other.approx_bytes(), one);
     }
@@ -442,7 +396,7 @@ mod tests {
 
     #[test]
     fn transition_cache_counts_hits_and_misses() {
-        let mut store = StateStore::new();
+        let mut store = db_store();
         let s = store.intern(db(1));
         let mut cache: TransitionCache<u32> = TransitionCache::new();
         assert_eq!(cache.get(1, s), None);

@@ -135,6 +135,12 @@ impl Relation {
     /// Returns the same tuples under a different (equal-arity) schema —
     /// the ρ renaming operator's data-level effect.
     pub fn with_schema(&self, schema: Schema) -> Relation {
+        self.clone().into_schema(schema)
+    }
+
+    /// [`with_schema`](Self::with_schema) by value: relabels the columns
+    /// without copying a tuple.
+    pub fn into_schema(self, schema: Schema) -> Relation {
         assert_eq!(
             schema.arity(),
             self.schema.arity(),
@@ -142,7 +148,7 @@ impl Relation {
         );
         Relation {
             schema,
-            tuples: self.tuples.clone(),
+            tuples: self.tuples,
         }
     }
 }

@@ -11,7 +11,7 @@
 //! | `CacheReuse` | fresh memo vs campaign-shared memo | intern-id independence: same distribution |
 //! | `SamplerBound` | exact vs Thm 4.3 sampler | `\|p̂ − p\| ≤ ε` at confidence `1 − δ` (deterministic seed) |
 //! | `ThreadInvariance` | sampler at 1 vs 3 threads | bit-identical estimates for the same seed |
-//! | `StationaryDifferential` | engine (interned chain, sparse GTH) vs reference (`build_chain`, dense GE) (Thm 5.5) | bit-identical long-run probabilities |
+//! | `StationaryDifferential` | engine (compiled kernel, interned chain, sparse GTH) vs reference (tree-walking kernel, `Database`-keyed chain, dense GE) (Thm 5.5) | bit-identical long-run probabilities |
 //! | `PartitionDifferential` | §5.1 partitioned vs whole chain | identical exact probabilities (negation-free only) |
 //! | `BurnInConsistency` | Thm 5.6 restart sampler vs exact `P^B` mass | `\|p̂ − p_B\| ≤ ε` at confidence `1 − δ` |
 //! | `PlannerDifferential` | engine `Strategy::Auto` vs every forced-eligible exact path and the reference oracles | bit-identical exact probabilities |
@@ -22,6 +22,8 @@
 
 use crate::gen::FuzzCase;
 use crate::mutants::{self, Fault};
+use pfq_algebra::repair_key::{enumerate_repairs, sample_repair};
+use pfq_algebra::{AlgebraError, Expr, Interpretation, Pred};
 use pfq_core::exact_inflationary::ExactBudget;
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::SamplerConfig;
@@ -30,12 +32,13 @@ use pfq_core::{
     EvalRequest, ForeverQuery, Strategy,
 };
 use pfq_ctable::PcDatabase;
-use pfq_data::{Database, Relation, Tuple, Value};
+use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_datalog::eval;
 use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo, FixpointMemo};
 use pfq_datalog::{Atom, DatalogError, Rule, Term};
-use pfq_markov::dense;
+use pfq_markov::{dense, MarkovChain};
 use pfq_num::{Distribution, Ratio};
+use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A variable assignment by name — the reference matcher's valuation.
@@ -68,15 +71,20 @@ pub fn reference_pc_probability(
     Ok(total)
 }
 
-/// The Thm. 5.5 reference oracle: the long-run event probability on the
-/// `Database`-keyed [`exact_noninflationary::build_chain`], solved by
-/// dense rational elimination.
+/// The Thm. 5.5 reference oracle: the long-run event probability on a
+/// `Database`-keyed chain explored with [`reference_enumerate_step`] (the
+/// tree-walking interpreter, not the compiled kernel), solved by dense
+/// rational elimination.
 pub fn reference_chain_probability(
     query: &ForeverQuery,
     db: &Database,
     budget: ChainBudget,
 ) -> Result<Ratio, CoreError> {
-    let chain = exact_noninflationary::build_chain(query, db, budget)?;
+    let chain = MarkovChain::explore(
+        [db.clone()],
+        |state: &Database| reference_enumerate_step(&query.kernel, state, Some(budget.world_limit)),
+        Some(budget.max_states),
+    )?;
     let start = chain.index_of(db).expect("start state was explored");
     let long_run = dense::long_run_distribution(&chain, start)?;
     let mut total = Ratio::zero();
@@ -86,6 +94,284 @@ pub fn reference_chain_probability(
         }
     }
     Ok(total)
+}
+
+/// The reference kernel step (Definition 3.1): every kernel of `interp`
+/// enumerated on the old state `db` by the tree walker, combined as the
+/// product distribution over whole successor databases. It shares no
+/// code with [`pfq_algebra::CompiledKernel`], which the kernel
+/// differential test compares against it.
+pub fn reference_enumerate_step(
+    interp: &Interpretation,
+    db: &Database,
+    limit: Option<usize>,
+) -> Result<Distribution<Database>, AlgebraError> {
+    let mut out = Distribution::singleton(db.clone());
+    for (name, kernel) in interp.iter() {
+        let worlds = reference_enumerate(kernel, db, limit)?;
+        out = out.product(&worlds, |acc: &Database, rel: &Relation| {
+            acc.clone().with(name, rel.clone())
+        });
+        if let Some(l) = limit {
+            if out.support_size() > l {
+                return Err(AlgebraError::WorldLimitExceeded { limit: l });
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The reference sampled kernel step: every kernel of `interp` sampled
+/// on the old state `db` in name order.
+pub fn reference_sample_step<R: Rng + ?Sized>(
+    interp: &Interpretation,
+    db: &Database,
+    rng: &mut R,
+) -> Result<Database, AlgebraError> {
+    let mut out = db.clone();
+    for (name, kernel) in interp.iter() {
+        out.set(name, reference_sample(kernel, db, rng)?);
+    }
+    Ok(out)
+}
+
+/// The reference deterministic evaluator: a tree walk over `expr` that
+/// reads (and copies) relations from `db`; `let` binds by extending a
+/// copy of the database.
+fn reference_eval(expr: &Expr, db: &Database) -> Result<Relation, AlgebraError> {
+    match expr {
+        Expr::Rel(name) => db
+            .get(name)
+            .cloned()
+            .ok_or_else(|| AlgebraError::MissingRelation(name.clone())),
+        Expr::Const(rel) => Ok(rel.clone()),
+        Expr::Select(pred, e) => ref_select(pred, &reference_eval(e, db)?),
+        Expr::Project(cols, e) => ref_project(cols, &reference_eval(e, db)?),
+        Expr::Rename(pairs, e) => ref_rename(pairs, &reference_eval(e, db)?),
+        Expr::Join(a, b) => Ok(ref_join(&reference_eval(a, db)?, &reference_eval(b, db)?)),
+        Expr::Product(a, b) => ref_product(&reference_eval(a, db)?, &reference_eval(b, db)?),
+        Expr::Union(a, b) => ref_set_op(
+            &reference_eval(a, db)?,
+            &reference_eval(b, db)?,
+            Relation::union,
+        ),
+        Expr::Difference(a, b) => ref_set_op(
+            &reference_eval(a, db)?,
+            &reference_eval(b, db)?,
+            Relation::difference,
+        ),
+        Expr::RepairKey { .. } => Err(AlgebraError::RepairKeyNotAllowed),
+        Expr::Let { name, value, body } => {
+            let v = reference_eval(value, db)?;
+            reference_eval(body, &db.clone().with(name.clone(), v))
+        }
+    }
+}
+
+/// The reference possible-world enumerator: the tree walker's exact
+/// distribution of `expr` on `db`, failing with
+/// [`AlgebraError::WorldLimitExceeded`] once any node carries more than
+/// `limit` worlds.
+pub fn reference_enumerate(
+    expr: &Expr,
+    db: &Database,
+    limit: Option<usize>,
+) -> Result<Distribution<Relation>, AlgebraError> {
+    let combine = |a: &Expr,
+                   b: &Expr,
+                   op: &dyn Fn(&Relation, &Relation) -> Result<Relation, AlgebraError>|
+     -> Result<Distribution<Relation>, AlgebraError> {
+        let left = reference_enumerate(a, db, limit)?;
+        let right = reference_enumerate(b, db, limit)?;
+        let mut out = Distribution::new();
+        for (ra, pa) in left.iter() {
+            for (rb, pb) in right.iter() {
+                out.add(op(ra, rb)?, pa.mul_ref(pb));
+            }
+        }
+        Ok(out)
+    };
+    let out = match expr {
+        Expr::Rel(_) | Expr::Const(_) => Distribution::singleton(reference_eval(expr, db)?),
+        Expr::Select(pred, e) => {
+            reference_enumerate(e, db, limit)?.try_map(|r| ref_select(pred, &r))?
+        }
+        Expr::Project(cols, e) => {
+            reference_enumerate(e, db, limit)?.try_map(|r| ref_project(cols, &r))?
+        }
+        Expr::Rename(pairs, e) => {
+            reference_enumerate(e, db, limit)?.try_map(|r| ref_rename(pairs, &r))?
+        }
+        Expr::Join(a, b) => combine(a, b, &|x, y| Ok(ref_join(x, y)))?,
+        Expr::Product(a, b) => combine(a, b, &ref_product)?,
+        Expr::Union(a, b) => combine(a, b, &|x, y| ref_set_op(x, y, Relation::union))?,
+        Expr::Difference(a, b) => combine(a, b, &|x, y| ref_set_op(x, y, Relation::difference))?,
+        Expr::RepairKey { key, weight, input } => {
+            let mut out = Distribution::new();
+            for (world, p) in reference_enumerate(input, db, limit)?.into_iter() {
+                let repairs = enumerate_repairs(&world, key, weight.as_deref(), limit)?;
+                out.merge(repairs.scale(&p));
+            }
+            out
+        }
+        Expr::Let { name, value, body } => {
+            let mut out = Distribution::new();
+            for (bound, p) in reference_enumerate(value, db, limit)?.into_iter() {
+                let scoped = db.clone().with(name.clone(), bound);
+                out.merge(reference_enumerate(body, &scoped, limit)?.scale(&p));
+            }
+            out
+        }
+    };
+    if let Some(l) = limit {
+        if out.support_size() > l {
+            return Err(AlgebraError::WorldLimitExceeded { limit: l });
+        }
+    }
+    Ok(out)
+}
+
+/// The reference sampler: one possible world of `expr` on `db`, operands
+/// left to right, one `u64` per `repair-key` group.
+pub fn reference_sample<R: Rng + ?Sized>(
+    expr: &Expr,
+    db: &Database,
+    rng: &mut R,
+) -> Result<Relation, AlgebraError> {
+    match expr {
+        Expr::Rel(_) | Expr::Const(_) => reference_eval(expr, db),
+        Expr::Select(pred, e) => ref_select(pred, &reference_sample(e, db, rng)?),
+        Expr::Project(cols, e) => ref_project(cols, &reference_sample(e, db, rng)?),
+        Expr::Rename(pairs, e) => ref_rename(pairs, &reference_sample(e, db, rng)?),
+        Expr::Join(a, b) => {
+            let left = reference_sample(a, db, rng)?;
+            Ok(ref_join(&left, &reference_sample(b, db, rng)?))
+        }
+        Expr::Product(a, b) => {
+            let left = reference_sample(a, db, rng)?;
+            ref_product(&left, &reference_sample(b, db, rng)?)
+        }
+        Expr::Union(a, b) => {
+            let left = reference_sample(a, db, rng)?;
+            ref_set_op(&left, &reference_sample(b, db, rng)?, Relation::union)
+        }
+        Expr::Difference(a, b) => {
+            let left = reference_sample(a, db, rng)?;
+            ref_set_op(&left, &reference_sample(b, db, rng)?, Relation::difference)
+        }
+        Expr::RepairKey { key, weight, input } => {
+            let world = reference_sample(input, db, rng)?;
+            sample_repair(&world, key, weight.as_deref(), rng)
+        }
+        Expr::Let { name, value, body } => {
+            let bound = reference_sample(value, db, rng)?;
+            reference_sample(body, &db.clone().with(name.clone(), bound), rng)
+        }
+    }
+}
+
+fn ref_select(pred: &Pred, rel: &Relation) -> Result<Relation, AlgebraError> {
+    let mut out = Relation::empty(rel.schema().clone());
+    for t in rel.iter() {
+        if pred.eval(rel.schema(), t)? {
+            out.insert(t.clone());
+        }
+    }
+    Ok(out)
+}
+
+fn ref_project(cols: &[String], rel: &Relation) -> Result<Relation, AlgebraError> {
+    let idx = rel.schema().indices_of(cols).map_err(|_| {
+        let col = cols
+            .iter()
+            .find(|c| !rel.schema().contains(c))
+            .cloned()
+            .unwrap_or_default();
+        AlgebraError::MissingColumn {
+            column: col,
+            schema: rel.schema().to_string(),
+        }
+    })?;
+    let mut out = Relation::empty(Schema::new(cols.to_vec()));
+    for t in rel.iter() {
+        out.insert(t.project(&idx));
+    }
+    Ok(out)
+}
+
+fn ref_rename(pairs: &[(String, String)], rel: &Relation) -> Result<Relation, AlgebraError> {
+    for (old, _) in pairs {
+        if !rel.schema().contains(old) {
+            return Err(AlgebraError::MissingColumn {
+                column: old.clone(),
+                schema: rel.schema().to_string(),
+            });
+        }
+    }
+    let cols: Vec<String> = rel
+        .schema()
+        .columns()
+        .iter()
+        .map(|c| {
+            pairs
+                .iter()
+                .find(|(old, _)| old == c)
+                .map(|(_, new)| new.clone())
+                .unwrap_or_else(|| c.clone())
+        })
+        .collect();
+    Ok(rel.with_schema(Schema::new(cols)))
+}
+
+/// Natural join on shared column names, through a fresh index of the
+/// right operand.
+fn ref_join(left: &Relation, right: &Relation) -> Relation {
+    let (ls, rs) = (left.schema(), right.schema());
+    let common = ls.common_columns(rs);
+    let l_key: Vec<usize> = common.iter().map(|c| ls.index_of(c).unwrap()).collect();
+    let r_key: Vec<usize> = common.iter().map(|c| rs.index_of(c).unwrap()).collect();
+    let r_rest: Vec<usize> = (0..rs.arity()).filter(|i| !r_key.contains(i)).collect();
+    let mut index: BTreeMap<Vec<Value>, Vec<&Tuple>> = BTreeMap::new();
+    for t in right.iter() {
+        index
+            .entry(r_key.iter().map(|&i| t.get(i).clone()).collect())
+            .or_default()
+            .push(t);
+    }
+    let mut out = Relation::empty(ls.join_schema(rs));
+    for lt in left.iter() {
+        let key: Vec<Value> = l_key.iter().map(|&i| lt.get(i).clone()).collect();
+        for rt in index.get(&key).into_iter().flatten() {
+            out.insert(lt.concat(&rt.project(&r_rest)));
+        }
+    }
+    out
+}
+
+fn ref_product(left: &Relation, right: &Relation) -> Result<Relation, AlgebraError> {
+    if !left.schema().common_columns(right.schema()).is_empty() {
+        return Err(AlgebraError::SchemaMismatch {
+            context: "product (operands share columns)",
+            left: left.schema().to_string(),
+            right: right.schema().to_string(),
+        });
+    }
+    Ok(ref_join(left, right)) // with disjoint schemas the natural join is ×
+}
+
+fn ref_set_op(
+    left: &Relation,
+    right: &Relation,
+    op: impl Fn(&Relation, &Relation) -> Relation,
+) -> Result<Relation, AlgebraError> {
+    if left.schema() != right.schema() {
+        return Err(AlgebraError::SchemaMismatch {
+            context: "set operation",
+            left: left.schema().to_string(),
+            right: right.schema().to_string(),
+        });
+    }
+    Ok(op(left, right))
 }
 
 /// The reference body matcher: every valuation of `body` against `db`,

@@ -89,10 +89,10 @@ impl std::error::Error for ChainError {}
 ///
 /// Every `index_of`/dedup during [`MarkovChain::explore`] compares whole
 /// states, so `S` should be cheap to order: callers exploring database
-/// instances intern them first (`pfq-data`'s `StateStore` maps each
-/// distinct database to a dense `u32` `StateId`) and explore a chain of
+/// instances intern them first (a `pfq-data` `Interner` maps each
+/// distinct state to a dense `u32` `StateId`) and explore a chain of
 /// ids — that is how `pfq-core::exact_noninflationary` builds its
-/// chains, resolving ids back to databases only at event-evaluation
+/// chains, resolving ids back to relations only at event-evaluation
 /// time.
 ///
 /// ```

@@ -245,3 +245,52 @@ fn coloring_pfq_is_uniform() {
         results[0].value
     );
 }
+
+/// What `pfq run` prints after `error: ` (and exits 1 on) for `src`.
+fn run_error(src: &str) -> String {
+    let file = parse_file(src).expect("the source parses");
+    match pfq_cli::run(&file, &RunOptions::default().with_threads(1)) {
+        Ok(results) => panic!("expected an error, got {}", render_results(&results)),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// `examples/coloring.pfq` with its exact query's event replaced.
+fn coloring_with_event(event: &str) -> String {
+    let src = std::fs::read_to_string(repo_example("coloring.pfq")).unwrap();
+    let exact = "@query kernel exact event Color(1, 0)";
+    assert!(src.contains(exact));
+    src.replace(exact, &format!("@query kernel exact event {event}"))
+}
+
+/// A kernel writing 2-column tuples into a unary relation is not a
+/// Definition 3.1 interpretation; it used to answer `p = 0`.
+#[test]
+fn ill_formed_kernel_is_an_error() {
+    let src = "@relation W(node, w) {\n  (1, 1)\n  (2, 1)\n}\n\
+               @relation Pick(node) {\n  (1)\n}\n\
+               @kernel Pick := repair-key[@ w](W)\n\
+               @query kernel exact event Pick(1)\n";
+    assert_eq!(
+        run_error(src),
+        "schema mismatch in interpretation kernel result vs target relation: (node, w) vs (node)"
+    );
+}
+
+/// A misspelled event relation used to answer `p = 0`.
+#[test]
+fn kernel_event_on_an_unknown_relation_is_an_error() {
+    assert_eq!(
+        run_error(&coloring_with_event("Colour(1, 0)")),
+        "bad event: no relation named \"Colour\""
+    );
+}
+
+/// An event tuple of the wrong arity used to answer `p = 0`.
+#[test]
+fn kernel_event_of_the_wrong_arity_is_an_error() {
+    assert_eq!(
+        run_error(&coloring_with_event("Color(1, 0, 5)")),
+        "bad event: tuple (1, 0, 5) has arity 3, but Color(node, color) has arity 2"
+    );
+}

@@ -2,8 +2,9 @@
 //! engine executes is proved **bit-identical** to its reference path over
 //! a seeded fuzz-generated corpus. The exact strategies (`ExactTree`,
 //! `ExactChain`, `Partitioned`) are replayed against the reference
-//! oracles (`enumerate_fixpoints`, and the `Database`-keyed `build_chain`
-//! solved by dense elimination) and must agree `Ratio`-for-`Ratio`; the
+//! oracles (`enumerate_fixpoints`, and the tree-walking, `Database`-keyed
+//! reference chain solved by dense elimination) and must agree
+//! `Ratio`-for-`Ratio`; the
 //! sampling strategies (`SampleFixpoint`, `BurnInSample`) must agree to
 //! the bit with their config primitives on the same seed. Planner
 //! properties ride along: plans are deterministic (cold == warm) and §5.1

@@ -1,7 +1,8 @@
-//! Property-based tests for the hash-consing layer: `StateStore`
+//! Property-based tests for the hash-consing layer: `Interner`
 //! invariants on randomly generated databases.
 
-use pfq::data::{tuple, Database, Relation, Schema, StateStore};
+use pfq::data::intern::{database_approx_bytes, Interner};
+use pfq::data::{tuple, Database, Relation, Schema};
 use proptest::prelude::*;
 
 /// A small random database from a list of edges and a list of labels —
@@ -13,6 +14,11 @@ fn db_from(edges: &[(i64, i64)], labels: &[i64]) -> Database {
     );
     let l = Relation::from_rows(Schema::new(["v"]), labels.iter().map(|&v| tuple![v]));
     Database::new().with("E", e).with("L", l)
+}
+
+/// A database interner with content-aware byte accounting.
+fn store() -> Interner<Database> {
+    Interner::with_sizer(database_approx_bytes)
 }
 
 fn edges() -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -30,7 +36,7 @@ proptest! {
     #[test]
     fn prop_intern_resolve_round_trip(e in edges(), l in labels()) {
         let db = db_from(&e, &l);
-        let mut store = StateStore::new();
+        let mut store = store();
         let id = store.intern(db.clone());
         prop_assert_eq!(store.resolve(id).as_ref(), &db);
         prop_assert_eq!(store.lookup(&db), Some(id));
@@ -43,7 +49,7 @@ proptest! {
     ) {
         let a = db_from(&e1, &l1);
         let b = db_from(&e2, &l2);
-        let mut store = StateStore::new();
+        let mut store = store();
         let ia = store.intern(a.clone());
         let ib = store.intern(b.clone());
         prop_assert_eq!(ia == ib, a == b);
@@ -54,7 +60,7 @@ proptest! {
     #[test]
     fn prop_ids_stable_under_reinsertion(dbs in proptest::collection::vec((edges(), labels()), 1..6)) {
         let dbs: Vec<Database> = dbs.iter().map(|(e, l)| db_from(e, l)).collect();
-        let mut store = StateStore::new();
+        let mut store = store();
         let ids: Vec<_> = dbs.iter().map(|db| store.intern(db.clone())).collect();
         let len = store.len();
         for (db, &id) in dbs.iter().zip(&ids).rev() {
@@ -68,7 +74,7 @@ proptest! {
     #[test]
     fn prop_hit_counters_monotone(dbs in proptest::collection::vec((edges(), labels()), 1..8)) {
         let dbs: Vec<Database> = dbs.iter().map(|(e, l)| db_from(e, l)).collect();
-        let mut store = StateStore::new();
+        let mut store = store();
         let mut last_hits = 0;
         let mut seen = std::collections::BTreeSet::new();
         for db in &dbs {

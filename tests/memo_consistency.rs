@@ -1,7 +1,8 @@
 //! Differential tests for the interning/memoization layer: the engine's
 //! memoized evaluators must return **bit-identical** `Ratio` results to
 //! the un-memoized reference oracles (`enumerate_fixpoints` and the
-//! `Database`-keyed `build_chain` solved by dense elimination) on every
+//! tree-walking, `Database`-keyed reference chain solved by dense
+//! elimination) on every
 //! workload family, including when one engine's shared cache serves
 //! many repeated and interleaved queries. Exact rational mass is merged
 //! commutatively, so any deviation is a real engine bug, not noise.
