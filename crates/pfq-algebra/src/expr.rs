@@ -18,7 +18,7 @@ use std::fmt;
 ///     .project(["j"])
 ///     .rename([("j", "i")]);
 /// ```
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// A named base relation.
     Rel(String),

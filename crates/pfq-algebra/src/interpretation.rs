@@ -16,7 +16,7 @@ use std::fmt;
 
 /// A probabilistic transition kernel between database instances: a tuple
 /// of queries `(Q_1, …, Q_k)`, one per (re)defined relation.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Interpretation {
     kernels: BTreeMap<String, Expr>,
 }

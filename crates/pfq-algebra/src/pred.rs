@@ -6,7 +6,7 @@ use pfq_data::{Schema, Tuple, Value};
 use std::fmt;
 
 /// One side of a comparison.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Operand {
     /// A column, referenced by name.
     Col(String),
@@ -42,7 +42,7 @@ impl Operand {
 }
 
 /// A selection predicate.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Pred {
     /// Always true (σ_true is the identity).
     True,

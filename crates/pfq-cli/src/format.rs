@@ -3,7 +3,7 @@
 
 use pfq_algebra::Interpretation;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
-use pfq_datalog::Program;
+use pfq_datalog::{DatalogError, Program};
 use pfq_num::Ratio;
 
 /// How a query should be evaluated.
@@ -180,7 +180,7 @@ fn split_call(text: &str, line: usize) -> Result<(String, Vec<String>), FormatEr
 /// Parses a `.pfq` source file.
 pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
     let mut database = Database::new();
-    let mut program_src: Option<String> = None;
+    let mut program_src: Option<(usize, String)> = None;
     let mut kernels: Option<Interpretation> = None;
     let mut queries = Vec::new();
 
@@ -251,20 +251,22 @@ pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
             if program_src.is_some() {
                 return Err(err(line_no, "duplicate @program block").into());
             }
+            // One body line per file line, indentation kept, so a parse
+            // error's position maps back onto the file.
             let mut body = String::new();
             loop {
                 if i >= lines.len() {
                     return Err(err(line_no, "unterminated @program block").into());
                 }
-                let pline = strip_comment(lines[i]).trim().to_string();
+                let pline = strip_comment(lines[i]);
                 i += 1;
-                if pline == "}" {
+                if pline.trim() == "}" {
                     break;
                 }
-                body.push_str(&pline);
+                body.push_str(pline);
                 body.push('\n');
             }
-            program_src = Some(body);
+            program_src = Some((line_no, body));
         } else if let Some(rest) = line.strip_prefix("@query") {
             queries.push(parse_query(rest.trim(), line_no)?);
         } else if let Some(rest) = line.strip_prefix("@kernel") {
@@ -282,7 +284,14 @@ pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
     }
 
     let program = match program_src {
-        Some(src) => Some(pfq_datalog::parse_program(&src)?),
+        Some((block_line, src)) => Some(pfq_datalog::parse_program(&src).map_err(|e| match e {
+            DatalogError::Parse { line, col, message } => DatalogError::Parse {
+                line: block_line + line,
+                col,
+                message,
+            },
+            other => other,
+        })?),
         None => None,
     };
     if program.is_none() && kernels.is_none() {

@@ -1,30 +1,122 @@
-//! Shared evaluation caches for the exact evaluators.
+//! The memo layer of the exact evaluators.
 //!
-//! One [`EvalCache`] holds every memo the exact engines use: the
-//! inflationary engine's [`FixpointMemo`] (interned computation-tree
-//! nodes, successor rows, whole-tree results) and the non-inflationary
-//! engine's [`ChainCache`] (interned chain states plus kernel rows).
-//! All entries are keyed by `(fingerprint, StateId)` over *immutable*
-//! values, so there is no invalidation story: a cache can be shared
-//! across queries, across the possible worlds of a pc-table, and across
-//! repeated evaluations for the lifetime of a process.
+//! One [`EvalCache`] holds every memo the exact engines use: the tree
+//! memo of the Prop. 4.4 traversal (interned computation-tree nodes,
+//! successor rows, whole-tree results) and the chain memo of the
+//! Thm. 5.5 construction (interned chain states plus kernel rows).
+//!
+//! Every row is keyed by `(program id, StateId)`. The program id is the
+//! dense id an `Interner<Program>` (tree) or `Interner<Interpretation>`
+//! (chain) hands out for the program value itself, so two queries share
+//! rows exactly when their programs are equal, and an event plays no
+//! part in the key. Keys and values are *immutable*, so there is no
+//! invalidation story: a cache can be shared across queries, across the
+//! possible worlds of a pc-table, and across repeated evaluations for
+//! the lifetime of a process.
 //!
 //! This memoized path is the only one the engine runs. The un-memoized
 //! `enumerate_fixpoints` and the fuzzer's `Database`-keyed reference
 //! chain stay as oracles; `tests/memo_consistency.rs` pins the engine to
 //! bit-identical results against them.
 
-use pfq_algebra::CompiledKernel;
-use pfq_data::intern::{database_approx_bytes, relation_approx_bytes, Interner, TransitionCache};
+use pfq_algebra::{CompiledKernel, Interpretation};
+use pfq_data::intern::{
+    database_approx_bytes, relation_approx_bytes, value_approx_bytes, Interner,
+};
 use pfq_data::{Database, Relation, StateId};
-use pfq_datalog::inflationary::FixpointMemo;
-use pfq_num::Ratio;
+use pfq_datalog::inflationary::EngineState;
+use pfq_datalog::Program;
+use pfq_num::{Distribution, Ratio};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
-/// A memoized kernel row: the successor states (interned) with their
+/// A memo table keyed by `(program id, StateId)` with hit/miss counters.
+/// Values are cloned out on a hit, so each is an `Arc` (or an `Option`
+/// of one).
+pub(crate) struct TransitionCache<V> {
+    map: HashMap<(StateId, StateId), V>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<V: Clone> TransitionCache<V> {
+    fn new() -> TransitionCache<V> {
+        TransitionCache {
+            map: HashMap::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Looks up the entry for `(program, state)`, counting a hit or a
+    /// miss.
+    pub(crate) fn get(&mut self, program: StateId, state: StateId) -> Option<V> {
+        let found = self.map.get(&(program, state)).cloned();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
+    }
+
+    /// Stores the entry for `(program, state)`.
+    pub(crate) fn insert(&mut self, program: StateId, state: StateId, value: V) {
+        self.map.insert((program, state), value);
+    }
+}
+
+/// The id of `value` in `interner`, cloning it in only on first sight.
+fn id_of<T: Clone + Eq + Hash>(interner: &mut Interner<T>, value: &T) -> StateId {
+    match interner.lookup(value) {
+        Some(id) => id,
+        None => interner.intern(value.clone()),
+    }
+}
+
+/// A memoized successor row: the successor states (interned) with their
 /// exact one-step probabilities.
-pub(crate) type KernelRow = Arc<Vec<(StateId, Ratio)>>;
+pub(crate) type Row = Arc<Vec<(StateId, Ratio)>>;
+
+/// Memo state of the Prop. 4.4 traversal: programs and computation-tree
+/// nodes interned to dense ids, successor rows per `(program id, node)`
+/// (`None` marks a fixpoint), and whole-tree fixpoint distributions per
+/// `(program id, initial node)`.
+pub(crate) struct FixpointMemo {
+    programs: Interner<Program>,
+    pub(crate) states: Interner<EngineState>,
+    pub(crate) steps: TransitionCache<Option<Row>>,
+    pub(crate) results: TransitionCache<Arc<Distribution<Database>>>,
+}
+
+/// Estimated logical bytes of one computation-tree node: database
+/// content plus `oldVals` bookkeeping.
+fn engine_state_approx_bytes(state: &EngineState) -> usize {
+    let vals: usize = state
+        .old_vals()
+        .iter()
+        .flatten()
+        .map(|t| t.values().iter().map(value_approx_bytes).sum::<usize>())
+        .sum();
+    database_approx_bytes(&state.db) + vals
+}
+
+impl FixpointMemo {
+    fn new() -> FixpointMemo {
+        FixpointMemo {
+            programs: Interner::new(),
+            states: Interner::with_sizer(engine_state_approx_bytes),
+            steps: TransitionCache::new(),
+            results: TransitionCache::new(),
+        }
+    }
+
+    /// The id keying `program`'s rows.
+    pub(crate) fn program_id(&mut self, program: &Program) -> StateId {
+        id_of(&mut self.programs, program)
+    }
+}
 
 /// A non-inflationary chain state: the id of its start database's
 /// unchanging part (every relation the kernel does not write) and the
@@ -38,26 +130,32 @@ pub(crate) struct ChainState {
     pub(crate) targets: Vec<Relation>,
 }
 
-/// Memo state of the non-inflationary engine: chain states interned to
-/// dense [`StateId`]s, the bases they share, and kernel rows cached per
-/// `(kernel fingerprint, StateId)`.
-pub struct ChainCache {
+/// Memo state of the Thm. 5.5 chain construction: kernels and chain
+/// states interned to dense ids, the bases the states share, and kernel
+/// rows per `(kernel id, StateId)`.
+pub(crate) struct ChainCache {
+    kernels: Interner<Interpretation>,
     /// Each distinct start database's non-target relations, once.
-    pub(crate) bases: Interner<Database>,
+    bases: Interner<Database>,
     pub(crate) states: Interner<ChainState>,
-    pub(crate) steps: TransitionCache<KernelRow>,
+    pub(crate) steps: TransitionCache<Row>,
 }
 
 impl ChainCache {
-    /// An empty chain cache.
-    pub fn new() -> ChainCache {
+    fn new() -> ChainCache {
         ChainCache {
+            kernels: Interner::new(),
             bases: Interner::with_sizer(database_approx_bytes),
             states: Interner::with_sizer(|s: &ChainState| {
                 s.targets.iter().map(relation_approx_bytes).sum()
             }),
             steps: TransitionCache::new(),
         }
+    }
+
+    /// The id keying `kernel`'s rows.
+    pub(crate) fn kernel_id(&mut self, kernel: &Interpretation) -> StateId {
+        id_of(&mut self.kernels, kernel)
     }
 
     /// Interns the state `db` is in under `kernel`, compiled against it.
@@ -101,22 +199,6 @@ impl ChainCache {
         }
         db
     }
-
-    /// Distinct chain states interned so far (bases not counted).
-    pub fn states(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Estimated logical bytes of the interned states and bases.
-    pub fn approx_bytes(&self) -> usize {
-        self.states.approx_bytes() + self.bases.approx_bytes()
-    }
-}
-
-impl Default for ChainCache {
-    fn default() -> Self {
-        ChainCache::new()
-    }
 }
 
 /// The combined cache threaded through the exact evaluators.
@@ -135,18 +217,22 @@ impl EvalCache {
     }
 
     /// A snapshot of every counter, suitable for `--stats` reporting.
+    /// The program and kernel interners are not counted in
+    /// `approx_bytes`: it sizes states only.
     pub fn stats(&self) -> CacheStats {
-        let fx = self.fixpoints.stats();
+        let (tree, chain) = (&self.fixpoints, &self.chain);
         CacheStats {
-            engine_states: fx.states,
-            db_states: self.chain.states(),
-            approx_bytes: fx.approx_bytes + self.chain.approx_bytes(),
-            step_hits: fx.step_hits,
-            step_misses: fx.step_misses,
-            result_hits: fx.result_hits,
-            result_misses: fx.result_misses,
-            kernel_hits: self.chain.steps.hits(),
-            kernel_misses: self.chain.steps.misses(),
+            engine_states: tree.states.len(),
+            db_states: chain.states.len(),
+            approx_bytes: tree.states.approx_bytes()
+                + chain.states.approx_bytes()
+                + chain.bases.approx_bytes(),
+            step_hits: tree.steps.hits,
+            step_misses: tree.steps.misses,
+            result_hits: tree.results.hits,
+            result_misses: tree.results.misses,
+            kernel_hits: chain.steps.hits,
+            kernel_misses: chain.steps.misses,
         }
     }
 }
@@ -205,6 +291,18 @@ impl fmt::Display for CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transition_cache_counts_hits_and_misses() {
+        let mut ids: Interner<u64> = Interner::new();
+        let (p, q, s) = (ids.intern(0), ids.intern(1), ids.intern(2));
+        let mut cache: TransitionCache<u32> = TransitionCache::new();
+        assert_eq!(cache.get(p, s), None);
+        cache.insert(p, s, 42);
+        assert_eq!(cache.get(p, s), Some(42));
+        assert_eq!(cache.get(q, s), None); // other program, same state
+        assert_eq!((cache.hits, cache.misses), (1, 2));
+    }
 
     #[test]
     fn fresh_cache_stats_are_zero() {

@@ -34,14 +34,14 @@
 //! the query is eligible for it), applied to this paper's
 //! exact/approximate/partitioned trichotomy.
 
-use crate::exact_inflationary::{self, ExactBudget};
+use crate::exact_inflationary::{self, enumerate_fixpoints_memo, ExactBudget};
 use crate::exact_noninflationary::{self, ChainBudget};
 use crate::sample_inflationary::{self, hoeffding_sample_count};
 use crate::sampler::{SampleReport, SamplerConfig};
 use crate::{mixing_sampler, partition, CacheStats, CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
-use pfq_data::Database;
-use pfq_datalog::inflationary::enumerate_fixpoints_memo;
+use pfq_data::{Database, Schema};
+use pfq_datalog::eval::idb_schema;
 use pfq_datalog::DatalogError;
 use pfq_num::Ratio;
 use rand::SeedableRng;
@@ -587,12 +587,27 @@ fn is_budget_error(e: &CoreError) -> bool {
 
 impl Planner {
     /// Plans `request`. Probes run through `cache`, so exact work done
-    /// while planning is reused by the executor. A kernel or
-    /// non-inflationary task whose event its (prepared) start database
-    /// cannot answer is rejected here ([`crate::Event::check`]).
+    /// while planning is reused by the executor. A task whose event its
+    /// input cannot answer is rejected here ([`crate::Event::check`]):
+    /// a kernel or non-inflationary event is checked against the
+    /// (prepared) start database, an inflationary one against the input
+    /// plus the program's IDB relations.
     pub fn plan(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
-        if let Some((fq, db)) = request.task.forever_query()? {
-            fq.event.check(&db)?;
+        match request.task {
+            Task::Inflationary { query, db } => {
+                check_inflationary_event(query, &|name| db.get(name).map(|r| r.schema().clone()))?
+            }
+            Task::InflationaryPc { query, input } => check_inflationary_event(query, &|name| {
+                let table = input.tables().iter().find(|(table, _)| table == name);
+                table
+                    .map(|(_, t)| t.schema().clone())
+                    .or_else(|| input.certain().get(name).map(|r| r.schema().clone()))
+            })?,
+            _ => {
+                if let Some((fq, db)) = request.task.forever_query()? {
+                    fq.event.check(&db)?;
+                }
+            }
         }
         match request.strategy {
             Strategy::Auto => Self::auto(request, cache),
@@ -745,12 +760,7 @@ impl Planner {
                     .exact_budget
                     .node_budget
                     .unwrap_or(AUTO_NODE_CEILING);
-                let probe = enumerate_fixpoints_memo(
-                    &query.program,
-                    db,
-                    Some(probe_nodes),
-                    &mut cache.fixpoints,
-                );
+                let probe = enumerate_fixpoints_memo(&query.program, db, Some(probe_nodes), cache);
                 match probe.map_err(CoreError::Datalog) {
                     Ok(_) => Ok(Plan {
                         task: TaskKind::Inflationary,
@@ -895,6 +905,23 @@ impl Planner {
             Err(e) => Err(e),
         }
     }
+}
+
+/// Checks an inflationary query's event against the relations `input`
+/// holds, then the program's IDB relations as
+/// [`prepare_database`](pfq_datalog::eval::prepare_database) declares them.
+fn check_inflationary_event(
+    query: &DatalogQuery,
+    input: &dyn Fn(&str) -> Option<Schema>,
+) -> Result<(), CoreError> {
+    let idb = query.program.idb_arities()?;
+    query.event.check_in(&|name| {
+        input(name).or_else(|| {
+            idb.iter()
+                .find(|(relation, _)| relation == name)
+                .map(|&(_, arity)| idb_schema(arity))
+        })
+    })
 }
 
 /// The engine: owns the shared [`EvalCache`] and executes plans.
@@ -1052,6 +1079,7 @@ mod tests {
     use super::*;
     use crate::fixtures::{coin_db, coin_program, fork_db, lazy_flip, reach_query};
     use crate::Event;
+    use pfq_ctable::{Condition, PcTable, RandomVariable};
     use pfq_data::tuple;
 
     /// Two independent weighted coins: negation-free, two independence
@@ -1093,6 +1121,55 @@ mod tests {
         ));
         let report = outcome.report.expect("sampling plan carries a report");
         assert!((report.estimate - 0.5).abs() < 0.2);
+    }
+
+    #[test]
+    fn inflationary_events_are_checked_against_input_and_idb() {
+        let program = reach_query("w").program;
+        let mut input = PcDatabase::new();
+        input
+            .declare_variable(RandomVariable::fair_coin("x"))
+            .unwrap();
+        input.add_table(
+            "E",
+            PcTable::new(Schema::new(["i", "j", "p"]))
+                .with(tuple!["v", "w", 1], Condition::eq("x", 1)),
+        );
+        input.add_certain("D", pfq_data::Relation::empty(Schema::new(["n"])));
+        let db = fork_db();
+        let check = |event: Event| {
+            let query = DatalogQuery::new(program.clone(), event);
+            let certain = Engine::new().plan(&EvalRequest::inflationary(&query, &db));
+            let pc = Engine::new().plan(&EvalRequest::inflationary_pc(&query, &input));
+            (
+                certain.map(|_| ()).map_err(|e| e.to_string()),
+                pc.map(|_| ()).map_err(|e| e.to_string()),
+            )
+        };
+        for event in [
+            Event::tuple_in("E", tuple!["v", "w", 1]),
+            Event::tuple_in("C", tuple!["w"]),
+            Event::non_empty("C2"),
+        ] {
+            assert_eq!(check(event), (Ok(()), Ok(())));
+        }
+        // A certain relation of the pc-table input.
+        assert!(check(Event::non_empty("D")).1.is_ok());
+        let unknown = Err("bad event: no relation named \"Colour\"".to_string());
+        assert_eq!(
+            check(Event::tuple_in("Colour", tuple!["v"])),
+            (unknown.clone(), unknown)
+        );
+        let idb_arity = Err("bad event: tuple (v, w) has arity 2, but C(c0) has arity 1".into());
+        assert_eq!(
+            check(Event::tuple_in("C", tuple!["v", "w"])),
+            (idb_arity.clone(), idb_arity)
+        );
+        let edb_arity = Err("bad event: tuple (v) has arity 1, but E(i, j, p) has arity 3".into());
+        assert_eq!(
+            check(Event::tuple_in("E", tuple!["v"])),
+            (edb_arity.clone(), edb_arity)
+        );
     }
 
     #[test]

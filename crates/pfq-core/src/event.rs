@@ -5,7 +5,7 @@
 //! combinations), which changes none of the complexity results.
 
 use crate::CoreError;
-use pfq_data::{Database, Relation, Tuple};
+use pfq_data::{Database, Relation, Schema, Tuple};
 use std::fmt;
 
 /// A Boolean event over database states.
@@ -62,8 +62,7 @@ impl Event {
     /// Whether the event holds in `db`. A missing relation makes
     /// `t ∈ R` and `R ≠ ∅` false (the tuple is certainly not there), and
     /// so does a tuple of the wrong arity. The engine rejects both up
-    /// front on kernel and non-inflationary tasks ([`Event::check`]);
-    /// inflationary events are not checked yet.
+    /// front on every task ([`Event::check`]).
     pub fn holds(&self, db: &Database) -> bool {
         self.holds_in(&|name| db.get(name))
     }
@@ -85,30 +84,33 @@ impl Event {
     /// Checks that `db` can answer the event: every observed relation
     /// exists, and every `t ∈ R` tuple has `R`'s arity.
     pub fn check(&self, db: &Database) -> Result<(), CoreError> {
+        self.check_in(&|name| db.get(name).map(|r| r.schema().clone()))
+    }
+
+    /// [`check`](Self::check) against the schemas `schema` looks up.
+    pub fn check_in(&self, schema: &dyn Fn(&str) -> Option<Schema>) -> Result<(), CoreError> {
         match self {
             Event::TupleIn { relation, tuple } => {
-                let rel = db.get(relation).ok_or_else(|| {
+                let s = schema(relation).ok_or_else(|| {
                     CoreError::BadEvent(format!("no relation named {relation:?}"))
                 })?;
-                if tuple.arity() != rel.schema().arity() {
+                if tuple.arity() != s.arity() {
                     return Err(CoreError::BadEvent(format!(
-                        "tuple {tuple} has arity {}, but {relation}{} has arity {}",
+                        "tuple {tuple} has arity {}, but {relation}{s} has arity {}",
                         tuple.arity(),
-                        rel.schema(),
-                        rel.schema().arity()
+                        s.arity()
                     )));
                 }
                 Ok(())
             }
-            Event::NonEmpty(relation) => db
-                .get(relation)
+            Event::NonEmpty(relation) => schema(relation)
                 .map(|_| ())
                 .ok_or_else(|| CoreError::BadEvent(format!("no relation named {relation:?}"))),
             Event::And(a, b) | Event::Or(a, b) => {
-                a.check(db)?;
-                b.check(db)
+                a.check_in(schema)?;
+                b.check_in(schema)
             }
-            Event::Not(e) => e.check(db),
+            Event::Not(e) => e.check_in(schema),
         }
     }
 

@@ -7,11 +7,16 @@
 //! over its possible worlds first (§3.2: pc-table choices are made
 //! *once*, at the beginning).
 
+use crate::cache::{FixpointMemo, Row};
 use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
-use pfq_data::Database;
-use pfq_datalog::inflationary::enumerate_fixpoints_memo;
-use pfq_num::Ratio;
+use pfq_data::{Database, StateId};
+use pfq_datalog::eval::CompiledProgram;
+use pfq_datalog::inflationary::{charge_node_budget, step_distribution, EngineState};
+use pfq_datalog::{DatalogError, Program};
+use pfq_num::{Distribution, Ratio};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Resource limits for exact evaluation; both default to unbounded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -20,6 +25,105 @@ pub struct ExactBudget {
     pub node_budget: Option<usize>,
     /// Maximum input-database worlds to iterate (pc-table input only).
     pub world_budget: Option<usize>,
+}
+
+/// One program's memoized traversal: its memo id, and its rules,
+/// compiled the first time a tree misses the whole-tree memo.
+struct Tree<'a> {
+    program: &'a Program,
+    id: StateId,
+    compiled: Option<CompiledProgram>,
+    memo: &'a mut FixpointMemo,
+}
+
+impl<'a> Tree<'a> {
+    fn new(program: &'a Program, memo: &'a mut FixpointMemo) -> Tree<'a> {
+        Tree {
+            program,
+            id: memo.program_id(program),
+            compiled: None,
+            memo,
+        }
+    }
+
+    /// The fixpoint distribution from `db`; see [`enumerate_fixpoints_memo`].
+    fn fixpoints(
+        &mut self,
+        db: &Database,
+        node_budget: Option<usize>,
+    ) -> Result<Arc<Distribution<Database>>, DatalogError> {
+        let memo = &mut *self.memo;
+        let initial = memo.states.intern(EngineState::initial(self.program, db)?);
+        if let Some(done) = memo.results.get(self.id, initial) {
+            return Ok(done);
+        }
+        let compiled = self
+            .compiled
+            .get_or_insert_with(|| CompiledProgram::new(self.program));
+        let mut frontier: BTreeMap<StateId, Ratio> = BTreeMap::new();
+        frontier.insert(initial, Ratio::one());
+        let mut fixpoints = Distribution::new();
+        let mut expanded = 0usize;
+        while let Some((sid, p)) = frontier.pop_first() {
+            charge_node_budget(&mut expanded, node_budget)?;
+            let row = match memo.steps.get(self.id, sid) {
+                Some(row) => row,
+                None => {
+                    let state = memo.states.resolve(sid).clone();
+                    let row: Option<Row> = step_distribution(compiled, &state)?.map(|successors| {
+                        Arc::new(
+                            successors
+                                .into_iter()
+                                .map(|(next, q)| (memo.states.intern(next), q))
+                                .collect(),
+                        )
+                    });
+                    memo.steps.insert(self.id, sid, row.clone());
+                    row
+                }
+            };
+            match row {
+                None => fixpoints.add(memo.states.resolve(sid).db.clone(), p),
+                Some(successors) => {
+                    for (next, q) in successors.iter() {
+                        let mass = p.mul_ref(q);
+                        frontier
+                            .entry(*next)
+                            .and_modify(|m| *m = m.add_ref(&mass))
+                            .or_insert(mass);
+                    }
+                }
+            }
+        }
+        let fixpoints = Arc::new(fixpoints);
+        memo.results.insert(self.id, initial, fixpoints.clone());
+        Ok(fixpoints)
+    }
+}
+
+/// Memoized Proposition 4.4 — the twin of
+/// [`build_chain_interned`](crate::exact_noninflationary::build_chain_interned):
+/// like the reference [`enumerate_fixpoints`], but the frontier runs on
+/// interned [`StateId`]s (dedup is a `u32` compare), successor rows are
+/// reused across evaluations through `cache`, and the complete fixpoint
+/// distribution per `(program, initial state)` is memoized, so repeated
+/// queries over the same program and database skip the traversal
+/// entirely. Rows are keyed by the program value, never by its text.
+///
+/// Returns bit-identical distributions to [`enumerate_fixpoints`]:
+/// rational mass is merged exactly, so traversal order cannot change the
+/// result. `node_budget` charges only nodes actually processed — work
+/// served from the memo is free, so a budget that fails cold can succeed
+/// warm.
+///
+/// [`enumerate_fixpoints`]: pfq_datalog::inflationary::enumerate_fixpoints
+pub fn enumerate_fixpoints_memo(
+    program: &Program,
+    db: &Database,
+    node_budget: Option<usize>,
+    cache: &mut EvalCache,
+) -> Result<Arc<Distribution<Database>>, DatalogError> {
+    Tree::new(program, &mut cache.fixpoints).fixpoints(db, node_budget)
 }
 
 /// Computes the exact probability of the query event over a certain
@@ -34,8 +138,7 @@ pub fn evaluate(
     budget: ExactBudget,
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
-    let fixpoints =
-        enumerate_fixpoints_memo(&query.program, db, budget.node_budget, &mut cache.fixpoints)?;
+    let fixpoints = enumerate_fixpoints_memo(&query.program, db, budget.node_budget, cache)?;
     Ok(fixpoints.probability_that(|db| query.event.holds(db)))
 }
 
@@ -43,7 +146,8 @@ pub fn evaluate(
 /// c-table input: `Σ_worlds Pr(world) · Pr(event | world)` (§3.2). One
 /// cache serves every world, so worlds reuse each other's interned states
 /// and transition rows — §3.2 worlds differ in a handful of input tuples,
-/// leaving most of the computation tree shared.
+/// leaving most of the computation tree shared. The program is interned
+/// once per call and compiled at most once, not once per world.
 pub fn evaluate_pc(
     query: &DatalogQuery,
     input: &PcDatabase,
@@ -59,9 +163,12 @@ pub fn evaluate_pc(
             )));
         }
     }
+    let mut tree = Tree::new(&query.program, &mut cache.fixpoints);
     let mut total = Ratio::zero();
     for (world, p) in worlds.iter() {
-        let conditional = evaluate(query, world, budget, cache)?;
+        let conditional = tree
+            .fixpoints(world, budget.node_budget)?
+            .probability_that(|db| query.event.holds(db));
         total = total.add_ref(&p.mul_ref(&conditional));
     }
     Ok(total)
@@ -74,6 +181,7 @@ mod tests {
     use pfq_ctable::{Condition, PcTable, RandomVariable};
     use pfq_data::{tuple, Relation, Schema};
     use pfq_datalog::inflationary::enumerate_fixpoints;
+    use pfq_datalog::parse_program;
 
     #[test]
     fn example_3_9_exact() {
@@ -292,5 +400,73 @@ mod tests {
         assert_eq!(p2, p);
         assert_eq!(cache.stats().result_hits, 2);
         assert_eq!(cache.stats().result_misses, 2);
+    }
+
+    #[test]
+    fn memoized_engine_matches_legacy_bit_for_bit() {
+        let cases: Vec<(Program, Database)> = vec![
+            (reach_query("w").program, fork_db()),
+            (
+                parse_program("T(X, Y) :- E(X, Y).\nT(X, Z) :- T(X, Y), E(Y, Z).").unwrap(),
+                Database::new().with(
+                    "E",
+                    Relation::from_rows(Schema::new(["i", "j"]), [tuple![1, 2], tuple![2, 3]]),
+                ),
+            ),
+            (
+                parse_program("H(Y) @P :- R(Y, P).").unwrap(),
+                Database::new().with(
+                    "R",
+                    Relation::from_rows(Schema::new(["v", "p"]), [tuple![10, 1], tuple![20, 3]]),
+                ),
+            ),
+        ];
+        let mut cache = EvalCache::default();
+        for (program, db) in &cases {
+            let legacy = enumerate_fixpoints(program, db, None).unwrap();
+            let memoized = enumerate_fixpoints_memo(program, db, None, &mut cache).unwrap();
+            assert_eq!(&legacy, memoized.as_ref());
+        }
+    }
+
+    #[test]
+    fn repeated_enumeration_hits_the_result_memo() {
+        let program = reach_query("w").program;
+        let db = fork_db();
+        let mut cache = EvalCache::default();
+        let first = enumerate_fixpoints_memo(&program, &db, None, &mut cache).unwrap();
+        let cold = cache.stats();
+        assert_eq!(cold.result_hits, 0);
+        assert_eq!(cold.result_misses, 1);
+        assert!(cold.engine_states > 0);
+        assert!(cold.approx_bytes > 0);
+        let second = enumerate_fixpoints_memo(&program, &db, None, &mut cache).unwrap();
+        let warm = cache.stats();
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "second run must be served from the memo"
+        );
+        assert_eq!(warm.result_hits, 1);
+        assert_eq!(
+            warm.engine_states, cold.engine_states,
+            "no new states on a warm run"
+        );
+        // A *different* program over the same database shares no entries
+        // but re-uses the interner.
+        let other = parse_program("D(X, Y) :- E(X, Y, P).").unwrap();
+        enumerate_fixpoints_memo(&other, &db, None, &mut cache).unwrap();
+        assert_eq!(cache.stats().result_hits, 1);
+        assert_eq!(cache.stats().result_misses, 2);
+    }
+
+    /// A warm memo serves results without charging the node budget: the
+    /// budget bounds work actually performed, not work reused.
+    #[test]
+    fn warm_memo_bypasses_node_budget() {
+        let program = reach_query("w").program;
+        let db = fork_db();
+        let mut cache = EvalCache::default();
+        enumerate_fixpoints_memo(&program, &db, None, &mut cache).unwrap();
+        assert!(enumerate_fixpoints_memo(&program, &db, Some(0), &mut cache).is_ok());
     }
 }

@@ -11,8 +11,7 @@
 use crate::cache::{ChainCache, ChainState};
 use crate::{CoreError, EvalCache, ForeverQuery};
 use pfq_algebra::{AlgebraError, CompiledKernel};
-use pfq_data::intern::{fingerprint64, StateId};
-use pfq_data::Database;
+use pfq_data::{Database, StateId};
 use pfq_markov::absorption::long_run_distribution;
 use pfq_markov::MarkovChain;
 use pfq_num::{Distribution, Ratio};
@@ -63,12 +62,6 @@ pub fn build_chain(
     Ok(chain)
 }
 
-/// The stable fingerprint of a query's transition kernel, keying its
-/// memoized rows in the [`ChainCache`].
-pub fn kernel_fingerprint(query: &ForeverQuery) -> u64 {
-    fingerprint64(&query.kernel.to_string())
-}
-
 /// The relations `query`'s kernel writes, in name order: the layout of
 /// its chain states.
 pub(crate) fn kernel_targets(query: &ForeverQuery) -> Vec<&str> {
@@ -79,23 +72,24 @@ pub(crate) fn kernel_targets(query: &ForeverQuery) -> Vec<&str> {
 /// compiled once, against `db`; a state is `db`'s unchanging part (one
 /// interned base id) plus the relations the kernel writes, hash-consed
 /// to a [`StateId`] in the cache (dedup becomes a `u32` compare). Kernel
-/// rows are memoized per `(kernel fingerprint, StateId)`, so
-/// re-evaluating the same query — or any query with the same kernel —
-/// reuses every transition already computed. The first state is `db`'s.
+/// rows are memoized per `(kernel id, StateId)`, where the kernel id
+/// names the kernel value itself, so re-evaluating the same query — or
+/// any query with an equal kernel — reuses every transition already
+/// computed. The first state is `db`'s.
 pub fn build_chain_interned(
     query: &ForeverQuery,
     db: &Database,
     budget: ChainBudget,
     cache: &mut EvalCache,
 ) -> Result<MarkovChain<StateId>, CoreError> {
-    let fp = kernel_fingerprint(query);
     let kernel = CompiledKernel::new(&query.kernel, db)?;
+    let kid = cache.chain.kernel_id(&query.kernel);
     let start = cache.chain.intern_start(&kernel, db);
     let ChainCache { states, steps, .. } = &mut cache.chain;
     let chain = MarkovChain::explore(
         [start],
         |&sid: &StateId| -> Result<Distribution<StateId>, AlgebraError> {
-            if let Some(row) = steps.get(fp, sid) {
+            if let Some(row) = steps.get(kid, sid) {
                 return Ok(row.iter().cloned().collect());
             }
             let state = states.resolve(sid);
@@ -106,7 +100,7 @@ pub fn build_chain_interned(
                 row.push((states.intern(ChainState { base, targets }), q));
             }
             let row = Arc::new(row);
-            steps.insert(fp, sid, row.clone());
+            steps.insert(kid, sid, row.clone());
             Ok(row.iter().cloned().collect())
         },
         Some(budget.max_states),

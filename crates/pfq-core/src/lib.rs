@@ -24,10 +24,11 @@
 //! adaptive early stopping under the `(ε, δ)` guarantee.
 //!
 //! Each exact algorithm has one production path. Both run over the
-//! interning/memoization layer in [`cache`]: states are hash-consed to
-//! dense ids and transition work is memoized per `(fingerprint, state)`,
-//! with an [`EvalCache`] shareable across queries and across the
-//! possible worlds of a pc-table. Long-run solves always use sparse GTH
+//! memo layer in [`cache`]: programs, kernels and states are hash-consed
+//! to dense ids and transition work is memoized per
+//! `(program id, state id)`, so rows are shared exactly between equal
+//! programs, with an [`EvalCache`] shareable across queries and across
+//! the possible worlds of a pc-table. Long-run solves always use sparse GTH
 //! elimination. Every kernel application runs one compiled plan
 //! ([`pfq_algebra::CompiledKernel`]), and non-inflationary chain states
 //! hold only the relations the kernel writes. The un-memoized tree

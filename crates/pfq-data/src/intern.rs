@@ -1,11 +1,9 @@
-//! Hash-consing for Markov-chain states and memoized transitions.
+//! Hash-consing for Markov-chain states.
 //!
 //! The exact evaluators (Prop. 4.4 tree enumeration, Thm. 5.5 chain
-//! construction) repeatedly deduplicate whole [`Database`] values: every
-//! frontier merge and every `index_of` was an `O(|db|)` ordered
-//! comparison, and every possible world of a pc-table re-derived every
-//! transition distribution from scratch. This module provides the shared
-//! substrate that makes those paths cheap:
+//! construction) repeatedly deduplicate whole states: every frontier
+//! merge and every `index_of` would be an `O(|db|)` ordered comparison.
+//! This module provides the substrate that makes those paths cheap:
 //!
 //! * [`Interner<T>`] — generic hash-consing: each distinct value is stored
 //!   once behind an [`Arc`] and named by a dense [`StateId`]; after
@@ -15,16 +13,9 @@
 //!   non-inflationary chain interns only the relations its kernel
 //!   writes (plus each start database's unchanging rest, once), the
 //!   inflationary tree interns whole computation states.
-//! * [`TransitionCache<V>`] — a memo table keyed by
-//!   `(program fingerprint, StateId)` with hit/miss counters, used to
-//!   cache `step_distribution` rows and whole kernel-enumeration results.
-//! * [`fingerprint64`] — a stable FNV-1a fingerprint for programs and
-//!   kernels (hashed over their canonical `Display` rendering), so one
-//!   cache can serve many queries without cross-talk.
 //!
-//! Interned states are immutable, so there is no invalidation story:
-//! caches only ever grow, and entries stay valid for the lifetime of the
-//! store they reference. Ids are only meaningful relative to the
+//! The memo tables built on these ids live with the evaluators
+//! (`pfq_core::cache`). Ids are only meaningful relative to the
 //! [`Interner`] that produced them.
 
 use crate::{Database, Relation, Value};
@@ -209,90 +200,6 @@ pub fn relation_approx_bytes(rel: &Relation) -> usize {
     columns + values
 }
 
-/// Stable 64-bit FNV-1a fingerprint of a canonical text rendering.
-///
-/// Programs and kernels are fingerprinted by their `Display` form, which
-/// is already canonical in this workspace; the fingerprint keys
-/// [`TransitionCache`] entries so one cache serves many queries.
-pub fn fingerprint64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A memo table keyed by `(fingerprint, StateId)` with hit/miss counters.
-///
-/// `V` is whatever a transition computation produces: a successor row
-/// `Vec<(StateId, Ratio)>`, an `Option` of one (fixpoint marker), or an
-/// `Arc` of a whole enumeration result. Values are cloned out on hit, so
-/// wrap anything heavy in `Arc`.
-#[derive(Debug)]
-pub struct TransitionCache<V> {
-    map: HashMap<(u64, StateId), V>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<V: Clone> TransitionCache<V> {
-    /// An empty cache.
-    pub fn new() -> TransitionCache<V> {
-        TransitionCache {
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Looks up the entry for `(fingerprint, state)`, counting a hit or
-    /// a miss.
-    pub fn get(&mut self, fingerprint: u64, state: StateId) -> Option<V> {
-        match self.map.get(&(fingerprint, state)) {
-            Some(v) => {
-                self.hits += 1;
-                Some(v.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores the entry for `(fingerprint, state)`.
-    pub fn insert(&mut self, fingerprint: u64, state: StateId, value: V) {
-        self.map.insert((fingerprint, state), value);
-    }
-
-    /// Number of memoized entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
-impl<V: Clone> Default for TransitionCache<V> {
-    fn default() -> Self {
-        TransitionCache::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,28 +290,6 @@ mod tests {
                 "{r}"
             );
         }
-    }
-
-    #[test]
-    fn fingerprints_separate_programs() {
-        let a = fingerprint64("C(v).");
-        let b = fingerprint64("C(w).");
-        assert_ne!(a, b);
-        assert_eq!(a, fingerprint64("C(v)."));
-        assert_eq!(fingerprint64(""), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn transition_cache_counts_hits_and_misses() {
-        let mut store = db_store();
-        let s = store.intern(db(1));
-        let mut cache: TransitionCache<u32> = TransitionCache::new();
-        assert_eq!(cache.get(1, s), None);
-        cache.insert(1, s, 42);
-        assert_eq!(cache.get(1, s), Some(42));
-        assert_eq!(cache.get(2, s), None); // other program, same state
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod tuple;
 pub mod value;
 
 pub use database::Database;
-pub use intern::{StateId, TransitionCache};
+pub use intern::StateId;
 pub use relation::Relation;
 pub use schema::Schema;
 pub use tuple::Tuple;

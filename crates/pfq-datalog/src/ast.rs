@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// A term: a variable or a constant.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Term {
     /// A datalog variable (capitalized in the concrete syntax).
     Var(String),
@@ -35,7 +35,7 @@ impl Term {
 }
 
 /// A body atom: `relation(term, …)`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Atom {
     /// The relation name.
     pub relation: String,
@@ -64,7 +64,7 @@ impl Atom {
 /// maintained by constructors: constants are always key positions, and a
 /// head with no explicit marking and no weight is fully keyed
 /// (deterministic).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Head {
     /// The defined (IDB) relation.
     pub relation: String,
@@ -155,7 +155,7 @@ impl Head {
 }
 
 /// A rule `head :- body.`; a fact is a rule with an empty body.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Rule {
     /// The head.
     pub head: Head,
@@ -253,7 +253,7 @@ impl Rule {
 }
 
 /// A datalog program: an ordered list of rules.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Program {
     /// The rules, in source order.
     pub rules: Vec<Rule>,

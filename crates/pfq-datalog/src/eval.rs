@@ -361,8 +361,14 @@ fn unsafe_rule(rendered: &impl std::fmt::Display, variable: &str) -> DatalogErro
     }
 }
 
+/// The schema [`prepare_database`] declares an absent IDB relation of
+/// `arity` with: generated column names `c0, c1, …`.
+pub fn idb_schema(arity: usize) -> Schema {
+    Schema::new((0..arity).map(|i| format!("c{i}")))
+}
+
 /// Declares every IDB relation of `program` in `db` (if absent) with
-/// inferred arity and generated column names `c0, c1, …`, and checks that
+/// inferred arity and generated column names ([`idb_schema`]), and checks that
 /// every body atom's arity matches its relation.
 pub fn prepare_database(program: &Program, db: &Database) -> Result<Database, DatalogError> {
     let mut out = db.clone();
@@ -375,10 +381,7 @@ pub fn prepare_database(program: &Program, db: &Database) -> Result<Database, Da
                 )));
             }
             Some(_) => {}
-            None => {
-                let cols: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
-                out.declare(name, Schema::new(cols));
-            }
+            None => out.declare(name, idb_schema(arity)),
         }
     }
     for rule in &program.rules {

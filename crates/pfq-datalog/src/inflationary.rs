@@ -26,17 +26,15 @@
 use crate::ast::Program;
 use crate::eval::{prepare_database, CompiledProgram, CompiledRule};
 use crate::DatalogError;
-use pfq_data::intern::{self, Interner, StateId, TransitionCache};
 use pfq_data::{Database, Tuple};
 use pfq_num::{dist::pick_weighted_index, Distribution, Ratio};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// A node of the computation tree: the current database plus the
 /// per-rule `oldVals` bookkeeping. `Ord` lets identical nodes reached by
 /// different choice paths merge their probability mass; `Hash` lets the
-/// memoizing engine intern nodes to dense [`StateId`]s.
+/// memoizing engine intern nodes to dense ids.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EngineState {
     /// The current (inflationary) database.
@@ -53,6 +51,11 @@ impl EngineState {
             db: prepare_database(program, db)?,
             old_vals: vec![BTreeSet::new(); program.rules.len()],
         })
+    }
+
+    /// `oldVals`, one set per rule, in rule order.
+    pub fn old_vals(&self) -> &[BTreeSet<Tuple>] {
+        &self.old_vals
     }
 }
 
@@ -179,8 +182,9 @@ pub fn step_distribution(
 /// included) are ever processed. Historically the check ran after
 /// `expanded += 1` and only for non-fixpoint nodes, which both admitted
 /// `limit + 1` expansions and let fixpoint-only trees escape the budget
-/// entirely.
-fn charge_node_budget(
+/// entirely. Both the reference traversal and the memoized one in
+/// `pfq_core::exact_inflationary` charge through it.
+pub fn charge_node_budget(
     expanded: &mut usize,
     node_budget: Option<usize>,
 ) -> Result<(), DatalogError> {
@@ -204,9 +208,9 @@ fn charge_node_budget(
 /// leaves included, charged before expansion); exceeding it aborts with
 /// [`DatalogError::BudgetExceeded`].
 ///
-/// This is the legacy un-memoized engine, kept as the reference
-/// implementation that the differential tests compare
-/// [`enumerate_fixpoints_memo`] against.
+/// This is the un-memoized engine, kept as the reference implementation
+/// that the differential tests compare the memoized traversal
+/// (`pfq_core::exact_inflationary::enumerate_fixpoints_memo`) against.
 pub fn enumerate_fixpoints(
     program: &Program,
     db: &Database,
@@ -232,157 +236,6 @@ pub fn enumerate_fixpoints(
             }
         }
     }
-    Ok(fixpoints)
-}
-
-/// A cached successor row: `None` marks a fixpoint, `Some` lists the
-/// successors as interned ids with their one-step probabilities.
-type StepRow = Option<Arc<Vec<(StateId, Ratio)>>>;
-
-/// The memo state of the inflationary engine: interned computation-tree
-/// nodes plus two [`TransitionCache`]s — per-state successor rows and
-/// whole-tree enumeration results, both keyed by
-/// `(program fingerprint, StateId)`.
-///
-/// One `FixpointMemo` may be shared across queries, across the possible
-/// worlds of a pc-table, and across repeated evaluations: states are
-/// immutable, so entries never invalidate.
-pub struct FixpointMemo {
-    states: Interner<EngineState>,
-    steps: TransitionCache<StepRow>,
-    results: TransitionCache<Arc<Distribution<Database>>>,
-}
-
-/// Counters exposed by [`FixpointMemo::stats`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct FixpointMemoStats {
-    /// Distinct computation-tree nodes interned.
-    pub states: usize,
-    /// Estimated logical bytes of the interned nodes.
-    pub approx_bytes: usize,
-    /// Successor-row lookups that found a memoized row.
-    pub step_hits: u64,
-    /// Successor-row lookups that had to evaluate the rules.
-    pub step_misses: u64,
-    /// Whole-tree lookups that found a memoized distribution.
-    pub result_hits: u64,
-    /// Whole-tree lookups that had to traverse the tree.
-    pub result_misses: u64,
-}
-
-/// Estimated logical bytes of one engine state (database content plus
-/// `oldVals` bookkeeping).
-fn engine_state_approx_bytes(state: &EngineState) -> usize {
-    let vals: usize = state
-        .old_vals
-        .iter()
-        .flat_map(|set| set.iter())
-        .map(|t| {
-            t.values()
-                .iter()
-                .map(intern::value_approx_bytes)
-                .sum::<usize>()
-        })
-        .sum();
-    intern::database_approx_bytes(&state.db) + vals
-}
-
-impl FixpointMemo {
-    /// An empty memo.
-    pub fn new() -> FixpointMemo {
-        FixpointMemo {
-            states: Interner::with_sizer(engine_state_approx_bytes),
-            steps: TransitionCache::new(),
-            results: TransitionCache::new(),
-        }
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> FixpointMemoStats {
-        FixpointMemoStats {
-            states: self.states.len(),
-            approx_bytes: self.states.approx_bytes(),
-            step_hits: self.steps.hits(),
-            step_misses: self.steps.misses(),
-            result_hits: self.results.hits(),
-            result_misses: self.results.misses(),
-        }
-    }
-}
-
-impl Default for FixpointMemo {
-    fn default() -> Self {
-        FixpointMemo::new()
-    }
-}
-
-/// The stable fingerprint of a program, keying its memo entries.
-pub fn program_fingerprint(program: &Program) -> u64 {
-    intern::fingerprint64(&program.to_string())
-}
-
-/// Memoized Proposition 4.4: like [`enumerate_fixpoints`], but the
-/// frontier runs on interned [`StateId`]s (dedup is a `u32` compare),
-/// successor rows are reused across evaluations through `memo`, and the
-/// complete fixpoint distribution per `(program, initial state)` is
-/// memoized, so repeated queries over the same program and database —
-/// in particular the per-world loop over a pc-table — skip the traversal
-/// entirely.
-///
-/// Returns bit-identical distributions to [`enumerate_fixpoints`]:
-/// rational mass is merged exactly, so traversal order cannot change the
-/// result. `node_budget` charges only nodes actually processed — work
-/// served from the memo is free, so a budget that fails cold can succeed
-/// warm.
-pub fn enumerate_fixpoints_memo(
-    program: &Program,
-    db: &Database,
-    node_budget: Option<usize>,
-    memo: &mut FixpointMemo,
-) -> Result<Arc<Distribution<Database>>, DatalogError> {
-    let fp = program_fingerprint(program);
-    let initial = memo.states.intern(EngineState::initial(program, db)?);
-    if let Some(done) = memo.results.get(fp, initial) {
-        return Ok(done);
-    }
-    let compiled = CompiledProgram::new(program);
-    let mut frontier: BTreeMap<StateId, Ratio> = BTreeMap::new();
-    frontier.insert(initial, Ratio::one());
-    let mut fixpoints = Distribution::new();
-    let mut expanded = 0usize;
-    while let Some((sid, p)) = frontier.pop_first() {
-        charge_node_budget(&mut expanded, node_budget)?;
-        let row = match memo.steps.get(fp, sid) {
-            Some(row) => row,
-            None => {
-                let state = memo.states.resolve(sid).clone();
-                let row: StepRow = step_distribution(&compiled, &state)?.map(|successors| {
-                    Arc::new(
-                        successors
-                            .into_iter()
-                            .map(|(next, q)| (memo.states.intern(next), q))
-                            .collect(),
-                    )
-                });
-                memo.steps.insert(fp, sid, row.clone());
-                row
-            }
-        };
-        match row {
-            None => fixpoints.add(memo.states.resolve(sid).db.clone(), p),
-            Some(successors) => {
-                for (next, q) in successors.iter() {
-                    let mass = p.mul_ref(q);
-                    frontier
-                        .entry(*next)
-                        .and_modify(|m| *m = m.add_ref(&mass))
-                        .or_insert(mass);
-                }
-            }
-        }
-    }
-    let fixpoints = Arc::new(fixpoints);
-    memo.results.insert(fp, initial, fixpoints.clone());
     Ok(fixpoints)
 }
 
@@ -596,14 +449,6 @@ mod tests {
             enumerate_fixpoints(&p, &db, Some(2)),
             Err(DatalogError::BudgetExceeded { limit: 2, .. })
         ));
-        // The memoized engine charges the same boundary when cold.
-        let mut memo = FixpointMemo::new();
-        assert!(enumerate_fixpoints_memo(&p, &db, Some(3), &mut memo).is_ok());
-        let mut memo = FixpointMemo::new();
-        assert!(matches!(
-            enumerate_fixpoints_memo(&p, &db, Some(2), &mut memo),
-            Err(DatalogError::BudgetExceeded { limit: 2, .. })
-        ));
     }
 
     /// Regression: fixpoint-only trees used to bypass the budget
@@ -617,71 +462,6 @@ mod tests {
             enumerate_fixpoints(&p, &db, Some(0)),
             Err(DatalogError::BudgetExceeded { limit: 0, .. })
         ));
-    }
-
-    #[test]
-    fn memoized_engine_matches_legacy_bit_for_bit() {
-        let cases: Vec<(Program, Database)> = vec![
-            (reach_program(), fork_db()),
-            (
-                parse_program("T(X, Y) :- E(X, Y).\nT(X, Z) :- T(X, Y), E(Y, Z).").unwrap(),
-                Database::new().with(
-                    "E",
-                    Relation::from_rows(Schema::new(["i", "j"]), [tuple![1, 2], tuple![2, 3]]),
-                ),
-            ),
-            (
-                parse_program("H(Y) @P :- R(Y, P).").unwrap(),
-                Database::new().with(
-                    "R",
-                    Relation::from_rows(Schema::new(["v", "p"]), [tuple![10, 1], tuple![20, 3]]),
-                ),
-            ),
-        ];
-        let mut memo = FixpointMemo::new();
-        for (program, db) in &cases {
-            let legacy = enumerate_fixpoints(program, db, None).unwrap();
-            let memoized = enumerate_fixpoints_memo(program, db, None, &mut memo).unwrap();
-            assert_eq!(&legacy, memoized.as_ref());
-        }
-    }
-
-    #[test]
-    fn repeated_enumeration_hits_the_result_memo() {
-        let program = reach_program();
-        let db = fork_db();
-        let mut memo = FixpointMemo::new();
-        let first = enumerate_fixpoints_memo(&program, &db, None, &mut memo).unwrap();
-        let cold = memo.stats();
-        assert_eq!(cold.result_hits, 0);
-        assert_eq!(cold.result_misses, 1);
-        assert!(cold.states > 0);
-        assert!(cold.approx_bytes > 0);
-        let second = enumerate_fixpoints_memo(&program, &db, None, &mut memo).unwrap();
-        let warm = memo.stats();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "second run must be served from the memo"
-        );
-        assert_eq!(warm.result_hits, 1);
-        assert_eq!(warm.states, cold.states, "no new states on a warm run");
-        // A *different* program over the same database shares no entries
-        // (fingerprint separation) but re-uses the interner.
-        let other = parse_program("D(X, Y) :- E(X, Y, P).").unwrap();
-        enumerate_fixpoints_memo(&other, &db, None, &mut memo).unwrap();
-        assert_eq!(memo.stats().result_hits, 1);
-        assert_eq!(memo.stats().result_misses, 2);
-    }
-
-    /// A warm memo serves results without charging the node budget: the
-    /// budget bounds work actually performed, not work reused.
-    #[test]
-    fn warm_memo_bypasses_node_budget() {
-        let program = reach_program();
-        let db = fork_db();
-        let mut memo = FixpointMemo::new();
-        enumerate_fixpoints_memo(&program, &db, None, &mut memo).unwrap();
-        assert!(enumerate_fixpoints_memo(&program, &db, Some(0), &mut memo).is_ok());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use gen::{FuzzCase, GenConfig};
 pub use mutants::Fault;
 pub use oracle::{CheckId, Oracle, OracleConfig, Outcome, PathSet};
 
-use pfq_datalog::inflationary::FixpointMemo;
+use pfq_core::EvalCache;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -181,7 +181,7 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignReport {
         Some(fault) => Oracle::with_fault(cfg.oracle.clone(), fault),
         None => Oracle::new(cfg.oracle.clone()),
     };
-    let mut shared = FixpointMemo::new();
+    let mut shared = EvalCache::default();
     let mut report = CampaignReport {
         requested: cfg.programs,
         ..CampaignReport::default()

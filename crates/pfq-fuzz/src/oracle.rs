@@ -7,8 +7,8 @@
 //! |---|---|---|
 //! | `MassConservation` | legacy exact inflationary | fixpoint distribution sums to exactly 1 |
 //! | `Monotonicity` | legacy exact inflationary | every fixpoint ⊇ the prepared input (inflationary §3.3) |
-//! | `MemoDifferential` | legacy vs [`FixpointMemo`] | bit-identical distributions |
-//! | `CacheReuse` | fresh memo vs campaign-shared memo | intern-id independence: same distribution |
+//! | `MemoDifferential` | legacy vs [`enumerate_fixpoints_memo`] on a fresh [`EvalCache`] | bit-identical distributions |
+//! | `CacheReuse` | fresh [`EvalCache`] vs the campaign-shared one | intern-id independence: same distribution |
 //! | `SamplerBound` | exact vs Thm 4.3 sampler | `\|p̂ − p\| ≤ ε` at confidence `1 − δ` (deterministic seed) |
 //! | `ThreadInvariance` | sampler at 1 vs 3 threads | bit-identical estimates for the same seed |
 //! | `StationaryDifferential` | engine (compiled kernel, interned chain, sparse GTH) vs reference (tree-walking kernel, `Database`-keyed chain, dense GE) (Thm 5.5) | bit-identical long-run probabilities |
@@ -24,7 +24,7 @@ use crate::gen::FuzzCase;
 use crate::mutants::{self, Fault};
 use pfq_algebra::repair_key::{enumerate_repairs, sample_repair};
 use pfq_algebra::{AlgebraError, Expr, Interpretation, Pred};
-use pfq_core::exact_inflationary::ExactBudget;
+use pfq_core::exact_inflationary::{enumerate_fixpoints_memo, ExactBudget};
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::SamplerConfig;
 use pfq_core::{
@@ -34,7 +34,7 @@ use pfq_core::{
 use pfq_ctable::PcDatabase;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_datalog::eval;
-use pfq_datalog::inflationary::{enumerate_fixpoints, enumerate_fixpoints_memo, FixpointMemo};
+use pfq_datalog::inflationary::enumerate_fixpoints;
 use pfq_datalog::{Atom, DatalogError, Rule, Term};
 use pfq_markov::{dense, MarkovChain};
 use pfq_num::{Distribution, Ratio};
@@ -730,7 +730,7 @@ impl Oracle {
         case: &FuzzCase,
         case_seed: u64,
         sampled: bool,
-        shared: &mut FixpointMemo,
+        shared: &mut EvalCache,
     ) -> Vec<(CheckId, Outcome)> {
         let mut out = Vec::new();
         for check in CheckId::ALL {
@@ -758,7 +758,7 @@ impl Oracle {
         case: &FuzzCase,
         check: CheckId,
         case_seed: u64,
-        shared: Option<&mut FixpointMemo>,
+        shared: Option<&mut EvalCache>,
     ) -> Outcome {
         match check {
             CheckId::MassConservation
@@ -790,7 +790,7 @@ impl Oracle {
         &self,
         case: &FuzzCase,
         check: CheckId,
-        shared: Option<&mut FixpointMemo>,
+        shared: Option<&mut EvalCache>,
     ) -> Outcome {
         let legacy = match self.legacy_distribution(case) {
             Ok(d) => d,
@@ -825,12 +825,11 @@ impl Oracle {
                 Outcome::Pass
             }
             CheckId::MemoDifferential => {
-                let mut memo = FixpointMemo::new();
                 let memoized = match enumerate_fixpoints_memo(
                     &case.program,
                     &case.db,
                     Some(self.cfg.node_budget),
-                    &mut memo,
+                    &mut EvalCache::default(),
                 ) {
                     Ok(d) => d,
                     Err(e) => return Outcome::Fail(format!("memoized path errored: {e}")),
@@ -851,21 +850,20 @@ impl Oracle {
                 // Intern-id independence: a memo whose id space is
                 // polluted by other cases must give the same answer as
                 // a fresh one.
-                let mut fresh = FixpointMemo::new();
                 let baseline = match enumerate_fixpoints_memo(
                     &case.program,
                     &case.db,
                     Some(self.cfg.node_budget),
-                    &mut fresh,
+                    &mut EvalCache::default(),
                 ) {
                     Ok(d) => d.as_ref().clone(),
                     Err(e) => return Outcome::Fail(format!("fresh-memo path errored: {e}")),
                 };
                 let mut local;
-                let warm: &mut FixpointMemo = match shared {
+                let warm: &mut EvalCache = match shared {
                     Some(m) => m,
                     None => {
-                        local = FixpointMemo::new();
+                        local = EvalCache::default();
                         // Warm the memo with a first evaluation, then
                         // re-evaluate through it.
                         let _ = enumerate_fixpoints_memo(

@@ -294,3 +294,103 @@ fn kernel_event_of_the_wrong_arity_is_an_error() {
         "bad event: tuple (1, 0, 5) has arity 3, but Color(node, color) has arity 2"
     );
 }
+
+/// `examples/fork.pfq` with its exact query's event replaced.
+fn fork_with_event(event: &str) -> String {
+    let src = std::fs::read_to_string(repo_example("fork.pfq")).unwrap();
+    let exact = "@query inflationary exact event C(w)";
+    assert!(src.contains(exact));
+    src.replace(exact, &format!("@query inflationary exact event {event}"))
+}
+
+/// A misspelled inflationary event relation used to answer `p = 0`.
+#[test]
+fn inflationary_event_on_an_unknown_relation_is_an_error() {
+    assert_eq!(
+        run_error(&fork_with_event("Colour(v)")),
+        "bad event: no relation named \"Colour\""
+    );
+}
+
+/// An inflationary event tuple of the wrong arity used to answer
+/// `p = 0`. `C` is an IDB relation, declared with generated columns.
+#[test]
+fn inflationary_event_of_the_wrong_arity_is_an_error() {
+    assert_eq!(
+        run_error(&fork_with_event("C(v, w)")),
+        "bad event: tuple (v, w) has arity 2, but C(c0) has arity 1"
+    );
+}
+
+/// What `pfq run` and `pfq plan` print after `error: ` (and exit 1 on)
+/// for a source that does not parse.
+fn parse_error(src: &str) -> String {
+    match parse_file(src) {
+        Ok(_) => panic!("expected a parse error"),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// A parse error inside `@program` reports its file line and column,
+/// not its position within the block.
+#[test]
+fn program_parse_error_reports_the_file_line() {
+    let src = "% header\n\
+               @relation E(i, j) {\n  (1, 2)\n}\n\
+               @program {\n  T(X, Y) :- E(X, Y).\n\n  T(X, Z) :- T(X, Y) E(Y, Z).\n}\n\
+               @query inflationary exact event T(1, 2)\n";
+    assert_eq!(
+        parse_error(src),
+        "parse error at 8:22: expected `.` at end of rule"
+    );
+}
+
+const OVERSIZED: &str = "99999999999999999999999999999";
+
+/// An integer literal beyond `i64` is an error wherever it appears; it
+/// used to parse as a string constant.
+#[test]
+fn oversized_literal_in_a_relation_row_is_an_error() {
+    let src = format!(
+        "@relation E(i, j) {{\n  (1, 2)\n  (1, {OVERSIZED})\n}}\n\
+         @program {{\n  T(X, Y) :- E(X, Y).\n}}\n\
+         @query inflationary exact event T(1, 2)\n"
+    );
+    assert_eq!(parse_error(&src), "line 3: integer literal overflows i64");
+}
+
+#[test]
+fn oversized_literal_in_a_program_fact_is_an_error() {
+    let src = format!(
+        "@relation E(i, j) {{\n  (1, 2)\n}}\n\
+         @program {{\n  C({OVERSIZED}).\n}}\n\
+         @query inflationary exact event C(1)\n"
+    );
+    assert_eq!(
+        parse_error(&src),
+        "parse error at 5:24: integer literal overflows i64"
+    );
+}
+
+#[test]
+fn oversized_literal_in_a_kernel_predicate_is_an_error() {
+    let src = format!(
+        "@relation C(i) {{\n  (1)\n}}\n\
+         @kernel C := select[i = {OVERSIZED}](C)\n\
+         @query kernel exact event C(1)\n"
+    );
+    assert_eq!(
+        parse_error(&src),
+        "line 4: kernel expression: at byte 11: integer literal overflows i64"
+    );
+}
+
+#[test]
+fn oversized_literal_in_a_query_event_is_an_error() {
+    let src = format!(
+        "@relation E(i, j) {{\n  (1, 2)\n}}\n\
+         @program {{\n  T(X, Y) :- E(X, Y).\n}}\n\
+         @query inflationary exact event T(1, {OVERSIZED})\n"
+    );
+    assert_eq!(parse_error(&src), "line 7: integer literal overflows i64");
+}

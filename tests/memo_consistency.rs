@@ -7,10 +7,11 @@
 //! many repeated and interleaved queries. Exact rational mass is merged
 //! commutatively, so any deviation is a real engine bug, not noise.
 
-use pfq::data::Database;
+use pfq::algebra::{Expr, Interpretation};
+use pfq::data::{tuple, Database, Relation, Schema, Value};
 use pfq::lang::exact_inflationary::ExactBudget;
 use pfq::lang::exact_noninflationary::ChainBudget;
-use pfq::lang::{DatalogQuery, Engine, EvalRequest, ForeverQuery, Strategy};
+use pfq::lang::{DatalogQuery, Engine, EvalRequest, Event, ForeverQuery, Strategy};
 use pfq::num::Ratio;
 use pfq::workloads::coloring::ColoringMcmc;
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
@@ -68,7 +69,7 @@ fn differential_graph_reachability() {
         }
     }
     assert!(shared.stats().engine_states > 0);
-    // Each graph has one program fingerprint and one initial database,
+    // Each graph has one program and one initial database,
     // so the per-target repeats all hit the whole-tree result memo.
     assert!(shared.stats().result_hits > 0);
 }
@@ -187,4 +188,81 @@ fn node_budget_boundary_is_exact_on_both_paths() {
         .with_exact_budget(budget(2));
     assert!(Engine::new().run(&short).is_err());
     assert!(reference_tree_probability(&q, &db, Some(2)).is_err());
+}
+
+/// Runs `requests` in order through one shared engine and checks each
+/// answer against a fresh engine's.
+fn shared_equals_fresh(requests: &[EvalRequest<'_>]) {
+    let mut shared = Engine::new();
+    for (i, request) in requests.iter().enumerate() {
+        let warm = shared.run(request).unwrap().into_exact().unwrap();
+        let fresh = Engine::new().run(request).unwrap().into_exact().unwrap();
+        assert_eq!(warm, fresh, "request {i}");
+    }
+}
+
+/// Two kernels whose texts are equal — `const(i) {(1)}` renders the
+/// integer 1 and the string "1" alike — must not share kernel rows.
+#[test]
+fn kernels_with_equal_text_keep_apart() {
+    let db = Database::new().with("C", Relation::empty(Schema::new(["i"])));
+    let queries: Vec<ForeverQuery> = [Value::int(1), Value::str("1")]
+        .into_iter()
+        .map(|v| {
+            let constant = Relation::from_rows(Schema::new(["i"]), [tuple![v]]);
+            let kernel = Interpretation::new().with("C", Expr::constant(constant));
+            ForeverQuery::new(kernel, Event::tuple_in("C", tuple![1]))
+        })
+        .collect();
+    assert_eq!(queries[0].kernel.to_string(), queries[1].kernel.to_string());
+    let requests: Vec<_> = queries
+        .iter()
+        .map(|q| EvalRequest::forever(q, &db).with_strategy(Strategy::ExactChain))
+        .collect();
+    shared_equals_fresh(&requests);
+}
+
+/// `C(1).` and `C("1").` translate to kernels with equal text; forced
+/// onto the exact chain in one engine, each must keep its own answer.
+#[test]
+fn noninflationary_programs_with_equal_kernel_text_keep_apart() {
+    let db = Database::new();
+    let queries: Vec<DatalogQuery> = ["C(1).", "C(\"1\")."]
+        .iter()
+        .map(|src| DatalogQuery::parse(src, Event::tuple_in("C", tuple![1])).unwrap())
+        .collect();
+    let requests: Vec<_> = queries
+        .iter()
+        .map(|q| EvalRequest::noninflationary(q, &db).with_strategy(Strategy::ExactChain))
+        .collect();
+    shared_equals_fresh(&requests);
+}
+
+/// Two different inflationary programs with the same rule count over one
+/// database share no tree rows or whole-tree results.
+#[test]
+fn inflationary_programs_with_equal_rule_counts_keep_apart() {
+    let db = Database::new().with(
+        "E",
+        Relation::from_rows(
+            Schema::new(["i", "j", "p"]),
+            [
+                tuple!["v", "w", 1],
+                tuple!["v", "u", 3],
+                tuple!["w", "u", 1],
+            ],
+        ),
+    );
+    let queries: Vec<DatalogQuery> = ["v", "w"]
+        .iter()
+        .map(|start| {
+            let src = format!("C({start}).\nC2(X!, Y) @P :- C(X), E(X, Y, P).\nC(Y) :- C2(X, Y).");
+            DatalogQuery::parse(&src, Event::tuple_in("C", tuple!["w"])).unwrap()
+        })
+        .collect();
+    let requests: Vec<_> = queries
+        .iter()
+        .map(|q| EvalRequest::inflationary(q, &db).with_strategy(Strategy::ExactTree))
+        .collect();
+    shared_equals_fresh(&requests);
 }
