@@ -597,12 +597,9 @@ impl Planner {
             Task::Inflationary { query, db } => {
                 check_inflationary_event(query, &|name| db.get(name).map(|r| r.schema().clone()))?
             }
-            Task::InflationaryPc { query, input } => check_inflationary_event(query, &|name| {
-                let table = input.tables().iter().find(|(table, _)| table == name);
-                table
-                    .map(|(_, t)| t.schema().clone())
-                    .or_else(|| input.certain().get(name).map(|r| r.schema().clone()))
-            })?,
+            Task::InflationaryPc { query, input } => {
+                check_inflationary_event(query, &|name| input.schema(name).cloned())?
+            }
             _ => {
                 if let Some((fq, db)) = request.task.forever_query()? {
                     fq.event.check(&db)?;

@@ -469,4 +469,22 @@ mod tests {
         enumerate_fixpoints_memo(&program, &db, None, &mut cache).unwrap();
         assert!(enumerate_fixpoints_memo(&program, &db, Some(0), &mut cache).is_ok());
     }
+
+    /// A cold memo charges the same node budget boundary as the
+    /// unmemoized engine (`inflationary::tests::budget_boundary_is_exact`).
+    #[test]
+    fn cold_memo_budget_boundary_is_exact() {
+        // Deterministic 3-node path tree: initial, one rule-1 step, one
+        // rule-2 step reaching the fixpoint.
+        let p = parse_program("T(X, Y) :- E(X, Y).\nT(X, Z) :- T(X, Y), E(Y, Z).").unwrap();
+        let db = Database::new().with(
+            "E",
+            Relation::from_rows(Schema::new(["i", "j"]), [tuple![1, 2], tuple![2, 3]]),
+        );
+        assert!(enumerate_fixpoints_memo(&p, &db, Some(3), &mut EvalCache::default()).is_ok());
+        assert!(matches!(
+            enumerate_fixpoints_memo(&p, &db, Some(2), &mut EvalCache::default()),
+            Err(DatalogError::BudgetExceeded { limit: 2, .. })
+        ));
+    }
 }

@@ -171,6 +171,16 @@ impl PcDatabase {
         Ok(db)
     }
 
+    /// The schema of relation `name` in every possible world: the last
+    /// pc-table of that name, as in [`instantiate`](Self::instantiate),
+    /// else the certain relation.
+    pub fn schema(&self, name: &str) -> Option<&Schema> {
+        match self.tables.iter().rev().find(|(table, _)| table == name) {
+            Some((_, table)) => Some(table.schema()),
+            None => self.certain.get(name).map(|r| r.schema()),
+        }
+    }
+
     /// Exactly enumerates the distribution over possible worlds —
     /// exponential in the number of variables, as Proposition 4.4's
     /// PSPACE iteration implies.
@@ -229,6 +239,24 @@ mod tests {
         for (w, _) in worlds.iter() {
             assert_eq!(w.get("O").unwrap().len(), 1);
         }
+    }
+
+    #[test]
+    fn schema_follows_the_world_layout() {
+        // A table overrides a certain relation of its name, and of two
+        // tables with one name the last wins, as in `instantiate`.
+        let mut db = literal_db();
+        db.add_certain("A", Relation::empty(Schema::new(["c1", "c2"])));
+        db.add_certain("O", Relation::empty(Schema::new(["c1", "c2"])));
+        db.add_table("A", PcTable::new(Schema::new(["m", "n", "o"])));
+        let world = db
+            .instantiate(&Valuation::from([("x".to_string(), Value::Int(0))]))
+            .unwrap();
+        for name in ["A", "O"] {
+            assert_eq!(db.schema(name), Some(world.get(name).unwrap().schema()));
+        }
+        assert_eq!(db.schema("A").unwrap().arity(), 3);
+        assert_eq!(db.schema("missing"), None);
     }
 
     #[test]
