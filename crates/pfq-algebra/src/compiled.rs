@@ -1,5 +1,8 @@
 //! The compiled kernel evaluator: the one production path for applying
 //! an [`Interpretation`] (Definition 3.1) and for evaluating an [`Expr`].
+//! Compiling is also the only place an expression is typed: every column
+//! reference is resolved and every node's schema computed here, so each
+//! schema error an expression can have is raised by compiling it.
 //!
 //! [`CompiledKernel::new`] resolves an interpretation once, against its
 //! start database, into a plan of nodes whose column references are
@@ -30,7 +33,6 @@
 //! reference oracle (`pfq_fuzz::oracle::reference_enumerate`), which the
 //! kernel differential test compares against this plan.
 
-use crate::expr::renamed;
 use crate::repair_key::Groups;
 use crate::{AlgebraError, Expr, Interpretation, Operand, Pred};
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
@@ -66,10 +68,12 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Validates `interp` against `db` ([`Interpretation::validate`]) and
-    /// compiles one plan per kernel.
+    /// Checks that `interp` is a Definition 3.1 interpretation over `db`
+    /// and compiles one plan per kernel. Kernel by kernel, in name order:
+    /// a target `db` lacks is [`AlgebraError::MissingRelation`]; compiling
+    /// the kernel raises any error in its expression; and a result schema
+    /// other than the target's is [`AlgebraError::SchemaMismatch`].
     pub fn new(interp: &Interpretation, db: &Database) -> Result<CompiledKernel, AlgebraError> {
-        interp.validate(db)?;
         let targets: Vec<String> = interp.iter().map(|(name, _)| name.to_string()).collect();
         let compiler = Compiler {
             db,
@@ -77,7 +81,20 @@ impl CompiledKernel {
         };
         let roots = interp
             .iter()
-            .map(|(_, kernel)| compiler.compile(kernel, &mut Vec::new()))
+            .map(|(name, kernel)| {
+                let target = db
+                    .get(name)
+                    .ok_or_else(|| AlgebraError::MissingRelation(name.to_string()))?;
+                let root = compiler.compile(kernel, &mut Vec::new())?;
+                if &root.schema != target.schema() {
+                    return Err(AlgebraError::SchemaMismatch {
+                        context: "interpretation kernel result vs target relation",
+                        left: root.schema.to_string(),
+                        right: target.schema().to_string(),
+                    });
+                }
+                Ok(root)
+            })
             .collect::<Result<_, _>>()?;
         Ok(CompiledKernel { targets, roots })
     }
@@ -275,7 +292,7 @@ struct Compiler<'c> {
 
 impl Compiler<'_> {
     /// Compiles `expr` under the `let` bindings in `scope` (innermost
-    /// last), reporting the schema errors the tree walker would.
+    /// last), raising the first schema error in operand order.
     fn compile(
         &self,
         expr: &Expr,
@@ -328,12 +345,9 @@ impl Compiler<'_> {
                 if idx.iter().copied().eq(0..child.schema.arity()) {
                     return Ok(child); // identity projection
                 }
+                let schema = distinct(cols.iter().cloned(), "projection")?;
                 let flags = Flags::of(&[&child]);
-                Node::new(
-                    Op::Project(idx, Box::new(child)),
-                    Schema::new(cols.clone()),
-                    flags,
-                )
+                Node::new(Op::Project(idx, Box::new(child)), schema, flags)
             }
             Expr::Rename(pairs, e) => {
                 let child = self.compile(e, scope)?;
@@ -431,6 +445,30 @@ fn column(schema: &Schema, name: &str) -> Result<usize, AlgebraError> {
             column: name.to_string(),
             schema: schema.to_string(),
         })
+}
+
+/// The schema `rename[pairs]` gives a relation of `schema`: every old
+/// column must exist, and the result's names must stay distinct.
+fn renamed(schema: &Schema, pairs: &[(String, String)]) -> Result<Schema, AlgebraError> {
+    for (old, _) in pairs {
+        column(schema, old)?;
+    }
+    let columns = schema.columns().iter().map(|c| {
+        pairs
+            .iter()
+            .find(|(old, _)| old == c)
+            .map_or(c, |(_, new)| new)
+            .clone()
+    });
+    distinct(columns, "rename")
+}
+
+/// The schema of `columns`, which `context`'s result must keep distinct.
+fn distinct(
+    columns: impl IntoIterator<Item = String>,
+    context: &'static str,
+) -> Result<Schema, AlgebraError> {
+    Schema::try_new(columns).map_err(|column| AlgebraError::DuplicateColumn { column, context })
 }
 
 /// A runtime value: a relation borrowed from the state, the plan or a
@@ -1014,6 +1052,118 @@ mod tests {
         expected.gen::<u64>();
         expected.gen::<u64>();
         assert_eq!(rng.gen::<u64>(), expected.gen::<u64>());
+    }
+
+    /// Example 3.3's walk database: edges `E(i, j, p)`, position `C(i)`.
+    fn walk_db() -> Database {
+        let e = Relation::from_rows(
+            Schema::new(["i", "j", "p"]),
+            [tuple![1, 2, 1], tuple![2, 1, 1]],
+        );
+        let c = Relation::from_rows(Schema::new(["i"]), [tuple![1]]);
+        Database::new().with("E", e).with("C", c)
+    }
+
+    fn walk_step() -> Expr {
+        Expr::rel("C")
+            .join(Expr::rel("E"))
+            .repair_key(["i"], Some("p"))
+            .project(["j"])
+            .rename([("j", "i")])
+    }
+
+    #[test]
+    fn walk_kernel_schema_is_inferred() {
+        let db = walk_db();
+        // Aimed at `E`, the walk kernel reports the schema it infers.
+        let aimed_at_e = Interpretation::new().with("E", walk_step());
+        assert_eq!(
+            CompiledKernel::new(&aimed_at_e, &db).err(),
+            Some(AlgebraError::SchemaMismatch {
+                context: "interpretation kernel result vs target relation",
+                left: "(i)".to_string(),
+                right: "(i, j, p)".to_string(),
+            })
+        );
+    }
+
+    #[test]
+    fn schema_errors() {
+        let db = walk_db();
+        let error = |e: Expr| crate::eval::eval(&e, &db).unwrap_err();
+        assert_eq!(
+            error(Expr::rel("Z")),
+            AlgebraError::MissingRelation("Z".to_string())
+        );
+        assert!(matches!(
+            error(Expr::rel("E").project(["zz"])),
+            AlgebraError::MissingColumn { .. }
+        ));
+        assert!(matches!(
+            error(Expr::rel("E").union(Expr::rel("C"))),
+            AlgebraError::SchemaMismatch { .. }
+        ));
+        assert!(matches!(
+            error(Expr::rel("E").product(Expr::rel("C"))),
+            AlgebraError::SchemaMismatch { .. }
+        ));
+        assert!(matches!(
+            error(Expr::rel("E").repair_key(["zz"], None)),
+            AlgebraError::MissingColumn { .. }
+        ));
+    }
+
+    #[test]
+    fn join_vs_product_schema() {
+        let db = walk_db();
+        let schema = |e: Expr| crate::eval::eval(&e, &db).unwrap().schema().clone();
+        assert_eq!(
+            schema(Expr::rel("C").join(Expr::rel("E"))),
+            Schema::new(["i", "j", "p"])
+        );
+        let renamed = Expr::rel("C").rename([("i", "x")]);
+        assert_eq!(
+            schema(renamed.product(Expr::rel("C"))),
+            Schema::new(["x", "i"])
+        );
+    }
+
+    #[test]
+    fn kernel_checks_target_and_result_schema() {
+        let db = walk_db();
+        let walk = Interpretation::new().with("C", walk_step());
+        assert!(CompiledKernel::new(&walk, &db).is_ok());
+        let bad = Interpretation::new().with("C", Expr::rel("E"));
+        assert!(matches!(
+            CompiledKernel::new(&bad, &db),
+            Err(AlgebraError::SchemaMismatch { .. })
+        ));
+        let missing = Interpretation::new().with("Z", Expr::rel("E"));
+        assert!(matches!(
+            CompiledKernel::new(&missing, &db),
+            Err(AlgebraError::MissingRelation(_))
+        ));
+    }
+
+    /// Kernels are checked in name order, and a kernel's missing target
+    /// is reported ahead of the errors in its own expression.
+    #[test]
+    fn missing_target_precedes_expression_errors() {
+        let db = walk_db();
+        let first_missing = Interpretation::new()
+            .with("A", Expr::rel("E").project(["zz"]))
+            .with("C", Expr::rel("Q"));
+        assert_eq!(
+            CompiledKernel::new(&first_missing, &db).err(),
+            Some(AlgebraError::MissingRelation("A".to_string()))
+        );
+        let last_missing = Interpretation::new()
+            .with("C", Expr::rel("Q"))
+            .with("Z", Expr::rel("E").project(["zz"]));
+        assert_eq!(
+            CompiledKernel::new(&last_missing, &db).err(),
+            Some(AlgebraError::MissingRelation("Q".to_string()))
+        );
     }
 
     #[test]

@@ -24,6 +24,14 @@ pub enum AlgebraError {
         /// The right operand's schema (rendered).
         right: String,
     },
+    /// A projection or renaming would give its result two columns of the
+    /// same name.
+    DuplicateColumn {
+        /// The repeated column name.
+        column: String,
+        /// Which operation produced it.
+        context: &'static str,
+    },
     /// A `repair-key` weight was non-numeric or not strictly positive.
     BadWeight(String),
     /// `repair-key` appeared where only deterministic algebra is allowed.
@@ -50,6 +58,9 @@ impl fmt::Display for AlgebraError {
                 right,
             } => {
                 write!(f, "schema mismatch in {context}: {left} vs {right}")
+            }
+            AlgebraError::DuplicateColumn { column, context } => {
+                write!(f, "duplicate column {column:?} in {context} result")
             }
             AlgebraError::BadWeight(msg) => write!(f, "bad repair-key weight: {msg}"),
             AlgebraError::RepairKeyNotAllowed => {

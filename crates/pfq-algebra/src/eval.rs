@@ -227,7 +227,9 @@ mod tests {
             .repair_key(["k"], None)
             .project(["v"])
             .bind("tmp", Expr::rel("tmp"));
-        assert_eq!(e.schema(&db).unwrap(), Schema::new(["v"]));
+        for (world, _) in enumerate(&e, &db, None).unwrap().iter() {
+            assert_eq!(world.schema(), &Schema::new(["v"]));
+        }
         assert!(e.is_probabilistic());
         // `tmp` is not an input relation; `R` is.
         assert_eq!(e.input_relations(), vec!["R".to_string()]);

@@ -1,7 +1,7 @@
-//! The algebra expression AST and static schema inference.
+//! The algebra expression AST.
 
-use crate::{AlgebraError, Pred};
-use pfq_data::{Database, Relation, Schema};
+use crate::Pred;
+use pfq_data::Relation;
 use std::fmt;
 
 /// A relational-algebra expression, optionally containing `repair-key`.
@@ -184,110 +184,6 @@ impl Expr {
             }
         }
     }
-
-    /// Infers the output schema against the given database, checking all
-    /// column references and schema compatibility statically.
-    pub fn schema(&self, db: &Database) -> Result<Schema, AlgebraError> {
-        self.schema_in(db, &mut Vec::new())
-    }
-
-    /// [`schema`](Self::schema) under the `let` bindings in `scope`
-    /// (innermost last).
-    fn schema_in(
-        &self,
-        db: &Database,
-        scope: &mut Vec<(String, Schema)>,
-    ) -> Result<Schema, AlgebraError> {
-        match self {
-            Expr::Rel(name) => match scope.iter().rev().find(|(n, _)| n == name) {
-                Some((_, schema)) => Ok(schema.clone()),
-                None => db
-                    .get(name)
-                    .map(|r| r.schema().clone())
-                    .ok_or_else(|| AlgebraError::MissingRelation(name.clone())),
-            },
-            Expr::Const(rel) => Ok(rel.schema().clone()),
-            Expr::Select(_, e) => e.schema_in(db, scope),
-            Expr::Project(cols, e) => {
-                let s = e.schema_in(db, scope)?;
-                for c in cols {
-                    if !s.contains(c) {
-                        return Err(AlgebraError::MissingColumn {
-                            column: c.clone(),
-                            schema: s.to_string(),
-                        });
-                    }
-                }
-                Ok(Schema::new(cols.clone()))
-            }
-            Expr::Rename(pairs, e) => renamed(&e.schema_in(db, scope)?, pairs),
-            Expr::Join(a, b) => {
-                let (sa, sb) = (a.schema_in(db, scope)?, b.schema_in(db, scope)?);
-                Ok(sa.join_schema(&sb))
-            }
-            Expr::Product(a, b) => {
-                let (sa, sb) = (a.schema_in(db, scope)?, b.schema_in(db, scope)?);
-                if !sa.common_columns(&sb).is_empty() {
-                    return Err(AlgebraError::SchemaMismatch {
-                        context: "product (operands share columns)",
-                        left: sa.to_string(),
-                        right: sb.to_string(),
-                    });
-                }
-                Ok(sa.join_schema(&sb))
-            }
-            Expr::Union(a, b) | Expr::Difference(a, b) => {
-                let (sa, sb) = (a.schema_in(db, scope)?, b.schema_in(db, scope)?);
-                if sa != sb {
-                    return Err(AlgebraError::SchemaMismatch {
-                        context: "set operation",
-                        left: sa.to_string(),
-                        right: sb.to_string(),
-                    });
-                }
-                Ok(sa)
-            }
-            Expr::RepairKey { key, weight, input } => {
-                let s = input.schema_in(db, scope)?;
-                for c in key.iter().chain(weight.iter()) {
-                    if !s.contains(c) {
-                        return Err(AlgebraError::MissingColumn {
-                            column: c.clone(),
-                            schema: s.to_string(),
-                        });
-                    }
-                }
-                Ok(s)
-            }
-            Expr::Let { name, value, body } => {
-                let vs = value.schema_in(db, scope)?;
-                scope.push((name.clone(), vs));
-                let out = body.schema_in(db, scope);
-                scope.pop();
-                out
-            }
-        }
-    }
-}
-
-/// The schema `rename[pairs]` gives a relation of `schema`; every old
-/// column must exist.
-pub(crate) fn renamed(schema: &Schema, pairs: &[(String, String)]) -> Result<Schema, AlgebraError> {
-    for (old, _) in pairs {
-        if !schema.contains(old) {
-            return Err(AlgebraError::MissingColumn {
-                column: old.clone(),
-                schema: schema.to_string(),
-            });
-        }
-    }
-    Ok(Schema::new(schema.columns().iter().map(|c| {
-        pairs
-            .iter()
-            .find(|(old, _)| old == c)
-            .map(|(_, new)| new.clone())
-            .unwrap_or_else(|| c.clone())
-    })))
 }
 
 impl fmt::Display for Expr {
@@ -322,62 +218,6 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfq_data::tuple;
-
-    fn db() -> Database {
-        let e = Relation::from_rows(
-            Schema::new(["i", "j", "p"]),
-            [tuple![1, 2, 1], tuple![2, 1, 1]],
-        );
-        let c = Relation::from_rows(Schema::new(["i"]), [tuple![1]]);
-        Database::new().with("E", e).with("C", c)
-    }
-
-    #[test]
-    fn schema_inference_chain() {
-        let db = db();
-        let e = Expr::rel("C")
-            .join(Expr::rel("E"))
-            .repair_key(["i"], Some("p"))
-            .project(["j"])
-            .rename([("j", "i")]);
-        assert_eq!(e.schema(&db).unwrap(), Schema::new(["i"]));
-    }
-
-    #[test]
-    fn schema_errors() {
-        let db = db();
-        assert!(matches!(
-            Expr::rel("Z").schema(&db),
-            Err(AlgebraError::MissingRelation(_))
-        ));
-        assert!(matches!(
-            Expr::rel("E").project(["zz"]).schema(&db),
-            Err(AlgebraError::MissingColumn { .. })
-        ));
-        assert!(matches!(
-            Expr::rel("E").union(Expr::rel("C")).schema(&db),
-            Err(AlgebraError::SchemaMismatch { .. })
-        ));
-        assert!(matches!(
-            Expr::rel("E").product(Expr::rel("C")).schema(&db),
-            Err(AlgebraError::SchemaMismatch { .. })
-        ));
-        assert!(matches!(
-            Expr::rel("E").repair_key(["zz"], None).schema(&db),
-            Err(AlgebraError::MissingColumn { .. })
-        ));
-    }
-
-    #[test]
-    fn join_vs_product_schema() {
-        let db = db();
-        let j = Expr::rel("C").join(Expr::rel("E"));
-        assert_eq!(j.schema(&db).unwrap(), Schema::new(["i", "j", "p"]));
-        let renamed = Expr::rel("C").rename([("i", "x")]);
-        let p = renamed.product(Expr::rel("C"));
-        assert_eq!(p.schema(&db).unwrap(), Schema::new(["x", "i"]));
-    }
 
     #[test]
     fn probabilistic_detection() {

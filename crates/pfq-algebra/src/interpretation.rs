@@ -54,27 +54,6 @@ impl Interpretation {
         self.kernels.values().any(Expr::is_probabilistic)
     }
 
-    /// Checks that, against `db`, every kernel's output schema equals its
-    /// target relation's schema (Definition 3.1's well-formedness).
-    /// [`CompiledKernel::new`] runs it, so no evaluator applies an
-    /// ill-formed kernel.
-    pub fn validate(&self, db: &Database) -> Result<(), AlgebraError> {
-        for (name, kernel) in &self.kernels {
-            let target = db
-                .get(name)
-                .ok_or_else(|| AlgebraError::MissingRelation(name.clone()))?;
-            let out = kernel.schema(db)?;
-            if &out != target.schema() {
-                return Err(AlgebraError::SchemaMismatch {
-                    context: "interpretation kernel result vs target relation",
-                    left: out.to_string(),
-                    right: target.schema().to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Exactly enumerates the distribution of successor databases of `db`.
     ///
     /// Kernels are independent (Definition 3.1: the world probability is
@@ -103,17 +82,6 @@ impl Interpretation {
         let kernel = CompiledKernel::new(self, db)?;
         let next = kernel.sample(&kernel.targets_of(db), rng)?;
         Ok(kernel.with_targets(db, next))
-    }
-
-    /// Applies the algebraic optimizer to every kernel (see
-    /// [`crate::optimize`]); the step distributions are unchanged.
-    pub fn optimized(self) -> Interpretation {
-        let kernels = self
-            .kernels
-            .into_iter()
-            .map(|(name, kernel)| (name, crate::optimize::optimize(kernel)))
-            .collect();
-        Interpretation { kernels }
     }
 
     /// Derives the inflationary version: each kernel `Q_i` becomes
@@ -173,22 +141,6 @@ mod tests {
                 .project(["j"])
                 .rename([("j", "i")]),
         )
-    }
-
-    #[test]
-    fn validate_ok_and_schema_error() {
-        let db = walk_db();
-        walk_interp().validate(&db).unwrap();
-        let bad = Interpretation::new().with("C", Expr::rel("E"));
-        assert!(matches!(
-            bad.validate(&db),
-            Err(AlgebraError::SchemaMismatch { .. })
-        ));
-        let missing = Interpretation::new().with("Z", Expr::rel("E"));
-        assert!(matches!(
-            missing.validate(&db),
-            Err(AlgebraError::MissingRelation(_))
-        ));
     }
 
     #[test]
@@ -266,29 +218,6 @@ mod tests {
         for (next, _) in succ.iter() {
             assert!(next.is_superset(&db));
             assert_eq!(next.get("C").unwrap().len(), 2); // {1} ∪ {next}
-        }
-    }
-
-    #[test]
-    fn optimized_interpretation_has_same_step_distribution() {
-        let db = walk_db();
-        let raw = Interpretation::new().with(
-            "C",
-            Expr::rel("C")
-                .select(crate::Pred::True)
-                .join(Expr::rel("E"))
-                .repair_key(["i"], Some("p"))
-                .project(["i", "j", "p"])
-                .project(["j"])
-                .rename([("j", "i")]),
-        );
-        let optimized = raw.clone().optimized();
-        assert_ne!(raw, optimized, "the rewriter should simplify something");
-        let a = raw.enumerate_step(&db, None).unwrap();
-        let b = optimized.enumerate_step(&db, None).unwrap();
-        assert_eq!(a.support_size(), b.support_size());
-        for (next, p) in a.iter() {
-            assert_eq!(&b.mass(next), p);
         }
     }
 

@@ -17,21 +17,19 @@
 //!   database (borrowed leaves, `let` slots, column-map renames, static
 //!   subtrees evaluated once, prefix-scan joins) and then enumerates or
 //!   samples successor states that hold only the relations the kernel
-//!   writes;
+//!   writes. Compiling is the only code that types an expression, and
+//!   [`CompiledKernel::new`] is where Definition 3.1's rule (each
+//!   kernel's result schema is its target's) is checked;
 //! * one-off entry points in [`eval`]: deterministic evaluation (errors on
 //!   `repair-key`), exact enumeration of all possible worlds with their
 //!   rational probabilities, and single-world sampling, each compiling its
-//!   expression and running the plan once;
-//! * an algebraic [`optimize`]r (selection pushdown, projection cascade,
-//!   constant folding) — the paper's future-work pointer to “generic
-//!   optimization techniques”.
+//!   expression and running the plan once.
 
 pub mod compiled;
 pub mod error;
 pub mod eval;
 pub mod expr;
 pub mod interpretation;
-pub mod optimize;
 pub mod parser;
 pub mod pred;
 pub mod repair_key;

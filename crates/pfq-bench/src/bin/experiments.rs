@@ -90,7 +90,6 @@ fn main() {
     e10_pagerank();
     e11_bayes(&knobs);
     e12_stationary_ablation();
-    e13_optimizer_ablation();
     e14_mcmc_coloring();
     e17_planner(&knobs);
 }
@@ -587,58 +586,6 @@ fn e12_stationary_ablation() {
     print_table(
         "E12 — stationary-distribution ablation: dense rational GE vs sparse GTH (bit-identical) vs f64 lazy power iteration",
         &["states", "dense GE", "sparse GTH", "power iteration", "max |diff|"],
-        &rows,
-    );
-}
-
-/// E13 — ablation: the algebraic optimizer on a redundant walk kernel.
-fn e13_optimizer_ablation() {
-    use pfq_algebra::{Expr, Interpretation, Pred};
-    let mut rows = Vec::new();
-    for n in [8usize, 12, 16] {
-        let g = WeightedGraph::complete(n);
-        let db = g.walker_database(0);
-        let redundant = Interpretation::new().with(
-            "C",
-            Expr::rel("C")
-                .select(Pred::True)
-                .join(Expr::rel("E").select(Pred::True))
-                .select(Pred::True)
-                .repair_key(["i"], Some("p"))
-                .project(["i", "j", "p"])
-                .project(["j"])
-                .rename([("j", "i")])
-                .rename([("i", "i")]),
-        );
-        let optimized = redundant.clone().optimized();
-        let reps = 20;
-        let (d_red, _) = time_once(|| {
-            for _ in 0..reps {
-                redundant.enumerate_step(&db, None).unwrap();
-            }
-        });
-        let (d_opt, _) = time_once(|| {
-            for _ in 0..reps {
-                optimized.enumerate_step(&db, None).unwrap();
-            }
-        });
-        // Same step distribution, asserted.
-        let a = redundant.enumerate_step(&db, None).unwrap();
-        let b = optimized.enumerate_step(&db, None).unwrap();
-        assert_eq!(a.support_size(), b.support_size());
-        rows.push(vec![
-            n.to_string(),
-            fmt_duration(d_red / reps),
-            fmt_duration(d_opt / reps),
-            format!(
-                "{:.2}×",
-                d_red.as_secs_f64() / d_opt.as_secs_f64().max(1e-12)
-            ),
-        ]);
-    }
-    print_table(
-        "E13 — algebraic optimizer ablation (redundant Example 3.3 kernel, complete graph)",
-        &["nodes", "redundant step", "optimized step", "speedup"],
         &rows,
     );
 }

@@ -202,7 +202,15 @@ pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
             if cols.is_empty() && !header.contains('(') {
                 return Err(err(line_no, "relation header needs a column list").into());
             }
-            let schema = Schema::new(cols);
+            if database.get(&name).is_some() {
+                return Err(err(line_no, format!("duplicate @relation {name}")).into());
+            }
+            let schema = Schema::try_new(cols).map_err(|column| {
+                err(
+                    line_no,
+                    format!("duplicate column {column:?} in @relation {name}"),
+                )
+            })?;
             let mut rel = Relation::empty(schema.clone());
             // Tuple lines until `}`.
             loop {
@@ -275,9 +283,12 @@ pub fn parse_file(src: &str) -> Result<PfqFile, Box<dyn std::error::Error>> {
                 .ok_or_else(|| err(line_no, "expected `@kernel Rel := <expression>`"))?;
             let expr = pfq_algebra::parser::parse_expr(expr_src.trim())
                 .map_err(|e| err(line_no, format!("kernel expression: {e}")))?;
-            kernels
-                .get_or_insert_with(Interpretation::new)
-                .define(target.trim().to_string(), expr);
+            let target = target.trim();
+            let kernels = kernels.get_or_insert_with(Interpretation::new);
+            if kernels.kernel(target).is_some() {
+                return Err(err(line_no, format!("duplicate @kernel {target}")).into());
+            }
+            kernels.define(target, expr);
         } else {
             return Err(err(line_no, format!("unexpected directive: {line:?}")).into());
         }

@@ -593,6 +593,7 @@ impl Planner {
     /// (prepared) start database, an inflationary one against the input
     /// plus the program's IDB relations.
     pub fn plan(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
+        let forever = request.task.forever_query()?;
         match request.task {
             Task::Inflationary { query, db } => {
                 check_inflationary_event(query, &|name| db.get(name).map(|r| r.schema().clone()))?
@@ -601,18 +602,24 @@ impl Planner {
                 check_inflationary_event(query, &|name| input.schema(name).cloned())?
             }
             _ => {
-                if let Some((fq, db)) = request.task.forever_query()? {
-                    fq.event.check(&db)?;
+                if let Some((fq, db)) = &forever {
+                    fq.event.check(db)?;
                 }
             }
         }
         match request.strategy {
-            Strategy::Auto => Self::auto(request, cache),
-            _ => Self::forced(request, cache),
+            Strategy::Auto => Self::auto(request, forever, cache),
+            _ => Self::forced(request, forever, cache),
         }
     }
 
-    fn forced(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
+    /// Plans a caller-fixed strategy. `forever` is the task's
+    /// forever-query, translated once by [`Planner::plan`].
+    fn forced(
+        request: &EvalRequest<'_>,
+        forever: Option<ForeverInput<'_>>,
+        cache: &mut EvalCache,
+    ) -> Result<Plan, CoreError> {
         let kind = request.task.kind();
         let fixed = "strategy fixed by caller".to_string();
         let plan = |action: PlanAction, notes: Vec<String>| Plan {
@@ -688,7 +695,11 @@ impl Planner {
                 let mut notes = vec![fixed];
                 let burn_in = match burn_in {
                     Some(b) => b,
-                    None => Self::auto_burn_in(request, cache, &mut notes)?,
+                    None => {
+                        let (fq, db) =
+                            forever.expect("burn-in applies to non-inflationary tasks only");
+                        Self::auto_burn_in(request, &fq, &db, cache, &mut notes)?
+                    }
                 };
                 Ok(plan(
                     PlanAction::BurnInSample {
@@ -711,16 +722,14 @@ impl Planner {
     /// its kernel rows serve later exact chain runs.
     fn auto_burn_in(
         request: &EvalRequest<'_>,
+        fq: &crate::ForeverQuery,
+        db: &Database,
         cache: &mut EvalCache,
         notes: &mut Vec<String>,
     ) -> Result<usize, CoreError> {
-        let (fq, db) = request
-            .task
-            .forever_query()?
-            .expect("burn-in applies to non-inflationary tasks only");
         match mixing_sampler::auto_burn_in(
-            &fq,
-            &db,
+            fq,
+            db,
             request.epsilon,
             AUTO_MIXING_MAX_T,
             request.chain_budget,
@@ -750,7 +759,13 @@ impl Planner {
         }
     }
 
-    fn auto(request: &EvalRequest<'_>, cache: &mut EvalCache) -> Result<Plan, CoreError> {
+    /// Plans [`Strategy::Auto`]. `forever` is the task's forever-query,
+    /// translated once by [`Planner::plan`].
+    fn auto(
+        request: &EvalRequest<'_>,
+        forever: Option<ForeverInput<'_>>,
+        cache: &mut EvalCache,
+    ) -> Result<Plan, CoreError> {
         match &request.task {
             Task::Inflationary { query, db } => {
                 let probe_nodes = request
@@ -847,7 +862,7 @@ impl Planner {
                         "program is negation-free but has a single independence class".to_string(),
                     );
                 }
-                let (fq, prepared) = query.to_forever_query(db).map_err(CoreError::Datalog)?;
+                let (fq, prepared) = forever.expect("a non-inflationary task translates");
                 Self::chain_or_burn_in(request, &fq, &prepared, cache, notes)
             }
             Task::Forever { query, db } => {

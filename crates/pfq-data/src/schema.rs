@@ -13,19 +13,26 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Builds a schema; panics on duplicate column names (a schema with
-    /// duplicates is a construction bug, not a data condition).
+    /// Builds a schema; panics on duplicate column names (a schema built
+    /// in code with duplicates is a construction bug). Column lists that
+    /// come from user input go through [`try_new`](Self::try_new).
     pub fn new<S: Into<String>>(columns: impl IntoIterator<Item = S>) -> Schema {
+        Schema::try_new(columns).unwrap_or_else(|c| panic!("duplicate column name {c:?} in schema"))
+    }
+
+    /// Builds a schema, or returns the first column name that repeats.
+    pub fn try_new<S: Into<String>>(
+        columns: impl IntoIterator<Item = S>,
+    ) -> Result<Schema, String> {
         let columns: Vec<String> = columns.into_iter().map(Into::into).collect();
         for (i, c) in columns.iter().enumerate() {
-            assert!(
-                !columns[..i].contains(c),
-                "duplicate column name {c:?} in schema"
-            );
+            if columns[..i].contains(c) {
+                return Err(c.clone());
+            }
         }
-        Schema {
+        Ok(Schema {
             columns: columns.into(),
-        }
+        })
     }
 
     /// The 0-ary schema (for boolean/flag relations).
@@ -126,6 +133,12 @@ mod tests {
     #[should_panic(expected = "duplicate column")]
     fn duplicate_columns_panic() {
         let _ = Schema::new(["a", "a"]);
+    }
+
+    #[test]
+    fn try_new_names_the_first_repeated_column() {
+        assert_eq!(Schema::try_new(["a", "b", "b", "a"]), Err("b".to_string()));
+        assert_eq!(Schema::try_new(["a", "b"]), Ok(Schema::new(["a", "b"])));
     }
 
     #[test]

@@ -277,6 +277,29 @@ fn ill_formed_kernel_is_an_error() {
     );
 }
 
+/// A renaming onto a column the relation already has gives its result
+/// two columns of one name; it used to panic.
+#[test]
+fn rename_onto_an_existing_column_is_an_error() {
+    let src = "@relation E(i, j) {\n  (1, 2)\n}\n\
+               @relation C(j) {\n  (1)\n}\n\
+               @kernel C := project[j](rename[i->j](E))\n\
+               @query kernel exact event C(1)\n";
+    assert_eq!(run_error(src), "duplicate column \"j\" in rename result");
+}
+
+/// A projection that names a column twice used to panic.
+#[test]
+fn projection_repeating_a_column_is_an_error() {
+    let src = "@relation C(i) {\n  (1)\n}\n\
+               @kernel C := project[i, i](C)\n\
+               @query kernel exact event C(1)\n";
+    assert_eq!(
+        run_error(src),
+        "duplicate column \"i\" in projection result"
+    );
+}
+
 /// A misspelled event relation used to answer `p = 0`.
 #[test]
 fn kernel_event_on_an_unknown_relation_is_an_error() {
@@ -393,4 +416,38 @@ fn oversized_literal_in_a_query_event_is_an_error() {
          @query inflationary exact event T(1, {OVERSIZED})\n"
     );
     assert_eq!(parse_error(&src), "line 7: integer literal overflows i64");
+}
+
+/// A relation header that names a column twice used to panic.
+#[test]
+fn relation_header_repeating_a_column_is_an_error() {
+    let src = "@relation E(i, i) {\n  (1, 2)\n}\n\
+               @relation C(i) {\n  (1)\n}\n\
+               @kernel C := project[i](C)\n\
+               @query kernel exact event C(1)\n";
+    assert_eq!(
+        parse_error(src),
+        "line 1: duplicate column \"i\" in @relation E"
+    );
+}
+
+/// A second `@relation C` used to replace the first without a word.
+#[test]
+fn duplicate_relation_is_an_error() {
+    let src = "@relation C(i) {\n  (1)\n}\n\
+               @relation C(i) {\n  (2)\n}\n\
+               @kernel C := C\n\
+               @query kernel exact event C(1)\n";
+    assert_eq!(parse_error(src), "line 4: duplicate @relation C");
+}
+
+/// A second `@kernel C` used to replace the first without a word.
+#[test]
+fn duplicate_kernel_is_an_error() {
+    let src = "@relation C(i) {\n  (1)\n}\n\
+               @relation E(i, j) {\n  (1, 2)\n}\n\
+               @kernel C := C\n\
+               @kernel C := rename[j->i](project[j](C join E))\n\
+               @query kernel exact event C(1)\n";
+    assert_eq!(parse_error(src), "line 8: duplicate @kernel C");
 }
