@@ -4,10 +4,9 @@
 //! harness that times the paper's workloads: it regenerates the *shape*
 //! of every Table 1 claim as a printed table — scaling sweeps with
 //! wall-clock timings and asserted accuracy cross-checks — recorded in
-//! `EXPERIMENTS.md`. The four `harness = false` benches (`benches/`)
-//! each assert one implementation claim against its reference:
-//! memoization, the GTH stationary solver, planner overhead, and
-//! sampler thread scaling.
+//! `EXPERIMENTS.md`. It also asserts the implementation claims against
+//! their references: the shared memo and plan construction (E15), the
+//! GTH stationary solver (E16) and sampler thread counts (E5).
 
 use pfq_core::exact_inflationary::{self, ExactBudget};
 use pfq_core::exact_noninflationary::{self, ChainBudget};

@@ -807,12 +807,7 @@ impl Planner {
                     .exact_budget
                     .world_budget
                     .unwrap_or(AUTO_WORLD_CEILING);
-                // Deterministic upper bound on distinct input worlds:
-                // the product of the variables' outcome counts.
-                let estimate = input
-                    .variables()
-                    .iter()
-                    .fold(1usize, |acc, v| acc.saturating_mul(v.outcomes().len()));
+                let estimate = input.valuation_count();
                 if estimate <= cap {
                     Ok(Plan {
                         task: TaskKind::InflationaryPc,

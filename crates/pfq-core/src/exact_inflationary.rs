@@ -23,7 +23,10 @@ use std::sync::Arc;
 pub struct ExactBudget {
     /// Maximum computation-tree nodes to expand per input world.
     pub node_budget: Option<usize>,
-    /// Maximum input-database worlds to iterate (pc-table input only).
+    /// Maximum input-database worlds to iterate (pc-table input only),
+    /// counted as variable valuations
+    /// ([`PcDatabase::valuation_count`]) and checked before any world
+    /// is built.
     pub world_budget: Option<usize>,
 }
 
@@ -129,9 +132,9 @@ pub fn enumerate_fixpoints_memo(
 /// Computes the exact probability of the query event over a certain
 /// (non-probabilistic) input database — the Prop. 4.4 traversal, memoized
 /// through `cache`. Repeated queries over the same program and database
-/// are served from the whole-tree result memo, and distinct inputs still
-/// share interned states and successor rows. Pass a fresh
-/// `EvalCache::default()` for a one-off query.
+/// are served from the whole-tree result memo, whatever their events.
+/// Tree states hold the whole database, so distinct inputs never meet in
+/// the memo. Pass a fresh `EvalCache::default()` for a one-off query.
 pub fn evaluate(
     query: &DatalogQuery,
     db: &Database,
@@ -143,26 +146,27 @@ pub fn evaluate(
 }
 
 /// Computes the exact probability of the query event over a probabilistic
-/// c-table input: `Σ_worlds Pr(world) · Pr(event | world)` (§3.2). One
-/// cache serves every world, so worlds reuse each other's interned states
-/// and transition rows — §3.2 worlds differ in a handful of input tuples,
-/// leaving most of the computation tree shared. The program is interned
-/// once per call and compiled at most once, not once per world.
+/// c-table input: `Σ_worlds Pr(world) · Pr(event | world)` (§3.2). Tree
+/// states hold the whole database, so two worlds never share a state or
+/// a successor row; what the cache shares is whole-tree results, across
+/// repeated queries over the same program and world. Sharing work across
+/// worlds needs IDB-only states and lazy branching on pc-table variables
+/// (`ROADMAP.md`). The program is interned once per call and compiled at
+/// most once, not once per world. The world budget is checked against
+/// [`PcDatabase::valuation_count`] before any world is built.
 pub fn evaluate_pc(
     query: &DatalogQuery,
     input: &PcDatabase,
     budget: ExactBudget,
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
-    let worlds = input.enumerate_worlds()?;
-    if let Some(limit) = budget.world_budget {
-        if worlds.support_size() > limit {
-            return Err(CoreError::BadParameter(format!(
-                "input has {} worlds, over the budget of {limit}",
-                worlds.support_size()
-            )));
-        }
+    let valuations = input.valuation_count();
+    if let Some(limit) = budget.world_budget.filter(|&limit| valuations > limit) {
+        return Err(CoreError::BadParameter(format!(
+            "input has {valuations} valuations, over the world budget of {limit}"
+        )));
     }
+    let worlds = input.enumerate_worlds()?;
     let mut tree = Tree::new(&query.program, &mut cache.fixpoints);
     let mut total = Ratio::zero();
     for (world, p) in worlds.iter() {
@@ -317,8 +321,9 @@ mod tests {
             ),
             Err(CoreError::BadParameter(_))
         ));
-        // Unused variables merge worlds: a single gated edge plus three
-        // unused coins yields only 2 distinct worlds, under the budget.
+        // The budget counts valuations: a single gated edge plus three
+        // unused coins is 2 distinct worlds but 16 valuations, so a
+        // budget of 15 fails and one of exactly 16 succeeds.
         let mut small = PcDatabase::new();
         for i in 0..4 {
             small
@@ -330,8 +335,47 @@ mod tests {
             PcTable::new(Schema::new(["i", "j", "p"]))
                 .with(tuple!["v", "w", 1], Condition::eq("y0", 1)),
         );
-        let p = evaluate_pc(&reach_query("w"), &small, budget, &mut EvalCache::default()).unwrap();
-        assert_eq!(p, Ratio::new(1, 2));
+        assert_eq!(small.valuation_count(), 16);
+        let run = |limit| {
+            let budget = ExactBudget {
+                node_budget: None,
+                world_budget: Some(limit),
+            };
+            evaluate_pc(&reach_query("w"), &small, budget, &mut EvalCache::default())
+        };
+        assert!(matches!(run(15), Err(CoreError::BadParameter(_))));
+        assert_eq!(run(16).unwrap(), Ratio::new(1, 2));
+    }
+
+    #[test]
+    fn world_budget_is_checked_before_enumerating() {
+        // 2^64 valuations: enumerating them would never return.
+        let mut input = PcDatabase::new();
+        let mut table = PcTable::new(Schema::new(["i", "j", "p"]));
+        for i in 0..64 {
+            input
+                .declare_variable(RandomVariable::fair_coin(format!("x{i}")))
+                .unwrap();
+            table.add(
+                tuple!["v", format!("w{i}").as_str(), 1],
+                Condition::eq(format!("x{i}"), 1),
+            );
+        }
+        input.add_table("E", table);
+        assert_eq!(input.valuation_count(), usize::MAX);
+        let budget = ExactBudget {
+            node_budget: None,
+            world_budget: Some(8),
+        };
+        assert!(matches!(
+            evaluate_pc(
+                &reach_query("w0"),
+                &input,
+                budget,
+                &mut EvalCache::default()
+            ),
+            Err(CoreError::BadParameter(_))
+        ));
     }
 
     #[test]

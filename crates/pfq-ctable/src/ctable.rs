@@ -181,6 +181,18 @@ impl PcDatabase {
         }
     }
 
+    /// The number of variable valuations, [`enumerate_worlds`]'s
+    /// iteration count: the product of the variables' outcome counts,
+    /// saturating at `usize::MAX`. Distinct valuations may yield equal
+    /// worlds, so this bounds the distinct-world count from above.
+    ///
+    /// [`enumerate_worlds`]: Self::enumerate_worlds
+    pub fn valuation_count(&self) -> usize {
+        self.variables
+            .iter()
+            .fold(1, |acc, v| acc.saturating_mul(v.outcomes().len()))
+    }
+
     /// Exactly enumerates the distribution over possible worlds —
     /// exponential in the number of variables, as Proposition 4.4's
     /// PSPACE iteration implies.

@@ -20,7 +20,8 @@
 //! * [`coloring`] — MCMC programmed in the query language: Glauber
 //!   dynamics over proper graph colorings, with exact uniformity checks;
 //! * [`queue`] — a truncated birth–death queue with a closed-form
-//!   stationary distribution, validated exactly against the chain.
+//!   stationary distribution, validated exactly against the chain, and
+//!   a directly built lazy birth–death chain for solver scaling.
 
 pub mod basketball;
 pub mod bayes;

@@ -22,6 +22,7 @@
 use pfq_algebra::{Expr, Interpretation};
 use pfq_core::{Event, ForeverQuery};
 use pfq_data::{tuple, Database, Relation, Schema};
+use pfq_markov::MarkovChain;
 use pfq_num::Ratio;
 
 /// A truncated birth–death queue.
@@ -127,6 +128,23 @@ impl BirthDeathQueue {
         let norm: Ratio = pi.iter().sum();
         pi.into_iter().map(|p| p.div_ref(&norm)).collect()
     }
+}
+
+/// A lazy symmetric birth–death chain on `n ≥ 2` states, built directly
+/// rather than through a kernel: interior states move ±1 w.p. 1/4 each
+/// and stay w.p. 1/2; the boundaries stay w.p. 3/4. Reversible with
+/// uniform π, so rational entries stay small and a stationary solve on
+/// it measures the solver rather than bignum growth.
+pub fn lazy_birth_death_chain(n: usize) -> MarkovChain<u32> {
+    let r = Ratio::new;
+    let rows = (0..n)
+        .map(|i| match i {
+            0 => vec![(0, r(3, 4)), (1, r(1, 4))],
+            _ if i == n - 1 => vec![(i - 1, r(1, 4)), (i, r(3, 4))],
+            _ => vec![(i - 1, r(1, 4)), (i, r(1, 2)), (i + 1, r(1, 4))],
+        })
+        .collect();
+    MarkovChain::from_rows((0..n as u32).collect(), rows).unwrap()
 }
 
 #[cfg(test)]

@@ -3,18 +3,22 @@
 //! Gaussian-elimination reference on randomized chains — stationary
 //! distributions, absorption/long-run vectors, and end-to-end
 //! non-inflationary query evaluation — plus the structural edge cases
-//! (single state, periodic cycles, reducible chains).
+//! (single state, periodic cycles, reducible chains) and fixed chains:
+//! kernel-built queue and coloring chains, an absorbing chain and a
+//! lazy birth–death chain.
 
 mod common;
 
 use common::chain_probability;
-use pfq::lang::exact_noninflationary::ChainBudget;
+use pfq::lang::exact_noninflationary::{build_chain, ChainBudget};
 use pfq::markov::absorption::long_run_distribution;
 use pfq::markov::dense;
 use pfq::markov::stationary::exact_stationary;
 use pfq::markov::MarkovChain;
 use pfq::num::Ratio;
+use pfq::workloads::coloring::ColoringMcmc;
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
+use pfq::workloads::queue::{lazy_birth_death_chain, BirthDeathQueue};
 use pfq_fuzz::oracle::reference_chain_probability;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -71,7 +75,7 @@ fn random_reducible(seed: u64, n: usize) -> MarkovChain<u32> {
     MarkovChain::from_rows((0..n as u32).collect(), rows).unwrap()
 }
 
-fn assert_long_run_agrees(chain: &MarkovChain<u32>) {
+fn assert_long_run_agrees<S: Ord + Clone>(chain: &MarkovChain<S>) {
     for start in 0..chain.len() {
         let dense = dense::long_run_distribution(chain, start).unwrap();
         let sparse = long_run_distribution(chain, start).unwrap();
@@ -192,4 +196,39 @@ fn two_recurrent_classes_from_each_side() {
     )
     .unwrap();
     assert_long_run_agrees(&chain);
+}
+
+#[test]
+fn kernel_built_and_fixed_chains_agree() {
+    // Kernel-built: a banded queue chain, the motivating sparse shape,
+    // and Glauber coloring on a 3-node path, with denser rows.
+    let (query, db) = BirthDeathQueue::new(6, 1, 1, 2).length_query(0, 0);
+    let queue = build_chain(&query, &db, ChainBudget::default()).unwrap();
+    assert_eq!(queue.len(), 7);
+    assert_long_run_agrees(&queue);
+    let (query, db) = ColoringMcmc::new(3, vec![(0, 1), (1, 2)], 3).color_query(0, 0);
+    let coloring = build_chain(&query, &db, ChainBudget::default()).unwrap();
+    assert_eq!(coloring.len(), 12);
+    assert_long_run_agrees(&coloring);
+
+    // Two transients feeding two absorbing states: the censored
+    // absorption solve end to end.
+    let r = |a: i64, b: i64| Ratio::new(a, b);
+    let absorbing = MarkovChain::from_rows(
+        vec![0u32, 1, 2, 3],
+        vec![
+            vec![(0, r(1, 4)), (1, r(1, 4)), (2, r(1, 2))],
+            vec![(2, r(1, 3)), (3, r(2, 3))],
+            vec![(2, Ratio::one())],
+            vec![(3, Ratio::one())],
+        ],
+    )
+    .unwrap();
+    assert_long_run_agrees(&absorbing);
+
+    let birth_death = lazy_birth_death_chain(60);
+    let dense = dense::stationary(&birth_death).unwrap();
+    assert_eq!(dense, exact_stationary(&birth_death).unwrap());
+    assert_eq!(dense, vec![r(1, 60); 60]);
+    assert_long_run_agrees(&birth_death);
 }
