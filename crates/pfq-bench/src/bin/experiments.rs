@@ -12,20 +12,28 @@
 //! selects the worker count (default: all cores) and `--seed S`
 //! re-bases every experiment's RNG seed, reproducing all estimates
 //! bit for bit at any thread count.
+//!
+//! `--ledger NAME` runs the tables, then times the ledger's layers and
+//! end-to-end workloads (`LEDGER_RUNS` runs each, one thread) and
+//! writes `BENCH_NAME.json` at the repository root: one point of the
+//! performance trajectory (`ROADMAP.md`).
 
 use pfq_bench::{
-    chain_probability, fmt_duration, pc_probability, print_table, time_median, time_once,
-    tree_probability,
+    chain_probability, fmt_duration, ledger_json, pc_probability, print_table, time_median,
+    time_once, tree_probability, LedgerEntry,
 };
+use pfq_core::exact_inflationary::{self, ExactBudget};
 use pfq_core::exact_noninflationary::{self, ChainBudget};
-use pfq_core::sampler::SamplerConfig;
+use pfq_core::sampler::{SampleReport, SamplerConfig};
 use pfq_core::{
     mixing_sampler, partition, sample_inflationary, DatalogQuery, Engine, EvalCache, EvalRequest,
     Event,
 };
+use pfq_ctable::PcDatabase;
+use pfq_data::intern::Interner;
 use pfq_data::{tuple, Database, Relation, Schema};
 use pfq_datalog::eval::CompiledProgram;
-use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
+use pfq_datalog::inflationary::{sample_fixpoint, step_distribution, EngineState};
 use pfq_fuzz::oracle::reference_pc_probability;
 use pfq_markov::{dense, gth, mixing, stationary};
 use pfq_num::Ratio;
@@ -37,6 +45,8 @@ use pfq_workloads::queue::lazy_birth_death_chain;
 use pfq_workloads::sat::{theorem_4_1_pc, theorem_5_1_forever_query, Cnf};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Engine knobs shared by every sampling experiment.
 struct Knobs {
@@ -44,6 +54,8 @@ struct Knobs {
     threads: usize,
     /// Base seed; each experiment derives its own seeds from it.
     seed: u64,
+    /// Name of the `BENCH_*.json` ledger to write after the tables.
+    ledger: Option<String>,
 }
 
 impl Knobs {
@@ -51,18 +63,30 @@ impl Knobs {
         let mut knobs = Knobs {
             threads: 0,
             seed: 0,
+            ledger: None,
         };
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
-            let mut value = |flag: &str| {
-                args.next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("{flag} needs an unsigned integer value"))
+            let value = args.next().unwrap_or_else(|| panic!("{arg} needs a value"));
+            let number = || {
+                value
+                    .parse()
+                    .unwrap_or_else(|_| panic!("{arg} needs an unsigned integer value"))
             };
             match arg.as_str() {
-                "--threads" => knobs.threads = value("--threads") as usize,
-                "--seed" => knobs.seed = value("--seed"),
-                other => panic!("unknown argument {other:?} (expected --threads/--seed)"),
+                "--threads" => knobs.threads = number() as usize,
+                "--seed" => knobs.seed = number(),
+                "--ledger" => {
+                    assert!(
+                        !value.is_empty()
+                            && value
+                                .chars()
+                                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-'),
+                        "--ledger needs a name of letters, digits, '_' and '-'"
+                    );
+                    knobs.ledger = Some(value);
+                }
+                other => panic!("unknown argument {other:?} (expected --threads/--seed/--ledger)"),
             }
         }
         knobs
@@ -92,6 +116,7 @@ fn main() {
     e3_relative_vs_absolute();
     e4_exact_inflationary();
     e5_sampling_inflationary(&knobs);
+    e5b_thread_sweep(&knobs);
     e6_exact_noninflationary();
     e7_mixing_time_sampling(&knobs);
     e8_partitioning();
@@ -103,15 +128,16 @@ fn main() {
     e15_memoization();
     e16_stationary_scaling();
     e17_planner(&knobs);
+    if let Some(name) = &knobs.ledger {
+        write_ledger(name, knobs.seed);
+    }
 }
 
 /// E1 — Table 1 row 1, exact: exponential scaling of exact evaluation of
 /// linear datalog over pc-tables (the Theorem 4.1 reduction).
 fn e1_exact_linear_datalog() {
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
     let mut rows = Vec::new();
-    for n in [4usize, 6, 8, 10, 12] {
-        let (f, _) = Cnf::random_satisfiable(n, n, &mut rng);
+    for (n, f) in e1_formulas() {
         let (query, input) = theorem_4_1_pc(&f);
         assert!(query.is_linear());
         let (d, p) = time_once(|| pc_probability(&query, &input));
@@ -130,6 +156,16 @@ fn e1_exact_linear_datalog() {
         &["vars n", "clauses", "worlds 2^n", "exact p (= #SAT/2^n)", "time"],
         &rows,
     );
+}
+
+/// E1's formulas, `n` variables and `n` clauses each, drawn in order
+/// from one seeded rng.
+fn e1_formulas() -> Vec<(usize, Cnf)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    [4usize, 6, 8, 10, 12]
+        .into_iter()
+        .map(|n| (n, Cnf::random_satisfiable(n, n, &mut rng).0))
+        .collect()
 }
 
 /// E2 — Table 1 row 1, absolute approximation: PTIME scaling of the
@@ -180,9 +216,9 @@ fn e3_relative_vs_absolute() {
             loop {
                 count += 1;
                 let world = input.sample_world(&mut rng).unwrap();
-                let start = EngineState::initial(&query.program, &world).unwrap();
-                let fp = sample_fixpoint(&program, &start, &mut rng, 1_000_000).unwrap();
-                if query.event.holds(&fp) {
+                let (edb, start) = EngineState::initial(&query.program, &world).unwrap();
+                let fp = sample_fixpoint(&program, &edb, &start, &mut rng, 1_000_000).unwrap();
+                if query.event.holds(&fp.database(&edb)) {
                     break;
                 }
                 if count > 100_000 {
@@ -269,8 +305,40 @@ fn e4_exact_inflationary() {
 /// E5 — Theorem 4.3: the PTIME sampler on reachability instances far
 /// beyond exact reach, plus accuracy on a small instance.
 fn e5_sampling_inflationary(knobs: &Knobs) {
+    let sweep = e5_sweep(knobs);
+    println!(
+        "\nE5 accuracy check (n=5): exact = {:.4}, sampled = {:.4} ({} samples, ε = 0.05)",
+        sweep.exact, sweep.accuracy.estimate, sweep.accuracy.samples
+    );
+    let rows: Vec<Vec<String>> = sweep
+        .sizes
+        .iter()
+        .map(|(n, report, d)| {
+            vec![
+                n.to_string(),
+                format!("{} / {}", report.samples, report.worst_case),
+                format!("{:.3}", report.estimate),
+                fmt_duration(*d),
+            ]
+        })
+        .collect();
+    print_table(
+        "E5 — Thm 4.3 sampling on reachability (expect polynomial growth in n)",
+        &["nodes", "samples / worst case", "estimate", "time"],
+        &rows,
+    );
+}
+
+/// E5's work: the small instance's exact probability and estimate
+/// (asserted within ε), then each size's report and wall time.
+struct E5Sweep {
+    exact: f64,
+    accuracy: SampleReport,
+    sizes: Vec<(usize, SampleReport, Duration)>,
+}
+
+fn e5_sweep(knobs: &Knobs) -> E5Sweep {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let mut rows = Vec::new();
     // Accuracy on a small instance.
     let g_small = WeightedGraph::erdos_renyi(5, 0.5, &mut rng);
     let db_small = Database::new().with("E", g_small.edge_relation());
@@ -284,11 +352,8 @@ fn e5_sampling_inflationary(knobs: &Knobs) {
         &knobs.config(5, 0),
     )
     .unwrap();
-    println!(
-        "\nE5 accuracy check (n=5): exact = {exact:.4}, sampled = {:.4} ({} samples, ε = 0.05)",
-        est.estimate, est.samples
-    );
     assert!((est.estimate - exact).abs() < 0.05);
+    let mut sizes = Vec::new();
     for n in [10usize, 20, 40, 80] {
         let g = WeightedGraph::erdos_renyi(n, 0.3, &mut rng);
         let db = Database::new().with("E", g.edge_relation());
@@ -297,42 +362,64 @@ fn e5_sampling_inflationary(knobs: &Knobs) {
         let (d, report) = time_once(|| {
             sample_inflationary::evaluate_with_config(&query, &db, 0.1, 0.05, &config).unwrap()
         });
-        rows.push(vec![
-            n.to_string(),
-            format!("{} / {}", report.samples, report.worst_case),
-            format!("{:.3}", report.estimate),
-            fmt_duration(d),
-        ]);
+        sizes.push((n, report, d));
     }
-    print_table(
-        "E5 — Thm 4.3 sampling on reachability (expect polynomial growth in n)",
-        &["nodes", "samples / worst case", "estimate", "time"],
-        &rows,
-    );
+    E5Sweep {
+        exact,
+        accuracy: est,
+        sizes,
+    }
+}
 
-    // Fixed work at 1/2/4/8 threads. Per-trial seeding makes every
-    // thread count compute the same estimate, asserted to the bit before
-    // timing; only the wall time may change.
-    const SAMPLES: usize = 200;
-    const RUNS: usize = 10;
-    let n = 40;
-    let g = WeightedGraph::erdos_renyi(n, 0.3, &mut ChaCha8Rng::seed_from_u64(42));
-    let db = Database::new().with("E", g.edge_relation());
-    let query = pfq_workloads::graphs::reachability_query(0, n as i64 - 1);
-    let run = |threads: usize| {
+/// E5's walk: reachability from node 0 to node 39 of a seeded 40-node
+/// graph.
+struct E5Walk {
+    query: DatalogQuery,
+    db: Database,
+}
+
+/// Fixed trials of one [`E5Walk::run`].
+const E5_WALK_SAMPLES: usize = 200;
+
+impl E5Walk {
+    fn new() -> E5Walk {
+        let n = 40;
+        let g = WeightedGraph::erdos_renyi(n, 0.3, &mut ChaCha8Rng::seed_from_u64(42));
+        E5Walk {
+            query: pfq_workloads::graphs::reachability_query(0, n as i64 - 1),
+            db: Database::new().with("E", g.edge_relation()),
+        }
+    }
+
+    /// [`E5_WALK_SAMPLES`] trials at `threads`.
+    fn run(&self, knobs: &Knobs, threads: usize) -> SampleReport {
         let config = knobs.config(5, 1).with_threads(threads);
-        sample_inflationary::evaluate_with_samples_config(&query, &db, SAMPLES, &config).unwrap()
-    };
-    let baseline = run(1).estimate;
+        sample_inflationary::evaluate_with_samples_config(
+            &self.query,
+            &self.db,
+            E5_WALK_SAMPLES,
+            &config,
+        )
+        .unwrap()
+    }
+}
+
+/// E5b — fixed work at 1/2/4/8 threads. Per-trial seeding makes every
+/// thread count compute the same estimate, asserted to the bit before
+/// timing; only the wall time may change.
+fn e5b_thread_sweep(knobs: &Knobs) {
+    const RUNS: usize = 10;
+    let walk = E5Walk::new();
+    let baseline = walk.run(knobs, 1).estimate;
     let mut rows = Vec::new();
     let mut t_one = None;
     for threads in [1usize, 2, 4, 8] {
         assert_eq!(
-            run(threads).estimate.to_bits(),
+            walk.run(knobs, threads).estimate.to_bits(),
             baseline.to_bits(),
             "thread count changed the estimate"
         );
-        let t = time_median(RUNS, || run(threads));
+        let t = time_median(RUNS, || walk.run(knobs, threads));
         let t_one = *t_one.get_or_insert(t);
         rows.push(vec![
             threads.to_string(),
@@ -342,7 +429,7 @@ fn e5_sampling_inflationary(knobs: &Knobs) {
     }
     print_table(
         &format!(
-            "E5b — sampler thread sweep (reachability n = {n}, {SAMPLES} fixed samples, \
+            "E5b — sampler thread sweep (reachability n = 40, {E5_WALK_SAMPLES} fixed samples, \
              median of {RUNS} runs; estimate {baseline} bit-identical at every thread count)"
         ),
         &["threads", "median wall-clock", "speedup"],
@@ -862,6 +949,15 @@ fn e16_stationary_scaling() {
 /// Thm 5.6 restart sampling as the forced alternative. Every overlapping
 /// answer is asserted identical (exact) or within tolerance (sampled).
 fn e17_planner(knobs: &Knobs) {
+    print_table(
+        "E17 — planner-chosen vs forced strategies (Auto plans exact while the probe fits the budget, samples past it; overlapping answers asserted identical)",
+        &["workload", "auto plan", "auto time", "forced exact", "forced sampling"],
+        &e17_rows(knobs),
+    );
+}
+
+/// E17's work: one row per workload, every overlapping answer asserted.
+fn e17_rows(knobs: &Knobs) -> Vec<Vec<String>> {
     use pfq_core::Strategy;
     use pfq_workloads::coloring::ColoringMcmc;
     let mut rows = Vec::new();
@@ -953,9 +1049,177 @@ fn e17_planner(knobs: &Knobs) {
             fmt_duration(d_sample),
         ]);
     }
+    rows
+}
+
+/// Runs per ledger entry.
+const LEDGER_RUNS: usize = 5;
+
+/// Times the ledger's layers and end-to-end workloads on one thread and
+/// writes `BENCH_{name}.json` at the repository root. Every counter is a
+/// work count of one run, the same in every run.
+fn write_ledger(name: &str, seed: u64) {
+    let knobs = Knobs {
+        threads: 1,
+        seed,
+        ledger: None,
+    };
+    let (_, f) = e1_formulas().into_iter().find(|(n, _)| *n == 10).unwrap();
+    let (query, input) = theorem_4_1_pc(&f);
+    let e1 = "E1 n = 10: Thm 4.1 3-SAT pc-table, 1024 worlds";
+    let mut entries = Vec::new();
+
+    // One exact pc-table evaluation on a fresh memo, per tree node.
+    let mut stats = EvalCache::default().stats();
+    let mut step_ms = Vec::new();
+    let per_node = (0..LEDGER_RUNS)
+        .map(|_| {
+            let mut cache = EvalCache::default();
+            let (d, _) = time_once(|| {
+                exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default(), &mut cache)
+                    .unwrap()
+            });
+            stats = cache.stats();
+            step_ms.push(d.as_secs_f64() * 1e3);
+            d.as_secs_f64() * 1e9 / stats.engine_states as f64
+        })
+        .collect();
+    let tree_counters = vec![
+        ("tree_nodes", stats.engine_states as u64),
+        ("row_evals", stats.step_misses),
+        ("state_bytes", stats.approx_bytes as u64),
+    ];
+    entries.push(LedgerEntry {
+        layer: "datalog-step",
+        workload: format!("{e1}, exact tree on a fresh memo"),
+        unit: "ns/tree node",
+        runs: per_node,
+        counters: tree_counters.clone(),
+    });
+
+    // Interning every successor the same trees produce, in order.
+    let successors = tree_successors(&query, &input);
+    let mut store: Interner<(usize, EngineState)> = Interner::new();
+    let per_call = (0..LEDGER_RUNS)
+        .map(|_| {
+            let batch = successors.clone();
+            store = Interner::new();
+            let (d, _) = time_once(|| {
+                for state in batch {
+                    store.intern(state);
+                }
+            });
+            d.as_secs_f64() * 1e9 / successors.len() as f64
+        })
+        .collect();
+    entries.push(LedgerEntry {
+        layer: "intern",
+        workload: format!("{e1}: every successor of every world's tree, keyed by world"),
+        unit: "ns/intern",
+        runs: per_call,
+        counters: vec![
+            ("interns", successors.len() as u64),
+            ("distinct", store.len() as u64),
+            ("hits", store.hits()),
+        ],
+    });
+
+    let walk = E5Walk::new();
+    let mut samples = 0;
+    let rates = (0..LEDGER_RUNS)
+        .map(|_| {
+            let (d, report) = time_once(|| walk.run(&knobs, 1));
+            samples = report.samples;
+            report.samples as f64 / d.as_secs_f64()
+        })
+        .collect();
+    entries.push(LedgerEntry {
+        layer: "sampler",
+        workload: "E5 walk: reachability on a 40-node graph, 1 thread".into(),
+        unit: "trials/s",
+        runs: rates,
+        counters: vec![("samples", samples as u64)],
+    });
+
+    entries.push(LedgerEntry {
+        layer: "e2e",
+        workload: e1.into(),
+        unit: "ms",
+        runs: step_ms,
+        counters: tree_counters,
+    });
+    let mut e5_samples = 0;
+    let e5_ms = (0..LEDGER_RUNS)
+        .map(|_| {
+            let (d, sweep) = time_once(|| e5_sweep(&knobs));
+            e5_samples = sweep.accuracy.samples
+                + sweep.sizes.iter().map(|(_, r, _)| r.samples).sum::<usize>();
+            d.as_secs_f64() * 1e3
+        })
+        .collect();
+    entries.push(LedgerEntry {
+        layer: "e2e",
+        workload: "E5: accuracy check and the 10..80-node sweep".into(),
+        unit: "ms",
+        runs: e5_ms,
+        counters: vec![("samples", e5_samples as u64)],
+    });
+    let e17_ms = (0..LEDGER_RUNS)
+        .map(|_| time_once(|| e17_rows(&knobs)).0.as_secs_f64() * 1e3)
+        .collect();
+    entries.push(LedgerEntry {
+        layer: "e2e",
+        workload: "E17: every planner row, auto and both forced paths".into(),
+        unit: "ms",
+        runs: e17_ms,
+        counters: Vec::new(),
+    });
+
+    let rows: Vec<Vec<String>> = entries
+        .iter()
+        .map(|e| {
+            let (median, min, max) = e.spread();
+            vec![
+                e.layer.to_string(),
+                e.workload.clone(),
+                format!("{median:.1} {} ({min:.1}..{max:.1})", e.unit),
+            ]
+        })
+        .collect();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, ledger_json(name, 1, seed, &entries))
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     print_table(
-        "E17 — planner-chosen vs forced strategies (Auto plans exact while the probe fits the budget, samples past it; overlapping answers asserted identical)",
-        &["workload", "auto plan", "auto time", "forced exact", "forced sampling"],
+        &format!("Ledger BENCH_{name}.json (median of {LEDGER_RUNS} runs, min..max, 1 thread)"),
+        &["layer", "workload", "median (min..max)"],
         &rows,
     );
+}
+
+/// Every successor state the exact trees of `input`'s worlds produce,
+/// in the order the traversal meets them, each beside its world's index
+/// (as the memo keys a state beside its input's base): each node stepped
+/// once, from Δ of the first parent that reached it.
+fn tree_successors(query: &DatalogQuery, input: &PcDatabase) -> Vec<(usize, EngineState)> {
+    let program = CompiledProgram::new(&query.program);
+    let mut out = Vec::new();
+    for (index, (world, _)) in input.enumerate_worlds().unwrap().iter().enumerate() {
+        let (edb, initial) = EngineState::initial(&query.program, world).unwrap();
+        let mut frontier = BTreeMap::from([(initial, None)]);
+        while let Some((state, delta)) = frontier.pop_first() {
+            let Some(next) = step_distribution(&program, &edb, &state, delta.as_ref()).unwrap()
+            else {
+                continue;
+            };
+            for (child, _) in next.into_iter() {
+                out.push((index, child.clone()));
+                frontier
+                    .entry(child)
+                    .or_insert_with_key(|child| Some(child.delta_from(&state)));
+            }
+        }
+    }
+    out
 }

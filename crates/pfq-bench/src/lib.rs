@@ -89,9 +89,85 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// One entry of a `BENCH_*.json` ledger: a layer or end-to-end workload
+/// timed over several runs, plus work counters that do not depend on
+/// timing.
+pub struct LedgerEntry {
+    /// The layer measured (`datalog-step`, `intern`, `sampler`, `e2e`).
+    pub layer: &'static str,
+    /// The fixed, seeded input it was measured on.
+    pub workload: String,
+    /// The unit of each run's measurement.
+    pub unit: &'static str,
+    /// One measurement per run.
+    pub runs: Vec<f64>,
+    /// Deterministic work counters of one run.
+    pub counters: Vec<(&'static str, u64)>,
+}
+
+impl LedgerEntry {
+    /// `(median, min, max)` of the runs (the upper median for an even
+    /// count).
+    pub fn spread(&self) -> (f64, f64, f64) {
+        let mut runs = self.runs.clone();
+        runs.sort_by(f64::total_cmp);
+        (runs[runs.len() / 2], runs[0], runs[runs.len() - 1])
+    }
+}
+
+/// Renders a ledger as JSON: its name, the engine knobs and host it ran
+/// with, and one object per entry holding the median, min and max of
+/// its runs and its counters.
+pub fn ledger_json(name: &str, threads: usize, seed: u64, entries: &[LedgerEntry]) -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    let mut out = format!(
+        "{{\n  \"ledger\": {name:?},\n  \"threads\": {threads},\n  \"seed\": {seed},\n  \
+         \"host_cpus\": {cpus},\n  \"entries\": [\n"
+    );
+    for (i, e) in entries.iter().enumerate() {
+        let (median, min, max) = e.spread();
+        let counters: Vec<String> = e
+            .counters
+            .iter()
+            .map(|(k, v)| format!("{k:?}: {v}"))
+            .collect();
+        out.push_str(&format!(
+            "    {{\"layer\": {:?}, \"workload\": {:?}, \"unit\": {:?}, \"runs\": {}, \
+             \"median\": {median:.6}, \"min\": {min:.6}, \"max\": {max:.6}, \
+             \"counters\": {{{}}}}}{}\n",
+            e.layer,
+            e.workload,
+            e.unit,
+            e.runs.len(),
+            counters.join(", "),
+            if i + 1 < entries.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ledger_renders_spread_and_counters() {
+        let entry = LedgerEntry {
+            layer: "intern",
+            workload: "w".into(),
+            unit: "ns/call",
+            runs: vec![3.0, 1.0, 2.0],
+            counters: vec![("calls", 7)],
+        };
+        assert_eq!(entry.spread(), (2.0, 1.0, 3.0));
+        let json = ledger_json("x", 1, 0, &[entry]);
+        assert!(json.contains(
+            "{\"layer\": \"intern\", \"workload\": \"w\", \"unit\": \"ns/call\", \"runs\": 3, \
+             \"median\": 2.000000, \"min\": 1.000000, \"max\": 3.000000, \"counters\": {\"calls\": 7}}\n"
+        ));
+        assert!(json.starts_with("{\n  \"ledger\": \"x\",\n  \"threads\": 1,"));
+    }
 
     #[test]
     fn timing_is_positive() {

@@ -1,9 +1,10 @@
 //! The memo layer of the exact evaluators.
 //!
 //! One [`EvalCache`] holds every memo the exact engines use: the tree
-//! memo of the Prop. 4.4 traversal (interned computation-tree nodes,
-//! successor rows, whole-tree results) and the chain memo of the
-//! Thm. 5.5 construction (interned chain states plus kernel rows).
+//! memo of the Prop. 4.4 traversal (interned computation-tree nodes
+//! over their inputs' interned EDBs, successor rows, whole-tree results)
+//! and the chain memo of the Thm. 5.5 construction (interned chain
+//! states over their start databases' interned bases, plus kernel rows).
 //!
 //! Every row is keyed by `(program id, StateId)`. The program id is the
 //! dense id an `Interner<Program>` (tree) or `Interner<Interpretation>`
@@ -79,34 +80,49 @@ fn id_of<T: Clone + Eq + Hash>(interner: &mut Interner<T>, value: &T) -> StateId
 /// exact one-step probabilities.
 pub(crate) type Row = Arc<Vec<(StateId, Ratio)>>;
 
+/// A computation-tree node: the id of its input's prepared EDB and the
+/// [`EngineState`] (IDB relations and `oldVals`) read over it.
+///
+/// Nodes of different inputs differ in their base, so they never share
+/// a row, unless the two inputs have equal EDBs.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct TreeState {
+    pub(crate) base: StateId,
+    pub(crate) engine: EngineState,
+}
+
 /// Memo state of the Prop. 4.4 traversal: programs and computation-tree
-/// nodes interned to dense ids, successor rows per `(program id, node)`
-/// (`None` marks a fixpoint), and whole-tree fixpoint distributions per
-/// `(program id, initial node)`.
+/// nodes interned to dense ids, the EDB bases the nodes share, successor
+/// rows per `(program id, node)` (`None` marks a fixpoint), and
+/// whole-tree fixpoint distributions per `(program id, initial node)`.
 pub(crate) struct FixpointMemo {
     programs: Interner<Program>,
-    pub(crate) states: Interner<EngineState>,
+    /// Each distinct input's prepared EDB, once.
+    pub(crate) bases: Interner<Database>,
+    pub(crate) states: Interner<TreeState>,
     pub(crate) steps: TransitionCache<Option<Row>>,
     pub(crate) results: TransitionCache<Arc<Distribution<Database>>>,
 }
 
-/// Estimated logical bytes of one computation-tree node: database
-/// content plus `oldVals` bookkeeping.
-fn engine_state_approx_bytes(state: &EngineState) -> usize {
+/// Estimated logical bytes of one computation-tree node: IDB content
+/// plus `oldVals` bookkeeping (its base is counted once, with the bases).
+fn tree_state_approx_bytes(state: &TreeState) -> usize {
     let vals: usize = state
+        .engine
         .old_vals()
         .iter()
         .flatten()
         .map(|t| t.values().iter().map(value_approx_bytes).sum::<usize>())
         .sum();
-    database_approx_bytes(&state.db) + vals
+    database_approx_bytes(&state.engine.idb) + vals
 }
 
 impl FixpointMemo {
     fn new() -> FixpointMemo {
         FixpointMemo {
             programs: Interner::new(),
-            states: Interner::with_sizer(engine_state_approx_bytes),
+            bases: Interner::with_sizer(database_approx_bytes),
+            states: Interner::with_sizer(tree_state_approx_bytes),
             steps: TransitionCache::new(),
             results: TransitionCache::new(),
         }
@@ -217,14 +233,16 @@ impl EvalCache {
     }
 
     /// A snapshot of every counter, suitable for `--stats` reporting.
-    /// The program and kernel interners are not counted in
-    /// `approx_bytes`: it sizes states only.
+    /// `approx_bytes` sizes states and the bases they share, each
+    /// distinct base once; the program and kernel interners are not
+    /// counted, and neither are bases in the state counts.
     pub fn stats(&self) -> CacheStats {
         let (tree, chain) = (&self.fixpoints, &self.chain);
         CacheStats {
             engine_states: tree.states.len(),
             db_states: chain.states.len(),
             approx_bytes: tree.states.approx_bytes()
+                + tree.bases.approx_bytes()
                 + chain.states.approx_bytes()
                 + chain.bases.approx_bytes(),
             step_hits: tree.steps.hits,
@@ -253,7 +271,7 @@ pub struct CacheStats {
     /// Distinct non-inflationary chain states interned by the chain
     /// builder (each one database instance).
     pub db_states: usize,
-    /// Estimated logical bytes across both interners.
+    /// Estimated logical bytes of both memos' states and bases.
     pub approx_bytes: usize,
     /// Inflationary successor-row lookups served from the memo.
     pub step_hits: u64,

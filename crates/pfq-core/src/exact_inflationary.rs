@@ -7,7 +7,7 @@
 //! over its possible worlds first (§3.2: pc-table choices are made
 //! *once*, at the beginning).
 
-use crate::cache::{FixpointMemo, Row};
+use crate::cache::{FixpointMemo, Row, TreeState};
 use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
 use pfq_data::{Database, StateId};
@@ -56,28 +56,38 @@ impl<'a> Tree<'a> {
         node_budget: Option<usize>,
     ) -> Result<Arc<Distribution<Database>>, DatalogError> {
         let memo = &mut *self.memo;
-        let initial = memo.states.intern(EngineState::initial(self.program, db)?);
+        let (edb, engine) = EngineState::initial(self.program, db)?;
+        let base = memo.bases.intern(edb);
+        let initial = memo.states.intern(TreeState { base, engine });
         if let Some(done) = memo.results.get(self.id, initial) {
             return Ok(done);
         }
         let compiled = self
             .compiled
             .get_or_insert_with(|| CompiledProgram::new(self.program));
-        let mut frontier: BTreeMap<StateId, Ratio> = BTreeMap::new();
-        frontier.insert(initial, Ratio::one());
+        let edb = memo.bases.resolve(base).clone();
+        // Each node's mass and one parent (none for the root), from which
+        // a missed row fires by Δ: any parent serves, so the parent is
+        // never part of a key.
+        let mut frontier: BTreeMap<StateId, (Ratio, Option<StateId>)> = BTreeMap::new();
+        frontier.insert(initial, (Ratio::one(), None));
         let mut fixpoints = Distribution::new();
         let mut expanded = 0usize;
-        while let Some((sid, p)) = frontier.pop_first() {
+        while let Some((sid, (p, parent))) = frontier.pop_first() {
             charge_node_budget(&mut expanded, node_budget)?;
             let row = match memo.steps.get(self.id, sid) {
                 Some(row) => row,
                 None => {
-                    let state = memo.states.resolve(sid).clone();
-                    let row: Option<Row> = step_distribution(compiled, &state)?.map(|successors| {
+                    let state = &memo.states.resolve(sid).engine;
+                    let delta = parent.map(|up| state.delta_from(&memo.states.resolve(up).engine));
+                    let successors = step_distribution(compiled, &edb, state, delta.as_ref())?;
+                    let row: Option<Row> = successors.map(|successors| {
                         Arc::new(
                             successors
                                 .into_iter()
-                                .map(|(next, q)| (memo.states.intern(next), q))
+                                .map(|(engine, q)| {
+                                    (memo.states.intern(TreeState { base, engine }), q)
+                                })
                                 .collect(),
                         )
                     });
@@ -86,14 +96,14 @@ impl<'a> Tree<'a> {
                 }
             };
             match row {
-                None => fixpoints.add(memo.states.resolve(sid).db.clone(), p),
+                None => fixpoints.add(memo.states.resolve(sid).engine.database(&edb), p),
                 Some(successors) => {
                     for (next, q) in successors.iter() {
                         let mass = p.mul_ref(q);
                         frontier
                             .entry(*next)
-                            .and_modify(|m| *m = m.add_ref(&mass))
-                            .or_insert(mass);
+                            .and_modify(|(m, _)| *m = m.add_ref(&mass))
+                            .or_insert((mass, Some(sid)));
                     }
                 }
             }
@@ -113,11 +123,20 @@ impl<'a> Tree<'a> {
 /// queries over the same program and database skip the traversal
 /// entirely. Rows are keyed by the program value, never by its text.
 ///
-/// Returns bit-identical distributions to [`enumerate_fixpoints`]:
-/// rational mass is merged exactly, so traversal order cannot change the
-/// result. `node_budget` charges only nodes actually processed — work
-/// served from the memo is free, so a budget that fails cold can succeed
-/// warm.
+/// A tree node is the id of `db`'s prepared EDB, interned once per
+/// input, plus an IDB-only [`EngineState`]. The root matches every rule
+/// in full; a node below it whose row misses fires from Δ, the IDB tuples
+/// it has and the parent that first reached it lacks
+/// ([`step_distribution`] with `Some(Δ)`), and it is stepped where it
+/// lies in the interner, not copied out. Fixpoint leaves are rebuilt as
+/// whole databases.
+///
+/// Returns bit-identical distributions to [`enumerate_fixpoints`], which
+/// matches in full at every node: Δ firing finds the same new
+/// valuations, and rational mass is merged exactly, so traversal order
+/// cannot change the result. `node_budget` charges only nodes actually
+/// processed — work served from the memo is free, so a budget that fails
+/// cold can succeed warm.
 ///
 /// [`enumerate_fixpoints`]: pfq_datalog::inflationary::enumerate_fixpoints
 pub fn enumerate_fixpoints_memo(
@@ -133,8 +152,9 @@ pub fn enumerate_fixpoints_memo(
 /// (non-probabilistic) input database — the Prop. 4.4 traversal, memoized
 /// through `cache`. Repeated queries over the same program and database
 /// are served from the whole-tree result memo, whatever their events.
-/// Tree states hold the whole database, so distinct inputs never meet in
-/// the memo. Pass a fresh `EvalCache::default()` for a one-off query.
+/// Tree states name their input's EDB base, so inputs with different
+/// EDBs never meet in the memo. Pass a fresh `EvalCache::default()` for a
+/// one-off query.
 pub fn evaluate(
     query: &DatalogQuery,
     db: &Database,
@@ -146,14 +166,16 @@ pub fn evaluate(
 }
 
 /// Computes the exact probability of the query event over a probabilistic
-/// c-table input: `Σ_worlds Pr(world) · Pr(event | world)` (§3.2). Tree
-/// states hold the whole database, so two worlds never share a state or
-/// a successor row; what the cache shares is whole-tree results, across
-/// repeated queries over the same program and world. Sharing work across
-/// worlds needs IDB-only states and lazy branching on pc-table variables
-/// (`ROADMAP.md`). The program is interned once per call and compiled at
-/// most once, not once per world. The world budget is checked against
-/// [`PcDatabase::valuation_count`] before any world is built.
+/// c-table input: `Σ_worlds Pr(world) · Pr(event | world)` (§3.2). Each
+/// world's EDB is interned as a base of its own, and tree states name
+/// their base, so two worlds share no state or successor row unless
+/// their EDBs are equal; what the cache shares is whole-tree results,
+/// across repeated queries over the same program and world. Sharing work
+/// across worlds with different EDBs needs lazy branching on pc-table
+/// variables (`ROADMAP.md`). The program is interned once per call and
+/// compiled at most once, not once per world. The world budget is
+/// checked against [`PcDatabase::valuation_count`] before any world is
+/// built.
 pub fn evaluate_pc(
     query: &DatalogQuery,
     input: &PcDatabase,

@@ -17,7 +17,7 @@ use crate::sampler::{self, SampleReport, SamplerConfig};
 use crate::{CoreError, DatalogQuery};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
-use pfq_datalog::eval::CompiledProgram;
+use pfq_datalog::eval::{CompiledProgram, Layered, Relations};
 use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
 use rand_chacha::ChaCha8Rng;
 
@@ -41,16 +41,21 @@ pub fn hoeffding_sample_count(epsilon: f64, delta: f64) -> Result<usize, CoreErr
     Ok(((2.0 / delta).ln() / (2.0 * epsilon * epsilon)).ceil() as usize)
 }
 
-/// One Theorem 4.3 trial: a random computation path from `start` to its
-/// fixpoint, then the event test.
+/// One Theorem 4.3 trial: a random computation path from `start` over
+/// `edb` to its fixpoint, then the event test, which reads the fixpoint's
+/// IDB first and then `edb`, so no database is copied per trial.
 fn trial(
     query: &DatalogQuery,
     program: &CompiledProgram,
-    start: &EngineState,
+    (edb, start): &(Database, EngineState),
     rng: &mut ChaCha8Rng,
 ) -> Result<bool, CoreError> {
-    let fixpoint = sample_fixpoint(program, start, rng, MAX_STEPS_PER_SAMPLE)?;
-    Ok(query.event.holds(&fixpoint))
+    let fixpoint = sample_fixpoint(program, edb, start, rng, MAX_STEPS_PER_SAMPLE)?;
+    let db = Layered {
+        idb: &fixpoint.idb,
+        edb,
+    };
+    Ok(query.event.holds_in(&|name| db.relation(name)))
 }
 
 /// One Theorem 4.3 trial over a pc-table input: first draw one world
@@ -70,7 +75,7 @@ fn trial_pc(
 /// Theorem 4.3 over a certain input, with full control of the engine:
 /// `(ε, δ)`-approximation that may stop before the Hoeffding worst
 /// case when `config.adaptive` is set. The program is compiled and the
-/// start state prepared once, for all trials.
+/// input split into its EDB and start state once, for all trials.
 pub fn evaluate_with_config(
     query: &DatalogQuery,
     db: &Database,

@@ -58,6 +58,11 @@ impl Database {
             .ok_or_else(|| format!("no relation named {name:?} in database"))
     }
 
+    /// Removes the relation named `name`, returning it if present.
+    pub fn remove(&mut self, name: &str) -> Option<Relation> {
+        self.relations.remove(name)
+    }
+
     /// Mutable access to the relation named `name`.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Relation> {
         self.relations.get_mut(name)

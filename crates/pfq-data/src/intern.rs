@@ -20,6 +20,7 @@
 
 use crate::{Database, Relation, Value};
 use pfq_num::Ratio;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -91,21 +92,26 @@ impl<T: Eq + Hash> Interner<T> {
 
     /// Interns `value`, returning its canonical id. Re-interning an
     /// already-known value is an `O(1)` hash lookup (counted as a hit).
+    /// The value is hashed once, found or not.
     pub fn intern(&mut self, value: T) -> StateId {
-        if let Some(&id) = self.index.get(&value) {
-            self.hits += 1;
-            return id;
+        let next = self.items.len();
+        match self.index.entry(Arc::new(value)) {
+            Entry::Occupied(found) => {
+                self.hits += 1;
+                *found.get()
+            }
+            Entry::Vacant(slot) => {
+                assert!(
+                    next < u32::MAX as usize,
+                    "interner overflow: more than u32::MAX distinct states"
+                );
+                let id = StateId(next as u32);
+                self.bytes += (self.sizer)(slot.key());
+                self.items.push(slot.key().clone());
+                slot.insert(id);
+                id
+            }
         }
-        assert!(
-            self.items.len() < u32::MAX as usize,
-            "interner overflow: more than u32::MAX distinct states"
-        );
-        let id = StateId(self.items.len() as u32);
-        self.bytes += (self.sizer)(&value);
-        let arc = Arc::new(value);
-        self.items.push(arc.clone());
-        self.index.insert(arc, id);
-        id
     }
 
     /// The id of `value`, if already interned (not counted as a hit).
@@ -290,6 +296,52 @@ mod tests {
                 "{r}"
             );
         }
+    }
+
+    thread_local! {
+        static HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A value whose `Hash` counts its calls on this thread.
+    #[derive(PartialEq, Eq)]
+    struct Counted(u32);
+
+    impl Hash for Counted {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            HASHES.with(|n| n.set(n.get() + 1));
+            self.0.hash(state);
+        }
+    }
+
+    /// Hashes `Counted` values take during `f`.
+    fn hashes_during(f: impl FnOnce()) -> usize {
+        let before = HASHES.with(|n| n.get());
+        f();
+        HASHES.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn intern_hashes_each_value_once() {
+        let mut store: Interner<Counted> = Interner::new();
+        assert_eq!(
+            hashes_during(|| {
+                store.intern(Counted(1));
+            }),
+            1
+        );
+        assert_eq!(
+            hashes_during(|| {
+                store.intern(Counted(1));
+            }),
+            1
+        );
+        assert_eq!(
+            hashes_during(|| {
+                store.intern(Counted(2));
+            }),
+            1
+        );
+        assert_eq!((store.len(), store.hits()), (2, 1));
     }
 
     #[test]

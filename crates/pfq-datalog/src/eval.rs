@@ -16,6 +16,35 @@ use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_num::Ratio;
 use std::collections::BTreeMap;
 
+/// Where matching reads relations from: a whole [`Database`], or a
+/// computation state's IDB read before its input's EDB ([`Layered`]).
+pub trait Relations {
+    /// The relation named `name`, if present.
+    fn relation(&self, name: &str) -> Option<&Relation>;
+}
+
+impl Relations for Database {
+    fn relation(&self, name: &str) -> Option<&Relation> {
+        self.get(name)
+    }
+}
+
+/// The relations rule heads write (`idb`) over the rest of the input
+/// (`edb`): a name resolves in `idb` first, then in `edb`.
+#[derive(Clone, Copy, Debug)]
+pub struct Layered<'a> {
+    /// The IDB relations.
+    pub idb: &'a Database,
+    /// The EDB relations.
+    pub edb: &'a Database,
+}
+
+impl Relations for Layered<'_> {
+    fn relation(&self, name: &str) -> Option<&Relation> {
+        self.idb.get(name).or_else(|| self.edb.get(name))
+    }
+}
+
 /// Where a compiled rule reads a value from.
 #[derive(Clone, Debug)]
 enum Operand {
@@ -158,21 +187,23 @@ impl CompiledRule {
     }
 
     /// Calls `emit` with every valuation of the positive body, against
-    /// `db`, that no negated atom blocks. The slice holds the body
+    /// the relations of `db`, that no negated atom blocks. The slice holds the body
     /// variables in [`Rule::all_variables`] order — the rule's `oldVals`
     /// tuple. `delta = Some((i, rel))` reads atom `i` from `rel` instead
-    /// of `db` (a semi-naive delta override).
+    /// of `db`: the inflationary engines pass the tuples their last step
+    /// added, so only valuations that use one are found.
     ///
     /// Errors if a body or negated relation is missing from `db` or has
     /// the wrong arity, if a negated atom reads an unbound variable, or
     /// with whatever `emit` returns.
-    pub fn for_each_valuation<F>(
+    pub fn for_each_valuation<D, F>(
         &self,
-        db: &Database,
+        db: &D,
         delta: Option<(usize, &Relation)>,
         mut emit: F,
     ) -> Result<(), DatalogError>
     where
+        D: Relations + ?Sized,
         F: FnMut(&[Value]) -> Result<(), DatalogError>,
     {
         let mut rels = Vec::with_capacity(self.rule.body.len() + self.rule.negatives.len());
@@ -338,8 +369,8 @@ where
     }
 }
 
-fn lookup<'a>(db: &'a Database, atom: &Atom) -> Result<&'a Relation, DatalogError> {
-    db.get(&atom.relation)
+fn lookup<'a, D: Relations + ?Sized>(db: &'a D, atom: &Atom) -> Result<&'a Relation, DatalogError> {
+    db.relation(&atom.relation)
         .ok_or_else(|| DatalogError::UnknownRelation(atom.relation.clone()))
 }
 

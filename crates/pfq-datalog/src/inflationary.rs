@@ -10,52 +10,108 @@
 //! }
 //! ```
 //!
+//! A computation state ([`EngineState`]) holds only the IDB relations —
+//! the ones rule heads write — and `oldVals`. The rest of the prepared
+//! input, the EDB, never changes along a computation, so it is split off
+//! once per input ([`EngineState::initial`]) and passed beside the state;
+//! matching reads the IDB first, then the EDB ([`Layered`]).
+//!
+//! A step only adds tuples, so it need not match every rule against the
+//! whole database. After the step from a parent to a child, `oldVals`
+//! holds every valuation that held on the parent. A negated atom that
+//! fails on the (larger) child failed on the parent too, so a valuation
+//! new at the child uses, in some positive atom, a tuple of Δ: the IDB
+//! tuples the child has and that parent lacks ([`EngineState::delta_from`]).
+//! Given `Some(Δ)`, a step matches each rule once per positive body atom
+//! whose relation has tuples in Δ, with that atom reading Δ; given `None`
+//! it matches every rule in full. Both find the same new valuations, in
+//! the same groups, so they give the same successors and the same draws.
+//!
 //! Three engines share the single-step machinery:
 //! * [`step_distribution`] — the exact successor distribution of one step
 //!   (all rules fire in parallel; choices across rules and key groups are
 //!   independent, so probabilities multiply);
 //! * [`enumerate_fixpoints`] — Proposition 4.4's exhaustive traversal of
-//!   the computation tree down to all fixpoints (exponential, exact);
+//!   the computation tree down to all fixpoints (exponential, exact). It
+//!   is the reference oracle and matches in full at every node;
 //! * [`sample_fixpoint`] — one top-to-bottom random path through the
-//!   computation tree, the inner loop of Theorem 4.3's sampler.
+//!   computation tree, the inner loop of Theorem 4.3's sampler; each step
+//!   after the first fires from the tuples the last one inserted.
 //!
 //! A probabilistic datalog query must reach a fixpoint on every path:
 //! `oldVals` grows strictly on every non-fixpoint step and is bounded by
 //! the (polynomially many) valuations over the active domain.
 
 use crate::ast::Program;
-use crate::eval::{prepare_database, CompiledProgram, CompiledRule};
+use crate::eval::{prepare_database, CompiledProgram, CompiledRule, Layered};
 use crate::DatalogError;
 use pfq_data::{Database, Tuple};
 use pfq_num::{dist::pick_weighted_index, Distribution, Ratio};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A node of the computation tree: the current database plus the
-/// per-rule `oldVals` bookkeeping. `Ord` lets identical nodes reached by
-/// different choice paths merge their probability mass; `Hash` lets the
-/// memoizing engine intern nodes to dense ids.
+/// A node of the computation tree: the IDB relations plus the per-rule
+/// `oldVals` bookkeeping. The EDB it is read over is kept apart (see the
+/// module docs). `Ord` lets identical nodes reached by different choice
+/// paths merge their probability mass; `Hash` lets the memoizing engine
+/// intern nodes to dense ids.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EngineState {
-    /// The current (inflationary) database.
-    pub db: Database,
+    /// The current (inflationary) IDB relations, every one declared.
+    pub idb: Database,
     /// `oldVals[r]`: body valuations of rule `r` already consumed,
     /// encoded over the rule's canonical variable order.
     old_vals: Vec<BTreeSet<Tuple>>,
 }
 
 impl EngineState {
-    /// The initial state: IDB relations declared, all `oldVals` empty.
-    pub fn initial(program: &Program, db: &Database) -> Result<EngineState, DatalogError> {
-        Ok(EngineState {
-            db: prepare_database(program, db)?,
+    /// Prepares `db` for `program` ([`prepare_database`]) and splits it
+    /// into its EDB and the initial state: the IDB relations as given
+    /// (declared empty if absent), all `oldVals` empty.
+    pub fn initial(
+        program: &Program,
+        db: &Database,
+    ) -> Result<(Database, EngineState), DatalogError> {
+        let mut edb = prepare_database(program, db)?;
+        let mut idb = Database::new();
+        for (name, _) in program.idb_arities()? {
+            let rel = edb.remove(&name).expect("IDB relation was prepared");
+            idb.set(name, rel);
+        }
+        let state = EngineState {
+            idb,
             old_vals: vec![BTreeSet::new(); program.rules.len()],
-        })
+        };
+        Ok((edb, state))
     }
 
     /// `oldVals`, one set per rule, in rule order.
     pub fn old_vals(&self) -> &[BTreeSet<Tuple>] {
         &self.old_vals
+    }
+
+    /// Δ from `parent` to `self`: per IDB relation, the tuples `self`
+    /// has and `parent` lacks. Relations with none are left out, so an
+    /// empty database means no rule can have a new valuation.
+    pub fn delta_from(&self, parent: &EngineState) -> Database {
+        let mut delta = Database::new();
+        for (name, rel) in self.idb.iter() {
+            let old = parent.idb.get(name).expect("states of one program");
+            if rel.len() != old.len() {
+                delta.set(name, rel.difference(old));
+            }
+        }
+        delta
+    }
+
+    /// The whole database the state stands for: `edb` with the IDB
+    /// relations set.
+    pub fn database(&self, edb: &Database) -> Database {
+        let mut db = edb.clone();
+        for (name, rel) in self.idb.iter() {
+            db.set(name, rel.clone());
+        }
+        db
     }
 }
 
@@ -74,25 +130,44 @@ struct RuleFiring {
     consumed: BTreeSet<Tuple>,
 }
 
-/// Computes rule `r`'s firing against the *old* database.
+/// Computes rule `r`'s firing against the *old* state over `edb`: in
+/// full with `delta = None`, else once per positive body atom whose
+/// relation has tuples in `delta`, that atom reading them.
 fn fire_rule(
     rule: &CompiledRule,
+    edb: &Database,
     state: &EngineState,
     rule_index: usize,
+    delta: Option<&Database>,
 ) -> Result<Option<RuleFiring>, DatalogError> {
+    let db = Layered {
+        idb: &state.idb,
+        edb,
+    };
     let old_vals = &state.old_vals[rule_index];
     let mut consumed = BTreeSet::new();
     // π_{X̄,Ȳ,P}(newVals): project new valuations onto the head tuple and
     // weight, de-duplicating (set semantics of the projection).
     let mut projected: BTreeSet<(Tuple, Ratio)> = BTreeSet::new();
-    rule.for_each_valuation(&state.db, None, |vals| {
-        if old_vals.contains(vals) {
+    // A valuation that reads Δ in two atoms is found twice.
+    let mut take = |vals: &[_]| {
+        if old_vals.contains(vals) || consumed.contains(vals) {
             return Ok(());
         }
         consumed.insert(Tuple::new(vals.to_vec()));
         projected.insert((rule.head_tuple(vals)?, rule.weight(vals)?));
         Ok(())
-    })?;
+    };
+    match delta {
+        None => rule.for_each_valuation(&db, None, &mut take)?,
+        Some(delta) => {
+            for (i, atom) in rule.rule().body.iter().enumerate() {
+                if let Some(new) = delta.get(&atom.relation) {
+                    rule.for_each_valuation(&db, Some((i, new)), &mut take)?;
+                }
+            }
+        }
+    }
     if consumed.is_empty() {
         return Ok(None);
     }
@@ -113,36 +188,51 @@ fn fire_rule(
 /// fixpoint.
 fn fire_all(
     program: &CompiledProgram,
+    edb: &Database,
     state: &EngineState,
+    delta: Option<&Database>,
 ) -> Result<Vec<(usize, RuleFiring)>, DatalogError> {
     let mut firings = Vec::new();
     for (i, rule) in program.rules().iter().enumerate() {
-        if let Some(f) = fire_rule(rule, state, i)? {
+        if let Some(f) = fire_rule(rule, edb, state, i, delta)? {
             firings.push((i, f));
         }
     }
     Ok(firings)
 }
 
-/// Whether `state` is a fixpoint: no rule has new valuations.
-pub fn is_fixpoint(program: &CompiledProgram, state: &EngineState) -> Result<bool, DatalogError> {
+/// Whether `state` over `edb` is a fixpoint: no rule, matched in full,
+/// has new valuations.
+pub fn is_fixpoint(
+    program: &CompiledProgram,
+    edb: &Database,
+    state: &EngineState,
+) -> Result<bool, DatalogError> {
     for (i, rule) in program.rules().iter().enumerate() {
-        if fire_rule(rule, state, i)?.is_some() {
+        if fire_rule(rule, edb, state, i, None)?.is_some() {
             return Ok(false);
         }
     }
     Ok(true)
 }
 
-/// The exact distribution of successor states after one parallel step.
+/// The exact distribution of successor states after one parallel step
+/// of `state` over `edb`.
+///
+/// `delta` is `None` to match every rule in full, or Δ from one parent
+/// of `state` ([`EngineState::delta_from`]) to fire only from the tuples
+/// that step added; both give the same distribution (module docs). The
+/// initial state has no parent and needs `None`.
 ///
 /// Returns `None` if `state` is a fixpoint. Probabilities multiply across
 /// rules and across key groups (independent repair-key applications).
 pub fn step_distribution(
     program: &CompiledProgram,
+    edb: &Database,
     state: &EngineState,
+    delta: Option<&Database>,
 ) -> Result<Option<Distribution<EngineState>>, DatalogError> {
-    let firings = fire_all(program, state)?;
+    let firings = fire_all(program, edb, state, delta)?;
     if firings.is_empty() {
         return Ok(None);
     }
@@ -167,7 +257,7 @@ pub fn step_distribution(
                 .collect();
             out = out.product(&choice, |s: &EngineState, t: &&Tuple| {
                 let mut next = s.clone();
-                next.db
+                next.idb
                     .insert_tuple(relation, (*t).clone())
                     .expect("IDB relation was prepared");
                 next
@@ -211,20 +301,23 @@ pub fn charge_node_budget(
 /// This is the un-memoized engine, kept as the reference implementation
 /// that the differential tests compare the memoized traversal
 /// (`pfq_core::exact_inflationary::enumerate_fixpoints_memo`) against.
+/// It matches every rule in full at every node (`delta = None`), so it
+/// also checks the memoized traversal's Δ-driven firing.
 pub fn enumerate_fixpoints(
     program: &Program,
     db: &Database,
     node_budget: Option<usize>,
 ) -> Result<Distribution<Database>, DatalogError> {
     let compiled = CompiledProgram::new(program);
+    let (edb, initial) = EngineState::initial(program, db)?;
     let mut frontier: BTreeMap<EngineState, Ratio> = BTreeMap::new();
-    frontier.insert(EngineState::initial(program, db)?, Ratio::one());
+    frontier.insert(initial, Ratio::one());
     let mut fixpoints = Distribution::new();
     let mut expanded = 0usize;
     while let Some((state, p)) = frontier.pop_first() {
         charge_node_budget(&mut expanded, node_budget)?;
-        match step_distribution(&compiled, &state)? {
-            None => fixpoints.add(state.db, p),
+        match step_distribution(&compiled, &edb, &state, None)? {
+            None => fixpoints.add(state.database(&edb), p),
             Some(successors) => {
                 for (next, q) in successors.into_iter() {
                     let mass = p.mul_ref(&q);
@@ -240,36 +333,54 @@ pub fn enumerate_fixpoints(
 }
 
 /// One random computation path to a fixpoint — the sampling primitive of
-/// Theorem 4.3 — from `start` (an [`EngineState::initial`] of the
-/// program `program` was compiled from). `max_steps` is a defensive
+/// Theorem 4.3 — from `start` over `edb` (the split
+/// [`EngineState::initial`] returns, for the program `program` was
+/// compiled from). Returns the fixpoint state; its database is
+/// [`EngineState::database`] over `edb`. `max_steps` is a defensive
 /// bound; the semantics guarantees termination.
 ///
-/// The rng is drawn once per choice group, in rule order and then key
-/// order, so a fixed seed gives a fixed path.
+/// The first step matches in full; every later one fires from Δ, the
+/// tuples the step before it inserted. The rng is drawn once per choice
+/// group, in rule order and then key order, so a fixed seed gives a
+/// fixed path.
 pub fn sample_fixpoint<R: Rng + ?Sized>(
     program: &CompiledProgram,
+    edb: &Database,
     start: &EngineState,
     rng: &mut R,
     max_steps: usize,
-) -> Result<Database, DatalogError> {
+) -> Result<EngineState, DatalogError> {
     let mut state = start.clone();
+    let mut delta = None;
     for _ in 0..max_steps {
         // Compute all firings against the old state before mutating.
-        let firings = fire_all(program, &state)?;
+        let firings = fire_all(program, edb, &state, delta.as_ref())?;
         if firings.is_empty() {
-            return Ok(state.db);
+            return Ok(state);
         }
+        let mut added = Database::new();
         for (i, f) in firings {
             state.old_vals[i].extend(f.consumed);
             let relation = &program.rules()[i].rule().head.relation;
+            let rel = state
+                .idb
+                .get_mut(relation)
+                .expect("IDB relation was prepared");
             for mut group in f.groups {
                 let pick = pick_weighted_index(&group.weights, rng.gen::<u64>());
-                state
-                    .db
-                    .insert_tuple(relation, group.tuples.swap_remove(pick))
-                    .expect("IDB relation was prepared");
+                let t = group.tuples.swap_remove(pick);
+                if !rel.contains(&t) {
+                    if !added.contains_relation(relation) {
+                        added.declare(relation.as_str(), rel.schema().clone());
+                    }
+                    added
+                        .insert_tuple(relation, t.clone())
+                        .expect("declared above");
+                    rel.insert(t);
+                }
             }
         }
+        delta = Some(added);
     }
     Err(DatalogError::BudgetExceeded {
         what: "inflationary sampling steps",
@@ -375,17 +486,62 @@ mod tests {
         // successor but C (fed by B) only fires next step.
         let p = parse_program("B(X) :- A(X).\nC(X) :- B(X).").unwrap();
         let db = Database::new().with("A", Relation::from_rows(Schema::new(["v"]), [tuple![1]]));
-        let init = EngineState::initial(&p, &db).unwrap();
+        let (edb, init) = EngineState::initial(&p, &db).unwrap();
+        assert_eq!(edb.relation_names().collect::<Vec<_>>(), ["A"]);
+        assert_eq!(init.idb.relation_names().collect::<Vec<_>>(), ["B", "C"]);
         let compiled = CompiledProgram::new(&p);
-        let step1 = step_distribution(&compiled, &init).unwrap().unwrap();
+        let step1 = step_distribution(&compiled, &edb, &init, None)
+            .unwrap()
+            .unwrap();
         assert_eq!(step1.support_size(), 1);
         let (s1, _) = step1.iter().next().unwrap();
-        assert!(s1.db.get("B").unwrap().contains(&tuple![1]));
-        assert!(s1.db.get("C").unwrap().is_empty());
-        let step2 = step_distribution(&compiled, s1).unwrap().unwrap();
+        assert!(s1.idb.get("B").unwrap().contains(&tuple![1]));
+        assert!(s1.idb.get("C").unwrap().is_empty());
+        let delta1 = s1.delta_from(&init);
+        let step2 = step_distribution(&compiled, &edb, s1, Some(&delta1))
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            step_distribution(&compiled, &edb, s1, None).unwrap(),
+            Some(step2.clone())
+        );
         let (s2, _) = step2.iter().next().unwrap();
-        assert!(s2.db.get("C").unwrap().contains(&tuple![1]));
-        assert!(is_fixpoint(&compiled, s2).unwrap());
+        assert!(s2.idb.get("C").unwrap().contains(&tuple![1]));
+        let delta2 = s2.delta_from(s1);
+        assert_eq!(
+            step_distribution(&compiled, &edb, s2, Some(&delta2)).unwrap(),
+            None
+        );
+        assert!(is_fixpoint(&compiled, &edb, s2).unwrap());
+    }
+
+    #[test]
+    fn delta_holds_only_the_new_idb_tuples() {
+        let p = parse_program("B(X) :- A(X).\nC(X) :- B(X).").unwrap();
+        let db = Database::new()
+            .with("A", Relation::from_rows(Schema::new(["v"]), [tuple![1]]))
+            .with("B", Relation::from_rows(Schema::new(["v"]), [tuple![7]]));
+        let (edb, init) = EngineState::initial(&p, &db).unwrap();
+        // An IDB relation given in the input starts the state with its
+        // tuples, and the whole database is rebuilt from both parts.
+        assert!(init.idb.get("B").unwrap().contains(&tuple![7]));
+        assert_eq!(init.database(&edb), prepare_database(&p, &db).unwrap());
+        assert!(init.delta_from(&init).relation_names().next().is_none());
+        let compiled = CompiledProgram::new(&p);
+        let step = step_distribution(&compiled, &edb, &init, None)
+            .unwrap()
+            .unwrap();
+        let (next, _) = step.iter().next().unwrap();
+        let delta = next.delta_from(&init);
+        assert_eq!(delta.relation_names().collect::<Vec<_>>(), ["B", "C"]);
+        assert_eq!(
+            delta.get("B").unwrap().iter().collect::<Vec<_>>(),
+            [&tuple![1]]
+        );
+        assert_eq!(
+            delta.get("C").unwrap().iter().collect::<Vec<_>>(),
+            [&tuple![7]]
+        );
     }
 
     #[test]
@@ -471,13 +627,13 @@ mod tests {
         let exact = enumerate_fixpoints(&program, &db, None).unwrap();
         let p_w_exact = exact.probability_that(|d| d.get("C").unwrap().contains(&tuple!["w"]));
         let compiled = CompiledProgram::new(&program);
-        let start = EngineState::initial(&program, &db).unwrap();
+        let (edb, start) = EngineState::initial(&program, &db).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let n = 4000;
         let hits = (0..n)
             .filter(|_| {
-                let fp = sample_fixpoint(&compiled, &start, &mut rng, 10_000).unwrap();
-                fp.get("C").unwrap().contains(&tuple!["w"])
+                let fp = sample_fixpoint(&compiled, &edb, &start, &mut rng, 10_000).unwrap();
+                fp.idb.get("C").unwrap().contains(&tuple!["w"])
             })
             .count();
         assert!((hits as f64 / n as f64 - p_w_exact.to_f64()).abs() < 0.03);

@@ -448,8 +448,10 @@ fn event_tuple(
     data: &[Value],
     rng: &mut ChaCha8Rng,
 ) -> Tuple {
-    let fixpoint = EngineState::initial(program, db)
-        .and_then(|start| sample_fixpoint(&CompiledProgram::new(program), &start, rng, 64));
+    let fixpoint = EngineState::initial(program, db).and_then(|(edb, start)| {
+        let fixpoint = sample_fixpoint(&CompiledProgram::new(program), &edb, &start, rng, 64)?;
+        Ok(fixpoint.database(&edb))
+    });
     if let Ok(fixpoint) = fixpoint {
         if let Some(rel) = fixpoint.get(relation) {
             if !rel.is_empty() && rng.gen_bool(0.8) {

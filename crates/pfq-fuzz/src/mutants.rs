@@ -52,8 +52,9 @@ pub fn enumerate_fixpoints_lossy(
     node_budget: Option<usize>,
 ) -> Result<Distribution<Database>, DatalogError> {
     let compiled = CompiledProgram::new(program);
+    let (edb, initial) = EngineState::initial(program, db)?;
     let mut frontier: BTreeMap<EngineState, Ratio> = BTreeMap::new();
-    frontier.insert(EngineState::initial(program, db)?, Ratio::one());
+    frontier.insert(initial, Ratio::one());
     let mut fixpoints = Distribution::new();
     let mut expanded = 0usize;
     while let Some((state, p)) = frontier.pop_first() {
@@ -66,8 +67,8 @@ pub fn enumerate_fixpoints_lossy(
                 });
             }
         }
-        match step_distribution(&compiled, &state)? {
-            None => fixpoints.add(state.db, p),
+        match step_distribution(&compiled, &edb, &state, None)? {
+            None => fixpoints.add(state.database(&edb), p),
             Some(successors) => {
                 for (next, q) in successors.into_iter() {
                     let mass = p.mul_ref(&q);

@@ -60,10 +60,10 @@ fn compiled_matcher_equals_reference_on_fuzz_corpus() {
         let mut rng = trial_rng(cfg.seed, index);
         let case = gen::generate(&cfg.gen, &mut rng);
         let program = CompiledProgram::new(&case.program);
-        let start = EngineState::initial(&case.program, &case.db).unwrap();
-        let mut states = vec![start.db.clone()];
-        if let Ok(fixpoint) = sample_fixpoint(&program, &start, &mut rng, 64) {
-            states.push(fixpoint);
+        let (edb, start) = EngineState::initial(&case.program, &case.db).unwrap();
+        let mut states = vec![start.database(&edb)];
+        if let Ok(fixpoint) = sample_fixpoint(&program, &edb, &start, &mut rng, 64) {
+            states.push(fixpoint.database(&edb));
         }
         for db in &states {
             for (rule, compiled) in case.program.rules.iter().zip(program.rules()) {
