@@ -18,10 +18,7 @@
 //! writes `BENCH_NAME.json` at the repository root: one point of the
 //! performance trajectory (`ROADMAP.md`).
 
-use pfq_bench::{
-    chain_probability, fmt_duration, ledger_json, pc_probability, print_table, time_median,
-    time_once, tree_probability, LedgerEntry,
-};
+use pfq_bench::{fmt_duration, ledger_json, print_table, time_median, time_once, LedgerEntry};
 use pfq_core::exact_inflationary::{self, ExactBudget};
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::{SampleReport, SamplerConfig};
@@ -39,6 +36,7 @@ use pfq_markov::{dense, gth, mixing, stationary};
 use pfq_num::Ratio;
 use pfq_workloads::basketball;
 use pfq_workloads::bayes::BayesNet;
+use pfq_workloads::exact::{chain_probability, pc_probability, tree_probability};
 use pfq_workloads::graphs::{walk_query, WeightedGraph};
 use pfq_workloads::pagerank::{pagerank_query, pagerank_reference};
 use pfq_workloads::queue::lazy_birth_death_chain;

@@ -8,39 +8,7 @@
 //! their references: the shared memo and plan construction (E15), the
 //! GTH stationary solver (E16) and sampler thread counts (E5).
 
-use pfq_core::exact_inflationary::{self, ExactBudget};
-use pfq_core::exact_noninflationary::{self, ChainBudget};
-use pfq_core::{DatalogQuery, EvalCache, ForeverQuery};
-use pfq_ctable::PcDatabase;
-use pfq_data::Database;
-use pfq_num::Ratio;
 use std::time::{Duration, Instant};
-
-/// Prop 4.4 exact probability under the default budget, on a fresh cache
-/// (so a timed call never reuses an earlier call's memo).
-pub fn tree_probability(query: &DatalogQuery, db: &Database) -> Ratio {
-    exact_inflationary::evaluate(query, db, ExactBudget::default(), &mut EvalCache::default())
-        .unwrap()
-}
-
-/// Prop 4.4 exact probability over a pc-table under the default budget,
-/// on a fresh cache.
-pub fn pc_probability(query: &DatalogQuery, input: &PcDatabase) -> Ratio {
-    exact_inflationary::evaluate_pc(
-        query,
-        input,
-        ExactBudget::default(),
-        &mut EvalCache::default(),
-    )
-    .unwrap()
-}
-
-/// Thm 5.5 exact long-run probability under the default budget, on a
-/// fresh cache.
-pub fn chain_probability(query: &ForeverQuery, db: &Database) -> Ratio {
-    exact_noninflationary::evaluate(query, db, ChainBudget::default(), &mut EvalCache::default())
-        .unwrap()
-}
 
 /// Times `f` once and returns the wall-clock duration and its result.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (Duration, T) {

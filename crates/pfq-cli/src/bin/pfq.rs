@@ -33,7 +33,7 @@ OPTIONS (fuzzing):
                        burn-in, planner, or all (default: all)
     --time-budget <SECS>
                        stop the campaign after this many seconds
-    --smoke            CI smoke mode: fixed seed 42, 200 programs, 60 s budget
+    --smoke            quick mode: fixed seed 42, 200 programs, 60 s budget
     --fault <NAME>     seed a known-bad evaluator mutant (harness self-check):
                        drop-frontier-merge or burn-in-off-by-one
     --out <FILE>       where to write the shrunk .pfq reproducer on divergence

@@ -42,7 +42,6 @@ use crate::{mixing_sampler, partition, CacheStats, CoreError, DatalogQuery, Eval
 use pfq_ctable::PcDatabase;
 use pfq_data::{Database, Schema};
 use pfq_datalog::eval::idb_schema;
-use pfq_datalog::DatalogError;
 use pfq_num::Ratio;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -54,8 +53,8 @@ use std::time::{Duration, Instant};
 /// when the request leaves the node budget unbounded.
 pub const AUTO_NODE_CEILING: usize = 20_000;
 
-/// World ceiling for auto exact eligibility of pc-table inputs when the
-/// request leaves the world budget unbounded.
+/// Valuation ceiling up to which the planner picks exact evaluation for
+/// pc-table inputs.
 pub const AUTO_WORLD_CEILING: usize = 1_024;
 
 /// Burn-in used by Thm 5.6 restart sampling when the mixing time cannot
@@ -256,7 +255,8 @@ impl<'a> EvalRequest<'a> {
         self
     }
 
-    /// Sets the exact inflationary budget (nodes/worlds).
+    /// Sets the exact inflationary budget: tree nodes, plus variable
+    /// valuations for a pc-table input.
     pub fn with_exact_budget(mut self, budget: ExactBudget) -> Self {
         self.exact_budget = budget;
         self
@@ -295,9 +295,10 @@ impl<'a> EvalRequest<'a> {
         self
     }
 
-    fn sampler_config(&self) -> SamplerConfig {
+    /// The execution settings of a sampling run under `seed`.
+    fn sampler_config(&self, seed: u64) -> SamplerConfig {
         SamplerConfig {
-            seed: self.seed,
+            seed,
             threads: self.threads,
             adaptive: self.adaptive,
             ..SamplerConfig::default()
@@ -310,7 +311,7 @@ impl<'a> EvalRequest<'a> {
 pub enum PlanAction {
     /// Prop. 4.4 exact computation-tree traversal.
     ExactTree {
-        /// Node/world budgets for the traversal.
+        /// The traversal's budget, summed over a pc-table's worlds.
         budget: ExactBudget,
     },
     /// Thm. 4.3 `(ε, δ)`-sampling.
@@ -411,16 +412,12 @@ impl Plan {
         };
         out.push(format!("plan: {headline}"));
         out.push(format!("  task: {}", self.task));
-        let fmt_opt = |limit: Option<usize>| match limit {
-            Some(n) => n.to_string(),
-            None => "unbounded".to_string(),
-        };
         match &self.action {
             PlanAction::ExactTree { budget } => {
-                out.push(format!("  node budget: {}", fmt_opt(budget.node_budget)));
-                if self.task == TaskKind::InflationaryPc {
-                    out.push(format!("  world budget: {}", fmt_opt(budget.world_budget)));
-                }
+                let limit = budget
+                    .node_budget
+                    .map_or("unbounded".to_string(), |n| n.to_string());
+                out.push(format!("  node budget: {limit}"));
             }
             PlanAction::SampleFixpoint {
                 epsilon,
@@ -572,17 +569,34 @@ impl EvalOutcome {
 /// The planner: pure analysis from request (plus cache, for probes whose
 /// work the executor then reuses) to [`Plan`]. Deterministic: the same
 /// request always yields the same plan, warm or cold cache.
+///
+/// Planning has two steps. Under [`Strategy::Auto`], `choose` probes the
+/// task and settles on a strategy; a caller-fixed strategy skips it.
+/// Either way, `build` turns the strategy into its [`PlanAction`], and is
+/// the one place an action is made.
 pub struct Planner;
 
-/// Whether `e` is a budget/feasibility error (exact path over budget)
-/// rather than a structural error worth propagating.
-fn is_budget_error(e: &CoreError) -> bool {
-    matches!(
-        e,
-        CoreError::Datalog(DatalogError::BudgetExceeded { .. })
-            | CoreError::Chain(pfq_markov::ChainError::StateLimitExceeded { .. })
-            | CoreError::Algebra(pfq_algebra::AlgebraError::WorldLimitExceeded { .. })
-    )
+/// A strategy the planner settled on, the notes saying why, and what
+/// settling on it already measured, so that `build` repeats no analysis.
+struct Choice {
+    strategy: Strategy,
+    notes: Vec<String>,
+    /// The budget an exact-tree action runs under.
+    exact_budget: ExactBudget,
+    /// The §5.1 independence-class count, if choosing counted it.
+    classes: Option<usize>,
+}
+
+impl Choice {
+    /// A choice with nothing measured on the way.
+    fn of(strategy: Strategy, request: &EvalRequest<'_>, notes: Vec<String>) -> Choice {
+        Choice {
+            strategy,
+            notes,
+            exact_budget: request.exact_budget,
+            classes: None,
+        }
+    }
 }
 
 impl Planner {
@@ -607,113 +621,199 @@ impl Planner {
                 }
             }
         }
-        match request.strategy {
-            Strategy::Auto => Self::auto(request, forever, cache),
-            _ => Self::forced(request, forever, cache),
-        }
+        let choice = match request.strategy {
+            Strategy::Auto => Self::choose(request, forever.as_ref(), cache)?,
+            fixed => Choice::of(fixed, request, vec!["strategy fixed by caller".to_string()]),
+        };
+        Self::build(request, choice, forever, cache)
     }
 
-    /// Plans a caller-fixed strategy. `forever` is the task's
-    /// forever-query, translated once by [`Planner::plan`].
-    fn forced(
+    /// Settles [`Strategy::Auto`] by eligibility and budget probes.
+    /// `forever` is the task's forever-query, translated once by
+    /// [`Planner::plan`].
+    fn choose(
         request: &EvalRequest<'_>,
+        forever: Option<&ForeverInput<'_>>,
+        cache: &mut EvalCache,
+    ) -> Result<Choice, CoreError> {
+        let mut notes = Vec::new();
+        let auto_nodes = request
+            .exact_budget
+            .node_budget
+            .unwrap_or(AUTO_NODE_CEILING);
+        match request.task {
+            Task::Inflationary { query, db } => {
+                let probe = enumerate_fixpoints_memo(&query.program, db, Some(auto_nodes), cache);
+                let strategy = match probe.map_err(CoreError::Datalog) {
+                    Ok(_) => {
+                        notes.push(format!(
+                            "computation tree fits within the {auto_nodes}-node probe"
+                        ));
+                        Strategy::ExactTree
+                    }
+                    Err(e) if e.is_budget_exceeded() => {
+                        notes.push(format!(
+                            "computation tree exceeds the {auto_nodes}-node probe; \
+                             falling back to Thm 4.3 sampling"
+                        ));
+                        Strategy::SampleFixpoint
+                    }
+                    Err(e) => return Err(e),
+                };
+                return Ok(Choice::of(strategy, request, notes));
+            }
+            Task::InflationaryPc { input, .. } => {
+                let estimate = input.valuation_count();
+                let cap = AUTO_WORLD_CEILING;
+                if estimate > cap {
+                    notes.push(format!(
+                        "estimated ≤{estimate} pc-table worlds exceed the cap {cap}; \
+                         falling back to Thm 4.3 sampling"
+                    ));
+                    return Ok(Choice::of(Strategy::SampleFixpoint, request, notes));
+                }
+                notes.push(format!("pc-table worlds: ≤{estimate} (cap {cap})"));
+                // No probe bounds the tree, so the run itself is bounded.
+                return Ok(Choice {
+                    exact_budget: ExactBudget {
+                        node_budget: Some(auto_nodes),
+                    },
+                    ..Choice::of(Strategy::ExactTree, request, notes)
+                });
+            }
+            Task::Noninflationary { query, db } => {
+                if query.program.has_negation() {
+                    notes.push("program uses negation: §5.1 partitioning ineligible".to_string());
+                } else {
+                    let classes = partition::partition_classes(&query.program, db)?.len();
+                    if classes >= 2 {
+                        notes.push(format!(
+                            "program is negation-free: {classes} independence classes"
+                        ));
+                        return Ok(Choice {
+                            classes: Some(classes),
+                            ..Choice::of(Strategy::Partitioned, request, notes)
+                        });
+                    }
+                    notes.push(
+                        "program is negation-free but has a single independence class".to_string(),
+                    );
+                }
+            }
+            Task::Forever { .. } => {}
+        }
+        // Explicit-chain probe: the Thm 5.5 exact solve when the chain
+        // fits, Thm 5.6 restart sampling otherwise.
+        let (fq, db) = forever.expect("a chain task has a forever-query");
+        let strategy = match exact_noninflationary::build_chain_interned(
+            fq,
+            db,
+            request.chain_budget,
+            cache,
+        ) {
+            Ok(chain) => {
+                notes.push(format!(
+                    "explicit chain fits: {} states (≤{} budget)",
+                    chain.len(),
+                    request.chain_budget.max_states
+                ));
+                Strategy::ExactChain
+            }
+            Err(e) if e.is_budget_exceeded() => {
+                notes.push(format!(
+                    "explicit chain over budget ({e}); falling back to Thm 5.6 restart \
+                     sampling with default burn-in {DEFAULT_BURN_IN}"
+                ));
+                Strategy::BurnInSample {
+                    burn_in: Some(DEFAULT_BURN_IN),
+                }
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(Choice::of(strategy, request, notes))
+    }
+
+    /// Turns a strategy, chosen or caller-fixed, into its plan action;
+    /// a strategy that does not apply to the task is rejected here.
+    /// `BurnInSample { burn_in: None }` has its burn-in measured, and the
+    /// measurement's note follows the choice's notes.
+    fn build(
+        request: &EvalRequest<'_>,
+        choice: Choice,
         forever: Option<ForeverInput<'_>>,
         cache: &mut EvalCache,
     ) -> Result<Plan, CoreError> {
-        let kind = request.task.kind();
-        let fixed = "strategy fixed by caller".to_string();
-        let plan = |action: PlanAction, notes: Vec<String>| Plan {
-            task: kind,
-            action,
-            notes,
-        };
-        let mismatch = |strategy: &str| {
-            Err(CoreError::BadParameter(format!(
-                "strategy {strategy} does not apply to a {kind}"
-            )))
-        };
-        match (request.strategy, &request.task) {
-            (Strategy::Auto, _) => unreachable!("handled by Planner::plan"),
+        let Choice {
+            strategy,
+            mut notes,
+            exact_budget,
+            classes,
+        } = choice;
+        let (epsilon, delta, seed) = (request.epsilon, request.delta, request.seed);
+        let worst_case = || hoeffding_sample_count(epsilon, delta);
+        let budget = request.chain_budget;
+        let action = match (strategy, &request.task) {
+            (Strategy::Auto, _) => unreachable!("Planner::plan chooses before building"),
             (Strategy::ExactTree, Task::Inflationary { .. } | Task::InflationaryPc { .. }) => {
-                Ok(plan(
-                    PlanAction::ExactTree {
-                        budget: request.exact_budget,
-                    },
-                    vec![fixed],
-                ))
+                PlanAction::ExactTree {
+                    budget: exact_budget,
+                }
             }
-            (Strategy::ExactTree, _) => mismatch("exact-tree"),
             (Strategy::SampleFixpoint, Task::Inflationary { .. } | Task::InflationaryPc { .. }) => {
-                let worst_case = hoeffding_sample_count(request.epsilon, request.delta)?;
-                Ok(plan(
-                    PlanAction::SampleFixpoint {
-                        epsilon: request.epsilon,
-                        delta: request.delta,
-                        worst_case,
-                        seed: request.seed,
-                    },
-                    vec![fixed],
-                ))
+                PlanAction::SampleFixpoint {
+                    epsilon,
+                    delta,
+                    worst_case: worst_case()?,
+                    seed,
+                }
             }
-            (Strategy::SampleFixpoint, _) => mismatch("sample-fixpoint"),
             (Strategy::ExactChain, Task::Noninflationary { .. } | Task::Forever { .. }) => {
-                Ok(plan(
-                    PlanAction::ExactChain {
-                        budget: request.chain_budget,
-                    },
-                    vec![fixed],
-                ))
+                PlanAction::ExactChain { budget }
             }
-            (Strategy::ExactChain, _) => mismatch("exact-chain"),
             (Strategy::Partitioned, Task::Noninflationary { query, db }) => {
-                let classes = partition::partition_classes(&query.program, db)?;
-                Ok(plan(
-                    PlanAction::Partitioned {
-                        classes: classes.len(),
-                        budget: request.chain_budget,
-                    },
-                    vec![fixed],
-                ))
+                let classes = match classes {
+                    Some(classes) => classes,
+                    None => partition::partition_classes(&query.program, db)?.len(),
+                };
+                PlanAction::Partitioned { classes, budget }
             }
-            (Strategy::Partitioned, _) => mismatch("partitioned"),
             (
                 Strategy::TimeAverage { steps },
                 Task::Noninflationary { .. } | Task::Forever { .. },
-            ) => Ok(plan(
-                PlanAction::TimeAverage {
-                    steps,
-                    seed: request.seed,
-                },
-                vec![fixed],
-            )),
-            (Strategy::TimeAverage { .. }, _) => mismatch("time-average"),
+            ) => PlanAction::TimeAverage { steps, seed },
             (
                 Strategy::BurnInSample { burn_in },
                 Task::Noninflationary { .. } | Task::Forever { .. },
             ) => {
-                let worst_case = hoeffding_sample_count(request.epsilon, request.delta)?;
-                let mut notes = vec![fixed];
+                let worst_case = worst_case()?;
                 let burn_in = match burn_in {
                     Some(b) => b,
                     None => {
-                        let (fq, db) =
-                            forever.expect("burn-in applies to non-inflationary tasks only");
+                        let (fq, db) = forever.expect("a chain task has a forever-query");
                         Self::auto_burn_in(request, &fq, &db, cache, &mut notes)?
                     }
                 };
-                Ok(plan(
-                    PlanAction::BurnInSample {
-                        burn_in,
-                        epsilon: request.epsilon,
-                        delta: request.delta,
-                        worst_case,
-                        seed: request.seed,
-                    },
-                    notes,
-                ))
+                PlanAction::BurnInSample {
+                    burn_in,
+                    epsilon,
+                    delta,
+                    worst_case,
+                    seed,
+                }
             }
-            (Strategy::BurnInSample { .. }, _) => mismatch("burn-in-sample"),
-        }
+            (strategy, task) => {
+                return Err(CoreError::BadParameter(format!(
+                    "strategy {} does not apply to a {}",
+                    strategy_name(strategy),
+                    task.kind()
+                )))
+            }
+        };
+        Ok(Plan {
+            task: request.task.kind(),
+            action,
+            notes,
+        })
     }
 
     /// Measures the mixing time for a burn-in request with no explicit
@@ -749,7 +849,7 @@ impl Planner {
                 ));
                 Ok(DEFAULT_BURN_IN)
             }
-            Err(e) if is_budget_error(&e) => {
+            Err(e) if e.is_budget_exceeded() => {
                 notes.push(format!(
                     "mixing time unavailable ({e}); using default burn-in {DEFAULT_BURN_IN}"
                 ));
@@ -758,159 +858,18 @@ impl Planner {
             Err(e) => Err(e),
         }
     }
+}
 
-    /// Plans [`Strategy::Auto`]. `forever` is the task's forever-query,
-    /// translated once by [`Planner::plan`].
-    fn auto(
-        request: &EvalRequest<'_>,
-        forever: Option<ForeverInput<'_>>,
-        cache: &mut EvalCache,
-    ) -> Result<Plan, CoreError> {
-        match &request.task {
-            Task::Inflationary { query, db } => {
-                let probe_nodes = request
-                    .exact_budget
-                    .node_budget
-                    .unwrap_or(AUTO_NODE_CEILING);
-                let probe = enumerate_fixpoints_memo(&query.program, db, Some(probe_nodes), cache);
-                match probe.map_err(CoreError::Datalog) {
-                    Ok(_) => Ok(Plan {
-                        task: TaskKind::Inflationary,
-                        action: PlanAction::ExactTree {
-                            budget: request.exact_budget,
-                        },
-                        notes: vec![format!(
-                            "computation tree fits within the {probe_nodes}-node probe"
-                        )],
-                    }),
-                    Err(e) if is_budget_error(&e) => {
-                        let worst_case = hoeffding_sample_count(request.epsilon, request.delta)?;
-                        Ok(Plan {
-                            task: TaskKind::Inflationary,
-                            action: PlanAction::SampleFixpoint {
-                                epsilon: request.epsilon,
-                                delta: request.delta,
-                                worst_case,
-                                seed: request.seed,
-                            },
-                            notes: vec![format!(
-                                "computation tree exceeds the {probe_nodes}-node probe; \
-                                 falling back to Thm 4.3 sampling"
-                            )],
-                        })
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            Task::InflationaryPc { input, .. } => {
-                let cap = request
-                    .exact_budget
-                    .world_budget
-                    .unwrap_or(AUTO_WORLD_CEILING);
-                let estimate = input.valuation_count();
-                if estimate <= cap {
-                    Ok(Plan {
-                        task: TaskKind::InflationaryPc,
-                        action: PlanAction::ExactTree {
-                            budget: request.exact_budget,
-                        },
-                        notes: vec![format!("pc-table worlds: ≤{estimate} (cap {cap})")],
-                    })
-                } else {
-                    let worst_case = hoeffding_sample_count(request.epsilon, request.delta)?;
-                    Ok(Plan {
-                        task: TaskKind::InflationaryPc,
-                        action: PlanAction::SampleFixpoint {
-                            epsilon: request.epsilon,
-                            delta: request.delta,
-                            worst_case,
-                            seed: request.seed,
-                        },
-                        notes: vec![format!(
-                            "estimated ≤{estimate} pc-table worlds exceed the cap {cap}; \
-                             falling back to Thm 4.3 sampling"
-                        )],
-                    })
-                }
-            }
-            Task::Noninflationary { query, db } => {
-                let mut notes = Vec::new();
-                if query.program.has_negation() {
-                    notes.push("program uses negation: §5.1 partitioning ineligible".to_string());
-                } else {
-                    let classes = partition::partition_classes(&query.program, db)?;
-                    if classes.len() >= 2 {
-                        notes.push(format!(
-                            "program is negation-free: {} independence classes",
-                            classes.len()
-                        ));
-                        return Ok(Plan {
-                            task: TaskKind::Noninflationary,
-                            action: PlanAction::Partitioned {
-                                classes: classes.len(),
-                                budget: request.chain_budget,
-                            },
-                            notes,
-                        });
-                    }
-                    notes.push(
-                        "program is negation-free but has a single independence class".to_string(),
-                    );
-                }
-                let (fq, prepared) = forever.expect("a non-inflationary task translates");
-                Self::chain_or_burn_in(request, &fq, &prepared, cache, notes)
-            }
-            Task::Forever { query, db } => {
-                Self::chain_or_burn_in(request, query, db, cache, Vec::new())
-            }
-        }
-    }
-
-    /// Probes explicit-chain construction under the budget: exact chain
-    /// evaluation when it fits, Thm 5.6 restart sampling otherwise.
-    fn chain_or_burn_in(
-        request: &EvalRequest<'_>,
-        fq: &crate::ForeverQuery,
-        db: &Database,
-        cache: &mut EvalCache,
-        mut notes: Vec<String>,
-    ) -> Result<Plan, CoreError> {
-        let kind = request.task.kind();
-        match exact_noninflationary::build_chain_interned(fq, db, request.chain_budget, cache) {
-            Ok(chain) => {
-                notes.push(format!(
-                    "explicit chain fits: {} states (≤{} budget)",
-                    chain.len(),
-                    request.chain_budget.max_states
-                ));
-                Ok(Plan {
-                    task: kind,
-                    action: PlanAction::ExactChain {
-                        budget: request.chain_budget,
-                    },
-                    notes,
-                })
-            }
-            Err(e) if is_budget_error(&e) => {
-                notes.push(format!(
-                    "explicit chain over budget ({e}); falling back to Thm 5.6 restart sampling \
-                     with default burn-in {DEFAULT_BURN_IN}"
-                ));
-                let worst_case = hoeffding_sample_count(request.epsilon, request.delta)?;
-                Ok(Plan {
-                    task: kind,
-                    action: PlanAction::BurnInSample {
-                        burn_in: DEFAULT_BURN_IN,
-                        epsilon: request.epsilon,
-                        delta: request.delta,
-                        worst_case,
-                        seed: request.seed,
-                    },
-                    notes,
-                })
-            }
-            Err(e) => Err(e),
-        }
+/// The kebab-case name of a forced strategy, as its plan action is named.
+fn strategy_name(strategy: Strategy) -> &'static str {
+    match strategy {
+        Strategy::Auto => "auto",
+        Strategy::ExactTree => "exact-tree",
+        Strategy::SampleFixpoint => "sample-fixpoint",
+        Strategy::ExactChain => "exact-chain",
+        Strategy::Partitioned => "partitioned",
+        Strategy::TimeAverage { .. } => "time-average",
+        Strategy::BurnInSample { .. } => "burn-in-sample",
     }
 }
 
@@ -998,13 +957,19 @@ impl Default for Engine {
 }
 
 /// Executes one plan action over the given cache. Every arm delegates to
-/// the one primitive implementing that action's algorithm.
+/// the one primitive implementing that action's algorithm. The plan
+/// fixes ε, δ and the seed; the request adds only the execution settings
+/// (threads, adaptive stopping).
 fn execute_action(
     request: &EvalRequest<'_>,
     plan: &Plan,
     cache: &mut EvalCache,
 ) -> Result<(EvalValue, Option<SampleReport>), CoreError> {
-    let config = request.sampler_config();
+    let task = &request.task;
+    let forever = || {
+        task.forever_query()?
+            .ok_or_else(|| plan_mismatch(&plan.action, task))
+    };
     match (&plan.action, &request.task) {
         (PlanAction::ExactTree { budget }, Task::Inflationary { query, db }) => {
             let p = exact_inflationary::evaluate(query, db, *budget, cache)?;
@@ -1014,24 +979,37 @@ fn execute_action(
             let p = exact_inflationary::evaluate_pc(query, input, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
-        (PlanAction::SampleFixpoint { epsilon, delta, .. }, Task::Inflationary { query, db }) => {
+        (
+            PlanAction::SampleFixpoint {
+                epsilon,
+                delta,
+                seed,
+                ..
+            },
+            Task::Inflationary { query, db },
+        ) => {
+            let config = request.sampler_config(*seed);
             let report =
                 sample_inflationary::evaluate_with_config(query, db, *epsilon, *delta, &config)?;
             Ok((EvalValue::Estimate(report.estimate), Some(report)))
         }
         (
-            PlanAction::SampleFixpoint { epsilon, delta, .. },
+            PlanAction::SampleFixpoint {
+                epsilon,
+                delta,
+                seed,
+                ..
+            },
             Task::InflationaryPc { query, input },
         ) => {
+            let config = request.sampler_config(*seed);
             let report = sample_inflationary::evaluate_pc_with_config(
                 query, input, *epsilon, *delta, &config,
             )?;
             Ok((EvalValue::Estimate(report.estimate), Some(report)))
         }
-        (PlanAction::ExactChain { budget }, task) => {
-            let Some((fq, db)) = task.forever_query()? else {
-                return Err(plan_mismatch(&plan.action, task));
-            };
+        (PlanAction::ExactChain { budget }, _) => {
+            let (fq, db) = forever()?;
             let p = exact_noninflationary::evaluate(&fq, &db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
@@ -1039,12 +1017,8 @@ fn execute_action(
             let p = partition::evaluate_partitioned(query, db, *budget, cache)?;
             Ok((EvalValue::Exact(p), None))
         }
-        (PlanAction::TimeAverage { steps, seed }, task) => {
-            let Some((fq, db)) = task.forever_query()? else {
-                return Err(CoreError::BadParameter(
-                    "time-average plan does not match an inflationary task".into(),
-                ));
-            };
+        (PlanAction::TimeAverage { steps, seed }, _) => {
+            let (fq, db) = forever()?;
             let mut rng = ChaCha8Rng::seed_from_u64(*seed);
             let avg = mixing_sampler::evaluate_time_average(&fq, &db, *steps, &mut rng)?;
             Ok((EvalValue::Estimate(avg), None))
@@ -1054,15 +1028,13 @@ fn execute_action(
                 burn_in,
                 epsilon,
                 delta,
+                seed,
                 ..
             },
-            task,
+            _,
         ) => {
-            let Some((fq, db)) = task.forever_query()? else {
-                return Err(CoreError::BadParameter(
-                    "burn-in plan does not match an inflationary task".into(),
-                ));
-            };
+            let (fq, db) = forever()?;
+            let config = request.sampler_config(*seed);
             let report = mixing_sampler::evaluate_with_burn_in_config(
                 &fq, &db, *burn_in, *epsilon, *delta, &config,
             )?;
@@ -1084,9 +1056,8 @@ fn plan_mismatch(action: &PlanAction, task: &Task<'_>) -> CoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{coin_db, coin_program, fork_db, lazy_flip, reach_query};
+    use crate::fixtures::{coin_db, coin_edge, coin_program, fork_db, lazy_flip, reach_query};
     use crate::Event;
-    use pfq_ctable::{Condition, PcTable, RandomVariable};
     use pfq_data::tuple;
 
     /// Two independent weighted coins: negation-free, two independence
@@ -1116,7 +1087,6 @@ mod tests {
         let request = EvalRequest::inflationary(&query, &db)
             .with_exact_budget(ExactBudget {
                 node_budget: Some(1),
-                world_budget: None,
             })
             .with_epsilon_delta(0.2, 0.1)
             .with_seed(3)
@@ -1133,15 +1103,7 @@ mod tests {
     #[test]
     fn inflationary_events_are_checked_against_input_and_idb() {
         let program = reach_query("w").program;
-        let mut input = PcDatabase::new();
-        input
-            .declare_variable(RandomVariable::fair_coin("x"))
-            .unwrap();
-        input.add_table(
-            "E",
-            PcTable::new(Schema::new(["i", "j", "p"]))
-                .with(tuple!["v", "w", 1], Condition::eq("x", 1)),
-        );
+        let mut input = coin_edge();
         input.add_certain("D", pfq_data::Relation::empty(Schema::new(["n"])));
         let db = fork_db();
         let check = |event: Event| {
@@ -1335,6 +1297,68 @@ mod tests {
         let (cq, cdb) = coin_case();
         let bad = EvalRequest::noninflationary(&cq, &cdb);
         assert!(engine.execute(&bad, &first.plan).is_err());
+    }
+
+    #[test]
+    fn auto_bounds_exact_pc_runs() {
+        let query = reach_query("w");
+        let input = coin_edge();
+        let mut engine = Engine::new();
+        let outcome = engine
+            .run(&EvalRequest::inflationary_pc(&query, &input))
+            .unwrap();
+        let bounded = ExactBudget {
+            node_budget: Some(AUTO_NODE_CEILING),
+        };
+        assert_eq!(
+            outcome.plan.action,
+            PlanAction::ExactTree { budget: bounded }
+        );
+        assert_eq!(outcome.value, EvalValue::Exact(Ratio::new(1, 2)));
+        // A node budget the caller set is kept.
+        let own = ExactBudget {
+            node_budget: Some(5),
+        };
+        let plan = engine
+            .plan(&EvalRequest::inflationary_pc(&query, &input).with_exact_budget(own))
+            .unwrap();
+        assert_eq!(plan.action, PlanAction::ExactTree { budget: own });
+    }
+
+    #[test]
+    fn execute_samples_with_the_plan_seed() {
+        let query = reach_query("w");
+        let db = fork_db();
+        let request = |seed| {
+            EvalRequest::inflationary(&query, &db)
+                .with_strategy(Strategy::SampleFixpoint)
+                .with_epsilon_delta(0.05, 0.05)
+                .with_seed(seed)
+                .with_threads(1)
+        };
+        let mut engine = Engine::new();
+        let seven = engine.run(&request(7)).unwrap();
+        let three = engine.run(&request(3)).unwrap();
+        let plan = engine.plan(&request(7)).unwrap();
+        let replayed = engine.execute(&request(3), &plan).unwrap();
+        let bits = |outcome: &EvalOutcome| outcome.value.to_f64().to_bits();
+        assert_ne!(bits(&seven), bits(&three), "the seeds must tell apart");
+        assert_eq!(bits(&replayed), bits(&seven));
+        // The same holds for restart sampling.
+        let (fq, fdb) = lazy_flip();
+        let burn_in = |seed| {
+            EvalRequest::forever(&fq, &fdb)
+                .with_strategy(Strategy::BurnInSample { burn_in: Some(3) })
+                .with_epsilon_delta(0.05, 0.05)
+                .with_seed(seed)
+                .with_threads(1)
+        };
+        let seven = engine.run(&burn_in(7)).unwrap();
+        let three = engine.run(&burn_in(3)).unwrap();
+        assert_ne!(bits(&seven), bits(&three), "the seeds must tell apart");
+        let plan = engine.plan(&burn_in(7)).unwrap();
+        let replayed = engine.execute(&burn_in(3), &plan).unwrap();
+        assert_eq!(bits(&replayed), bits(&seven));
     }
 
     #[test]

@@ -40,6 +40,20 @@ impl fmt::Display for CoreError {
     }
 }
 
+impl CoreError {
+    /// Whether this is a budget exhaustion (an exact path over its node,
+    /// state or world budget) rather than a structural error: the planner
+    /// falls back to sampling on it, and the fuzzer counts it as a skip.
+    pub fn is_budget_exceeded(&self) -> bool {
+        matches!(
+            self,
+            CoreError::Datalog(DatalogError::BudgetExceeded { .. })
+                | CoreError::Chain(ChainError::StateLimitExceeded { .. })
+                | CoreError::Algebra(AlgebraError::WorldLimitExceeded { .. })
+        )
+    }
+}
+
 impl std::error::Error for CoreError {}
 
 impl From<AlgebraError> for CoreError {

@@ -18,16 +18,14 @@ use pfq_num::{Distribution, Ratio};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Resource limits for exact evaluation; both default to unbounded.
+/// The resource limit of exact evaluation; defaults to unbounded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExactBudget {
-    /// Maximum computation-tree nodes to expand per input world.
+    /// Maximum units of work: one per computation-tree node processed,
+    /// and for a pc-table input one per variable valuation
+    /// ([`PcDatabase::valuation_count`]), summed over all its worlds.
+    /// Work served from the memo is free.
     pub node_budget: Option<usize>,
-    /// Maximum input-database worlds to iterate (pc-table input only),
-    /// counted as variable valuations
-    /// ([`PcDatabase::valuation_count`]) and checked before any world
-    /// is built.
-    pub world_budget: Option<usize>,
 }
 
 /// One program's memoized traversal: its memo id, and its rules,
@@ -50,10 +48,13 @@ impl<'a> Tree<'a> {
     }
 
     /// The fixpoint distribution from `db`; see [`enumerate_fixpoints_memo`].
+    /// Each node processed is charged to `spent`, which must stay within
+    /// `node_budget`.
     fn fixpoints(
         &mut self,
         db: &Database,
         node_budget: Option<usize>,
+        spent: &mut usize,
     ) -> Result<Arc<Distribution<Database>>, DatalogError> {
         let memo = &mut *self.memo;
         let (edb, engine) = EngineState::initial(self.program, db)?;
@@ -72,9 +73,8 @@ impl<'a> Tree<'a> {
         let mut frontier: BTreeMap<StateId, (Ratio, Option<StateId>)> = BTreeMap::new();
         frontier.insert(initial, (Ratio::one(), None));
         let mut fixpoints = Distribution::new();
-        let mut expanded = 0usize;
         while let Some((sid, (p, parent))) = frontier.pop_first() {
-            charge_node_budget(&mut expanded, node_budget)?;
+            charge_node_budget(spent, node_budget)?;
             let row = match memo.steps.get(self.id, sid) {
                 Some(row) => row,
                 None => {
@@ -145,7 +145,7 @@ pub fn enumerate_fixpoints_memo(
     node_budget: Option<usize>,
     cache: &mut EvalCache,
 ) -> Result<Arc<Distribution<Database>>, DatalogError> {
-    Tree::new(program, &mut cache.fixpoints).fixpoints(db, node_budget)
+    Tree::new(program, &mut cache.fixpoints).fixpoints(db, node_budget, &mut 0)
 }
 
 /// Computes the exact probability of the query event over a certain
@@ -173,27 +173,33 @@ pub fn evaluate(
 /// across repeated queries over the same program and world. Sharing work
 /// across worlds with different EDBs needs lazy branching on pc-table
 /// variables (`ROADMAP.md`). The program is interned once per call and
-/// compiled at most once, not once per world. The world budget is
-/// checked against [`PcDatabase::valuation_count`] before any world is
-/// built.
+/// compiled at most once, not once per world.
+///
+/// One budget bounds the whole call: it is charged one unit per variable
+/// valuation ([`PcDatabase::valuation_count`]), then one per tree node
+/// processed in any world. The valuations are charged before any world
+/// is built, so an input with more valuations than the budget fails at
+/// once.
 pub fn evaluate_pc(
     query: &DatalogQuery,
     input: &PcDatabase,
     budget: ExactBudget,
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
-    let valuations = input.valuation_count();
-    if let Some(limit) = budget.world_budget.filter(|&limit| valuations > limit) {
-        return Err(CoreError::BadParameter(format!(
-            "input has {valuations} valuations, over the world budget of {limit}"
-        )));
+    let mut spent = input.valuation_count();
+    if let Some(limit) = budget.node_budget.filter(|&limit| spent > limit) {
+        return Err(DatalogError::BudgetExceeded {
+            what: "pc-table valuations",
+            limit,
+        }
+        .into());
     }
     let worlds = input.enumerate_worlds()?;
     let mut tree = Tree::new(&query.program, &mut cache.fixpoints);
     let mut total = Ratio::zero();
     for (world, p) in worlds.iter() {
         let conditional = tree
-            .fixpoints(world, budget.node_budget)?
+            .fixpoints(world, budget.node_budget, &mut spent)?
             .probability_that(|db| query.event.holds(db));
         total = total.add_ref(&p.mul_ref(&conditional));
     }
@@ -203,7 +209,7 @@ pub fn evaluate_pc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{fork_db, reach_query};
+    use crate::fixtures::{coin_edge, fork_db, reach_query};
     use pfq_ctable::{Condition, PcTable, RandomVariable};
     use pfq_data::{tuple, Relation, Schema};
     use pfq_datalog::inflationary::enumerate_fixpoints;
@@ -296,15 +302,7 @@ mod tests {
     #[test]
     fn pc_table_input_mixes_worlds() {
         // Edge (v, w) exists iff coin x = 1; event: w reached.
-        let mut input = PcDatabase::new();
-        input
-            .declare_variable(RandomVariable::fair_coin("x"))
-            .unwrap();
-        input.add_table(
-            "E",
-            PcTable::new(Schema::new(["i", "j", "p"]))
-                .with(tuple!["v", "w", 1], Condition::eq("x", 1)),
-        );
+        let input = coin_edge();
         let p = evaluate_pc(
             &reach_query("w"),
             &input,
@@ -315,62 +313,103 @@ mod tests {
         assert_eq!(p, Ratio::new(1, 2));
     }
 
-    #[test]
-    fn pc_world_budget_enforced() {
-        // Four coins each gating a distinct edge → 16 distinct worlds.
+    /// `gated` fair coins, each gating its own edge `(v, w{i})`, beside
+    /// `4 - gated` unused coins: always 16 valuations, `2^gated` worlds.
+    fn gated_edges(gated: usize) -> PcDatabase {
         let mut input = PcDatabase::new();
         let mut table = PcTable::new(Schema::new(["i", "j", "p"]));
         for i in 0..4 {
             input
                 .declare_variable(RandomVariable::fair_coin(format!("x{i}")))
                 .unwrap();
-            table.add(
-                tuple!["v", format!("w{i}").as_str(), 1],
-                Condition::eq(format!("x{i}"), 1),
-            );
+            if i < gated {
+                table.add(
+                    tuple!["v", format!("w{i}").as_str(), 1],
+                    Condition::eq(format!("x{i}"), 1),
+                );
+            }
         }
         input.add_table("E", table);
-        let budget = ExactBudget {
-            node_budget: None,
-            world_budget: Some(3),
-        };
-        assert!(matches!(
-            evaluate_pc(
-                &reach_query("w0"),
-                &input,
-                budget,
-                &mut EvalCache::default()
-            ),
-            Err(CoreError::BadParameter(_))
-        ));
-        // The budget counts valuations: a single gated edge plus three
-        // unused coins is 2 distinct worlds but 16 valuations, so a
-        // budget of 15 fails and one of exactly 16 succeeds.
-        let mut small = PcDatabase::new();
-        for i in 0..4 {
-            small
-                .declare_variable(RandomVariable::fair_coin(format!("y{i}")))
-                .unwrap();
+        input
+    }
+
+    fn nodes(limit: usize) -> ExactBudget {
+        ExactBudget {
+            node_budget: Some(limit),
         }
-        small.add_table(
-            "E",
-            PcTable::new(Schema::new(["i", "j", "p"]))
-                .with(tuple!["v", "w", 1], Condition::eq("y0", 1)),
-        );
-        assert_eq!(small.valuation_count(), 16);
-        let run = |limit| {
-            let budget = ExactBudget {
-                node_budget: None,
-                world_budget: Some(limit),
-            };
-            evaluate_pc(&reach_query("w"), &small, budget, &mut EvalCache::default())
-        };
-        assert!(matches!(run(15), Err(CoreError::BadParameter(_))));
-        assert_eq!(run(16).unwrap(), Ratio::new(1, 2));
+    }
+
+    fn over(result: Result<Ratio, CoreError>, budget: &str) -> bool {
+        matches!(result, Err(CoreError::Datalog(DatalogError::BudgetExceeded { what, .. })) if what == budget)
     }
 
     #[test]
-    fn world_budget_is_checked_before_enumerating() {
+    fn pc_budget_charges_valuations_then_nodes() {
+        let run = |input: &PcDatabase, limit| {
+            evaluate_pc(
+                &reach_query("w0"),
+                input,
+                nodes(limit),
+                &mut EvalCache::default(),
+            )
+        };
+        // 16 distinct worlds: a budget of 3 fails before any is built.
+        assert!(over(run(&gated_edges(4), 3), "pc-table valuations"));
+        // The budget counts valuations, not worlds: one gated edge beside
+        // three unused coins is 2 distinct worlds but 16 valuations, so 15
+        // fails at once. Then the two worlds' trees (4 nodes to reach w0,
+        // 2 without the edge) are charged on top.
+        let small = gated_edges(1);
+        assert_eq!(small.valuation_count(), 16);
+        assert!(over(run(&small, 15), "pc-table valuations"));
+        assert!(over(run(&small, 16 + 5), "computation-tree expansion"));
+        assert_eq!(run(&small, 16 + 6).unwrap(), Ratio::new(1, 2));
+        // Work served from the memo is free: only the valuations are
+        // charged again.
+        let mut warm = EvalCache::default();
+        evaluate_pc(&reach_query("w0"), &small, nodes(22), &mut warm).unwrap();
+        let p = evaluate_pc(&reach_query("w0"), &small, nodes(16), &mut warm).unwrap();
+        assert_eq!(p, Ratio::new(1, 2));
+    }
+
+    #[test]
+    fn pc_budget_is_a_total_across_worlds() {
+        // One coin gating the edge (v, w): two valuations, two worlds.
+        let input = coin_edge();
+        let query = reach_query("w");
+        // The fewest nodes each world's tree needs on its own.
+        let trees: Vec<usize> = input
+            .enumerate_worlds()
+            .unwrap()
+            .iter()
+            .map(|(world, _)| {
+                (0..)
+                    .find(|&limit| {
+                        enumerate_fixpoints_memo(
+                            &query.program,
+                            world,
+                            Some(limit),
+                            &mut EvalCache::default(),
+                        )
+                        .is_ok()
+                    })
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(trees.len(), 2);
+        let run = |limit| evaluate_pc(&query, &input, nodes(limit), &mut EvalCache::default());
+        // Each tree fits beside the 2 valuations on its own …
+        let one_at_a_time = 2 + trees.iter().max().unwrap();
+        assert!(over(run(one_at_a_time), "computation-tree expansion"));
+        // … but only their sum fits them all.
+        let together = 2 + trees.iter().sum::<usize>();
+        assert!(one_at_a_time < together);
+        assert!(over(run(together - 1), "computation-tree expansion"));
+        assert_eq!(run(together).unwrap(), Ratio::new(1, 2));
+    }
+
+    #[test]
+    fn pc_valuations_are_charged_before_enumerating() {
         // 2^64 valuations: enumerating them would never return.
         let mut input = PcDatabase::new();
         let mut table = PcTable::new(Schema::new(["i", "j", "p"]));
@@ -385,31 +424,22 @@ mod tests {
         }
         input.add_table("E", table);
         assert_eq!(input.valuation_count(), usize::MAX);
-        let budget = ExactBudget {
-            node_budget: None,
-            world_budget: Some(8),
-        };
-        assert!(matches!(
-            evaluate_pc(
-                &reach_query("w0"),
-                &input,
-                budget,
-                &mut EvalCache::default()
-            ),
-            Err(CoreError::BadParameter(_))
-        ));
+        let result = evaluate_pc(
+            &reach_query("w0"),
+            &input,
+            nodes(8),
+            &mut EvalCache::default(),
+        );
+        assert!(over(result.clone(), "pc-table valuations"));
+        assert!(result.unwrap_err().is_budget_exceeded());
     }
 
     #[test]
     fn node_budget_enforced() {
-        let budget = ExactBudget {
-            node_budget: Some(0),
-            world_budget: None,
-        };
         assert!(evaluate(
             &reach_query("w"),
             &fork_db(),
-            budget,
+            nodes(0),
             &mut EvalCache::default()
         )
         .is_err());
@@ -446,15 +476,7 @@ mod tests {
 
     #[test]
     fn pc_worlds_share_one_cache() {
-        let mut input = PcDatabase::new();
-        input
-            .declare_variable(RandomVariable::fair_coin("x"))
-            .unwrap();
-        input.add_table(
-            "E",
-            PcTable::new(Schema::new(["i", "j", "p"]))
-                .with(tuple!["v", "w", 1], Condition::eq("x", 1)),
-        );
+        let input = coin_edge();
         let mut cache = EvalCache::default();
         let q = reach_query("w");
         let p = evaluate_pc(&q, &input, ExactBudget::default(), &mut cache).unwrap();

@@ -2,6 +2,7 @@
 
 use crate::{DatalogQuery, Event, ForeverQuery};
 use pfq_algebra::{Expr, Interpretation};
+use pfq_ctable::{Condition, PcDatabase, PcTable, RandomVariable};
 use pfq_data::{tuple, Database, Relation, Schema, Value};
 use pfq_datalog::Program;
 
@@ -27,6 +28,20 @@ pub(crate) fn fork_db() -> Database {
             ],
         ),
     )
+}
+
+/// A pc-table whose one edge `v → w` is present iff the fair coin `x`
+/// lands 1: two valuations, two worlds.
+pub(crate) fn coin_edge() -> PcDatabase {
+    let mut input = PcDatabase::new();
+    input
+        .declare_variable(RandomVariable::fair_coin("x"))
+        .unwrap();
+    input.add_table(
+        "E",
+        PcTable::new(Schema::new(["i", "j", "p"])).with(tuple!["v", "w", 1], Condition::eq("x", 1)),
+    );
+    input
 }
 
 /// Example 3.3's random walk `C := ρ(π(repair-key_{i@p}(C ⋈ E)))` over

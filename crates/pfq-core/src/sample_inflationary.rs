@@ -123,10 +123,8 @@ pub fn evaluate_with_samples_config(
 mod tests {
     use super::*;
     use crate::exact_inflationary::{self, ExactBudget};
-    use crate::fixtures::{fork_db, reach_query};
+    use crate::fixtures::{coin_edge, fork_db, reach_query};
     use crate::EvalCache;
-    use pfq_ctable::{Condition, PcTable, RandomVariable};
-    use pfq_data::{tuple, Schema};
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -187,15 +185,7 @@ mod tests {
 
     #[test]
     fn pc_input_estimate() {
-        let mut input = PcDatabase::new();
-        input
-            .declare_variable(RandomVariable::fair_coin("x"))
-            .unwrap();
-        input.add_table(
-            "E",
-            PcTable::new(Schema::new(["i", "j", "p"]))
-                .with(tuple!["v", "w", 1], Condition::eq("x", 1)),
-        );
+        let input = coin_edge();
         let query = reach_query("w");
         let exact = exact_inflationary::evaluate_pc(
             &query,

@@ -1122,7 +1122,6 @@ impl Oracle {
         // Inflationary task: Auto vs the legacy Prop 4.4 enumeration.
         let request = EvalRequest::inflationary(&query, &case.db).with_exact_budget(ExactBudget {
             node_budget: Some(self.cfg.node_budget),
-            world_budget: None,
         });
         let mut engine = Engine::new();
         let plan = match engine.plan(&request) {
@@ -1229,7 +1228,7 @@ impl Oracle {
                 }
                 // The whole chain can exceed a budget the per-class
                 // chains fit in (and vice versa): a skip, not a bug.
-                Err(e) if is_budget_error(&e) => skips.push(format!("{label} over budget: {e}")),
+                Err(e) if e.is_budget_exceeded() => skips.push(format!("{label} over budget: {e}")),
                 Err(e) => {
                     return Outcome::Fail(format!(
                         "{label} errored where the planner-chosen {} succeeded: {e}",
@@ -1250,17 +1249,6 @@ impl Oracle {
             Outcome::Skip(format!("no eligible exact path: {}", skips.join("; ")))
         }
     }
-}
-
-/// Whether `e` is a budget exhaustion rather than a genuine failure
-/// (mirrors the planner's own fallback classification).
-fn is_budget_error(e: &CoreError) -> bool {
-    matches!(
-        e,
-        CoreError::Datalog(DatalogError::BudgetExceeded { .. })
-            | CoreError::Chain(pfq_markov::ChainError::StateLimitExceeded { .. })
-            | CoreError::Algebra(pfq_algebra::AlgebraError::WorldLimitExceeded { .. })
-    )
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
-//! Exact evaluation under the default budgets, each call on a fresh
-//! cache — shorthand for the workload modules' unit tests.
+//! Exact evaluation under the default (unbounded) budgets, each call on
+//! a fresh cache, so a timed call never reuses an earlier call's memo —
+//! shorthand for the workload tests, the integration tests and the
+//! experiments harness.
 
 use pfq_core::exact_inflationary::{self, ExactBudget};
 use pfq_core::exact_noninflationary::{self, ChainBudget};
@@ -9,13 +11,13 @@ use pfq_data::Database;
 use pfq_num::Ratio;
 
 /// Prop 4.4 exact probability.
-pub(crate) fn tree_probability(query: &DatalogQuery, db: &Database) -> Ratio {
+pub fn tree_probability(query: &DatalogQuery, db: &Database) -> Ratio {
     exact_inflationary::evaluate(query, db, ExactBudget::default(), &mut EvalCache::default())
         .unwrap()
 }
 
 /// Prop 4.4 exact probability over a pc-table.
-pub(crate) fn pc_probability(query: &DatalogQuery, input: &PcDatabase) -> Ratio {
+pub fn pc_probability(query: &DatalogQuery, input: &PcDatabase) -> Ratio {
     exact_inflationary::evaluate_pc(
         query,
         input,
@@ -26,7 +28,7 @@ pub(crate) fn pc_probability(query: &DatalogQuery, input: &PcDatabase) -> Ratio 
 }
 
 /// Thm 5.5 exact long-run probability.
-pub(crate) fn chain_probability(query: &ForeverQuery, db: &Database) -> Ratio {
+pub fn chain_probability(query: &ForeverQuery, db: &Database) -> Ratio {
     exact_noninflationary::evaluate(query, db, ChainBudget::default(), &mut EvalCache::default())
         .unwrap()
 }

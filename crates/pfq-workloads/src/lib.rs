@@ -21,13 +21,14 @@
 //!   dynamics over proper graph colorings, with exact uniformity checks;
 //! * [`queue`] — a truncated birth–death queue with a closed-form
 //!   stationary distribution, validated exactly against the chain, and
-//!   a directly built lazy birth–death chain for solver scaling.
+//!   a directly built lazy birth–death chain for solver scaling;
+//! * [`exact`] — one-call exact probabilities on a fresh cache, the
+//!   reference the workloads are checked against.
 
 pub mod basketball;
 pub mod bayes;
 pub mod coloring;
-#[cfg(test)]
-mod exact;
+pub mod exact;
 pub mod graphs;
 pub mod pagerank;
 pub mod queue;

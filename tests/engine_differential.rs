@@ -31,7 +31,6 @@ use rand_chacha::ChaCha8Rng;
 
 const NODE_BUDGET: ExactBudget = ExactBudget {
     node_budget: Some(20_000),
-    world_budget: None,
 };
 const CHAIN_BUDGET: ChainBudget = ChainBudget {
     max_states: 600,

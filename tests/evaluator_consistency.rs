@@ -2,9 +2,6 @@
 //! (or approximates) the same quantity, so they must agree with each
 //! other on instances small enough for exact evaluation.
 
-mod common;
-
-use common::{chain_probability, tree_probability};
 use pfq::ctable::{translate, Condition, PcDatabase, PcTable, RandomVariable};
 use pfq::data::{tuple, Database, Relation, Schema};
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
@@ -12,6 +9,7 @@ use pfq::lang::sampler::SamplerConfig;
 use pfq::lang::{mixing_sampler, partition, sample_inflationary, DatalogQuery, EvalCache, Event};
 use pfq::markov::{mixing, stationary, MarkovChain};
 use pfq::num::{Distribution, Ratio};
+use pfq::workloads::exact::{chain_probability, tree_probability};
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -1,13 +1,11 @@
 //! The Theorem 4.1 / 5.1 reductions behave exactly as their lemmas
 //! claim, across random formulas.
 
-mod common;
-
-use common::{pc_probability, tree_probability};
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
 use pfq::lang::sample_inflationary;
 use pfq::lang::sampler::SamplerConfig;
 use pfq::num::Ratio;
+use pfq::workloads::exact::{pc_probability, tree_probability};
 use pfq::workloads::sat::{theorem_4_1_pc, theorem_4_1_repair_key, theorem_5_1_forever_query, Cnf};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -177,7 +177,6 @@ fn node_budget_boundary_is_exact_on_both_paths() {
     );
     let budget = |nodes| ExactBudget {
         node_budget: Some(nodes),
-        world_budget: None,
     };
     assert!(exact_tree(&mut Engine::new(), &q, &db, budget(3)).is_one());
     assert!(reference_tree_probability(&q, &db, Some(3))

@@ -1,8 +1,5 @@
 //! End-to-end reproductions of every worked example in the paper.
 
-mod common;
-
-use common::{chain_probability, tree_probability};
 use pfq::algebra::repair_key::enumerate_repairs;
 use pfq::algebra::{Expr, Interpretation};
 use pfq::data::{tuple, Database, Relation, Schema, Value};
@@ -10,6 +7,7 @@ use pfq::lang::{DatalogQuery, Event, ForeverQuery};
 use pfq::num::Ratio;
 use pfq::workloads::basketball;
 use pfq::workloads::bayes::BayesNet;
+use pfq::workloads::exact::{chain_probability, tree_probability};
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
 use pfq::workloads::pagerank::pagerank_query;
 

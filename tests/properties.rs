@@ -1,15 +1,13 @@
 //! Property-based integration tests: randomized instances, exact
 //! invariants.
 
-mod common;
-
-use common::{chain_probability, pc_probability, tree_probability};
 use pfq::data::{tuple, Database, Relation, Schema, Value};
 use pfq::lang::exact_noninflationary::{self, ChainBudget};
 use pfq::lang::Event;
 use pfq::markov::absorption::long_run_distribution;
 use pfq::num::Ratio;
 use pfq::workloads::bayes::BayesNet;
+use pfq::workloads::exact::{chain_probability, pc_probability, tree_probability};
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
 use pfq::workloads::sat::{theorem_4_1_pc, Cnf};
 use proptest::prelude::*;

@@ -7,9 +7,6 @@
 //! kernel-built queue and coloring chains, an absorbing chain and a
 //! lazy birth–death chain.
 
-mod common;
-
-use common::chain_probability;
 use pfq::lang::exact_noninflationary::{build_chain, ChainBudget};
 use pfq::markov::absorption::long_run_distribution;
 use pfq::markov::dense;
@@ -17,6 +14,7 @@ use pfq::markov::stationary::exact_stationary;
 use pfq::markov::MarkovChain;
 use pfq::num::Ratio;
 use pfq::workloads::coloring::ColoringMcmc;
+use pfq::workloads::exact::chain_probability;
 use pfq::workloads::graphs::{walk_query, WeightedGraph};
 use pfq::workloads::queue::{lazy_birth_death_chain, BirthDeathQueue};
 use pfq_fuzz::oracle::reference_chain_probability;
