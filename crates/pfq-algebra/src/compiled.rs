@@ -35,11 +35,11 @@
 
 use crate::repair_key::Groups;
 use crate::{AlgebraError, Expr, Interpretation, Operand, Pred};
+use pfq_data::hash::FxHashMap;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_num::Distribution;
 use rand::Rng;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
@@ -867,10 +867,8 @@ impl JoinPlan {
     fn run(&self, left: &Relation, right: &Relation, schema: &Schema) -> Relation {
         let mut out = Relation::empty(schema.clone());
         let emit = |out: &mut Relation, l: &Tuple, r: &Tuple| {
-            let mut row = Vec::with_capacity(l.arity() + self.right_rest.len());
-            row.extend_from_slice(l.values());
-            row.extend(self.right_rest.iter().map(|&i| r.get(i).clone()));
-            out.insert(Tuple::new(row));
+            let rest = self.right_rest.iter().map(|&i| r.get(i));
+            out.insert(l.values().iter().chain(rest).cloned().collect());
         };
         let mut key: Vec<Value> = Vec::with_capacity(self.left_key.len());
         if self.prefix {
@@ -883,7 +881,7 @@ impl JoinPlan {
             }
             return out;
         }
-        let mut index: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
+        let mut index: FxHashMap<Vec<Value>, Vec<&Tuple>> = FxHashMap::default();
         for r in right.iter() {
             let k = self.right_key.iter().map(|&i| r.get(i).clone()).collect();
             index.entry(k).or_default().push(r);

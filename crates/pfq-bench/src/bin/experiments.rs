@@ -18,7 +18,10 @@
 //! writes `BENCH_NAME.json` at the repository root: one point of the
 //! performance trajectory (`ROADMAP.md`).
 
-use pfq_bench::{fmt_duration, ledger_json, print_table, time_median, time_once, LedgerEntry};
+use pfq_bench::{
+    fmt_duration, ledger_json, print_table, time_median, time_once, Counters, LedgerCounters,
+    LedgerEntry,
+};
 use pfq_core::exact_inflationary::{self, ExactBudget};
 use pfq_core::exact_noninflationary::{self, ChainBudget};
 use pfq_core::sampler::{SampleReport, SamplerConfig};
@@ -36,6 +39,7 @@ use pfq_markov::{dense, gth, mixing, stationary};
 use pfq_num::Ratio;
 use pfq_workloads::basketball;
 use pfq_workloads::bayes::BayesNet;
+use pfq_workloads::coloring::ColoringMcmc;
 use pfq_workloads::exact::{chain_probability, pc_probability, tree_probability};
 use pfq_workloads::graphs::{walk_query, WeightedGraph};
 use pfq_workloads::pagerank::{pagerank_query, pagerank_reference};
@@ -126,8 +130,9 @@ fn main() {
     e15_memoization();
     e16_stationary_scaling();
     e17_planner(&knobs);
-    if let Some(name) = &knobs.ledger {
-        write_ledger(name, knobs.seed);
+    match &knobs.ledger {
+        Some(name) => write_ledger(name, knobs.seed),
+        None => check_ledger_counters(knobs.seed),
     }
 }
 
@@ -728,7 +733,6 @@ fn e12_stationary_ablation() {
 /// E14 — MCMC programmed in the language: Glauber colorings, exact
 /// uniformity, and mixing diagnostics.
 fn e14_mcmc_coloring() {
-    use pfq_workloads::coloring::ColoringMcmc;
     let mut rows = Vec::new();
     let cases = vec![
         (
@@ -1057,11 +1061,101 @@ const LEDGER_RUNS: usize = 5;
 /// writes `BENCH_{name}.json` at the repository root. Every counter is a
 /// work count of one run, the same in every run.
 fn write_ledger(name: &str, seed: u64) {
+    let entries = ledger_entries(LEDGER_RUNS, seed);
+    let rows: Vec<Vec<String>> = entries
+        .iter()
+        .map(|e| {
+            let (median, min, max) = e.spread();
+            vec![
+                e.layer.to_string(),
+                e.workload.clone(),
+                format!("{median:.1} {} ({min:.1}..{max:.1})", e.unit),
+            ]
+        })
+        .collect();
+    let path = repo_root().join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, ledger_json(name, 1, seed, &entries))
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    print_table(
+        &format!("Ledger BENCH_{name}.json (median of {LEDGER_RUNS} runs, min..max, 1 thread)"),
+        &["layer", "workload", "median (min..max)"],
+        &rows,
+    );
+}
+
+/// The repository root, where the `BENCH_*.json` ledgers live.
+fn repo_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Recomputes every ledger entry's counters once, untimed, and asserts
+/// that they equal the newest `BENCH_*.json` at the repository root (the
+/// one with the highest number), when that ledger ran with `seed`. The
+/// counters are work counts, so a change that alters the work an entry
+/// does fails here until a new ledger records it.
+fn check_ledger_counters(seed: u64) {
+    let newest = std::fs::read_dir(repo_root())
+        .expect("repository root is readable")
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            let rest = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+            let number: u64 = rest.split('_').next()?.parse().ok()?;
+            Some((number, name))
+        })
+        .max();
+    let Some((_, file)) = newest else {
+        println!("\n(no BENCH_*.json ledger: counter check skipped)");
+        return;
+    };
+    let json = std::fs::read_to_string(repo_root().join(&file))
+        .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
+    let ledger = LedgerCounters::parse(&json).unwrap_or_else(|| panic!("{file} is not a ledger"));
+    if ledger.seed != seed {
+        println!(
+            "\n({file} ran with seed {}: counter check skipped)",
+            ledger.seed
+        );
+        return;
+    }
+    let fresh = ledger_entries(0, seed);
+    let mut rows = Vec::new();
+    for (layer, workload, counters) in &ledger.entries {
+        if counters.is_empty() {
+            continue;
+        }
+        let entry = fresh
+            .iter()
+            .find(|e| e.layer == layer && &e.workload == workload)
+            .unwrap_or_else(|| panic!("{file}: no entry {layer} / {workload} to recompute"));
+        let recomputed: Counters = entry
+            .counters
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(
+            &recomputed, counters,
+            "{layer} / {workload}: counters differ from {file}"
+        );
+        let shown: Vec<String> = counters.iter().map(|(k, v)| format!("{k} {v}")).collect();
+        rows.push(vec![layer.clone(), workload.clone(), shown.join(", ")]);
+    }
+    print_table(
+        &format!("Ledger counters recomputed, equal to {file}"),
+        &["layer", "workload", "counters"],
+        &rows,
+    );
+}
+
+/// The ledger's entries: layers first, then end-to-end workloads. Each
+/// entry times `runs` one-thread runs and records the counters of one.
+/// `runs = 0` runs each entry that has counters once, for its counters.
+fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
     let knobs = Knobs {
         threads: 1,
         seed,
         ledger: None,
     };
+    let reps = runs.max(1);
     let (_, f) = e1_formulas().into_iter().find(|(n, _)| *n == 10).unwrap();
     let (query, input) = theorem_4_1_pc(&f);
     let e1 = "E1 n = 10: Thm 4.1 3-SAT pc-table, 1024 worlds";
@@ -1070,7 +1164,7 @@ fn write_ledger(name: &str, seed: u64) {
     // One exact pc-table evaluation on a fresh memo, per tree node.
     let mut stats = EvalCache::default().stats();
     let mut step_ms = Vec::new();
-    let per_node = (0..LEDGER_RUNS)
+    let per_node = (0..reps)
         .map(|_| {
             let mut cache = EvalCache::default();
             let (d, _) = time_once(|| {
@@ -1098,7 +1192,7 @@ fn write_ledger(name: &str, seed: u64) {
     // Interning every successor the same trees produce, in order.
     let successors = tree_successors(&query, &input);
     let mut store: Interner<(usize, EngineState)> = Interner::new();
-    let per_call = (0..LEDGER_RUNS)
+    let per_call = (0..reps)
         .map(|_| {
             let batch = successors.clone();
             store = Interner::new();
@@ -1122,9 +1216,64 @@ fn write_ledger(name: &str, seed: u64) {
         ],
     });
 
+    // Kernel rows of a cold Glauber-coloring chain, per row.
+    let coloring = ColoringMcmc::new(4, vec![(0, 1), (1, 2), (2, 3), (0, 3)], 4);
+    let (forever, start) = coloring.color_query(0, 0);
+    let mut chain_stats = EvalCache::default().stats();
+    let per_row = (0..reps)
+        .map(|_| {
+            let mut cache = EvalCache::default();
+            let (d, _) = time_once(|| {
+                exact_noninflationary::build_chain_interned(
+                    &forever,
+                    &start,
+                    ChainBudget::default(),
+                    &mut cache,
+                )
+                .unwrap()
+            });
+            chain_stats = cache.stats();
+            d.as_secs_f64() * 1e9 / chain_stats.kernel_misses as f64
+        })
+        .collect();
+    entries.push(LedgerEntry {
+        layer: "kernel-step",
+        workload: "E14 4-cycle q = 4: Glauber-coloring chain on a fresh memo".into(),
+        unit: "ns/kernel row",
+        runs: per_row,
+        counters: vec![
+            ("chain_states", chain_stats.db_states as u64),
+            ("kernel_rows", chain_stats.kernel_misses),
+        ],
+    });
+
+    // A repeated pc-table evaluation: every world a whole-tree result hit.
+    let mut warm = EvalCache::default();
+    exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default(), &mut warm).unwrap();
+    let worlds = input.valuation_count();
+    let mut result_hits = 0;
+    let per_world = (0..reps)
+        .map(|_| {
+            let before = warm.stats().result_hits;
+            let (d, _) = time_once(|| {
+                exact_inflationary::evaluate_pc(&query, &input, ExactBudget::default(), &mut warm)
+                    .unwrap()
+            });
+            result_hits = warm.stats().result_hits - before;
+            d.as_secs_f64() * 1e9 / worlds as f64
+        })
+        .collect();
+    entries.push(LedgerEntry {
+        layer: "memo-hit",
+        workload: format!("{e1}, again on the memo of a first run"),
+        unit: "ns/world",
+        runs: per_world,
+        counters: vec![("worlds", worlds as u64), ("result_hits", result_hits)],
+    });
+
     let walk = E5Walk::new();
     let mut samples = 0;
-    let rates = (0..LEDGER_RUNS)
+    let rates = (0..reps)
         .map(|_| {
             let (d, report) = time_once(|| walk.run(&knobs, 1));
             samples = report.samples;
@@ -1147,7 +1296,7 @@ fn write_ledger(name: &str, seed: u64) {
         counters: tree_counters,
     });
     let mut e5_samples = 0;
-    let e5_ms = (0..LEDGER_RUNS)
+    let e5_ms = (0..reps)
         .map(|_| {
             let (d, sweep) = time_once(|| e5_sweep(&knobs));
             e5_samples = sweep.accuracy.samples
@@ -1162,7 +1311,8 @@ fn write_ledger(name: &str, seed: u64) {
         runs: e5_ms,
         counters: vec![("samples", e5_samples as u64)],
     });
-    let e17_ms = (0..LEDGER_RUNS)
+    // No counters: only a timed ledger runs it.
+    let e17_ms = (0..runs)
         .map(|_| time_once(|| e17_rows(&knobs)).0.as_secs_f64() * 1e3)
         .collect();
     entries.push(LedgerEntry {
@@ -1172,28 +1322,7 @@ fn write_ledger(name: &str, seed: u64) {
         runs: e17_ms,
         counters: Vec::new(),
     });
-
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|e| {
-            let (median, min, max) = e.spread();
-            vec![
-                e.layer.to_string(),
-                e.workload.clone(),
-                format!("{median:.1} {} ({min:.1}..{max:.1})", e.unit),
-            ]
-        })
-        .collect();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, ledger_json(name, 1, seed, &entries))
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    print_table(
-        &format!("Ledger BENCH_{name}.json (median of {LEDGER_RUNS} runs, min..max, 1 thread)"),
-        &["layer", "workload", "median (min..max)"],
-        &rows,
-    );
+    entries
 }
 
 /// Every successor state the exact trees of `input`'s worlds produce,

@@ -115,6 +115,74 @@ pub fn ledger_json(name: &str, threads: usize, seed: u64, entries: &[LedgerEntry
     out
 }
 
+/// Named counters of one ledger entry, in order.
+pub type Counters = Vec<(String, u64)>;
+
+/// The counters of a ledger [`ledger_json`] rendered: the seed it ran
+/// with and, per entry, its layer, its workload and its counters, in
+/// order.
+#[derive(Debug, PartialEq)]
+pub struct LedgerCounters {
+    /// The base seed of the run that wrote the ledger.
+    pub seed: u64,
+    /// `(layer, workload, counters)` per entry.
+    pub entries: Vec<(String, String, Counters)>,
+}
+
+impl LedgerCounters {
+    /// Reads back the seed and the counters of what [`ledger_json`]
+    /// wrote (one entry per line); `None` if `json` is not in that form.
+    pub fn parse(json: &str) -> Option<LedgerCounters> {
+        let seed = json
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("\"seed\": "))?
+            .trim_end_matches(',')
+            .parse()
+            .ok()?;
+        let mut entries = Vec::new();
+        for line in json.lines().map(str::trim) {
+            let Some(rest) = line.strip_prefix("{\"layer\": ") else {
+                continue;
+            };
+            let (layer, rest) = unquote(rest)?;
+            let (workload, _) = unquote(rest.split_once("\"workload\": ")?.1)?;
+            let counters = rest
+                .split_once("\"counters\": {")?
+                .1
+                .trim_end_matches(',')
+                .strip_suffix("}}")?;
+            let counters = counters
+                .split(", ")
+                .filter(|kv| !kv.is_empty())
+                .map(|kv| {
+                    let (k, v) = kv.split_once(": ")?;
+                    Some((unquote(k)?.0, v.parse().ok()?))
+                })
+                .collect::<Option<_>>()?;
+            entries.push((layer, workload, counters));
+        }
+        Some(LedgerCounters { seed, entries })
+    }
+}
+
+/// The `{:?}`-quoted string at the start of `s` and the text after it.
+/// Only the `\"` and `\\` escapes are read; any other escape is `None`.
+fn unquote(s: &str) -> Option<(String, &str)> {
+    let mut chars = s.strip_prefix('"')?.char_indices();
+    let mut out = String::new();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((out, &s[i + 2..])),
+            '\\' => match chars.next()?.1 {
+                c @ ('"' | '\\') => out.push(c),
+                _ => return None,
+            },
+            c => out.push(c),
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +203,43 @@ mod tests {
              \"median\": 2.000000, \"min\": 1.000000, \"max\": 3.000000, \"counters\": {\"calls\": 7}}\n"
         ));
         assert!(json.starts_with("{\n  \"ledger\": \"x\",\n  \"threads\": 1,"));
+    }
+
+    #[test]
+    fn ledger_counters_read_back() {
+        let entry = |workload: &str, counters| LedgerEntry {
+            layer: "e2e",
+            workload: workload.into(),
+            unit: "ms",
+            runs: vec![1.0],
+            counters,
+        };
+        let json = ledger_json(
+            "x",
+            1,
+            7,
+            &[
+                entry(
+                    "E1 n = 10: \"quoted\", a\\b",
+                    vec![("tree_nodes", 12), ("hits", 0)],
+                ),
+                entry("E17: none", Vec::new()),
+            ],
+        );
+        let read = LedgerCounters::parse(&json).unwrap();
+        assert_eq!(read.seed, 7);
+        assert_eq!(
+            read.entries,
+            [
+                (
+                    "e2e".to_string(),
+                    "E1 n = 10: \"quoted\", a\\b".to_string(),
+                    vec![("tree_nodes".to_string(), 12), ("hits".to_string(), 0)]
+                ),
+                ("e2e".to_string(), "E17: none".to_string(), Vec::new()),
+            ]
+        );
+        assert_eq!(LedgerCounters::parse("{}"), None);
     }
 
     #[test]

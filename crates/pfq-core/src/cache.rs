@@ -21,6 +21,7 @@
 //! bit-identical results against them.
 
 use pfq_algebra::{CompiledKernel, Interpretation};
+use pfq_data::hash::FxHashMap;
 use pfq_data::intern::{
     database_approx_bytes, relation_approx_bytes, value_approx_bytes, Interner,
 };
@@ -28,16 +29,15 @@ use pfq_data::{Database, Relation, StateId};
 use pfq_datalog::inflationary::EngineState;
 use pfq_datalog::Program;
 use pfq_num::{Distribution, Ratio};
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// A memo table keyed by `(program id, StateId)` with hit/miss counters.
-/// Values are cloned out on a hit, so each is an `Arc` (or an `Option`
-/// of one).
+/// A memo table keyed by `(program id, StateId)` with hit/miss counters,
+/// hashed with [`FxHasher`](pfq_data::hash::FxHasher). Values are cloned
+/// out on a hit, so each is an `Arc` (or an `Option` of one).
 pub(crate) struct TransitionCache<V> {
-    map: HashMap<(StateId, StateId), V>,
+    map: FxHashMap<(StateId, StateId), V>,
     hits: u64,
     misses: u64,
 }
@@ -45,7 +45,7 @@ pub(crate) struct TransitionCache<V> {
 impl<V: Clone> TransitionCache<V> {
     fn new() -> TransitionCache<V> {
         TransitionCache {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             hits: 0,
             misses: 0,
         }

@@ -7,7 +7,9 @@
 //!
 //! * [`Interner<T>`] — generic hash-consing: each distinct value is stored
 //!   once behind an [`Arc`] and named by a dense [`StateId`]; after
-//!   interning, equality and ordering are `u32` operations.
+//!   interning, equality and ordering are `u32` operations. The index
+//!   hashes with the word hasher of [`crate::hash`]; `Eq` decides
+//!   identity, so a hash collision costs a comparison, never an id.
 //! * [`database_approx_bytes`] and [`relation_approx_bytes`] — the
 //!   deterministic byte estimates the interners' sizers use: the
 //!   non-inflationary chain interns only the relations its kernel
@@ -18,10 +20,10 @@
 //! (`pfq_core::cache`). Ids are only meaningful relative to the
 //! [`Interner`] that produced them.
 
+use crate::hash::FxHashMap;
 use crate::{Database, Relation, Value};
 use pfq_num::Ratio;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -55,6 +57,11 @@ impl fmt::Display for StateId {
 /// A generic hash-consing interner: one canonical `Arc<T>` per distinct
 /// value, named by a dense [`StateId`].
 ///
+/// The index hashes with [`FxHasher`](crate::hash::FxHasher), a fixed
+/// word hasher, so the same calls give the same ids and the same table
+/// layout in every run. Two values share an id exactly when they are
+/// `Eq`; the hash only narrows the search.
+///
 /// ```
 /// use pfq_data::intern::Interner;
 /// let mut i: Interner<String> = Interner::new();
@@ -67,7 +74,7 @@ impl fmt::Display for StateId {
 /// ```
 pub struct Interner<T> {
     items: Vec<Arc<T>>,
-    index: HashMap<Arc<T>, StateId>,
+    index: FxHashMap<Arc<T>, StateId>,
     hits: u64,
     bytes: usize,
     sizer: fn(&T) -> usize,
@@ -83,7 +90,7 @@ impl<T: Eq + Hash> Interner<T> {
     pub fn with_sizer(sizer: fn(&T) -> usize) -> Interner<T> {
         Interner {
             items: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             hits: 0,
             bytes: 0,
             sizer,
@@ -92,7 +99,10 @@ impl<T: Eq + Hash> Interner<T> {
 
     /// Interns `value`, returning its canonical id. Re-interning an
     /// already-known value is an `O(1)` hash lookup (counted as a hit).
-    /// The value is hashed once, found or not.
+    /// The call hashes `value` once, found or not. It is not the only
+    /// hash a value gets: when a new value makes the table grow, the
+    /// table re-hashes every value it holds (with doubling growth, fewer
+    /// than one extra hash per value on average).
     pub fn intern(&mut self, value: T) -> StateId {
         let next = self.items.len();
         match self.index.entry(Arc::new(value)) {
@@ -321,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn intern_hashes_each_value_once() {
+    fn intern_hashes_its_value_once_and_growth_rehashes() {
         let mut store: Interner<Counted> = Interner::new();
         assert_eq!(
             hashes_during(|| {
@@ -342,6 +352,40 @@ mod tests {
             1
         );
         assert_eq!((store.len(), store.hits()), (2, 1));
+        // Growing the table re-hashes what it holds: the calls that
+        // intern 98 more values take more than 98 hashes.
+        let more = hashes_during(|| {
+            for n in 3..=100 {
+                store.intern(Counted(n));
+            }
+        });
+        assert!(more > 98, "{more} hashes");
+    }
+
+    /// A value whose `Hash` writes one constant: every value collides.
+    #[derive(PartialEq, Eq)]
+    struct Colliding(u32);
+
+    impl Hash for Colliding {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            state.write_u64(7);
+        }
+    }
+
+    #[test]
+    fn identity_is_decided_by_eq_not_by_the_hash() {
+        const N: u32 = 200;
+        let mut store: Interner<Colliding> = Interner::new();
+        let ids: Vec<StateId> = (0..N).map(|n| store.intern(Colliding(n))).collect();
+        assert_eq!(store.len(), N as usize);
+        for (n, &id) in (0..N).zip(&ids) {
+            assert_eq!(id.raw(), n);
+            assert_eq!(store.resolve(id).0, n);
+            assert_eq!(store.intern(Colliding(n)), id);
+            assert_eq!(store.lookup(&Colliding(n)), Some(id));
+        }
+        assert_eq!(store.hits(), u64::from(N));
+        assert_eq!(store.lookup(&Colliding(N)), None);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! trees) reproducible.
 
 pub mod database;
+pub mod hash;
 pub mod intern;
 pub mod relation;
 pub mod schema;

@@ -235,32 +235,39 @@ impl CompiledRule {
 
     /// The head tuple under a valuation from
     /// [`CompiledRule::for_each_valuation`].
+    ///
+    /// The operands are checked first, so the tuple is built in one
+    /// allocation.
     pub fn head_tuple(&self, vals: &[Value]) -> Result<Tuple, DatalogError> {
-        let mut out = Vec::with_capacity(self.head.len());
         for op in &self.head {
-            out.push(
-                op.read(vals)
-                    .map_err(|v| unsafe_rule(&self.rule.head, v))?
-                    .clone(),
-            );
+            op.read(vals).map_err(|v| unsafe_rule(&self.rule.head, v))?;
         }
-        Ok(Tuple::new(out))
+        Ok(self
+            .head
+            .iter()
+            .map(|op| op.read(vals).expect("checked above").clone())
+            .collect())
     }
 
     /// Positive body atom `atom` grounded under a valuation from
     /// [`CompiledRule::for_each_valuation`]: the tuple that atom matched.
     pub fn body_tuple(&self, atom: usize, vals: &[Value]) -> Tuple {
-        let values: Vec<Value> = self.atoms[atom]
+        self.atoms[atom]
             .iter()
             .map(|op| op.read(vals).expect("body operands are bound").clone())
-            .collect();
-        Tuple::new(values)
+            .collect()
     }
 
     /// The key part of a head tuple (values at key positions) — the
-    /// repair-key group identity.
+    /// repair-key group identity. When every position is key, as in
+    /// every deterministic head, the key is the head itself, and the
+    /// returned tuple shares its storage.
     pub fn head_key(&self, head: &Tuple) -> Tuple {
-        head.project(&self.key)
+        if self.key.len() == head.arity() {
+            head.clone()
+        } else {
+            head.project(&self.key)
+        }
     }
 
     /// The rule weight under a valuation: the value bound to the `@`

@@ -154,7 +154,7 @@ fn fire_rule(
         if old_vals.contains(vals) || consumed.contains(vals) {
             return Ok(());
         }
-        consumed.insert(Tuple::new(vals.to_vec()));
+        consumed.insert(Tuple::from_slice(vals));
         projected.insert((rule.head_tuple(vals)?, rule.weight(vals)?));
         Ok(())
     };
@@ -226,6 +226,10 @@ pub fn is_fixpoint(
 ///
 /// Returns `None` if `state` is a fixpoint. Probabilities multiply across
 /// rules and across key groups (independent repair-key applications).
+/// Each combination of choices, one option per group, is built once: a
+/// clone of the state with every rule's `oldVals` updated, plus the
+/// chosen tuples, carrying the product of their probabilities.
+/// Combinations that insert the same tuples merge their mass.
 pub fn step_distribution(
     program: &CompiledProgram,
     edb: &Database,
@@ -243,26 +247,43 @@ pub fn step_distribution(
         base.old_vals[*i].extend(f.consumed.iter().cloned());
     }
 
-    // Probabilistic part: the product over all choice groups.
-    let mut out = Distribution::singleton(base);
+    // Probabilistic part: every group's options, normalized, beside the
+    // relation its rule writes.
+    let mut groups: Vec<(&str, Vec<(&Tuple, Ratio)>)> = Vec::new();
     for (i, f) in &firings {
-        let relation = &program.rules()[*i].rule().head.relation;
+        let relation = program.rules()[*i].rule().head.relation.as_str();
         for group in &f.groups {
             let total: Ratio = group.weights.iter().sum();
-            let choice: Distribution<&Tuple> = group
+            let options = group
                 .tuples
                 .iter()
                 .zip(&group.weights)
                 .map(|(t, w)| (t, w.div_ref(&total)))
                 .collect();
-            out = out.product(&choice, |s: &EngineState, t: &&Tuple| {
-                let mut next = s.clone();
-                next.idb
-                    .insert_tuple(relation, (*t).clone())
-                    .expect("IDB relation was prepared");
-                next
-            });
+            groups.push((relation, options));
         }
+    }
+
+    // An odometer over the groups: `choice[g]` is group g's option; the
+    // last group turns fastest.
+    let mut out = Distribution::new();
+    let mut choice = vec![0usize; groups.len()];
+    loop {
+        let mut next = base.clone();
+        let mut p = Ratio::one();
+        for ((relation, options), &c) in groups.iter().zip(&choice) {
+            let (t, q) = &options[c];
+            next.idb
+                .insert_tuple(relation, (*t).clone())
+                .expect("IDB relation was prepared");
+            p = p.mul_ref(q);
+        }
+        out.add(next, p);
+        let Some(g) = (0..groups.len()).rposition(|g| choice[g] + 1 < groups[g].1.len()) else {
+            break;
+        };
+        choice[g] += 1;
+        choice[g + 1..].fill(0);
     }
     Ok(Some(out))
 }
@@ -513,6 +534,71 @@ mod tests {
             None
         );
         assert!(is_fixpoint(&compiled, &edb, s2).unwrap());
+    }
+
+    /// Three choice groups across two rules writing `C`, by hand:
+    /// rule 1 picks one of C(1,1) (already present) and C(1,2) for key
+    /// 1, and one of C(2,5), C(2,6) (weights 1 : 3) for key 2; rule 2
+    /// picks one of C(1,2), C(1,3) (weights 1 : 2) for key 1. Of the
+    /// 2·2·2 = 8 combinations, the two that add only C(1,2) for key 1
+    /// (C(1,1) with C(1,2), and C(1,2) twice) give one successor per
+    /// rule-1 key-2 choice, so there are 6 successors.
+    #[test]
+    fn every_combination_of_choices_is_built_and_equal_ones_merge() {
+        let p = parse_program(
+            "C(K!, Y) @P :- E(K, Y, P).\n\
+             C(K!, Y) @P :- F(K, Y, P).",
+        )
+        .unwrap();
+        let db = Database::new()
+            .with(
+                "E",
+                Relation::from_rows(
+                    Schema::new(["k", "v", "p"]),
+                    [
+                        tuple![1, 1, 1],
+                        tuple![1, 2, 1],
+                        tuple![2, 5, 1],
+                        tuple![2, 6, 3],
+                    ],
+                ),
+            )
+            .with(
+                "F",
+                Relation::from_rows(
+                    Schema::new(["k", "v", "p"]),
+                    [tuple![1, 2, 1], tuple![1, 3, 2]],
+                ),
+            )
+            .with(
+                "C",
+                Relation::from_rows(Schema::new(["k", "v"]), [tuple![1, 1]]),
+            );
+        let (edb, init) = EngineState::initial(&p, &db).unwrap();
+        let step = step_distribution(&CompiledProgram::new(&p), &edb, &init, None)
+            .unwrap()
+            .unwrap();
+        let got: Vec<(Vec<Tuple>, Ratio)> = step
+            .iter()
+            .map(|(s, q)| (s.idb.get("C").unwrap().iter().cloned().collect(), q.clone()))
+            .collect();
+        let c = |rows: &[(i64, i64)]| rows.iter().map(|&(k, v)| tuple![k, v]).collect();
+        let want: Vec<(Vec<Tuple>, Ratio)> = vec![
+            (c(&[(1, 1), (1, 2), (1, 3), (2, 5)]), Ratio::new(1, 12)),
+            (c(&[(1, 1), (1, 2), (1, 3), (2, 6)]), Ratio::new(1, 4)),
+            (c(&[(1, 1), (1, 2), (2, 5)]), Ratio::new(1, 12)),
+            (c(&[(1, 1), (1, 2), (2, 6)]), Ratio::new(1, 4)),
+            (c(&[(1, 1), (1, 3), (2, 5)]), Ratio::new(1, 12)),
+            (c(&[(1, 1), (1, 3), (2, 6)]), Ratio::new(1, 4)),
+        ];
+        assert_eq!(got, want);
+        // Every successor consumed all six valuations.
+        for (s, _) in step.iter() {
+            assert_eq!(
+                s.old_vals().iter().map(BTreeSet::len).collect::<Vec<_>>(),
+                [4, 2]
+            );
+        }
     }
 
     #[test]

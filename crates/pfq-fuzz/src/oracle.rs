@@ -35,7 +35,7 @@ use pfq_ctable::PcDatabase;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_datalog::eval;
 use pfq_datalog::inflationary::enumerate_fixpoints;
-use pfq_datalog::{Atom, DatalogError, Rule, Term};
+use pfq_datalog::{Atom, DatalogError, Program, Rule, Term};
 use pfq_markov::{dense, MarkovChain};
 use pfq_num::{Distribution, Ratio};
 use rand::Rng;
@@ -494,6 +494,114 @@ pub fn reference_rule_valuations(
         .iter()
         .map(|val| Tuple::new(vars.iter().map(|v| val[v].clone()).collect::<Vec<_>>()))
         .collect())
+}
+
+/// A computation-tree node as the reference step sees it: the IDB
+/// relations and each rule's `oldVals`, in rule order.
+pub type ReferenceNode = (Database, Vec<BTreeSet<Tuple>>);
+
+/// The reference oracle for one inflationary step (§3.3): the exact
+/// successor distribution of the node `(idb, old_vals)` over `edb`, or
+/// `None` at a fixpoint. It shares no code with
+/// [`pfq_datalog::inflationary::step_distribution`], which
+/// `tests/delta_differential.rs` compares against it at every tree node
+/// of the fuzz corpus.
+///
+/// Each rule's new valuations come from [`reference_rule_valuations`]
+/// over the whole database, minus its `oldVals`. They are projected to
+/// `(head tuple, weight)` pairs (a set), grouped by the head's key
+/// values, and each group's weights normalized. The successors are a
+/// product taken one group at a time over a map from node to mass: each
+/// node so far, times each option of the group, with the option's tuple
+/// inserted. Nodes that come out equal merge their mass.
+pub fn reference_step(
+    program: &Program,
+    edb: &Database,
+    idb: &Database,
+    old_vals: &[BTreeSet<Tuple>],
+) -> Result<Option<BTreeMap<ReferenceNode, Ratio>>, DatalogError> {
+    let mut db = edb.clone();
+    for (name, rel) in idb.iter() {
+        db.set(name, rel.clone());
+    }
+    let mut consumed = old_vals.to_vec();
+    // (head relation, options with normalized probabilities) per group.
+    let mut groups: Vec<(&str, Vec<(Tuple, Ratio)>)> = Vec::new();
+    for (r, rule) in program.rules.iter().enumerate() {
+        let vars = rule.all_variables();
+        let new: Vec<Tuple> = reference_rule_valuations(rule, &db, None)?
+            .into_iter()
+            .filter(|t| !old_vals[r].contains(t))
+            .collect();
+        let mut projected: BTreeSet<(Tuple, Ratio)> = BTreeSet::new();
+        for t in &new {
+            let val: Valuation = vars
+                .iter()
+                .cloned()
+                .zip(t.values().iter().cloned())
+                .collect();
+            let bound = |v: &String| {
+                val.get(v).cloned().ok_or_else(|| DatalogError::UnsafeRule {
+                    rule: rule.to_string(),
+                    variable: v.clone(),
+                })
+            };
+            let head: Vec<Value> = rule
+                .head
+                .terms
+                .iter()
+                .map(|term| match term {
+                    Term::Const(c) => Ok(c.clone()),
+                    Term::Var(v) => bound(v),
+                })
+                .collect::<Result<_, _>>()?;
+            let weight = match &rule.head.weight {
+                None => Ratio::one(),
+                Some(w) => bound(w)?.as_weight().map_err(DatalogError::BadWeight)?,
+            };
+            projected.insert((Tuple::new(head), weight));
+        }
+        let mut by_key: BTreeMap<Vec<Value>, Vec<(Tuple, Ratio)>> = BTreeMap::new();
+        for (t, w) in projected {
+            let key = (0..t.arity())
+                .filter(|&i| rule.head.keys[i])
+                .map(|i| t.get(i).clone())
+                .collect();
+            by_key.entry(key).or_default().push((t, w));
+        }
+        for options in by_key.into_values() {
+            let total: Ratio = options.iter().map(|(_, w)| w).sum();
+            let options = options
+                .into_iter()
+                .map(|(t, w)| (t, w.div_ref(&total)))
+                .collect();
+            groups.push((rule.head.relation.as_str(), options));
+        }
+        consumed[r].extend(new);
+    }
+    if consumed.as_slice() == old_vals {
+        return Ok(None);
+    }
+    let mut nodes: BTreeMap<ReferenceNode, Ratio> = BTreeMap::new();
+    nodes.insert((idb.clone(), consumed), Ratio::one());
+    for (relation, options) in &groups {
+        let mut next: BTreeMap<ReferenceNode, Ratio> = BTreeMap::new();
+        for ((idb, vals), p) in &nodes {
+            for (t, q) in options {
+                let mut grown = idb.clone();
+                grown
+                    .insert_tuple(relation, t.clone())
+                    .map_err(DatalogError::Structure)?;
+                let mass = p.mul_ref(q);
+                let slot = next
+                    .entry((grown, vals.clone()))
+                    .or_insert_with(Ratio::zero);
+                *slot = slot.add_ref(&mass);
+            }
+        }
+        nodes = next;
+    }
+    Ok(Some(nodes))
 }
 
 /// Identifies one oracle check — the unit of pass/skip/fail accounting

@@ -1,8 +1,17 @@
-//! Differential test for Δ-driven rule firing: at every node of the
-//! computation tree below the root, a step that fires only from Δ (the
-//! IDB tuples the node has and its parent lacks) must give exactly the
-//! successor distribution of a step that matches every rule in full,
-//! and both must agree on whether the node is a fixpoint.
+//! Differential tests for one inflationary step, at every node of the
+//! computation trees of a fuzz corpus:
+//!
+//! * Δ-driven rule firing: below the root, a step that fires only from
+//!   Δ (the IDB tuples the node has and its parent lacks) must give
+//!   exactly the successor distribution of a step that matches every
+//!   rule in full, and both must agree on whether the node is a
+//!   fixpoint.
+//! * The step itself: the full-matching step must equal
+//!   `pfq_fuzz::oracle::reference_step`, which shares no code with it
+//!   (reference matcher, group-by-group product over ordered maps).
+//!   Every tree engine steps through `step_distribution`, so only an
+//!   independent oracle catches a product that drops or double-counts a
+//!   combination of choices.
 //!
 //! Cases come from the fuzz corpus (seed 42, the campaign's default
 //! generator, negation on), the same 600 as `tests/matcher_differential.rs`.
@@ -14,6 +23,8 @@ use pfq::data::Database;
 use pfq::datalog::eval::CompiledProgram;
 use pfq::datalog::inflationary::{is_fixpoint, step_distribution, EngineState};
 use pfq::lang::sampler::trial_rng;
+use pfq::num::Ratio;
+use pfq_fuzz::oracle::{reference_step, ReferenceNode};
 use pfq_fuzz::{gen, FuzzConfig};
 use std::collections::BTreeMap;
 
@@ -24,7 +35,7 @@ const CASES: u64 = 600;
 fn delta_step_equals_naive_step_on_fuzz_corpus() {
     let cfg = FuzzConfig::default();
     assert!(cfg.gen.negation);
-    let (mut compared, mut guarded) = (0usize, 0usize);
+    let (mut compared, mut guarded, mut stepped) = (0usize, 0usize, 0usize);
     for index in 0..CASES {
         let mut rng = trial_rng(cfg.seed, index);
         let case = gen::generate(&cfg.gen, &mut rng);
@@ -43,6 +54,20 @@ fn delta_step_equals_naive_step_on_fuzz_corpus() {
                 break;
             }
             let naive = step_distribution(&program, &edb, &state, None);
+            let reference = reference_step(&case.program, &edb, &state.idb, state.old_vals());
+            match (&naive, &reference) {
+                (Ok(naive), Ok(reference)) => {
+                    let naive: Option<BTreeMap<ReferenceNode, Ratio>> = naive.as_ref().map(|d| {
+                        d.iter()
+                            .map(|(s, p)| ((s.idb.clone(), s.old_vals().to_vec()), p.clone()))
+                            .collect()
+                    });
+                    assert_eq!(&naive, reference, "case {index}, state {state:?}");
+                    stepped += 1;
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!("case {index}, state {state:?}: {naive:?} vs {reference:?}"),
+            }
             if let Some(delta) = &delta {
                 let fired = step_distribution(&program, &edb, &state, Some(delta));
                 assert_eq!(fired, naive, "case {index}, state {state:?}, Δ {delta}");
@@ -74,5 +99,11 @@ fn delta_step_equals_naive_step_on_fuzz_corpus() {
     assert!(
         guarded * 8 > compared,
         "only {guarded} of {compared} compared nodes had a non-empty Δ and negation"
+    );
+    // Every node that steps without an error meets the reference step:
+    // the roots and the Δ-compared nodes, about 1870.
+    assert!(
+        stepped > compared,
+        "only {stepped} nodes met the reference step"
     );
 }
