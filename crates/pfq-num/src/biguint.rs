@@ -1,13 +1,17 @@
 //! Arbitrary-precision unsigned integers.
 //!
-//! Representation: little-endian `Vec<u64>` limbs with no trailing zero
-//! limb (zero is the empty vector). All arithmetic is exact; division is
-//! Knuth's Algorithm D, GCD is binary (Stein's algorithm) so that rational
-//! normalization never goes through slow repeated division.
+//! Representation: little-endian base-2⁶⁴ limbs with no trailing zero
+//! limb (zero has none). Values below 2¹²⁸ — almost every probability
+//! weight the engine meets — keep their limbs inline, so building,
+//! cloning and dropping them never touches the heap; wider values spill
+//! to a `Vec`. All arithmetic is exact; division is Knuth's Algorithm D,
+//! GCD is binary (Stein's algorithm) so that rational normalization
+//! never goes through slow repeated division.
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, MulAssign, Shl, Shr, Sub, SubAssign};
+use std::hash::{Hash, Hasher};
+use std::ops::{Add, AddAssign, Deref, Mul, MulAssign, Shl, Shr, Sub, SubAssign};
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -18,21 +22,88 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Shl, Shr, Sub, SubAssign};
 /// assert_eq!(q.mul_ref(&BigUint::from(3u64).pow(40)).add_ref(&r), a);
 /// assert_eq!(BigUint::from(12u64).gcd(&BigUint::from(18u64)), BigUint::from(6u64));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct BigUint {
     /// Little-endian base-2⁶⁴ limbs; invariant: no trailing zero limb.
-    limbs: Vec<u64>,
+    limbs: Limbs,
+}
+
+/// The limbs of a [`BigUint`]: inline up to two, on the heap beyond.
+///
+/// The inline length is implied by the no-trailing-zero invariant —
+/// `[0, 0]` is 0, `[x, 0]` one limb, `[x, y]` with `y ≠ 0` two — so the
+/// enum needs no length field, and its tag lives in the `Vec`'s
+/// capacity niche: it is as wide as the `Vec` alone. `Heap` holds only
+/// vectors of three or more limbs, so each value has one form.
+#[derive(Clone)]
+enum Limbs {
+    Inline([u64; 2]),
+    Heap(Vec<u64>),
+}
+
+// A `BigUint` is as wide as a `Vec`, and a `Ratio` (a sign, two
+// magnitudes) fits the 56 bytes `pfq_data::Value` allows it.
+const _: () = assert!(std::mem::size_of::<BigUint>() == 24);
+const _: () = assert!(std::mem::size_of::<crate::Ratio>() <= 56);
+
+impl Default for Limbs {
+    fn default() -> Self {
+        Limbs::Inline([0, 0])
+    }
+}
+
+impl Limbs {
+    /// The limbs as a `Vec`, reusing the heap buffer when there is one.
+    fn into_vec(self) -> Vec<u64> {
+        match self {
+            Limbs::Heap(limbs) => limbs,
+            inline => inline.to_vec(),
+        }
+    }
+}
+
+impl Deref for Limbs {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            // Two limbs unless the top one is 0, one fewer unless both are.
+            Limbs::Inline(words) => {
+                let [lo, hi] = *words;
+                let len = 2 - (hi == 0) as usize - ((lo | hi) == 0) as usize;
+                &words[..len]
+            }
+            Limbs::Heap(limbs) => limbs,
+        }
+    }
+}
+
+// Equality and hashing are those of the limb slice (a slice hashes its
+// length, then its limbs), so a value hashes the same whichever variant
+// holds it, and as a `Vec<u64>` of its limbs does.
+impl PartialEq for BigUint {
+    fn eq(&self, other: &Self) -> bool {
+        *self.limbs == *other.limbs
+    }
+}
+
+impl Eq for BigUint {}
+
+impl Hash for BigUint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (*self.limbs).hash(state);
+    }
 }
 
 impl BigUint {
     /// The value 0.
     pub fn zero() -> Self {
-        BigUint { limbs: Vec::new() }
+        BigUint::default()
     }
 
     /// The value 1.
     pub fn one() -> Self {
-        BigUint { limbs: vec![1] }
+        BigUint::from(1u64)
     }
 
     /// Builds from raw little-endian limbs, normalizing trailing zeros.
@@ -40,6 +111,12 @@ impl BigUint {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
+        let limbs = match *limbs {
+            [] => Limbs::Inline([0, 0]),
+            [lo] => Limbs::Inline([lo, 0]),
+            [lo, hi] => Limbs::Inline([lo, hi]),
+            _ => Limbs::Heap(limbs),
+        };
         BigUint { limbs }
     }
 
@@ -50,12 +127,12 @@ impl BigUint {
 
     /// Whether the value is 0.
     pub fn is_zero(&self) -> bool {
-        self.limbs.is_empty()
+        matches!(self.limbs, Limbs::Inline([0, 0]))
     }
 
     /// Whether the value is 1.
     pub fn is_one(&self) -> bool {
-        self.limbs.len() == 1 && self.limbs[0] == 1
+        matches!(self.limbs, Limbs::Inline([1, 0]))
     }
 
     /// Whether the value is even (0 counts as even).
@@ -65,16 +142,19 @@ impl BigUint {
 
     /// Number of significant bits (0 for the value 0).
     pub fn bits(&self) -> u64 {
-        match self.limbs.last() {
+        let limbs = self.limbs();
+        match limbs.last() {
             None => 0,
-            Some(top) => self.limbs.len() as u64 * 64 - top.leading_zeros() as u64,
+            Some(top) => limbs.len() as u64 * 64 - top.leading_zeros() as u64,
         }
     }
 
     /// Value of bit `i` (counting from the least-significant bit).
     pub fn bit(&self, i: u64) -> bool {
         let limb = (i / 64) as usize;
-        limb < self.limbs.len() && (self.limbs[limb] >> (i % 64)) & 1 == 1
+        self.limbs()
+            .get(limb)
+            .is_some_and(|l| (l >> (i % 64)) & 1 == 1)
     }
 
     /// Number of trailing zero bits; `None` for the value 0.
@@ -89,32 +169,30 @@ impl BigUint {
 
     /// Converts to `u64` if the value fits.
     pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0]),
+        match self.limbs {
+            Limbs::Inline([lo, 0]) => Some(lo),
             _ => None,
         }
     }
 
     /// Converts to `u128` if the value fits.
     pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u128),
-            2 => Some((self.limbs[1] as u128) << 64 | self.limbs[0] as u128),
-            _ => None,
+        match self.limbs {
+            Limbs::Inline([lo, hi]) => Some((hi as u128) << 64 | lo as u128),
+            Limbs::Heap(_) => None,
         }
     }
 
     /// Lossy conversion to `f64` (rounds; huge values become `f64::INFINITY`).
     pub fn to_f64(&self) -> f64 {
-        match self.limbs.len() {
+        let limbs = self.limbs();
+        match limbs.len() {
             0 => 0.0,
-            1 => self.limbs[0] as f64,
+            1 => limbs[0] as f64,
             2 => self.to_u128().unwrap() as f64,
             n => {
                 // Take the top 128 bits and scale by the remaining exponent.
-                let hi = (self.limbs[n - 1] as u128) << 64 | self.limbs[n - 2] as u128;
+                let hi = (limbs[n - 1] as u128) << 64 | limbs[n - 2] as u128;
                 let exp = (n - 2) as i32 * 64;
                 (hi as f64) * 2f64.powi(exp)
             }
@@ -125,9 +203,9 @@ impl BigUint {
     #[allow(clippy::needless_range_loop)] // lockstep carry propagation over two slices
     pub fn add_ref(&self, other: &BigUint) -> BigUint {
         let (long, short) = if self.limbs.len() >= other.limbs.len() {
-            (&self.limbs, &other.limbs)
+            (self.limbs(), other.limbs())
         } else {
-            (&other.limbs, &self.limbs)
+            (other.limbs(), self.limbs())
         };
         let mut out = Vec::with_capacity(long.len() + 1);
         let mut carry = 0u64;
@@ -150,11 +228,12 @@ impl BigUint {
             *self >= *other,
             "BigUint subtraction underflow: {self} - {other}"
         );
-        let mut out = Vec::with_capacity(self.limbs.len());
+        let (long, short) = (self.limbs(), other.limbs());
+        let mut out = Vec::with_capacity(long.len());
         let mut borrow = 0u64;
-        for i in 0..self.limbs.len() {
-            let b = other.limbs.get(i).copied().unwrap_or(0);
-            let (d1, b1) = self.limbs[i].overflowing_sub(b);
+        for (i, &a) in long.iter().enumerate() {
+            let b = short.get(i).copied().unwrap_or(0);
+            let (d1, b1) = a.overflowing_sub(b);
             let (d2, b2) = d1.overflowing_sub(borrow);
             out.push(d2);
             borrow = (b1 as u64) + (b2 as u64);
@@ -168,18 +247,19 @@ impl BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
-        let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
+        let (x, y) = (self.limbs(), other.limbs());
+        let mut out = vec![0u64; x.len() + y.len()];
+        for (i, &a) in x.iter().enumerate() {
             if a == 0 {
                 continue;
             }
             let mut carry = 0u128;
-            for (j, &b) in other.limbs.iter().enumerate() {
+            for (j, &b) in y.iter().enumerate() {
                 let t = out[i + j] as u128 + a as u128 * b as u128 + carry;
                 out[i + j] = t as u64;
                 carry = t >> 64;
             }
-            let mut k = i + other.limbs.len();
+            let mut k = i + y.len();
             while carry != 0 {
                 let t = out[k] as u128 + carry;
                 out[k] = t as u64;
@@ -193,10 +273,11 @@ impl BigUint {
     /// Division with remainder by a single `u64`; panics on division by zero.
     pub fn div_rem_u64(&self, d: u64) -> (BigUint, u64) {
         assert!(d != 0, "division by zero");
-        let mut q = vec![0u64; self.limbs.len()];
+        let limbs = self.limbs();
+        let mut q = vec![0u64; limbs.len()];
         let mut rem = 0u128;
-        for i in (0..self.limbs.len()).rev() {
-            let cur = rem << 64 | self.limbs[i] as u128;
+        for i in (0..limbs.len()).rev() {
+            let cur = rem << 64 | limbs[i] as u128;
             q[i] = (cur / d as u128) as u64;
             rem = cur % d as u128;
         }
@@ -211,20 +292,21 @@ impl BigUint {
         if self < other {
             return (BigUint::zero(), self.clone());
         }
-        if other.limbs.len() == 1 {
-            let (q, r) = self.div_rem_u64(other.limbs[0]);
+        if let Some(d) = other.to_u64() {
+            let (q, r) = self.div_rem_u64(d);
             return (q, BigUint::from(r));
         }
 
         // D1: normalize so the divisor's top limb has its high bit set.
-        let shift = other.limbs.last().unwrap().leading_zeros();
+        let shift = other.limbs().last().unwrap().leading_zeros();
         let v = other.shl_bits(shift as u64);
-        let mut u = self.shl_bits(shift as u64).limbs;
-        let n = v.limbs.len();
+        let v = v.limbs();
+        let mut u = self.shl_bits(shift as u64).limbs.into_vec();
+        let n = v.len();
         u.push(0); // extra high limb for the algorithm
         let m = u.len() - n - 1;
-        let vtop = v.limbs[n - 1];
-        let vsec = v.limbs[n - 2];
+        let vtop = v[n - 1];
+        let vsec = v[n - 2];
         let mut q = vec![0u64; m + 1];
 
         // D2..D7: compute one quotient limb per iteration, from the top.
@@ -244,7 +326,7 @@ impl BigUint {
             let mut borrow = 0i128;
             let mut carry = 0u128;
             for i in 0..n {
-                let p = qhat * v.limbs[i] as u128 + carry;
+                let p = qhat * v[i] as u128 + carry;
                 carry = p >> 64;
                 let t = u[j + i] as i128 - (p as u64) as i128 + borrow;
                 u[j + i] = t as u64;
@@ -257,7 +339,7 @@ impl BigUint {
                 qhat -= 1;
                 let mut carry = 0u64;
                 for i in 0..n {
-                    let (s1, c1) = u[j + i].overflowing_add(v.limbs[i]);
+                    let (s1, c1) = u[j + i].overflowing_add(v[i]);
                     let (s2, c2) = s1.overflowing_add(carry);
                     u[j + i] = s2;
                     carry = (c1 as u64) + (c2 as u64);
@@ -281,10 +363,10 @@ impl BigUint {
         let bit_shift = bits % 64;
         let mut out = vec![0u64; limb_shift];
         if bit_shift == 0 {
-            out.extend_from_slice(&self.limbs);
+            out.extend_from_slice(self.limbs());
         } else {
             let mut carry = 0u64;
-            for &l in &self.limbs {
+            for &l in self.limbs() {
                 out.push(l << bit_shift | carry);
                 carry = l >> (64 - bit_shift);
             }
@@ -298,11 +380,12 @@ impl BigUint {
     /// Right shift by an arbitrary bit count (bits shifted out are dropped).
     pub fn shr_bits(&self, bits: u64) -> BigUint {
         let limb_shift = (bits / 64) as usize;
-        if limb_shift >= self.limbs.len() {
+        let limbs = self.limbs();
+        if limb_shift >= limbs.len() {
             return BigUint::zero();
         }
         let bit_shift = bits % 64;
-        let src = &self.limbs[limb_shift..];
+        let src = &limbs[limb_shift..];
         if bit_shift == 0 {
             return BigUint::from_limbs(src.to_vec());
         }
@@ -448,24 +531,29 @@ pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
 
 impl From<u64> for BigUint {
     fn from(v: u64) -> Self {
-        if v == 0 {
-            BigUint::zero()
-        } else {
-            BigUint { limbs: vec![v] }
+        BigUint {
+            limbs: Limbs::Inline([v, 0]),
         }
     }
 }
 
 impl From<u128> for BigUint {
     fn from(v: u128) -> Self {
-        BigUint::from_limbs(vec![v as u64, (v >> 64) as u64])
+        BigUint {
+            limbs: Limbs::Inline([v as u64, (v >> 64) as u64]),
+        }
     }
 }
 
 impl Ord for BigUint {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.limbs.len().cmp(&other.limbs.len()) {
-            Ordering::Equal => self.limbs.iter().rev().cmp(other.limbs.iter().rev()),
+        // Two inline values compare as their (high, low) word pairs.
+        if let (Limbs::Inline([a0, a1]), Limbs::Inline([b0, b1])) = (&self.limbs, &other.limbs) {
+            return (a1, a0).cmp(&(b1, b0));
+        }
+        let (a, b) = (self.limbs(), other.limbs());
+        match a.len().cmp(&b.len()) {
+            Ordering::Equal => a.iter().rev().cmp(b.iter().rev()),
             ord => ord,
         }
     }
@@ -806,6 +894,70 @@ pub(crate) mod tests {
         fn prop_display_roundtrip(a in any::<u128>()) {
             let x = big(a);
             prop_assert_eq!(BigUint::from_decimal(&x.to_string()).unwrap(), x);
+        }
+    }
+
+    /// A limb: zero (so vectors carry trailing and inner zero limbs),
+    /// all ones, or a word clustered at the fast paths' boundaries.
+    fn limb() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(u64::MAX), edge_u64()]
+    }
+
+    /// `limbs` without its trailing zero limbs.
+    fn trimmed(limbs: &[u64]) -> &[u64] {
+        let len = limbs.iter().rposition(|&l| l != 0).map_or(0, |i| i + 1);
+        &limbs[..len]
+    }
+
+    /// The order of two trimmed limb slices: more limbs is larger, then
+    /// the top limbs decide.
+    fn limb_order(a: &[u64], b: &[u64]) -> Ordering {
+        a.len()
+            .cmp(&b.len())
+            .then_with(|| a.iter().rev().cmp(b.iter().rev()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn prop_limb_vectors_roundtrip(a in proptest::collection::vec(limb(), 0..=4),
+                                       b in proptest::collection::vec(limb(), 0..=4),
+                                       shift in 0u64..200) {
+            // Values from 0 to 256 bits, on both sides of the inline
+            // two-limb boundary, built from untrimmed limb vectors.
+            let (x, y) = (BigUint::from_limbs(a.clone()), BigUint::from_limbs(b.clone()));
+            prop_assert_eq!(x.limbs(), trimmed(&a));
+            prop_assert_eq!(y.limbs(), trimmed(&b));
+            prop_assert_eq!(x.cmp(&y), limb_order(trimmed(&a), trimmed(&b)));
+            prop_assert_eq!(x == y, trimmed(&a) == trimmed(&b));
+            if let (Some(u), Some(v)) = (x.to_u128(), y.to_u128()) {
+                if let Some(s) = u.checked_add(v) {
+                    prop_assert_eq!(x.add_ref(&y), big(s));
+                }
+                if let Some(p) = u.checked_mul(v) {
+                    prop_assert_eq!(x.mul_ref(&y), big(p));
+                }
+                if u >= v {
+                    prop_assert_eq!(x.sub_ref(&y), big(u - v));
+                }
+                if let (Some(q), Some(r)) = (u.checked_div(v), u.checked_rem(v)) {
+                    prop_assert_eq!(x.div_rem(&y), (big(q), big(r)));
+                }
+            }
+            let sum = x.add_ref(&y);
+            prop_assert_eq!(sum.sub_ref(&y), x.clone());
+            prop_assert_eq!(sum.sub_ref(&x), y.clone());
+            if !y.is_zero() {
+                let (q, r) = x.div_rem(&y);
+                prop_assert_eq!(q.mul_ref(&y).add_ref(&r), x.clone());
+                prop_assert!(r < y);
+                prop_assert_eq!(x.mul_ref(&y).div_rem(&y), (x.clone(), BigUint::zero()));
+            }
+            prop_assert_eq!(x.shl_bits(shift).shr_bits(shift), x.clone());
+            prop_assert_eq!(BigUint::from_decimal(&x.to_string()).unwrap(), x.clone());
+            for v in [&x, &y, &sum] {
+                prop_assert!(v.limbs().last() != Some(&0));
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //! so this crate provides, from scratch:
 //!
 //! * [`BigUint`] — arbitrary-precision unsigned integers (little-endian
-//!   base-2⁶⁴ limbs, Knuth Algorithm D division, binary GCD),
+//!   base-2⁶⁴ limbs, inline up to 128 bits and on the heap beyond, Knuth
+//!   Algorithm D division, binary GCD),
 //! * [`BigInt`] — signed wrapper,
 //! * [`Ratio`] — always-normalized exact rationals with total order and
 //!   hashing, the probability type used throughout the workspace.
