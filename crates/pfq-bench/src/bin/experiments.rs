@@ -33,7 +33,7 @@ use pfq_ctable::PcDatabase;
 use pfq_data::intern::Interner;
 use pfq_data::{tuple, Database, Relation, Schema};
 use pfq_datalog::eval::CompiledProgram;
-use pfq_datalog::inflationary::{sample_fixpoint, step_distribution, EngineState};
+use pfq_datalog::inflationary::{sample_fixpoint, step_distribution, EngineState, StepScratch};
 use pfq_fuzz::oracle::reference_pc_probability;
 use pfq_markov::absorption::long_run_distribution;
 use pfq_markov::{dense, gth, mixing, stationary};
@@ -48,8 +48,45 @@ use pfq_workloads::queue::lazy_birth_death_chain;
 use pfq_workloads::sat::{theorem_4_1_pc, theorem_5_1_forever_query, Cnf};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// The system allocator, counting every allocation (and reallocation)
+/// the process makes, so the ledger can record allocations per trial.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations the process has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 /// Engine knobs shared by every sampling experiment.
 struct Knobs {
@@ -213,6 +250,7 @@ fn e3_relative_vs_absolute() {
         let f = Cnf::pinned(k);
         let (query, input) = theorem_4_1_pc(&f);
         let program = CompiledProgram::new(&query.program);
+        let mut scratch = StepScratch::default();
         // Empirical samples until the first positive observation,
         // averaged over a few trials — a lower bound on any relative
         // scheme's work, since it must distinguish p > 0 from p = 0.
@@ -224,7 +262,8 @@ fn e3_relative_vs_absolute() {
                 count += 1;
                 let world = input.sample_world(&mut rng).unwrap();
                 let (edb, start) = EngineState::initial(&query.program, &world).unwrap();
-                let fp = sample_fixpoint(&program, &edb, &start, &mut rng, 1_000_000).unwrap();
+                let fp = sample_fixpoint(&program, &edb, &start, &mut rng, 1_000_000, &mut scratch)
+                    .unwrap();
                 if query.event.holds(&fp.database(&edb)) {
                     break;
                 }
@@ -1329,21 +1368,31 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
         counters: vec![("worlds", worlds as u64), ("result_hits", result_hits)],
     });
 
+    // One thread, so every allocation counted is the run's own.
     let walk = E5Walk::new();
-    let mut samples = 0;
+    let mut report = None;
+    let mut allocs = 0;
     let rates = (0..reps)
         .map(|_| {
-            let (d, report) = time_once(|| walk.run(&knobs, 1));
-            samples = report.samples;
-            report.samples as f64 / d.as_secs_f64()
+            let before = allocations();
+            let (d, r) = time_once(|| walk.run(&knobs, 1));
+            allocs = allocations() - before;
+            let rate = r.samples as f64 / d.as_secs_f64();
+            report = Some(r);
+            rate
         })
         .collect();
+    let report = report.expect("at least one run");
     entries.push(LedgerEntry {
         layer: "sampler",
         workload: "E5 walk: reachability on a 40-node graph, 1 thread".into(),
         unit: "trials/s",
         runs: rates,
-        counters: vec![("samples", samples as u64)],
+        counters: vec![
+            ("samples", report.samples as u64),
+            ("hits", report.hits as u64),
+            ("allocs_per_trial", allocs / report.samples as u64),
+        ],
     });
 
     entries.push(LedgerEntry {
@@ -1459,12 +1508,14 @@ fn ratio_mix(seed: u64) -> (Vec<Ratio>, Vec<(RatioOp, usize, usize)>) {
 /// once, from Δ of the first parent that reached it.
 fn tree_successors(query: &DatalogQuery, input: &PcDatabase) -> Vec<(usize, EngineState)> {
     let program = CompiledProgram::new(&query.program);
+    let mut scratch = StepScratch::default();
     let mut out = Vec::new();
     for (index, (world, _)) in input.enumerate_worlds().unwrap().iter().enumerate() {
         let (edb, initial) = EngineState::initial(&query.program, world).unwrap();
         let mut frontier = BTreeMap::from([(initial, None)]);
         while let Some((state, delta)) = frontier.pop_first() {
-            let Some(next) = step_distribution(&program, &edb, &state, delta.as_ref()).unwrap()
+            let Some(next) =
+                step_distribution(&program, &edb, &state, delta.as_ref(), &mut scratch).unwrap()
             else {
                 continue;
             };

@@ -12,7 +12,7 @@ use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_ctable::PcDatabase;
 use pfq_data::{Database, StateId};
 use pfq_datalog::eval::CompiledProgram;
-use pfq_datalog::inflationary::{charge_node_budget, step_distribution, EngineState};
+use pfq_datalog::inflationary::{charge_node_budget, step_distribution, EngineState, StepScratch};
 use pfq_datalog::{DatalogError, Program};
 use pfq_num::{Distribution, Ratio};
 use std::collections::BTreeMap;
@@ -28,12 +28,14 @@ pub struct ExactBudget {
     pub node_budget: Option<usize>,
 }
 
-/// One program's memoized traversal: its memo id, and its rules,
-/// compiled the first time a tree misses the whole-tree memo.
+/// One program's memoized traversal: its memo id, its rules, compiled
+/// the first time a tree misses the whole-tree memo, and the step
+/// buffers every node it steps reuses.
 struct Tree<'a> {
     program: &'a Program,
     id: StateId,
     compiled: Option<CompiledProgram>,
+    scratch: StepScratch,
     memo: &'a mut FixpointMemo,
 }
 
@@ -43,6 +45,7 @@ impl<'a> Tree<'a> {
             program,
             id: memo.program_id(program),
             compiled: None,
+            scratch: StepScratch::default(),
             memo,
         }
     }
@@ -80,7 +83,13 @@ impl<'a> Tree<'a> {
                 None => {
                     let state = &memo.states.resolve(sid).engine;
                     let delta = parent.map(|up| state.delta_from(&memo.states.resolve(up).engine));
-                    let successors = step_distribution(compiled, &edb, state, delta.as_ref())?;
+                    let successors = step_distribution(
+                        compiled,
+                        &edb,
+                        state,
+                        delta.as_ref(),
+                        &mut self.scratch,
+                    )?;
                     let row: Option<Row> = successors.map(|successors| {
                         Arc::new(
                             successors

@@ -82,7 +82,13 @@ pub fn evaluate_with_burn_in_config(
     config: &SamplerConfig,
 ) -> Result<SampleReport, CoreError> {
     let walk = Walk::new(query, db)?;
-    sampler::run(config, epsilon, delta, |rng| walk.trial(burn_in, rng))
+    sampler::run(
+        config,
+        epsilon,
+        delta,
+        || (),
+        |_, rng| walk.trial(burn_in, rng),
+    )
 }
 
 /// Estimates the query probability from a *single* long walk's time

@@ -23,7 +23,7 @@
 use crate::exact_noninflationary::{self, ChainBudget};
 use crate::{CoreError, DatalogQuery, EvalCache};
 use pfq_data::{Database, Tuple};
-use pfq_datalog::eval::{prepare_database, CompiledProgram};
+use pfq_datalog::eval::{prepare_database, CompiledProgram, MatchScratch};
 use pfq_datalog::Program;
 use pfq_num::Ratio;
 use std::collections::{BTreeMap, BTreeSet};
@@ -104,6 +104,7 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
     // `derived` holds the prepared input plus every tuple derived so
     // far — exactly the tuples `ann` annotates.
     let compiled = CompiledProgram::new(program);
+    let mut scratch = MatchScratch::default();
     let mut derived = prepared;
     loop {
         let mut changed = false;
@@ -112,7 +113,7 @@ pub fn partition_classes(program: &Program, db: &Database) -> Result<Vec<Databas
             // of the tuples its positive atoms matched.
             let body = &rule.rule().body;
             let mut matches: Vec<(Tuple, BTreeSet<usize>)> = Vec::new();
-            rule.for_each_valuation(&derived, None, |vals| {
+            rule.for_each_valuation(&derived, None, &mut scratch, |vals| {
                 let mut ids = BTreeSet::new();
                 for (i, atom) in body.iter().enumerate() {
                     ids.extend(&ann[&atom.relation][&rule.body_tuple(i, vals)]);

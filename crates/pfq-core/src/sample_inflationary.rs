@@ -18,7 +18,7 @@ use crate::{CoreError, DatalogQuery};
 use pfq_ctable::PcDatabase;
 use pfq_data::Database;
 use pfq_datalog::eval::{CompiledProgram, Layered, Relations};
-use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
+use pfq_datalog::inflationary::{sample_fixpoint, EngineState, StepScratch};
 use rand_chacha::ChaCha8Rng;
 
 /// Defensive cap on inflationary steps per sample; the semantics
@@ -43,14 +43,16 @@ pub fn hoeffding_sample_count(epsilon: f64, delta: f64) -> Result<usize, CoreErr
 
 /// One Theorem 4.3 trial: a random computation path from `start` over
 /// `edb` to its fixpoint, then the event test, which reads the fixpoint's
-/// IDB first and then `edb`, so no database is copied per trial.
+/// IDB first and then `edb`, so no database is copied per trial. The
+/// path's steps fill `scratch`, the buffers of the worker drawing it.
 fn trial(
     query: &DatalogQuery,
     program: &CompiledProgram,
     (edb, start): &(Database, EngineState),
+    scratch: &mut StepScratch,
     rng: &mut ChaCha8Rng,
 ) -> Result<bool, CoreError> {
-    let fixpoint = sample_fixpoint(program, edb, start, rng, MAX_STEPS_PER_SAMPLE)?;
+    let fixpoint = sample_fixpoint(program, edb, start, rng, MAX_STEPS_PER_SAMPLE, scratch)?;
     let db = Layered {
         idb: &fixpoint.idb,
         edb,
@@ -65,11 +67,12 @@ fn trial_pc(
     query: &DatalogQuery,
     program: &CompiledProgram,
     input: &PcDatabase,
+    scratch: &mut StepScratch,
     rng: &mut ChaCha8Rng,
 ) -> Result<bool, CoreError> {
     let world = input.sample_world(rng)?;
     let start = EngineState::initial(&query.program, &world)?;
-    trial(query, program, &start, rng)
+    trial(query, program, &start, scratch, rng)
 }
 
 /// Theorem 4.3 over a certain input, with full control of the engine:
@@ -87,9 +90,13 @@ pub fn evaluate_with_config(
     hoeffding_sample_count(epsilon, delta)?;
     let program = CompiledProgram::new(&query.program);
     let start = EngineState::initial(&query.program, db)?;
-    sampler::run(config, epsilon, delta, |rng| {
-        trial(query, &program, &start, rng)
-    })
+    sampler::run(
+        config,
+        epsilon,
+        delta,
+        StepScratch::default,
+        |scratch, rng| trial(query, &program, &start, scratch, rng),
+    )
 }
 
 /// Theorem 4.3 over a pc-table input, with full control of the engine.
@@ -101,9 +108,13 @@ pub fn evaluate_pc_with_config(
     config: &SamplerConfig,
 ) -> Result<SampleReport, CoreError> {
     let program = CompiledProgram::new(&query.program);
-    sampler::run(config, epsilon, delta, |rng| {
-        trial_pc(query, &program, input, rng)
-    })
+    sampler::run(
+        config,
+        epsilon,
+        delta,
+        StepScratch::default,
+        |scratch, rng| trial_pc(query, &program, input, scratch, rng),
+    )
 }
 
 /// An explicit-sample-count run over a certain input, with full
@@ -116,7 +127,9 @@ pub fn evaluate_with_samples_config(
 ) -> Result<SampleReport, CoreError> {
     let program = CompiledProgram::new(&query.program);
     let start = EngineState::initial(&query.program, db)?;
-    sampler::run_fixed(config, samples, |rng| trial(query, &program, &start, rng))
+    sampler::run_fixed(config, samples, StepScratch::default, |scratch, rng| {
+        trial(query, &program, &start, scratch, rng)
+    })
 }
 
 #[cfg(test)]

@@ -136,34 +136,41 @@ pub fn confidence_radius(hits: usize, n: usize, look: usize, delta: f64) -> f64 
 ///
 /// `trial` is one Monte Carlo sample: given its private RNG, it
 /// reports whether the event occurred. It must be deterministic in the
-/// RNG stream for replay to work.
-pub fn run<F>(
+/// RNG stream for replay to work. `scratch` makes one worker's scratch
+/// value, which `trial` receives beside the RNG and may reuse from one
+/// trial to the next; what it holds must not change an outcome.
+pub fn run<S, M, F>(
     config: &SamplerConfig,
     epsilon: f64,
     delta: f64,
+    scratch: M,
     trial: F,
 ) -> Result<SampleReport, CoreError>
 where
-    F: Fn(&mut ChaCha8Rng) -> Result<bool, CoreError> + Sync,
+    M: Fn() -> S + Sync,
+    F: Fn(&mut S, &mut ChaCha8Rng) -> Result<bool, CoreError> + Sync,
 {
     let worst_case = hoeffding_sample_count(epsilon, delta)?;
     let stopper = config.adaptive.then_some(Stopper { epsilon, delta });
-    run_engine(config, worst_case, stopper, &trial)
+    run_engine(config, worst_case, stopper, &scratch, &trial)
 }
 
-/// Runs exactly `samples` trials (no early stopping) in parallel.
-pub fn run_fixed<F>(
+/// Runs exactly `samples` trials (no early stopping) in parallel, with
+/// per-worker scratch as in [`run`].
+pub fn run_fixed<S, M, F>(
     config: &SamplerConfig,
     samples: usize,
+    scratch: M,
     trial: F,
 ) -> Result<SampleReport, CoreError>
 where
-    F: Fn(&mut ChaCha8Rng) -> Result<bool, CoreError> + Sync,
+    M: Fn() -> S + Sync,
+    F: Fn(&mut S, &mut ChaCha8Rng) -> Result<bool, CoreError> + Sync,
 {
     if samples == 0 {
         return Err(CoreError::BadParameter("samples must be positive".into()));
     }
-    run_engine(config, samples, None, &trial)
+    run_engine(config, samples, None, &scratch, &trial)
 }
 
 /// The adaptive stopping rule.
@@ -193,14 +200,16 @@ struct Prefix {
     outcome: Option<(usize, usize, bool)>,
 }
 
-fn run_engine<F>(
+fn run_engine<S, M, F>(
     config: &SamplerConfig,
     worst_case: usize,
     stopper: Option<Stopper>,
+    scratch: &M,
     trial: &F,
 ) -> Result<SampleReport, CoreError>
 where
-    F: Fn(&mut ChaCha8Rng) -> Result<bool, CoreError> + Sync,
+    M: Fn() -> S + Sync,
+    F: Fn(&mut S, &mut ChaCha8Rng) -> Result<bool, CoreError> + Sync,
 {
     let start = Instant::now();
     let chunk_size = config.chunk_size.max(1);
@@ -223,6 +232,7 @@ where
     let first_error: Mutex<Option<CoreError>> = Mutex::new(None);
 
     let worker = || {
+        let mut scratch = scratch();
         loop {
             if failed.load(Ordering::Relaxed) {
                 return;
@@ -236,7 +246,7 @@ where
             let mut hits = 0usize;
             for index in lo..hi {
                 let mut rng = trial_rng(config.seed, index as u64);
-                match trial(&mut rng) {
+                match trial(&mut scratch, &mut rng) {
                     Ok(true) => hits += 1,
                     Ok(false) => {}
                     Err(e) => {
@@ -333,8 +343,8 @@ mod tests {
     use super::*;
     use rand::Rng;
 
-    fn coin(p: f64) -> impl Fn(&mut ChaCha8Rng) -> Result<bool, CoreError> + Sync {
-        move |rng| Ok(rng.gen_bool(p))
+    fn coin(p: f64) -> impl Fn(&mut (), &mut ChaCha8Rng) -> Result<bool, CoreError> + Sync {
+        move |_, rng| Ok(rng.gen_bool(p))
     }
 
     #[test]
@@ -347,7 +357,7 @@ mod tests {
             };
             let reports: Vec<SampleReport> = [1usize, 2, 3, 8]
                 .iter()
-                .map(|&t| run(&base.clone().with_threads(t), 0.05, 0.05, coin(p)).unwrap())
+                .map(|&t| run(&base.clone().with_threads(t), 0.05, 0.05, || (), coin(p)).unwrap())
                 .collect();
             for r in &reports[1..] {
                 assert_eq!(r.estimate.to_bits(), reports[0].estimate.to_bits());
@@ -361,11 +371,11 @@ mod tests {
     #[test]
     fn adaptive_stops_early_on_deterministic_events() {
         let config = SamplerConfig::seeded(3);
-        let sure = run(&config, 0.05, 0.05, coin(1.0)).unwrap();
+        let sure = run(&config, 0.05, 0.05, || (), coin(1.0)).unwrap();
         assert_eq!(sure.estimate, 1.0);
         assert!(sure.stopped_early, "{sure:?}");
         assert!(sure.samples < sure.worst_case);
-        let never = run(&config, 0.05, 0.05, coin(0.0)).unwrap();
+        let never = run(&config, 0.05, 0.05, || (), coin(0.0)).unwrap();
         assert_eq!(never.estimate, 0.0);
         assert!(never.stopped_early);
     }
@@ -373,17 +383,42 @@ mod tests {
     #[test]
     fn fixed_runs_use_exact_sample_count() {
         let config = SamplerConfig::seeded(5).with_threads(4);
-        let r = run_fixed(&config, 1000, coin(0.5)).unwrap();
+        let r = run_fixed(&config, 1000, || (), coin(0.5)).unwrap();
         assert_eq!(r.samples, 1000);
         assert!(!r.stopped_early);
         assert!((r.estimate - 0.5).abs() < 0.08, "{r:?}");
-        assert!(run_fixed(&config, 0, coin(0.5)).is_err());
+        assert!(run_fixed(&config, 0, || (), coin(0.5)).is_err());
+    }
+
+    /// Each worker makes one scratch value and keeps it for every trial
+    /// it draws.
+    #[test]
+    fn scratch_is_made_once_per_worker() {
+        for threads in [1, 3] {
+            let made = AtomicUsize::new(0);
+            let drawn = AtomicUsize::new(0);
+            let config = SamplerConfig::seeded(2).with_threads(threads);
+            let make = || {
+                made.fetch_add(1, Ordering::Relaxed);
+                0usize
+            };
+            let r = run_fixed(&config, 300, make, |seen: &mut usize, rng| {
+                *seen += 1;
+                drawn.fetch_max(*seen, Ordering::Relaxed);
+                Ok(rng.gen_bool(0.5))
+            })
+            .unwrap();
+            assert_eq!(r.samples, 300);
+            assert!((1..=threads).contains(&made.load(Ordering::Relaxed)));
+            // Some worker drew several trials on one scratch value.
+            assert!(drawn.load(Ordering::Relaxed) >= 300 / threads);
+        }
     }
 
     #[test]
     fn non_adaptive_runs_burn_the_worst_case() {
         let config = SamplerConfig::seeded(9).with_adaptive(false);
-        let r = run(&config, 0.1, 0.05, coin(1.0)).unwrap();
+        let r = run(&config, 0.1, 0.05, || (), coin(1.0)).unwrap();
         assert_eq!(r.samples, r.worst_case);
         assert!(!r.stopped_early);
     }
@@ -391,9 +426,13 @@ mod tests {
     #[test]
     fn errors_propagate_from_any_thread() {
         let config = SamplerConfig::seeded(1).with_threads(4);
-        let err = run(&config, 0.1, 0.05, |_rng: &mut ChaCha8Rng| {
-            Err(CoreError::BadParameter("boom".into()))
-        });
+        let err = run(
+            &config,
+            0.1,
+            0.05,
+            || (),
+            |_, _rng: &mut ChaCha8Rng| Err(CoreError::BadParameter("boom".into())),
+        );
         assert!(matches!(err, Err(CoreError::BadParameter(_))));
     }
 

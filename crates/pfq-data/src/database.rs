@@ -91,6 +91,11 @@ impl Database {
         }
     }
 
+    /// Empties every relation, keeping its name and schema.
+    pub fn clear_tuples(&mut self) {
+        self.relations.values_mut().for_each(Relation::clear);
+    }
+
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
         self.relations.values().map(Relation::len).sum()

@@ -85,6 +85,14 @@ impl Relation {
         self.tuples.remove(t)
     }
 
+    /// Removes every tuple, keeping the schema. The tuples are removed
+    /// one by one, which keeps the set's root node, so a small relation
+    /// emptied and refilled over and over (the sampler's Δ) does not
+    /// allocate it again.
+    pub fn clear(&mut self) {
+        self.tuples.retain(|_| false);
+    }
+
     /// Iterates tuples in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
         self.tuples.iter()

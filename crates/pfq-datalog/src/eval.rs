@@ -14,6 +14,7 @@ use crate::ast::{Atom, Program, Rule, Term};
 use crate::DatalogError;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_num::Ratio;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Where matching reads relations from: a whole [`Database`], or a
@@ -191,7 +192,9 @@ impl CompiledRule {
     /// variables in [`Rule::all_variables`] order — the rule's `oldVals`
     /// tuple. `delta = Some((i, rel))` reads atom `i` from `rel` instead
     /// of `db`: the inflationary engines pass the tuples their last step
-    /// added, so only valuations that use one are found.
+    /// added, so only valuations that use one are found. The run's
+    /// buffers live in `scratch`, which a caller that matches repeatedly
+    /// keeps and passes to every call.
     ///
     /// Errors if a body or negated relation is missing from `db` or has
     /// the wrong arity, if a negated atom reads an unbound variable, or
@@ -200,13 +203,33 @@ impl CompiledRule {
         &self,
         db: &D,
         delta: Option<(usize, &Relation)>,
+        scratch: &mut MatchScratch,
         mut emit: F,
     ) -> Result<(), DatalogError>
     where
         D: Relations + ?Sized,
         F: FnMut(&[Value]) -> Result<(), DatalogError>,
     {
-        let mut rels = Vec::with_capacity(self.rule.body.len() + self.rule.negatives.len());
+        let mut rels = recycle(std::mem::take(&mut scratch.rels));
+        let matched = self.match_into(db, delta, &mut rels, scratch, &mut emit);
+        scratch.rels = recycle(rels);
+        matched
+    }
+
+    /// [`CompiledRule::for_each_valuation`] with the relations resolved
+    /// into `rels`.
+    fn match_into<'a, D, F>(
+        &self,
+        db: &'a D,
+        delta: Option<(usize, &'a Relation)>,
+        rels: &mut Vec<&'a Relation>,
+        scratch: &mut MatchScratch,
+        emit: &mut F,
+    ) -> Result<(), DatalogError>
+    where
+        D: Relations + ?Sized,
+        F: FnMut(&[Value]) -> Result<(), DatalogError>,
+    {
         for (i, atom) in self.rule.body.iter().enumerate() {
             let rel = match delta {
                 Some((d, rel)) if d == i => rel,
@@ -221,16 +244,18 @@ impl CompiledRule {
             rels.push(rel);
         }
         let (body_rels, negative_rels) = rels.split_at(self.body.len());
-        let mut vals = Vec::with_capacity(self.slots);
-        let mut key = vec![Value::Int(0); self.key_len];
+        scratch.vals.clear();
+        scratch.vals.reserve(self.slots);
+        scratch.key.clear();
+        scratch.key.resize(self.key_len, Value::Int(0));
         let mut matcher = Matcher {
             rule: self,
             body_rels,
             negative_rels,
-            ground: Vec::new(),
-            emit: &mut emit,
+            ground: &mut scratch.ground,
+            emit,
         };
-        matcher.descend(0, &mut vals, &mut key)
+        matcher.descend(0, &mut scratch.vals, &mut scratch.key)
     }
 
     /// The head tuple under a valuation from
@@ -270,6 +295,16 @@ impl CompiledRule {
         }
     }
 
+    /// Orders two head tuples of this rule by their keys, as
+    /// [`CompiledRule::head_key`] tuples compare, without building them.
+    pub(crate) fn cmp_keys(&self, a: &[Value], b: &[Value]) -> Ordering {
+        self.key
+            .iter()
+            .map(|&i| a[i].cmp(&b[i]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
     /// The rule weight under a valuation: the value bound to the `@`
     /// variable (checked positive), or 1 for uniform rules.
     pub fn weight(&self, vals: &[Value]) -> Result<Ratio, DatalogError> {
@@ -304,13 +339,37 @@ impl CompiledProgram {
     }
 }
 
+/// The buffers of [`CompiledRule::for_each_valuation`]: the relations a
+/// run reads, the valuation it builds, the range-scan prefixes and the
+/// grounding of negated atoms. Each run clears what it uses, so one
+/// scratch serves any number of runs of any rules.
+#[derive(Debug, Default)]
+pub struct MatchScratch {
+    /// Empty between runs; a run borrows its allocation ([`recycle`]).
+    rels: Vec<&'static Relation>,
+    vals: Vec<Value>,
+    key: Vec<Value>,
+    ground: Vec<Value>,
+}
+
+/// Empties `v` and hands its allocation to a vector of another item
+/// type of the same size and alignment — here, references with another
+/// lifetime. `collect` from a mapped `vec::IntoIter` of such a type
+/// reuses the source buffer instead of allocating.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("emptied above"))
+        .collect()
+}
+
 /// One matching run of a [`CompiledRule`]: the resolved relations plus
 /// the grounding buffer for negated atoms.
 struct Matcher<'a, F> {
     rule: &'a CompiledRule,
     body_rels: &'a [&'a Relation],
     negative_rels: &'a [&'a Relation],
-    ground: Vec<Value>,
+    ground: &'a mut Vec<Value>,
     emit: &'a mut F,
 }
 
@@ -368,7 +427,7 @@ where
                 let v = op.read(vals).map_err(|v| unsafe_rule(atom, v))?;
                 self.ground.push(v.clone());
             }
-            if rel.contains_values(&self.ground) {
+            if rel.contains_values(self.ground) {
                 return Ok(true);
             }
         }
@@ -453,11 +512,42 @@ mod tests {
     /// Every valuation of the rule, as `oldVals` tuples in match order.
     fn valuations(rule: &CompiledRule, db: &Database) -> Result<Vec<Tuple>, DatalogError> {
         let mut out = Vec::new();
-        rule.for_each_valuation(db, None, |vals| {
+        rule.for_each_valuation(db, None, &mut MatchScratch::default(), |vals| {
             out.push(Tuple::new(vals.to_vec()));
             Ok(())
         })?;
         Ok(out)
+    }
+
+    #[test]
+    fn recycled_buffers_keep_their_allocation() {
+        let mut rels: Vec<&Relation> = Vec::with_capacity(4);
+        let database = db();
+        rels.push(database.get("E").unwrap());
+        let ptr = rels.as_ptr() as usize;
+        let kept: Vec<&'static Relation> = recycle(rels);
+        assert!(kept.is_empty() && kept.capacity() >= 4);
+        assert_eq!(kept.as_ptr() as usize, ptr);
+        // One scratch serves runs of different rules in turn.
+        let mut scratch = MatchScratch::default();
+        let rule = rule_of("H(X, Z) :- E(X, Y), E(Y, Z).");
+        for _ in 0..2 {
+            let mut count = 0;
+            rule.for_each_valuation(&database, None, &mut scratch, |_| {
+                count += 1;
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(count, 1);
+            let mut firsts = Vec::new();
+            rule_of("H(Y) :- E(1, Y).")
+                .for_each_valuation(&database, None, &mut scratch, |vals| {
+                    firsts.push(vals[0].clone());
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(firsts, [Value::int(2), Value::int(3)]);
+        }
     }
 
     #[test]
@@ -556,10 +646,15 @@ mod tests {
         let rule = rule_of("H(X, Z) :- E(X, Y), E(Y, Z).");
         let delta = Relation::from_rows(Schema::new(["i", "j"]), [tuple![3, 9]]);
         let mut out = Vec::new();
-        rule.for_each_valuation(&db(), Some((1, &delta)), |vals| {
-            out.push(Tuple::new(vals.to_vec()));
-            Ok(())
-        })
+        rule.for_each_valuation(
+            &db(),
+            Some((1, &delta)),
+            &mut MatchScratch::default(),
+            |vals| {
+                out.push(Tuple::new(vals.to_vec()));
+                Ok(())
+            },
+        )
         .unwrap();
         // Paths 1→3→9 and 2→3→9 through the delta edge only.
         assert_eq!(out, [tuple![1, 3, 9], tuple![2, 3, 9]]);
@@ -590,7 +685,7 @@ mod tests {
             Relation::from_rows(Schema::new(["p"]), [tuple![Value::frac(1, 2)]]),
         );
         let mut seen = Vec::new();
-        rule.for_each_valuation(&database, None, |vals| {
+        rule.for_each_valuation(&database, None, &mut MatchScratch::default(), |vals| {
             let head = rule.head_tuple(vals)?;
             seen.push((head.clone(), rule.head_key(&head), rule.weight(vals)?));
             Ok(())
@@ -627,7 +722,9 @@ mod tests {
         assert!(Program::new([head_unsafe.clone()]).is_err());
         let rule = CompiledRule::new(&head_unsafe);
         let err = rule
-            .for_each_valuation(&db(), None, |vals| rule.head_tuple(vals).map(drop))
+            .for_each_valuation(&db(), None, &mut MatchScratch::default(), |vals| {
+                rule.head_tuple(vals).map(drop)
+            })
             .unwrap_err();
         assert_eq!(
             err,
@@ -651,7 +748,9 @@ mod tests {
         );
         let rule = CompiledRule::new(&weight_unsafe);
         assert!(matches!(
-            rule.for_each_valuation(&db(), None, |vals| rule.weight(vals).map(drop)),
+            rule.for_each_valuation(&db(), None, &mut MatchScratch::default(), |vals| {
+                rule.weight(vals).map(drop)
+            }),
             Err(DatalogError::UnsafeRule { variable, .. }) if variable == "P"
         ));
     }

@@ -43,9 +43,9 @@
 //! the (polynomially many) valuations over the active domain.
 
 use crate::ast::Program;
-use crate::eval::{prepare_database, CompiledProgram, CompiledRule, Layered};
+use crate::eval::{prepare_database, CompiledProgram, CompiledRule, Layered, MatchScratch};
 use crate::DatalogError;
-use pfq_data::{Database, Tuple};
+use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_num::{dist::pick_weighted_index, Distribution, Ratio};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -115,90 +115,130 @@ impl EngineState {
     }
 }
 
-/// One repair-key choice group: candidate head tuples with their
-/// (unnormalized) weights, in parallel vectors.
+/// One repair-key option: a head tuple and its (unnormalized) weight.
+type Choice = (Tuple, Ratio);
+
+/// What one rule contributes to one step, in flat buffers the next step
+/// refills.
 #[derive(Default)]
-struct ChoiceGroup {
-    tuples: Vec<Tuple>,
-    weights: Vec<Ratio>,
-}
-
-/// What one rule contributes to one step: its repair-key choice groups.
 struct RuleFiring {
-    groups: Vec<ChoiceGroup>,
-    /// The valuation encodings consumed (to be added to `oldVals`).
-    consumed: BTreeSet<Tuple>,
+    /// The new valuations, as `oldVals` tuples, sorted and deduplicated:
+    /// a valuation that reads Δ in two atoms is found twice.
+    consumed: Vec<Tuple>,
+    /// π_{X̄,Ȳ,P}(newVals): the (head, weight) options, sorted by the
+    /// head's key columns, then the head, then the weight, and
+    /// deduplicated (set semantics of the projection).
+    options: Vec<Choice>,
+    /// Where each repair-key group ends in `options`, in key order.
+    ends: Vec<usize>,
 }
 
-/// Computes rule `r`'s firing against the *old* state over `edb`: in
-/// full with `delta = None`, else once per positive body atom whose
-/// relation has tuples in `delta`, that atom reading them.
+impl RuleFiring {
+    /// The choice groups in key order, each its options in (head,
+    /// weight) order; none if the rule has no new valuation.
+    fn groups(&self) -> impl Iterator<Item = &[Choice]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.options[s..e])
+    }
+}
+
+/// The buffers inflationary steps fill, kept from one step to the next
+/// so that stepping does not allocate them again: one rule firing per
+/// rule, the matcher's buffers, the weights a sampled step draws from
+/// and the tuples the last sampled step inserted (Δ). A tree traversal
+/// keeps one for all its nodes, a sampling worker one for all its
+/// trials; any scratch serves any program.
+#[derive(Default)]
+pub struct StepScratch {
+    rules: Vec<RuleFiring>,
+    matcher: MatchScratch,
+    weights: Vec<Ratio>,
+    delta: Database,
+}
+
+/// Computes rule `r`'s firing against the *old* state over `edb` into
+/// `out`: in full with `delta = None`, else once per positive body atom
+/// whose relation has tuples in `delta`, that atom reading them. Returns
+/// whether the rule has new valuations.
 fn fire_rule(
     rule: &CompiledRule,
     edb: &Database,
     state: &EngineState,
     rule_index: usize,
     delta: Option<&Database>,
-) -> Result<Option<RuleFiring>, DatalogError> {
+    matcher: &mut MatchScratch,
+    out: &mut RuleFiring,
+) -> Result<bool, DatalogError> {
     let db = Layered {
         idb: &state.idb,
         edb,
     };
     let old_vals = &state.old_vals[rule_index];
-    let mut consumed = BTreeSet::new();
-    // π_{X̄,Ȳ,P}(newVals): project new valuations onto the head tuple and
-    // weight, de-duplicating (set semantics of the projection).
-    let mut projected: BTreeSet<(Tuple, Ratio)> = BTreeSet::new();
-    // A valuation that reads Δ in two atoms is found twice.
-    let mut take = |vals: &[_]| {
-        if old_vals.contains(vals) || consumed.contains(vals) {
-            return Ok(());
+    let RuleFiring {
+        consumed,
+        options,
+        ends,
+    } = out;
+    consumed.clear();
+    options.clear();
+    ends.clear();
+    let mut take = |vals: &[Value]| {
+        if !old_vals.contains(vals) {
+            consumed.push(Tuple::from_slice(vals));
+            options.push((rule.head_tuple(vals)?, rule.weight(vals)?));
         }
-        consumed.insert(Tuple::from_slice(vals));
-        projected.insert((rule.head_tuple(vals)?, rule.weight(vals)?));
         Ok(())
     };
     match delta {
-        None => rule.for_each_valuation(&db, None, &mut take)?,
+        None => rule.for_each_valuation(&db, None, matcher, &mut take)?,
         Some(delta) => {
             for (i, atom) in rule.rule().body.iter().enumerate() {
-                if let Some(new) = delta.get(&atom.relation) {
-                    rule.for_each_valuation(&db, Some((i, new)), &mut take)?;
+                if let Some(new) = delta.get(&atom.relation).filter(|r| !r.is_empty()) {
+                    rule.for_each_valuation(&db, Some((i, new)), matcher, &mut take)?;
                 }
             }
         }
     }
     if consumed.is_empty() {
-        return Ok(None);
+        return Ok(false);
     }
+    consumed.sort_unstable();
+    consumed.dedup();
     // Group by the key (underlined) positions.
-    let mut groups: BTreeMap<Tuple, ChoiceGroup> = BTreeMap::new();
-    for (t, w) in projected {
-        let group = groups.entry(rule.head_key(&t)).or_default();
-        group.tuples.push(t);
-        group.weights.push(w);
+    options.sort_unstable_by(|(s, v), (t, w)| {
+        rule.cmp_keys(s.values(), t.values())
+            .then_with(|| s.cmp(t))
+            .then_with(|| v.cmp(w))
+    });
+    options.dedup();
+    for (i, pair) in options.windows(2).enumerate() {
+        if rule
+            .cmp_keys(pair[0].0.values(), pair[1].0.values())
+            .is_ne()
+        {
+            ends.push(i + 1);
+        }
     }
-    Ok(Some(RuleFiring {
-        groups: groups.into_values().collect(),
-        consumed,
-    }))
+    ends.push(options.len());
+    Ok(true)
 }
 
-/// Every rule's firing against `state`, in rule order; empty at a
-/// fixpoint.
+/// Every rule's firing against `state`, into `rules` in rule order;
+/// returns whether any rule has new valuations (none at a fixpoint).
 fn fire_all(
     program: &CompiledProgram,
     edb: &Database,
     state: &EngineState,
     delta: Option<&Database>,
-) -> Result<Vec<(usize, RuleFiring)>, DatalogError> {
-    let mut firings = Vec::new();
-    for (i, rule) in program.rules().iter().enumerate() {
-        if let Some(f) = fire_rule(rule, edb, state, i, delta)? {
-            firings.push((i, f));
-        }
+    rules: &mut Vec<RuleFiring>,
+    matcher: &mut MatchScratch,
+) -> Result<bool, DatalogError> {
+    rules.resize_with(program.rules().len(), RuleFiring::default);
+    let mut fired = false;
+    for (i, (rule, out)) in program.rules().iter().zip(rules.iter_mut()).enumerate() {
+        fired |= fire_rule(rule, edb, state, i, delta, matcher, out)?;
     }
-    Ok(firings)
+    Ok(fired)
 }
 
 /// Whether `state` over `edb` is a fixpoint: no rule, matched in full,
@@ -207,9 +247,12 @@ pub fn is_fixpoint(
     program: &CompiledProgram,
     edb: &Database,
     state: &EngineState,
+    scratch: &mut StepScratch,
 ) -> Result<bool, DatalogError> {
-    for (i, rule) in program.rules().iter().enumerate() {
-        if fire_rule(rule, edb, state, i, None)?.is_some() {
+    let StepScratch { rules, matcher, .. } = scratch;
+    rules.resize_with(program.rules().len(), RuleFiring::default);
+    for (i, (rule, out)) in program.rules().iter().zip(rules.iter_mut()).enumerate() {
+        if fire_rule(rule, edb, state, i, None, matcher, out)? {
             return Ok(false);
         }
     }
@@ -235,32 +278,35 @@ pub fn step_distribution(
     edb: &Database,
     state: &EngineState,
     delta: Option<&Database>,
+    scratch: &mut StepScratch,
 ) -> Result<Option<Distribution<EngineState>>, DatalogError> {
-    let firings = fire_all(program, edb, state, delta)?;
-    if firings.is_empty() {
+    let StepScratch {
+        rules,
+        matcher,
+        weights,
+        ..
+    } = scratch;
+    if !fire_all(program, edb, state, delta, rules, matcher)? {
         return Ok(None);
     }
 
     // Deterministic part of the successor: updated oldVals.
     let mut base = state.clone();
-    for (i, f) in &firings {
-        base.old_vals[*i].extend(f.consumed.iter().cloned());
+    for (old, f) in base.old_vals.iter_mut().zip(rules.iter_mut()) {
+        old.extend(f.consumed.drain(..));
     }
 
-    // Probabilistic part: every group's options, normalized, beside the
-    // relation its rule writes.
-    let mut groups: Vec<(&str, Vec<(&Tuple, Ratio)>)> = Vec::new();
-    for (i, f) in &firings {
-        let relation = program.rules()[*i].rule().head.relation.as_str();
-        for group in &f.groups {
-            let total: Ratio = group.weights.iter().sum();
-            let options = group
-                .tuples
-                .iter()
-                .zip(&group.weights)
-                .map(|(t, w)| (t, w.div_ref(&total)))
-                .collect();
-            groups.push((relation, options));
+    // Probabilistic part: every group's options beside the relation its
+    // rule writes and where the options' normalized probabilities start
+    // in `weights`.
+    weights.clear();
+    let mut groups: Vec<(&str, &[Choice], usize)> = Vec::new();
+    for (rule, f) in program.rules().iter().zip(rules.iter()) {
+        let relation = rule.rule().head.relation.as_str();
+        for options in f.groups() {
+            let total: Ratio = options.iter().map(|(_, w)| w).sum();
+            groups.push((relation, options, weights.len()));
+            weights.extend(options.iter().map(|(_, w)| w.div_ref(&total)));
         }
     }
 
@@ -271,12 +317,11 @@ pub fn step_distribution(
     loop {
         let mut next = base.clone();
         let mut p = Ratio::one();
-        for ((relation, options), &c) in groups.iter().zip(&choice) {
-            let (t, q) = &options[c];
+        for (&(relation, options, first), &c) in groups.iter().zip(&choice) {
             next.idb
-                .insert_tuple(relation, (*t).clone())
+                .insert_tuple(relation, options[c].0.clone())
                 .expect("IDB relation was prepared");
-            p = p.mul_ref(q);
+            p = p.mul_ref(&weights[first + c]);
         }
         out.add(next, p);
         let Some(g) = (0..groups.len()).rposition(|g| choice[g] + 1 < groups[g].1.len()) else {
@@ -335,9 +380,10 @@ pub fn enumerate_fixpoints(
     frontier.insert(initial, Ratio::one());
     let mut fixpoints = Distribution::new();
     let mut expanded = 0usize;
+    let mut scratch = StepScratch::default();
     while let Some((state, p)) = frontier.pop_first() {
         charge_node_budget(&mut expanded, node_budget)?;
-        match step_distribution(&compiled, &edb, &state, None)? {
+        match step_distribution(&compiled, &edb, &state, None, &mut scratch)? {
             None => fixpoints.add(state.database(&edb), p),
             Some(successors) => {
                 for (next, q) in successors.into_iter() {
@@ -358,7 +404,8 @@ pub fn enumerate_fixpoints(
 /// [`EngineState::initial`] returns, for the program `program` was
 /// compiled from). Returns the fixpoint state; its database is
 /// [`EngineState::database`] over `edb`. `max_steps` is a defensive
-/// bound; the semantics guarantees termination.
+/// bound; the semantics guarantees termination. The steps fill the
+/// buffers of `scratch`, which a caller drawing many paths keeps.
 ///
 /// The first step matches in full; every later one fires from Δ, the
 /// tuples the step before it inserted. The rng is drawn once per choice
@@ -370,38 +417,40 @@ pub fn sample_fixpoint<R: Rng + ?Sized>(
     start: &EngineState,
     rng: &mut R,
     max_steps: usize,
+    scratch: &mut StepScratch,
 ) -> Result<EngineState, DatalogError> {
+    let StepScratch {
+        rules,
+        matcher,
+        weights,
+        delta,
+    } = scratch;
     let mut state = start.clone();
-    let mut delta = None;
-    for _ in 0..max_steps {
+    for step in 0..max_steps {
         // Compute all firings against the old state before mutating.
-        let firings = fire_all(program, edb, &state, delta.as_ref())?;
-        if firings.is_empty() {
+        let from = (step > 0).then_some(&*delta);
+        if !fire_all(program, edb, &state, from, rules, matcher)? {
             return Ok(state);
         }
-        let mut added = Database::new();
-        for (i, f) in firings {
-            state.old_vals[i].extend(f.consumed);
-            let relation = &program.rules()[i].rule().head.relation;
+        delta.clear_tuples();
+        let firings = program.rules().iter().zip(rules.iter_mut());
+        for ((rule, f), old) in firings.zip(&mut state.old_vals) {
+            old.extend(f.consumed.drain(..));
+            let relation = &rule.rule().head.relation;
             let rel = state
                 .idb
                 .get_mut(relation)
                 .expect("IDB relation was prepared");
-            for mut group in f.groups {
-                let pick = pick_weighted_index(&group.weights, rng.gen::<u64>());
-                let t = group.tuples.swap_remove(pick);
-                if !rel.contains(&t) {
-                    if !added.contains_relation(relation) {
-                        added.declare(relation.as_str(), rel.schema().clone());
-                    }
-                    added
-                        .insert_tuple(relation, t.clone())
-                        .expect("declared above");
-                    rel.insert(t);
+            for options in f.groups() {
+                weights.clear();
+                weights.extend(options.iter().map(|(_, w)| w.clone()));
+                let (t, _) = &options[pick_weighted_index(weights, rng.gen::<u64>())];
+                if !rel.contains(t) {
+                    add_to_delta(delta, relation, rel.schema(), t);
+                    rel.insert(t.clone());
                 }
             }
         }
-        delta = Some(added);
     }
     Err(DatalogError::BudgetExceeded {
         what: "inflationary sampling steps",
@@ -409,12 +458,24 @@ pub fn sample_fixpoint<R: Rng + ?Sized>(
     })
 }
 
+/// Adds `t` to relation `name` of the sampler's Δ. The relation is
+/// declared with `schema` the first time, and kept (emptied) for later
+/// steps; one a scratch kept from another program is replaced.
+fn add_to_delta(delta: &mut Database, name: &str, schema: &Schema, t: &Tuple) {
+    match delta.get_mut(name) {
+        Some(rel) if rel.schema() == schema => {
+            rel.insert(t.clone());
+        }
+        _ => delta.set(name, Relation::from_rows(schema.clone(), [t.clone()])),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse_program;
     use pfq_data::{tuple, Relation, Schema, Value};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     /// Example 3.9's database: E = {(v,w,1/2), (v,u,1/2)}.
@@ -511,7 +572,9 @@ mod tests {
         assert_eq!(edb.relation_names().collect::<Vec<_>>(), ["A"]);
         assert_eq!(init.idb.relation_names().collect::<Vec<_>>(), ["B", "C"]);
         let compiled = CompiledProgram::new(&p);
-        let step1 = step_distribution(&compiled, &edb, &init, None)
+        // One scratch for every step, as a traversal keeps.
+        let mut scratch = StepScratch::default();
+        let step1 = step_distribution(&compiled, &edb, &init, None, &mut scratch)
             .unwrap()
             .unwrap();
         assert_eq!(step1.support_size(), 1);
@@ -519,21 +582,21 @@ mod tests {
         assert!(s1.idb.get("B").unwrap().contains(&tuple![1]));
         assert!(s1.idb.get("C").unwrap().is_empty());
         let delta1 = s1.delta_from(&init);
-        let step2 = step_distribution(&compiled, &edb, s1, Some(&delta1))
+        let step2 = step_distribution(&compiled, &edb, s1, Some(&delta1), &mut scratch)
             .unwrap()
             .unwrap();
         assert_eq!(
-            step_distribution(&compiled, &edb, s1, None).unwrap(),
+            step_distribution(&compiled, &edb, s1, None, &mut scratch).unwrap(),
             Some(step2.clone())
         );
         let (s2, _) = step2.iter().next().unwrap();
         assert!(s2.idb.get("C").unwrap().contains(&tuple![1]));
         let delta2 = s2.delta_from(s1);
         assert_eq!(
-            step_distribution(&compiled, &edb, s2, Some(&delta2)).unwrap(),
+            step_distribution(&compiled, &edb, s2, Some(&delta2), &mut scratch).unwrap(),
             None
         );
-        assert!(is_fixpoint(&compiled, &edb, s2).unwrap());
+        assert!(is_fixpoint(&compiled, &edb, s2, &mut scratch).unwrap());
     }
 
     /// Three choice groups across two rules writing `C`, by hand:
@@ -575,9 +638,15 @@ mod tests {
                 Relation::from_rows(Schema::new(["k", "v"]), [tuple![1, 1]]),
             );
         let (edb, init) = EngineState::initial(&p, &db).unwrap();
-        let step = step_distribution(&CompiledProgram::new(&p), &edb, &init, None)
-            .unwrap()
-            .unwrap();
+        let step = step_distribution(
+            &CompiledProgram::new(&p),
+            &edb,
+            &init,
+            None,
+            &mut StepScratch::default(),
+        )
+        .unwrap()
+        .unwrap();
         let got: Vec<(Vec<Tuple>, Ratio)> = step
             .iter()
             .map(|(s, q)| (s.idb.get("C").unwrap().iter().cloned().collect(), q.clone()))
@@ -601,6 +670,112 @@ mod tests {
         }
     }
 
+    /// A head whose key is its *second* column, `C(Y, K!)`. By key,
+    /// K = 1 comes first, with options C(5, 1) (weight 2) and C(9, 1)
+    /// (weight 1), then K = 2, with C(3, 2) and C(7, 2). Sorting by the
+    /// whole head would start with C(3, 2) and split both groups.
+    #[test]
+    fn groups_follow_the_key_columns_not_the_whole_head() {
+        let p = parse_program("C(Y, K!) @P :- E(K, Y, P).").unwrap();
+        let db = Database::new().with(
+            "E",
+            Relation::from_rows(
+                Schema::new(["k", "v", "p"]),
+                [
+                    tuple![1, 9, 1],
+                    tuple![1, 5, 2],
+                    tuple![2, 3, 1],
+                    tuple![2, 7, 1],
+                ],
+            ),
+        );
+        let (edb, init) = EngineState::initial(&p, &db).unwrap();
+        let compiled = CompiledProgram::new(&p);
+        let mut scratch = StepScratch::default();
+        let StepScratch { rules, matcher, .. } = &mut scratch;
+        assert!(fire_all(&compiled, &edb, &init, None, rules, matcher).unwrap());
+        // Valuations are (K, Y, P), the body's binding order.
+        assert_eq!(
+            rules[0].consumed,
+            [
+                tuple![1, 5, 2],
+                tuple![1, 9, 1],
+                tuple![2, 3, 1],
+                tuple![2, 7, 1]
+            ]
+        );
+        let groups: Vec<Vec<Choice>> = rules[0].groups().map(<[_]>::to_vec).collect();
+        let one = Ratio::one();
+        assert_eq!(
+            groups,
+            [
+                vec![
+                    (tuple![5, 1], Ratio::new(2, 1)),
+                    (tuple![9, 1], one.clone())
+                ],
+                vec![(tuple![3, 2], one.clone()), (tuple![7, 2], one)],
+            ]
+        );
+        // The one step draws once per group, K = 1 first: C(5, 1) when
+        // draw / 2⁶⁴ < 2/3, and C(3, 2) when the next is < 1/2. The step
+        // after it fires nothing.
+        for seed in 0..16 {
+            let mut draws = ChaCha8Rng::seed_from_u64(seed);
+            let first = if u128::from(draws.gen::<u64>()) * 3 < 2 << 64 {
+                tuple![5, 1]
+            } else {
+                tuple![9, 1]
+            };
+            let second = if u128::from(draws.gen::<u64>()) * 2 < 1 << 64 {
+                tuple![3, 2]
+            } else {
+                tuple![7, 2]
+            };
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let fp = sample_fixpoint(&compiled, &edb, &init, &mut rng, 10, &mut scratch).unwrap();
+            assert_eq!(
+                fp.idb.get("C").unwrap().iter().collect::<BTreeSet<_>>(),
+                BTreeSet::from([&first, &second]),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// Δ holds A(1) and A(2), and `P(X, Y) :- A(X), A(Y)` reads A twice:
+    /// each of the four valuations is found once through each atom, and
+    /// is consumed, and offered, once.
+    #[test]
+    fn a_valuation_found_through_two_delta_atoms_is_taken_once() {
+        let p = parse_program("A(X) :- B(X).\nP(X, Y) :- A(X), A(Y).").unwrap();
+        let a = Relation::from_rows(Schema::new(["v"]), [tuple![1], tuple![2]]);
+        let db = Database::new().with("B", a.clone()).with("A", a.clone());
+        let (edb, state) = EngineState::initial(&p, &db).unwrap();
+        let delta = Database::new().with("A", a);
+        let compiled = CompiledProgram::new(&p);
+        let mut scratch = StepScratch::default();
+        let StepScratch { rules, matcher, .. } = &mut scratch;
+        assert!(fire_all(&compiled, &edb, &state, Some(&delta), rules, matcher).unwrap());
+        // Rule 0 reads only B, which is not in Δ.
+        assert!(rules[0].consumed.is_empty() && rules[0].options.is_empty());
+        let pairs = [tuple![1, 1], tuple![1, 2], tuple![2, 1], tuple![2, 2]];
+        assert_eq!(rules[1].consumed, pairs);
+        // A deterministic head is all key: one single-option group each.
+        let groups: Vec<Vec<Choice>> = rules[1].groups().map(<[_]>::to_vec).collect();
+        let singles: Vec<Vec<Choice>> = pairs
+            .iter()
+            .map(|t| vec![(t.clone(), Ratio::one())])
+            .collect();
+        assert_eq!(groups, singles);
+        let step = step_distribution(&compiled, &edb, &state, Some(&delta), &mut scratch)
+            .unwrap()
+            .unwrap();
+        assert_eq!(step.support_size(), 1);
+        let (next, q) = step.iter().next().unwrap();
+        assert!(q.is_one());
+        assert_eq!(next.idb.get("P").unwrap().len(), 4);
+        assert_eq!(next.old_vals()[1].len(), 4);
+    }
+
     #[test]
     fn delta_holds_only_the_new_idb_tuples() {
         let p = parse_program("B(X) :- A(X).\nC(X) :- B(X).").unwrap();
@@ -614,7 +789,7 @@ mod tests {
         assert_eq!(init.database(&edb), prepare_database(&p, &db).unwrap());
         assert!(init.delta_from(&init).relation_names().next().is_none());
         let compiled = CompiledProgram::new(&p);
-        let step = step_distribution(&compiled, &edb, &init, None)
+        let step = step_distribution(&compiled, &edb, &init, None, &mut StepScratch::default())
             .unwrap()
             .unwrap();
         let (next, _) = step.iter().next().unwrap();
@@ -715,10 +890,12 @@ mod tests {
         let compiled = CompiledProgram::new(&program);
         let (edb, start) = EngineState::initial(&program, &db).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut scratch = StepScratch::default();
         let n = 4000;
         let hits = (0..n)
             .filter(|_| {
-                let fp = sample_fixpoint(&compiled, &edb, &start, &mut rng, 10_000).unwrap();
+                let fp = sample_fixpoint(&compiled, &edb, &start, &mut rng, 10_000, &mut scratch)
+                    .unwrap();
                 fp.idb.get("C").unwrap().contains(&tuple!["w"])
             })
             .count();

@@ -18,7 +18,7 @@
 use pfq_core::Event;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_datalog::eval::CompiledProgram;
-use pfq_datalog::inflationary::{sample_fixpoint, EngineState};
+use pfq_datalog::inflationary::{sample_fixpoint, EngineState, StepScratch};
 use pfq_datalog::{Atom, Head, Program, Rule, Term};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -449,7 +449,9 @@ fn event_tuple(
     rng: &mut ChaCha8Rng,
 ) -> Tuple {
     let fixpoint = EngineState::initial(program, db).and_then(|(edb, start)| {
-        let fixpoint = sample_fixpoint(&CompiledProgram::new(program), &edb, &start, rng, 64)?;
+        let program = CompiledProgram::new(program);
+        let fixpoint =
+            sample_fixpoint(&program, &edb, &start, rng, 64, &mut StepScratch::default())?;
         Ok(fixpoint.database(&edb))
     });
     if let Ok(fixpoint) = fixpoint {

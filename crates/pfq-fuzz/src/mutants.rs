@@ -12,7 +12,7 @@ use pfq_core::sampler::{SampleReport, SamplerConfig};
 use pfq_core::{mixing_sampler, ForeverQuery};
 use pfq_data::Database;
 use pfq_datalog::eval::CompiledProgram;
-use pfq_datalog::inflationary::{step_distribution, EngineState};
+use pfq_datalog::inflationary::{step_distribution, EngineState, StepScratch};
 use pfq_datalog::{DatalogError, Program};
 use pfq_num::{Distribution, Ratio};
 use std::collections::BTreeMap;
@@ -57,6 +57,7 @@ pub fn enumerate_fixpoints_lossy(
     frontier.insert(initial, Ratio::one());
     let mut fixpoints = Distribution::new();
     let mut expanded = 0usize;
+    let mut scratch = StepScratch::default();
     while let Some((state, p)) = frontier.pop_first() {
         expanded += 1;
         if let Some(limit) = node_budget {
@@ -67,7 +68,7 @@ pub fn enumerate_fixpoints_lossy(
                 });
             }
         }
-        match step_distribution(&compiled, &edb, &state, None)? {
+        match step_distribution(&compiled, &edb, &state, None, &mut scratch)? {
             None => fixpoints.add(state.database(&edb), p),
             Some(successors) => {
                 for (next, q) in successors.into_iter() {

@@ -21,7 +21,7 @@
 
 use pfq::data::Database;
 use pfq::datalog::eval::CompiledProgram;
-use pfq::datalog::inflationary::{is_fixpoint, step_distribution, EngineState};
+use pfq::datalog::inflationary::{is_fixpoint, step_distribution, EngineState, StepScratch};
 use pfq::lang::sampler::trial_rng;
 use pfq::num::Ratio;
 use pfq_fuzz::oracle::{reference_step, ReferenceNode};
@@ -36,6 +36,8 @@ fn delta_step_equals_naive_step_on_fuzz_corpus() {
     let cfg = FuzzConfig::default();
     assert!(cfg.gen.negation);
     let (mut compared, mut guarded, mut stepped) = (0usize, 0usize, 0usize);
+    // One scratch for every step of every case, as a traversal keeps.
+    let mut scratch = StepScratch::default();
     for index in 0..CASES {
         let mut rng = trial_rng(cfg.seed, index);
         let case = gen::generate(&cfg.gen, &mut rng);
@@ -53,7 +55,7 @@ fn delta_step_equals_naive_step_on_fuzz_corpus() {
             if nodes > cfg.oracle.node_budget {
                 break;
             }
-            let naive = step_distribution(&program, &edb, &state, None);
+            let naive = step_distribution(&program, &edb, &state, None, &mut scratch);
             let reference = reference_step(&case.program, &edb, &state.idb, state.old_vals());
             match (&naive, &reference) {
                 (Ok(naive), Ok(reference)) => {
@@ -69,11 +71,11 @@ fn delta_step_equals_naive_step_on_fuzz_corpus() {
                 _ => panic!("case {index}, state {state:?}: {naive:?} vs {reference:?}"),
             }
             if let Some(delta) = &delta {
-                let fired = step_distribution(&program, &edb, &state, Some(delta));
+                let fired = step_distribution(&program, &edb, &state, Some(delta), &mut scratch);
                 assert_eq!(fired, naive, "case {index}, state {state:?}, Δ {delta}");
                 if let Ok(successors) = &fired {
                     assert_eq!(
-                        is_fixpoint(&program, &edb, &state),
+                        is_fixpoint(&program, &edb, &state, &mut scratch),
                         Ok(successors.is_none()),
                         "case {index}, state {state:?}, Δ {delta}"
                     );

@@ -14,8 +14,8 @@
 //! grounded tuple must belong to the relation that atom read.
 
 use pfq::data::{Database, Relation, Tuple};
-use pfq::datalog::eval::{CompiledProgram, CompiledRule};
-use pfq::datalog::inflationary::{sample_fixpoint, EngineState};
+use pfq::datalog::eval::{CompiledProgram, CompiledRule, MatchScratch};
+use pfq::datalog::inflationary::{sample_fixpoint, EngineState, StepScratch};
 use pfq::datalog::DatalogError;
 use pfq::lang::sampler::trial_rng;
 use pfq_fuzz::oracle::reference_rule_valuations;
@@ -31,7 +31,7 @@ fn compiled_valuations(
     delta: Option<(usize, &Relation)>,
 ) -> Result<BTreeSet<Tuple>, DatalogError> {
     let mut out = BTreeSet::new();
-    rule.for_each_valuation(db, delta, |vals| {
+    rule.for_each_valuation(db, delta, &mut MatchScratch::default(), |vals| {
         for (i, atom) in rule.rule().body.iter().enumerate() {
             let read = match delta {
                 Some((d, rel)) if d == i => rel,
@@ -62,7 +62,8 @@ fn compiled_matcher_equals_reference_on_fuzz_corpus() {
         let program = CompiledProgram::new(&case.program);
         let (edb, start) = EngineState::initial(&case.program, &case.db).unwrap();
         let mut states = vec![start.database(&edb)];
-        if let Ok(fixpoint) = sample_fixpoint(&program, &edb, &start, &mut rng, 64) {
+        let mut scratch = StepScratch::default();
+        if let Ok(fixpoint) = sample_fixpoint(&program, &edb, &start, &mut rng, 64, &mut scratch) {
             states.push(fixpoint.database(&edb));
         }
         for db in &states {

@@ -10,8 +10,8 @@ use rand_chacha::ChaCha8Rng;
 
 /// A Bernoulli(p) trial — the engine sees exactly the same interface a
 /// fixpoint sampler presents, minus the query evaluation cost.
-fn coin(p: f64) -> impl Fn(&mut ChaCha8Rng) -> Result<bool, pfq::lang::CoreError> + Sync {
-    move |rng| Ok(rng.gen_bool(p))
+fn coin(p: f64) -> impl Fn(&mut (), &mut ChaCha8Rng) -> Result<bool, pfq::lang::CoreError> + Sync {
+    move |_, rng| Ok(rng.gen_bool(p))
 }
 
 fn config(seed: u64, threads: usize, chunk_size: usize, adaptive: bool) -> SamplerConfig {
@@ -47,7 +47,7 @@ proptest! {
         adaptive in any::<bool>(),
     ) {
         let run = |threads: usize| {
-            sampler::run(&config(seed, threads, chunk, adaptive), 0.05, 0.05, coin(p)).unwrap()
+            sampler::run(&config(seed, threads, chunk, adaptive), 0.05, 0.05, || (), coin(p)).unwrap()
         };
         let one = run(1);
         prop_assert_eq!(key(&run(2)), key(&one));
@@ -66,12 +66,12 @@ proptest! {
     ) {
         let worst = hoeffding_sample_count(epsilon, delta).unwrap();
         let adaptive =
-            sampler::run(&config(seed, 4, chunk, true), epsilon, delta, coin(p)).unwrap();
+            sampler::run(&config(seed, 4, chunk, true), epsilon, delta, || (), coin(p)).unwrap();
         prop_assert_eq!(adaptive.worst_case, worst);
         prop_assert!(adaptive.samples <= worst);
         prop_assert!(adaptive.stopped_early == (adaptive.samples < worst));
         let fixed =
-            sampler::run(&config(seed, 4, chunk, false), epsilon, delta, coin(p)).unwrap();
+            sampler::run(&config(seed, 4, chunk, false), epsilon, delta, || (), coin(p)).unwrap();
         prop_assert_eq!(fixed.samples, worst);
         prop_assert!(!fixed.stopped_early);
     }
@@ -85,7 +85,7 @@ proptest! {
         epsilon in 0.05f64..0.3,
         delta in 0.02f64..0.3,
     ) {
-        let r = sampler::run(&SamplerConfig::seeded(seed), epsilon, delta, coin(p)).unwrap();
+        let r = sampler::run(&SamplerConfig::seeded(seed), epsilon, delta, || (), coin(p)).unwrap();
         prop_assert!(r.estimate.is_finite());
         prop_assert!((0.0..=1.0).contains(&r.estimate));
         prop_assert!(r.hits <= r.samples);
@@ -101,7 +101,7 @@ proptest! {
         chunk in 1usize..=96,
     ) {
         let run = |threads: usize| {
-            sampler::run_fixed(&config(seed, threads, chunk, true), samples, coin(p)).unwrap()
+            sampler::run_fixed(&config(seed, threads, chunk, true), samples, || (), coin(p)).unwrap()
         };
         let one = run(1);
         prop_assert_eq!(one.samples, samples);

@@ -37,8 +37,8 @@ const DELTA: f64 = 0.1;
 /// Binomial slack: Pr[Bin(200, 0.1) > 200·(0.1 + 0.075)] < 10⁻³.
 const SLACK: f64 = 0.075;
 
-fn coin(p: f64) -> impl Fn(&mut ChaCha8Rng) -> Result<bool, pfq::lang::CoreError> + Sync {
-    move |rng| Ok(rng.gen_bool(p))
+fn coin(p: f64) -> impl Fn(&mut (), &mut ChaCha8Rng) -> Result<bool, pfq::lang::CoreError> + Sync {
+    move |_, rng| Ok(rng.gen_bool(p))
 }
 
 /// Runs `TRIALS` engine runs with distinct seeds and returns the
@@ -52,7 +52,7 @@ fn failure_fraction(p: f64, adaptive: bool) -> f64 {
             adaptive,
             ..SamplerConfig::default()
         };
-        let report = sampler::run(&config, EPSILON, DELTA, coin(p)).unwrap();
+        let report = sampler::run(&config, EPSILON, DELTA, || (), coin(p)).unwrap();
         assert!(report.samples <= report.worst_case);
         if (report.estimate - p).abs() > EPSILON {
             failures += 1;
@@ -96,7 +96,7 @@ fn adaptive_stopper_coverage_and_savings_at_skewed_p() {
     let mut total_samples = 0usize;
     for seed in 0..TRIALS {
         let config = SamplerConfig::seeded(5_000 + seed).with_threads(2);
-        let report = sampler::run(&config, epsilon, delta, coin(p)).unwrap();
+        let report = sampler::run(&config, epsilon, delta, || (), coin(p)).unwrap();
         total_samples += report.samples;
         if (report.estimate - p).abs() > epsilon {
             failures += 1;
