@@ -424,7 +424,7 @@ struct E5Walk {
     db: Database,
 }
 
-/// Fixed trials of one [`E5Walk::run`].
+/// Fixed trials of the `sampler` ledger entry's [`E5Walk::run`].
 const E5_WALK_SAMPLES: usize = 200;
 
 impl E5Walk {
@@ -437,35 +437,33 @@ impl E5Walk {
         }
     }
 
-    /// [`E5_WALK_SAMPLES`] trials at `threads`.
-    fn run(&self, knobs: &Knobs, threads: usize) -> SampleReport {
+    /// `samples` trials at `threads`.
+    fn run(&self, knobs: &Knobs, threads: usize, samples: usize) -> SampleReport {
         let config = knobs.config(5, 1).with_threads(threads);
-        sample_inflationary::evaluate_with_samples_config(
-            &self.query,
-            &self.db,
-            E5_WALK_SAMPLES,
-            &config,
-        )
-        .unwrap()
+        sample_inflationary::evaluate_with_samples_config(&self.query, &self.db, samples, &config)
+            .unwrap()
     }
 }
 
 /// E5b — fixed work at 1/2/4/8 threads. Per-trial seeding makes every
 /// thread count compute the same estimate, asserted to the bit before
-/// timing; only the wall time may change.
+/// timing; only the wall time may change. The trial count gives 8
+/// threads four 64-trial chunks each, so the sweep times sampling
+/// rather than thread start-up.
 fn e5b_thread_sweep(knobs: &Knobs) {
     const RUNS: usize = 10;
+    const TRIALS: usize = 8 * 4 * 64;
     let walk = E5Walk::new();
-    let baseline = walk.run(knobs, 1).estimate;
+    let baseline = walk.run(knobs, 1, TRIALS).estimate;
     let mut rows = Vec::new();
     let mut t_one = None;
     for threads in [1usize, 2, 4, 8] {
         assert_eq!(
-            walk.run(knobs, threads).estimate.to_bits(),
+            walk.run(knobs, threads, TRIALS).estimate.to_bits(),
             baseline.to_bits(),
             "thread count changed the estimate"
         );
-        let t = time_median(RUNS, || walk.run(knobs, threads));
+        let t = time_median(RUNS, || walk.run(knobs, threads, TRIALS));
         let t_one = *t_one.get_or_insert(t);
         rows.push(vec![
             threads.to_string(),
@@ -475,7 +473,7 @@ fn e5b_thread_sweep(knobs: &Knobs) {
     }
     print_table(
         &format!(
-            "E5b — sampler thread sweep (reachability n = 40, {E5_WALK_SAMPLES} fixed samples, \
+            "E5b — sampler thread sweep (reachability n = 40, {TRIALS} fixed samples, \
              median of {RUNS} runs; estimate {baseline} bit-identical at every thread count)"
         ),
         &["threads", "median wall-clock", "speedup"],
@@ -1333,6 +1331,8 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
         })
         .collect();
     let edges = (0..chain.len()).map(|i| chain.row(i).len()).sum::<usize>();
+    // The elimination pattern of the chain's stationary solve, pinned.
+    let (_, gth_stats) = gth::stationary_sparse_with_stats(&chain).unwrap();
     entries.push(LedgerEntry {
         layer: "solve",
         workload: "E14 4-cycle q = 4: GTH long-run distribution of the Glauber chain".into(),
@@ -1341,6 +1341,8 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
         counters: vec![
             ("chain_states", chain.len() as u64),
             ("edges", edges as u64),
+            ("fill_in", gth_stats.fill_in as u64),
+            ("peak_entries", gth_stats.peak_entries as u64),
         ],
     });
 
@@ -1375,7 +1377,7 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
     let rates = (0..reps)
         .map(|_| {
             let before = allocations();
-            let (d, r) = time_once(|| walk.run(&knobs, 1));
+            let (d, r) = time_once(|| walk.run(&knobs, 1, E5_WALK_SAMPLES));
             allocs = allocations() - before;
             let rate = r.samples as f64 / d.as_secs_f64();
             report = Some(r);

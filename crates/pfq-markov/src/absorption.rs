@@ -15,11 +15,14 @@
 //! solution of the linear system `(I − Q)·a = b` over the transient
 //! states — by censoring the transient states out with sparse GTH
 //! elimination ([`crate::gth`]), an implementation choice documented in
-//! `DESIGN.md`. [`crate::dense::long_run_distribution`] solves the same
-//! systems densely and is kept as the differential oracle.
+//! `DESIGN.md`. Both factors come from one condensation: each leaf's
+//! `π_L` is solved on its member list by the same censoring routine,
+//! without copying the leaf out as a sub-chain.
+//! [`crate::dense::long_run_distribution`] solves the same systems
+//! densely and is kept as the differential oracle.
 
 use crate::scc::{condensation, Condensation};
-use crate::stationary::{exact_stationary, StationaryError};
+use crate::stationary::StationaryError;
 use crate::{gth, MarkovChain};
 use pfq_num::Ratio;
 use std::fmt;
@@ -64,23 +67,17 @@ pub fn absorption_probabilities<S: Ord + Clone>(
     if start >= chain.len() {
         return Err(AbsorptionError::BadStart(start));
     }
-    // If the start is already inside a leaf, absorption is certain there.
+    // A start inside a leaf is absorbed there with certainty.
     let start_comp = cond.component_of[start];
-    let leaves = cond.leaves();
-    if leaves.contains(&start_comp) {
-        return Ok(leaves
-            .iter()
-            .map(|&l| {
-                (
-                    l,
-                    if l == start_comp {
-                        Ratio::one()
-                    } else {
-                        Ratio::zero()
-                    },
-                )
-            })
-            .collect());
+    if cond.edges[start_comp].is_empty() {
+        let mass = |l| {
+            if l == start_comp {
+                Ratio::one()
+            } else {
+                Ratio::zero()
+            }
+        };
+        return Ok(cond.leaves().into_iter().map(|l| (l, mass(l))).collect());
     }
     gth::absorption_sparse(chain, cond, start)
 }
@@ -90,7 +87,9 @@ pub fn absorption_probabilities<S: Ord + Clone>(
 /// non-inflationary query semantics sums over event states.
 ///
 /// Transient states get probability 0; a state `s` in leaf `L` gets
-/// `Pr(absorb L) · π_L(s)`.
+/// `Pr(absorb L) · π_L(s)`. An irreducible chain is its own single leaf
+/// (Proposition 5.4). The chain is condensed once; each leaf with
+/// absorption mass is solved on its member list.
 pub fn long_run_distribution<S: Ord + Clone>(
     chain: &MarkovChain<S>,
     start: usize,
@@ -100,23 +99,21 @@ pub fn long_run_distribution<S: Ord + Clone>(
     }
     let cond = condensation(chain);
     let mut result = vec![Ratio::zero(); chain.len()];
-
-    // Fast path: irreducible chain (Proposition 5.4).
-    if cond.len() == 1 {
-        let pi = exact_stationary(chain).map_err(AbsorptionError::Stationary)?;
-        return Ok(pi);
-    }
-
-    let absorb = absorption_probabilities(chain, &cond, start)?;
-    for (leaf, p_absorb) in absorb {
+    for (leaf, p_absorb) in absorption_probabilities(chain, &cond, start)? {
         if p_absorb.is_zero() {
             continue;
         }
         let members = &cond.components[leaf];
-        let (sub, _) = chain.restrict(members);
-        let pi = exact_stationary(&sub).map_err(AbsorptionError::Stationary)?;
-        for (local, &global) in members.iter().enumerate() {
-            result[global] = result[global].add_ref(&p_absorb.mul_ref(&pi[local]));
+        let (pi, _) = gth::class_stationary(chain, members).map_err(AbsorptionError::Stationary)?;
+        // A certain leaf (an irreducible chain, or a start inside the
+        // leaf) keeps π as solved: `mul_ref` by one still runs a GCD per
+        // wide entry.
+        for (&state, p) in members.iter().zip(pi) {
+            result[state] = if p_absorb.is_one() {
+                p
+            } else {
+                p_absorb.mul_ref(&p)
+            };
         }
     }
     Ok(result)
@@ -230,6 +227,71 @@ mod tests {
         .unwrap();
         let lr = long_run_distribution(&c, 0).unwrap();
         assert_eq!(lr, vec![Ratio::zero(), Ratio::zero(), r(3, 4), r(1, 4)]);
+    }
+
+    #[test]
+    fn reducible_chain_branch_by_branch() {
+        // Transients 0 and 8; leaf A = {2, 3, 4}, periodic (2 → {3, 4} →
+        // 2), with π_A = (1/2, 1/6, 1/3); leaf B = {5}, absorbing; leaf
+        // C = {6, 7}, with π_C = (2/3, 1/3), which only 8 reaches, and 8
+        // is unreachable from 0 and 1.
+        let c = MarkovChain::from_rows(
+            (0u32..9).collect(),
+            vec![
+                vec![(0, r(1, 4)), (1, r(1, 2)), (5, r(1, 4))],
+                vec![(0, r(1, 3)), (3, r(2, 3))],
+                vec![(3, r(1, 3)), (4, r(2, 3))],
+                vec![(2, Ratio::one())],
+                vec![(2, Ratio::one())],
+                vec![(5, Ratio::one())],
+                vec![(6, r(1, 2)), (7, r(1, 2))],
+                vec![(6, Ratio::one())],
+                vec![(5, r(1, 2)), (6, r(1, 2))],
+            ],
+        )
+        .unwrap();
+        let cond = condensation(&c);
+        // From 0: a₀ = a₀/4 + a₁/2 and a₁ = a₀/3 + 2/3 give Pr(A) = 4/7;
+        // Pr(B) = 3/7, and C gets no mass.
+        let by_leaf: BTreeMap<usize, Ratio> = absorption_probabilities(&c, &cond, 0)
+            .unwrap()
+            .into_iter()
+            .map(|(l, p)| (cond.components[l][0], p))
+            .collect();
+        let expected = BTreeMap::from([(2, r(4, 7)), (5, r(3, 7)), (6, Ratio::zero())]);
+        assert_eq!(by_leaf, expected);
+        let dist = |mass: &[(usize, Ratio)]| {
+            let mut d = vec![Ratio::zero(); c.len()];
+            for (state, p) in mass {
+                d[*state] = p.clone();
+            }
+            d
+        };
+        let expected = [
+            // A transient start: Pr(A)·π_A on A, Pr(B) on B, nothing on C.
+            (
+                0,
+                dist(&[(2, r(2, 7)), (3, r(2, 21)), (4, r(4, 21)), (5, r(3, 7))]),
+            ),
+            // A start inside the periodic leaf A stays there.
+            (3, dist(&[(2, r(1, 2)), (3, r(1, 6)), (4, r(1, 3))])),
+            // From 8: half into B, half into C.
+            (8, dist(&[(5, r(1, 2)), (6, r(1, 3)), (7, r(1, 6))])),
+        ];
+        for (start, want) in expected {
+            assert_eq!(
+                long_run_distribution(&c, start).unwrap(),
+                want,
+                "start {start}"
+            );
+        }
+        for start in 0..c.len() {
+            assert_eq!(
+                long_run_distribution(&c, start).unwrap(),
+                crate::dense::long_run_distribution(&c, start).unwrap(),
+                "start {start}"
+            );
+        }
     }
 
     #[test]

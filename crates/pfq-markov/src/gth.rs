@@ -19,9 +19,12 @@
 //! elimination in [`crate::dense`], which stays around as the
 //! differential oracle.
 //!
-//! This module is reached through [`crate::stationary::exact_stationary`]
-//! and [`crate::absorption::absorption_probabilities`];
-//! [`stationary_sparse_with_stats`] additionally reports fill-in.
+//! One private censoring step serves two drivers: the stationary solve
+//! of a closed class (Proposition 5.4, through
+//! [`crate::stationary::exact_stationary`];
+//! [`stationary_sparse_with_stats`] also reports fill-in) and the
+//! absorption solve over the transient states (Theorem 5.5, through
+//! [`crate::absorption::absorption_probabilities`]).
 //!
 //! # Cost model
 //!
@@ -29,11 +32,12 @@
 //! plus one predecessor set per column. Eliminating state `k` costs
 //! `O(in(k) · out(k))` map updates, where `in`/`out` are the live
 //! in/out-degrees of `k` in the censored chain, so total work is
-//! `Σ_k in(k)·out(k)` and memory is `initial entries + fill-in` — for
-//! banded chains (birth–death queues) and other kernels with bounded row
-//! width, *linear* in the number of states, versus the `O(n²)` memory and
-//! `O(n³)` time of the dense path. [`GthStats`] reports the realised
-//! fill-in so benchmarks can verify the memory claim.
+//! `Σ_k in(k)·out(k)` and memory is at most `initial entries + fill-in`
+//! — for banded chains (birth–death queues) and other kernels with
+//! bounded row width, *linear* in the number of states, versus the
+//! `O(n²)` memory and `O(n³)` time of the dense path. [`GthStats`]
+//! reports the realised fill-in so benchmarks can verify the memory
+//! claim.
 
 use crate::absorption::AbsorptionError;
 use crate::scc::{self, Condensation};
@@ -53,10 +57,106 @@ pub struct GthStats {
     pub initial_entries: usize,
     /// Entries created by censoring updates (fill-in).
     pub fill_in: usize,
-    /// Peak live entries — `initial_entries + fill_in`, since frozen
-    /// column values are kept for back-substitution. The dense path
-    /// stores `n²` regardless of sparsity.
+    /// Entries ever stored, `initial_entries + fill_in`: a bound on the
+    /// live entries at any moment. The dense path stores `n²` regardless
+    /// of sparsity.
     pub peak_entries: usize,
+}
+
+/// Adds `p` to `row[j]`; returns whether the entry is new.
+fn accumulate(row: &mut BTreeMap<usize, Ratio>, j: usize, p: Ratio) -> bool {
+    match row.entry(j) {
+        Entry::Occupied(mut e) => {
+            let v = e.get().add_ref(&p);
+            *e.get_mut() = v;
+            false
+        }
+        Entry::Vacant(e) => {
+            e.insert(p);
+            true
+        }
+    }
+}
+
+/// A chain under censoring: the one elimination routine behind both
+/// solves. Rows `0..n` can be eliminated; a column `≥ n` only receives
+/// mass (the absorption solve's leaf columns).
+struct Censor {
+    /// Off-diagonal entries only: `rows[i][j] = P(i, j)` for `j ≠ i`.
+    /// Self-loop mass is implicit — GTH renormalizes by the off-diagonal
+    /// row sum, which folds the geometric series over `P(k, k)` into one
+    /// division without ever subtracting. An eliminated row is empty.
+    rows: Vec<BTreeMap<usize, Ratio>>,
+    /// `preds[j]`: the rows that hold an entry in column `j < n`. It
+    /// may still list eliminated rows, whose rows are empty.
+    preds: Vec<BTreeSet<usize>>,
+    initial_entries: usize,
+    fill_in: usize,
+}
+
+impl Censor {
+    /// The rows of `states` (in order), each column remapped by
+    /// `column`; an entry that maps onto its own row is a self-loop and
+    /// stays implicit.
+    fn new<S: Ord + Clone>(
+        chain: &MarkovChain<S>,
+        states: &[usize],
+        column: impl Fn(usize) -> usize,
+    ) -> Censor {
+        let n = states.len();
+        let mut rows = vec![BTreeMap::new(); n];
+        let mut preds = vec![BTreeSet::new(); n];
+        let mut initial_entries = 0;
+        for (r, &i) in states.iter().enumerate() {
+            for (j, p) in chain.row(i) {
+                let c = column(*j);
+                if c != r && accumulate(&mut rows[r], c, p.clone()) {
+                    initial_entries += 1;
+                    if c < n {
+                        preds[c].insert(r);
+                    }
+                }
+            }
+        }
+        Censor {
+            rows,
+            preds,
+            initial_entries,
+            fill_in: 0,
+        }
+    }
+
+    /// Censors state `k` out: every live row `i` with an entry in column
+    /// `k` loses it and gains `P(i, k) · P(k, j) / S_k` in each column `j`
+    /// of row `k`. Returns `S_k` and the removed column — the pairs
+    /// `(i, P(i, k))` in ascending `i` — or `None` when `S_k = 0`.
+    fn eliminate(&mut self, k: usize) -> Option<(Ratio, Vec<(usize, Ratio)>)> {
+        let row = std::mem::take(&mut self.rows[k]);
+        let s: Ratio = row.values().cloned().sum();
+        if !s.is_positive() {
+            return None;
+        }
+        let q: Vec<(usize, Ratio)> = row.into_iter().map(|(j, p)| (j, p.div_ref(&s))).collect();
+        let mut column = Vec::new();
+        for i in std::mem::take(&mut self.preds[k]) {
+            let Some(pik) = self.rows[i].remove(&k) else {
+                continue; // an eliminated row
+            };
+            for (j, qj) in &q {
+                if *j == i {
+                    continue; // would be a diagonal entry — kept implicit
+                }
+                if accumulate(&mut self.rows[i], *j, pik.mul_ref(qj)) {
+                    if *j < self.preds.len() {
+                        self.preds[*j].insert(i);
+                    }
+                    self.fill_in += 1;
+                }
+            }
+            column.push((i, pik));
+        }
+        Some((s, column))
+    }
 }
 
 /// The exact stationary distribution of an irreducible chain by sparse
@@ -68,103 +168,49 @@ pub fn stationary_sparse_with_stats<S: Ord + Clone>(
     if !scc::is_irreducible(chain) {
         return Err(StationaryError::NotIrreducible);
     }
-    let n = chain.len();
-    if n == 1 {
-        let stats = GthStats {
-            states: 1,
-            ..GthStats::default()
-        };
-        return Ok((vec![Ratio::one()], stats));
-    }
+    let all: Vec<usize> = (0..chain.len()).collect();
+    class_stationary(chain, &all)
+}
 
-    // Off-diagonal entries only: `rows[i][j] = P(i, j)` for `j ≠ i`,
-    // `cols[j]` = the set of rows holding an entry in column `j`.
-    // Self-loop mass is implicit — GTH renormalizes by the off-diagonal
-    // row sum, which folds the geometric series over `P(k, k)` into one
-    // division without ever subtracting.
-    let mut rows: Vec<BTreeMap<usize, Ratio>> = vec![BTreeMap::new(); n];
-    let mut cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    let mut entries = 0usize;
-    for (i, row) in rows.iter_mut().enumerate() {
-        for (j, p) in chain.row(i) {
-            if *j != i {
-                row.insert(*j, p.clone());
-                cols[*j].insert(i);
-                entries += 1;
-            }
-        }
-    }
-    let initial_entries = entries;
-    let mut fill_in = 0usize;
+/// The stationary distribution of the closed class `members` (sorted
+/// state indices, irreducible — the caller's condensation says so, and
+/// it is not checked again), in `members` order.
+pub(crate) fn class_stationary<S: Ord + Clone>(
+    chain: &MarkovChain<S>,
+    members: &[usize],
+) -> Result<(Vec<Ratio>, GthStats), StationaryError> {
+    let mut censor = Censor::new(chain, members, |j| {
+        members.binary_search(&j).expect("a closed class")
+    });
 
-    // Eliminate states n−1 down to 1. After eliminating k, no update
-    // ever writes a column ≥ k again, so `rows[i][k]` (i < k) freezes at
-    // exactly the censored value `P⁽ᵏ⁾(i, k)` that back-substitution
-    // needs — frozen entries double as the back-substitution table.
-    let mut scale = vec![Ratio::zero(); n];
-    for k in (1..n).rev() {
-        let s: Ratio = rows[k].range(..k).map(|(_, p)| p.clone()).sum();
-        if !s.is_positive() {
-            // Impossible for irreducible chains (each censored chain is
-            // irreducible, so state k exits into {0..k−1}); defensive.
-            return Err(StationaryError::Singular);
-        }
-        let qrow: Vec<(usize, Ratio)> = rows[k]
-            .range(..k)
-            .map(|(j, p)| (*j, p.div_ref(&s)))
-            .collect();
-        scale[k] = s;
-        let preds: Vec<usize> = cols[k].iter().copied().filter(|&i| i < k).collect();
-        for i in preds {
-            let pik = rows[i]
-                .get(&k)
-                .cloned()
-                .expect("cols[k] lists exactly the rows with an entry in column k");
-            for (j, q) in &qrow {
-                if *j == i {
-                    continue; // would be a diagonal entry — kept implicit
-                }
-                let add = pik.mul_ref(q);
-                match rows[i].entry(*j) {
-                    Entry::Occupied(mut e) => {
-                        let v = e.get().add_ref(&add);
-                        *e.get_mut() = v;
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(add);
-                        cols[*j].insert(i);
-                        fill_in += 1;
-                        entries += 1;
-                    }
-                }
-            }
-        }
-    }
+    // Eliminate states n−1 down to 1. The column removed with state k
+    // holds the censored values P⁽ᵏ⁾(i, k), i < k, that
+    // back-substitution needs. `None` is impossible for an irreducible
+    // class (each censored chain is irreducible, so state k exits into
+    // {0..k−1}); defensive.
+    let eliminated = (1..members.len())
+        .rev()
+        .map(|k| censor.eliminate(k).ok_or(StationaryError::Singular))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Back-substitution: π̃_0 = 1 and, restoring states in ascending
     // order, π̃_k · S_k = Σ_{i<k} π̃_i · P⁽ᵏ⁾(i, k) (balance across the
     // cut {0..k−1} | {k} of the censored chain on {0..k}).
-    let mut tilde = vec![Ratio::zero(); n];
-    tilde[0] = Ratio::one();
-    for k in 1..n {
+    let mut tilde = vec![Ratio::one()];
+    for (s, column) in eliminated.iter().rev() {
         let mut acc = Ratio::zero();
-        for &i in &cols[k] {
-            if i >= k {
-                continue;
-            }
-            if let Some(pik) = rows[i].get(&k) {
-                acc = acc.add_ref(&tilde[i].mul_ref(pik));
-            }
+        for (i, pik) in column {
+            acc = acc.add_ref(&tilde[*i].mul_ref(pik));
         }
-        tilde[k] = acc.div_ref(&scale[k]);
+        tilde.push(acc.div_ref(s));
     }
     let total: Ratio = tilde.iter().cloned().sum();
     let pi = tilde.iter().map(|t| t.div_ref(&total)).collect();
     let stats = GthStats {
-        states: n,
-        initial_entries,
-        fill_in,
-        peak_entries: entries,
+        states: members.len(),
+        initial_entries: censor.initial_entries,
+        fill_in: censor.fill_in,
+        peak_entries: censor.initial_entries + censor.fill_in,
     };
     Ok((pi, stats))
 }
@@ -175,11 +221,13 @@ pub fn stationary_sparse_with_stats<S: Ord + Clone>(
 /// and bit-identical to them.
 ///
 /// Works on a censored system whose columns are the transient states
-/// plus one aggregated column per leaf. Every transient state except
-/// `start` is eliminated; the surviving `start` row is then a
-/// distribution over `{start} ∪ leaves`, and conditioning away the
-/// residual self-loop (one division by the row sum — still
-/// subtraction-free) yields the absorption probabilities.
+/// plus one aggregated column per leaf (transitions into different
+/// states of one leaf merge — only the total mass into the leaf matters
+/// for absorption). Every transient state except `start` is eliminated
+/// in descending order; the surviving `start` row is then a distribution
+/// over `{start} ∪ leaves`, and conditioning away the residual self-loop
+/// (one division by the row sum — still subtraction-free) yields the
+/// absorption probabilities.
 ///
 /// `start` must be a transient state of `cond`: it panics otherwise.
 /// [`crate::absorption::absorption_probabilities`], the public entry,
@@ -191,96 +239,38 @@ pub(crate) fn absorption_sparse<S: Ord + Clone>(
     cond: &Condensation,
     start: usize,
 ) -> Result<Vec<(usize, Ratio)>, AbsorptionError> {
+    assert!(
+        !cond.edges[cond.component_of[start]].is_empty(),
+        "absorption_sparse requires a transient start state"
+    );
+    // Columns: the transient states in index order, then one per leaf.
     let leaves = cond.leaves();
-    let mut is_leaf_comp = vec![false; cond.len()];
-    let mut leaf_col = vec![usize::MAX; cond.len()];
-    for (li, &l) in leaves.iter().enumerate() {
-        is_leaf_comp[l] = true;
-        leaf_col[l] = li;
-    }
     let transient: Vec<usize> = (0..chain.len())
-        .filter(|&i| !is_leaf_comp[cond.component_of[i]])
+        .filter(|&i| !cond.edges[cond.component_of[i]].is_empty())
         .collect();
-    let t_index: BTreeMap<usize, usize> =
-        transient.iter().enumerate().map(|(k, &i)| (i, k)).collect();
     let nt = transient.len();
-    let start_t = *t_index
-        .get(&start)
-        .expect("absorption_sparse requires a transient start state");
-
-    // Columns: 0..nt are transient states, nt+li aggregates leaf li
-    // (transitions into different states of one leaf merge — only the
-    // total mass into the leaf matters for absorption).
-    let mut rows: Vec<BTreeMap<usize, Ratio>> = vec![BTreeMap::new(); nt];
-    let mut cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nt];
-    for (k, &i) in transient.iter().enumerate() {
-        for (j, p) in chain.row(i) {
-            let c = match t_index.get(j) {
-                Some(&tj) => tj,
-                None => nt + leaf_col[cond.component_of[*j]],
-            };
-            if c == k {
-                continue; // self-loop — implicit, as in the stationary case
-            }
-            let e = rows[k].entry(c).or_insert_with(Ratio::zero);
-            *e = e.add_ref(p);
-            if c < nt {
-                cols[c].insert(k);
-            }
+    let mut column = vec![0; chain.len()];
+    for (t, &i) in transient.iter().enumerate() {
+        column[i] = t;
+    }
+    for (li, &l) in leaves.iter().enumerate() {
+        for &i in &cond.components[l] {
+            column[i] = nt + li;
         }
     }
-
-    // Censor out every transient state except `start`. Unlike the
-    // stationary solve there is no back-substitution, so eliminated rows
-    // and columns are dropped eagerly — peak memory is the live censored
-    // system, not the elimination history.
-    let mut alive = vec![true; nt];
-    for c in (0..nt).rev() {
-        if c == start_t {
-            continue;
-        }
-        alive[c] = false;
-        let row_c = std::mem::take(&mut rows[c]);
-        let s: Ratio = row_c.values().cloned().sum();
-        if !s.is_positive() {
-            // Impossible: every transient state has an escape route to a
-            // leaf, and censoring preserves reachability; defensive.
-            return Err(AbsorptionError::Singular);
-        }
-        let qrow: Vec<(usize, Ratio)> = row_c.iter().map(|(j, p)| (*j, p.div_ref(&s))).collect();
-        let preds = std::mem::take(&mut cols[c]);
-        for i in preds {
-            if !alive[i] {
-                continue;
-            }
-            let Some(pic) = rows[i].remove(&c) else {
-                continue;
-            };
-            for (j, q) in &qrow {
-                if *j == i {
-                    continue;
-                }
-                let add = pic.mul_ref(q);
-                match rows[i].entry(*j) {
-                    Entry::Occupied(mut e) => {
-                        let v = e.get().add_ref(&add);
-                        *e.get_mut() = v;
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(add);
-                        if *j < nt {
-                            cols[*j].insert(i);
-                        }
-                    }
-                }
-            }
-        }
+    let start_t = column[start];
+    let mut censor = Censor::new(chain, &transient, |j| column[j]);
+    for c in (0..nt).rev().filter(|&c| c != start_t) {
+        // `None` is impossible: every transient state has an escape
+        // route to a leaf, and censoring preserves reachability.
+        censor.eliminate(c).ok_or(AbsorptionError::Singular)?;
     }
 
     // The surviving start row holds only leaf columns; its sum is
     // 1 − P'(start, start), and dividing by it conditions away the
     // residual self-loop.
-    let total: Ratio = rows[start_t].values().cloned().sum();
+    let start_row = &censor.rows[start_t];
+    let total: Ratio = start_row.values().cloned().sum();
     if !total.is_positive() {
         return Err(AbsorptionError::Singular);
     }
@@ -288,7 +278,7 @@ pub(crate) fn absorption_sparse<S: Ord + Clone>(
         .iter()
         .enumerate()
         .map(|(li, &l)| {
-            let mass = rows[start_t]
+            let mass = start_row
                 .get(&(nt + li))
                 .cloned()
                 .unwrap_or_else(Ratio::zero);
@@ -399,6 +389,35 @@ mod tests {
         assert_eq!(stats.fill_in, 0);
         assert_eq!(stats.peak_entries, stats.initial_entries);
         assert!(stats.peak_entries < 4 * n); // linear, nowhere near n²
+    }
+
+    #[test]
+    fn stats_pin_fill_in_on_a_chorded_cycle() {
+        // The 5-cycle 0 → 1 → 2 → 3 → 4 → 0 with chords 0 → 2 and
+        // 3 → 0. Eliminating 4 lands on the existing 3 → 0; eliminating 3
+        // adds 2 → 0 and eliminating 2 adds 1 → 0: fill-in 2 on 7 initial
+        // entries. Balance gives π ∝ (6, 3, 6, 6, 4).
+        let c = MarkovChain::from_rows(
+            vec![0u32, 1, 2, 3, 4],
+            vec![
+                vec![(1, r(1, 2)), (2, r(1, 2))],
+                vec![(2, Ratio::one())],
+                vec![(3, Ratio::one())],
+                vec![(0, r(1, 3)), (4, r(2, 3))],
+                vec![(0, Ratio::one())],
+            ],
+        )
+        .unwrap();
+        let (pi, stats) = stationary_sparse_with_stats(&c).unwrap();
+        let expected = GthStats {
+            states: 5,
+            initial_entries: 7,
+            fill_in: 2,
+            peak_entries: 9,
+        };
+        assert_eq!(stats, expected);
+        assert_eq!(pi, [6, 3, 6, 6, 4].map(|k| r(k, 25)));
+        assert_eq!(pi, dense::stationary(&c).unwrap());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! after `t` steps is within `ε` of stationary *for every start state* —
 //! the quantity Theorem 5.6's sampling algorithm pays for per sample.
 
-use crate::stationary::exact_stationary;
-use crate::{scc, MarkovChain};
+use crate::{gth, scc, MarkovChain};
 use pfq_num::Ratio;
 
 /// Total-variation distance `½·Σ|aᵢ − bᵢ|` between two f64 distributions.
@@ -39,11 +38,7 @@ pub fn mixing_time<S: Ord + Clone>(
     epsilon: f64,
     max_t: usize,
 ) -> Option<usize> {
-    if !scc::is_ergodic(chain) {
-        return None;
-    }
-    let pi: Vec<f64> = exact_stationary(chain)
-        .ok()?
+    let pi: Vec<f64> = ergodic_stationary(chain)?
         .iter()
         .map(Ratio::to_f64)
         .collect();
@@ -85,10 +80,7 @@ pub fn mixing_time_exact<S: Ord + Clone>(
     epsilon: &Ratio,
     max_t: usize,
 ) -> Option<usize> {
-    if !scc::is_ergodic(chain) {
-        return None;
-    }
-    let pi = exact_stationary(chain).ok()?;
+    let pi = ergodic_stationary(chain)?;
     let n = chain.len();
     let mut dists: Vec<Vec<Ratio>> = (0..n)
         .map(|s| {
@@ -111,6 +103,17 @@ pub fn mixing_time_exact<S: Ord + Clone>(
         }
     }
     None
+}
+
+/// The stationary distribution of an ergodic chain; `None` otherwise.
+/// The ergodicity check condenses the chain, so the solve does not
+/// check irreducibility again.
+fn ergodic_stationary<S: Ord + Clone>(chain: &MarkovChain<S>) -> Option<Vec<Ratio>> {
+    if !scc::is_ergodic(chain) {
+        return None;
+    }
+    let all: Vec<usize> = (0..chain.len()).collect();
+    gth::class_stationary(chain, &all).ok().map(|(pi, _)| pi)
 }
 
 #[cfg(test)]

@@ -1,6 +1,9 @@
 //! Stationary distributions: exact (sparse GTH elimination, the
 //! Proposition 5.4 route) and numeric (power iteration on the lazy
-//! chain). The dense Gaussian-elimination oracle lives in [`crate::dense`].
+//! chain). [`exact_stationary`] condenses the chain once to check
+//! irreducibility, then runs the stationary driver of the one GTH
+//! censoring routine ([`crate::gth`]), which the absorption solve shares.
+//! The dense Gaussian-elimination oracle lives in [`crate::dense`].
 
 use crate::{gth, MarkovChain};
 use pfq_num::Ratio;

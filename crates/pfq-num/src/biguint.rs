@@ -135,11 +135,6 @@ impl BigUint {
         matches!(self.limbs, Limbs::Inline([1, 0]))
     }
 
-    /// Whether the value is even (0 counts as even).
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l & 1 == 0)
-    }
-
     /// Number of significant bits (0 for the value 0).
     pub fn bits(&self) -> u64 {
         let limbs = self.limbs();
@@ -159,12 +154,7 @@ impl BigUint {
 
     /// Number of trailing zero bits; `None` for the value 0.
     pub fn trailing_zeros(&self) -> Option<u64> {
-        for (i, &l) in self.limbs.iter().enumerate() {
-            if l != 0 {
-                return Some(i as u64 * 64 + l.trailing_zeros() as u64);
-            }
-        }
-        None
+        trailing_zeros(&self.limbs)
     }
 
     /// Converts to `u64` if the value fits.
@@ -407,35 +397,34 @@ impl BigUint {
         }
     }
 
-    /// [`BigUint::gcd`] on limb vectors, allocating per iteration; the
-    /// path for operands wider than a `u128`.
+    /// [`BigUint::gcd`] on limb vectors: the path for operands wider
+    /// than a `u128`. It subtracts and shifts in place on two owned
+    /// buffers, so a step allocates nothing, and hands off to
+    /// [`gcd_u128`] once both operands fit in one.
     pub(crate) fn gcd_multi_limb(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() {
-            return other.clone();
-        }
-        if other.is_zero() {
-            return self.clone();
-        }
-        let mut a = self.clone();
-        let mut b = other.clone();
-        let za = a.trailing_zeros().unwrap();
-        let zb = b.trailing_zeros().unwrap();
-        let common = za.min(zb);
-        a = a.shr_bits(za);
-        b = b.shr_bits(zb);
+        let (Some(za), Some(zb)) = (self.trailing_zeros(), other.trailing_zeros()) else {
+            return if self.is_zero() { other } else { self }.clone();
+        };
+        let mut a = self.limbs().to_vec();
+        let mut b = other.limbs().to_vec();
+        shr_in_place(&mut a, za);
+        shr_in_place(&mut b, zb);
         // Invariant: a, b both odd.
         loop {
-            match a.cmp(&b) {
+            match cmp_limbs(&a, &b) {
                 Ordering::Equal => break,
                 Ordering::Less => std::mem::swap(&mut a, &mut b),
                 Ordering::Greater => {}
             }
-            a = a.sub_ref(&b);
+            sub_in_place(&mut a, &b);
             // a is now even and nonzero.
-            let z = a.trailing_zeros().unwrap();
-            a = a.shr_bits(z);
+            let z = trailing_zeros(&a).expect("a − b > 0");
+            shr_in_place(&mut a, z);
+            if let (Some(x), Some(y)) = (limbs_to_u128(&a), limbs_to_u128(&b)) {
+                return BigUint::from(gcd_u128(x, y)).shl_bits(za.min(zb));
+            }
         }
-        a.shl_bits(common)
+        BigUint::from_limbs(a).shl_bits(za.min(zb))
     }
 
     /// Number of decimal digits — `self.to_string().len()` without
@@ -529,6 +518,64 @@ pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
     a << common
 }
 
+/// The order of two trimmed limb slices: more limbs is larger, then the
+/// top limbs decide.
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    a.len()
+        .cmp(&b.len())
+        .then_with(|| a.iter().rev().cmp(b.iter().rev()))
+}
+
+/// `a -= b` on trimmed limbs, for `a ≥ b`; keeps `a` trimmed.
+fn sub_in_place(a: &mut Vec<u64>, b: &[u64]) {
+    let mut borrow = false;
+    for (i, x) in a.iter_mut().enumerate() {
+        let (d1, b1) = x.overflowing_sub(b.get(i).copied().unwrap_or(0));
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *x = d2;
+        borrow = b1 | b2;
+    }
+    debug_assert!(!borrow, "limb subtraction underflow");
+    trim(a);
+}
+
+/// `a >>= bits` on trimmed limbs; keeps `a` trimmed.
+fn shr_in_place(a: &mut Vec<u64>, bits: u64) {
+    let limb_shift = ((bits / 64) as usize).min(a.len());
+    a.drain(..limb_shift);
+    let bit_shift = bits % 64;
+    if bit_shift != 0 {
+        for i in 0..a.len() {
+            let hi = a.get(i + 1).map_or(0, |&h| h << (64 - bit_shift));
+            a[i] = a[i] >> bit_shift | hi;
+        }
+    }
+    trim(a);
+}
+
+/// Number of trailing zero bits of limbs; `None` for the value 0.
+fn trailing_zeros(a: &[u64]) -> Option<u64> {
+    let i = a.iter().position(|&l| l != 0)?;
+    Some(i as u64 * 64 + a[i].trailing_zeros() as u64)
+}
+
+/// Drops trailing zero limbs.
+fn trim(a: &mut Vec<u64>) {
+    while a.last() == Some(&0) {
+        a.pop();
+    }
+}
+
+/// The value of trimmed limbs, if it fits in a `u128`.
+fn limbs_to_u128(a: &[u64]) -> Option<u128> {
+    match *a {
+        [] => Some(0),
+        [lo] => Some(lo as u128),
+        [lo, hi] => Some((hi as u128) << 64 | lo as u128),
+        _ => None,
+    }
+}
+
 impl From<u64> for BigUint {
     fn from(v: u64) -> Self {
         BigUint {
@@ -551,11 +598,7 @@ impl Ord for BigUint {
         if let (Limbs::Inline([a0, a1]), Limbs::Inline([b0, b1])) = (&self.limbs, &other.limbs) {
             return (a1, a0).cmp(&(b1, b0));
         }
-        let (a, b) = (self.limbs(), other.limbs());
-        match a.len().cmp(&b.len()) {
-            Ordering::Equal => a.iter().rev().cmp(b.iter().rev()),
-            ord => ord,
-        }
+        cmp_limbs(self.limbs(), other.limbs())
     }
 }
 
@@ -975,6 +1018,43 @@ pub(crate) mod tests {
             let (p, q) = (big(a as u128), big(b as u128));
             for (u, v) in [(&x, &y), (&y, &x), (&x, &z), (&z, &y), (&p, &q), (&x, &BigUint::zero())] {
                 prop_assert_eq!(u.gcd(v), u.gcd_multi_limb(v));
+            }
+        }
+    }
+
+    /// A value of `lo.len() + 1` limbs: `lo` below a nonzero top limb.
+    fn wide(lo: Vec<u64>, top: u64) -> BigUint {
+        let mut limbs = lo;
+        limbs.push(top);
+        BigUint::from_limbs(limbs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+        #[test]
+        fn prop_wide_gcd_matches_euclid(a in proptest::collection::vec(limb(), 2..=7),
+                                        a_top in 1..=u64::MAX,
+                                        b in proptest::collection::vec(limb(), 2..=7),
+                                        b_top in 1..=u64::MAX,
+                                        c in proptest::collection::vec(limb(), 0..=2),
+                                        c_top in 1..=u64::MAX,
+                                        shift in 0u64..130) {
+            // 3–8-limb operands that share the factor `c` (1–3 limbs)
+            // and possibly a power of two, against Euclid on `div_rem`.
+            fn euclid(mut a: BigUint, mut b: BigUint) -> BigUint {
+                while !b.is_zero() {
+                    let r = a.div_rem(&b).1;
+                    a = std::mem::replace(&mut b, r);
+                }
+                a
+            }
+            let (a, b, c) = (wide(a, a_top), wide(b, b_top), wide(c, c_top));
+            let x = a.mul_ref(&c).shl_bits(shift);
+            let y = b.mul_ref(&c);
+            for (u, v) in [(&a, &b), (&x, &y), (&y, &x), (&x, &x), (&x, &BigUint::one())] {
+                let expected = euclid(u.clone(), v.clone());
+                prop_assert_eq!(u.gcd_multi_limb(v), expected.clone());
+                prop_assert_eq!(u.gcd(v), expected);
             }
         }
     }
