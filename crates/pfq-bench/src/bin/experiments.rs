@@ -446,35 +446,52 @@ impl E5Walk {
 }
 
 /// E5b — fixed work at 1/2/4/8 threads. Per-trial seeding makes every
-/// thread count compute the same estimate, asserted to the bit before
-/// timing; only the wall time may change. The trial count gives 8
+/// thread count compute the same estimate, asserted to the bit on every
+/// run; only the wall time may change. The trial count gives 8
 /// threads four 64-trial chunks each, so the sweep times sampling
-/// rather than thread start-up.
+/// rather than thread start-up. Each of the `RUNS` rounds times every
+/// thread count once, in turn, so drift of the host's speed lands on
+/// all of them alike instead of on the speedup column.
 fn e5b_thread_sweep(knobs: &Knobs) {
     const RUNS: usize = 10;
     const TRIALS: usize = 8 * 4 * 64;
+    const THREADS: [usize; 4] = [1, 2, 4, 8];
     let walk = E5Walk::new();
     let baseline = walk.run(knobs, 1, TRIALS).estimate;
-    let mut rows = Vec::new();
-    let mut t_one = None;
-    for threads in [1usize, 2, 4, 8] {
-        assert_eq!(
-            walk.run(knobs, threads, TRIALS).estimate.to_bits(),
-            baseline.to_bits(),
-            "thread count changed the estimate"
-        );
-        let t = time_median(RUNS, || walk.run(knobs, threads, TRIALS));
-        let t_one = *t_one.get_or_insert(t);
-        rows.push(vec![
-            threads.to_string(),
-            fmt_duration(t),
-            format!("{:.1}×", t_one.as_secs_f64() / t.as_secs_f64()),
-        ]);
+    let mut times = vec![Vec::with_capacity(RUNS); THREADS.len()];
+    for _ in 0..RUNS {
+        for (t, &threads) in times.iter_mut().zip(&THREADS) {
+            let (d, report) = time_once(|| walk.run(knobs, threads, TRIALS));
+            assert_eq!(
+                report.estimate.to_bits(),
+                baseline.to_bits(),
+                "thread count changed the estimate"
+            );
+            t.push(d);
+        }
     }
+    let medians: Vec<Duration> = times
+        .into_iter()
+        .map(|mut t| {
+            t.sort();
+            t[RUNS / 2]
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = THREADS
+        .iter()
+        .zip(&medians)
+        .map(|(threads, t)| {
+            vec![
+                threads.to_string(),
+                fmt_duration(*t),
+                format!("{:.1}×", medians[0].as_secs_f64() / t.as_secs_f64()),
+            ]
+        })
+        .collect();
     print_table(
         &format!(
             "E5b — sampler thread sweep (reachability n = 40, {TRIALS} fixed samples, \
-             median of {RUNS} runs; estimate {baseline} bit-identical at every thread count)"
+             median of {RUNS} interleaved runs; estimate {baseline} bit-identical at every thread count)"
         ),
         &["threads", "median wall-clock", "speedup"],
         &rows,
@@ -772,7 +789,10 @@ fn e12_stationary_ablation() {
 }
 
 /// E14 — MCMC programmed in the language: Glauber colorings, exact
-/// uniformity, and mixing diagnostics.
+/// uniformity, and mixing diagnostics. Each row's forever-query "vertex
+/// 0 has color 0", planned under Auto on a fresh engine, must answer
+/// exactly 1/q: the 5-cycle q = 4 chain (240 states) is the one whose
+/// rational elimination took 38 s.
 fn e14_mcmc_coloring() {
     let mut rows = Vec::new();
     let cases = vec![
@@ -787,6 +807,10 @@ fn e14_mcmc_coloring() {
         (
             "4-cycle q=4",
             ColoringMcmc::new(4, vec![(0, 1), (1, 2), (2, 3), (0, 3)], 4),
+        ),
+        (
+            "5-cycle q=4",
+            ColoringMcmc::new(5, vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 4),
         ),
     ];
     for (name, g) in cases {
@@ -809,13 +833,27 @@ fn e14_mcmc_coloring() {
         let t = mixing::mixing_time(&chain, 0.05, 100_000)
             .map(|t| t.to_string())
             .unwrap_or_else(|| "—".into());
+        let (d_query, p) = time_once(|| {
+            Engine::new()
+                .run(&EvalRequest::forever(&query, &db))
+                .unwrap()
+                .into_exact()
+                .unwrap()
+        });
+        assert_eq!(
+            p,
+            Ratio::new(1, g.q as i64),
+            "{name}: Pr(vertex 0 has color 0)"
+        );
         rows.push(vec![
             name.to_string(),
             proper.to_string(),
             reachable.to_string(),
             uniform_ok.to_string(),
             t,
+            p.to_string(),
             fmt_duration(d),
+            fmt_duration(d_query),
         ]);
     }
     print_table(
@@ -826,7 +864,9 @@ fn e14_mcmc_coloring() {
             "reachable states",
             "stationary uniform",
             "t(0.05)",
+            "Pr(v0 = 0)",
             "chain build",
+            "exact query (Auto)",
         ],
         &rows,
     );
@@ -1331,8 +1371,9 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
         })
         .collect();
     let edges = (0..chain.len()).map(|i| chain.row(i).len()).sum::<usize>();
-    // The elimination pattern of the chain's stationary solve, pinned.
-    let (_, gth_stats) = gth::stationary_sparse_with_stats(&chain).unwrap();
+    // The elimination pattern of the chain's stationary solve, pinned,
+    // and the primes its answer needed.
+    let (_, solve_stats) = gth::stationary_solve(&chain).unwrap();
     entries.push(LedgerEntry {
         layer: "solve",
         workload: "E14 4-cycle q = 4: GTH long-run distribution of the Glauber chain".into(),
@@ -1341,8 +1382,9 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
         counters: vec![
             ("chain_states", chain.len() as u64),
             ("edges", edges as u64),
-            ("fill_in", gth_stats.fill_in as u64),
-            ("peak_entries", gth_stats.peak_entries as u64),
+            ("fill_in", solve_stats.gth.fill_in as u64),
+            ("peak_entries", solve_stats.gth.peak_entries as u64),
+            ("primes", solve_stats.primes as u64),
         ],
     });
 

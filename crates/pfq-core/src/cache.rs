@@ -4,16 +4,17 @@
 //! memo of the Prop. 4.4 traversal (interned computation-tree nodes
 //! over their inputs' interned EDBs, successor rows, whole-tree results)
 //! and the chain memo of the Thm. 5.5 construction (interned chain
-//! states over their start databases' interned bases, plus kernel rows).
+//! states over their start databases' interned bases, kernel rows, and
+//! the solved long-run vector of each start state).
 //!
-//! Every row is keyed by `(program id, StateId)`. The program id is the
-//! dense id an `Interner<Program>` (tree) or `Interner<Interpretation>`
-//! (chain) hands out for the program value itself, so two queries share
-//! rows exactly when their programs are equal, and an event plays no
-//! part in the key. Keys and values are *immutable*, so there is no
-//! invalidation story: a cache can be shared across queries, across the
-//! possible worlds of a pc-table, and across repeated evaluations for
-//! the lifetime of a process.
+//! Every row and result is keyed by `(program id, StateId)`. The
+//! program id is the dense id an `Interner<Program>` (tree) or
+//! `Interner<Interpretation>` (chain) hands out for the program value
+//! itself, so two queries share rows exactly when their programs are
+//! equal, and an event plays no part in the key. Keys and values are
+//! *immutable*, so there is no invalidation story: a cache can be shared
+//! across queries, across the possible worlds of a pc-table, and across
+//! repeated evaluations for the lifetime of a process.
 //!
 //! This memoized path is the only one the engine runs. The un-memoized
 //! `enumerate_fixpoints` and the fuzzer's `Database`-keyed reference
@@ -146,15 +147,21 @@ pub(crate) struct ChainState {
     pub(crate) targets: Vec<Relation>,
 }
 
+/// A solved long-run distribution: the chain states with positive
+/// long-run mass, with that mass.
+pub(crate) type LongRun = Arc<Vec<(StateId, Ratio)>>;
+
 /// Memo state of the Thm. 5.5 chain construction: kernels and chain
-/// states interned to dense ids, the bases the states share, and kernel
-/// rows per `(kernel id, StateId)`.
+/// states interned to dense ids, the bases the states share, kernel
+/// rows per `(kernel id, StateId)`, and long-run distributions per
+/// `(kernel id, start StateId)`.
 pub(crate) struct ChainCache {
     kernels: Interner<Interpretation>,
     /// Each distinct start database's non-target relations, once.
     bases: Interner<Database>,
     pub(crate) states: Interner<ChainState>,
     pub(crate) steps: TransitionCache<Row>,
+    pub(crate) long_runs: TransitionCache<LongRun>,
 }
 
 impl ChainCache {
@@ -166,6 +173,7 @@ impl ChainCache {
                 s.targets.iter().map(relation_approx_bytes).sum()
             }),
             steps: TransitionCache::new(),
+            long_runs: TransitionCache::new(),
         }
     }
 
@@ -247,8 +255,8 @@ impl EvalCache {
                 + chain.bases.approx_bytes(),
             step_hits: tree.steps.hits,
             step_misses: tree.steps.misses,
-            result_hits: tree.results.hits,
-            result_misses: tree.results.misses,
+            result_hits: tree.results.hits + chain.long_runs.hits,
+            result_misses: tree.results.misses + chain.long_runs.misses,
             kernel_hits: chain.steps.hits,
             kernel_misses: chain.steps.misses,
         }
@@ -277,9 +285,11 @@ pub struct CacheStats {
     pub step_hits: u64,
     /// Inflationary successor-row lookups that evaluated the rules.
     pub step_misses: u64,
-    /// Whole-tree result lookups served from the memo.
+    /// Whole-query result lookups served from the memo: tree fixpoint
+    /// distributions and chain long-run distributions.
     pub result_hits: u64,
-    /// Whole-tree result lookups that traversed the tree.
+    /// Whole-query result lookups that traversed the tree or solved the
+    /// chain.
     pub result_misses: u64,
     /// Kernel-row lookups served from the memo (non-inflationary).
     pub kernel_hits: u64,

@@ -8,7 +8,7 @@
 //! (Thm. 5.5). The query result is the summed long-run probability of
 //! event states.
 
-use crate::cache::{ChainCache, ChainState};
+use crate::cache::{ChainCache, ChainState, LongRun};
 use crate::{CoreError, EvalCache, ForeverQuery};
 use pfq_algebra::{AlgebraError, CompiledKernel};
 use pfq_data::{Database, StateId};
@@ -83,9 +83,22 @@ pub fn build_chain_interned(
     cache: &mut EvalCache,
 ) -> Result<MarkovChain<StateId>, CoreError> {
     let kernel = CompiledKernel::new(&query.kernel, db)?;
-    let kid = cache.chain.kernel_id(&query.kernel);
-    let start = cache.chain.intern_start(&kernel, db);
-    let ChainCache { states, steps, .. } = &mut cache.chain;
+    let memo = &mut cache.chain;
+    let kid = memo.kernel_id(&query.kernel);
+    let start = memo.intern_start(&kernel, db);
+    explore(&kernel, kid, start, budget, memo)
+}
+
+/// Explores the chain of `kernel` (id `kid`) from the interned state
+/// `start`, through the kernel-row memo.
+fn explore(
+    kernel: &CompiledKernel,
+    kid: StateId,
+    start: StateId,
+    budget: ChainBudget,
+    memo: &mut ChainCache,
+) -> Result<MarkovChain<StateId>, CoreError> {
+    let ChainCache { states, steps, .. } = memo;
     let chain = MarkovChain::explore(
         [start],
         |&sid: &StateId| -> Result<Distribution<StateId>, AlgebraError> {
@@ -112,24 +125,45 @@ pub fn build_chain_interned(
 /// event holds on the random walk of database instances started at `db`.
 /// Builds the interned explicit chain through `cache` (kernel rows
 /// memoized across calls), solves the long-run distribution by sparse GTH
-/// elimination, and sums the event states' mass. Pass a fresh
-/// `EvalCache::default()` for a one-off query.
+/// elimination, and sums the event states' mass. The solved distribution
+/// is memoized per `(kernel id, start state)`, so a later query with an
+/// equal kernel and start database only compiles the kernel, interns its
+/// start and sums its event: it explores nothing, and so charges nothing
+/// to `budget`. Pass a fresh `EvalCache::default()` for a one-off query.
 pub fn evaluate(
     query: &ForeverQuery,
     db: &Database,
     budget: ChainBudget,
     cache: &mut EvalCache,
 ) -> Result<Ratio, CoreError> {
-    let chain = build_chain_interned(query, db, budget, cache)?;
-    let long_run = long_run_distribution(&chain, 0)?;
+    let kernel = CompiledKernel::new(&query.kernel, db)?;
+    let memo = &mut cache.chain;
+    let kid = memo.kernel_id(&query.kernel);
+    let start = memo.intern_start(&kernel, db);
+    let long_run = match memo.long_runs.get(kid, start) {
+        Some(long_run) => long_run,
+        None => {
+            let chain = explore(&kernel, kid, start, budget, memo)?;
+            let mass = long_run_distribution(&chain, 0)?;
+            let long_run: LongRun = Arc::new(
+                chain
+                    .states()
+                    .iter()
+                    .zip(mass)
+                    .filter(|(_, p)| !p.is_zero())
+                    .map(|(sid, p)| (*sid, p))
+                    .collect(),
+            );
+            memo.long_runs.insert(kid, start, long_run.clone());
+            long_run
+        }
+    };
     let targets = kernel_targets(query);
     let mut total = Ratio::zero();
-    for (i, p) in long_run.iter().enumerate() {
-        let sid = *chain.state(i);
-        if !p.is_zero()
-            && query
-                .event
-                .holds_in(&|name| cache.chain.relation(&targets, sid, name))
+    for (sid, p) in long_run.iter() {
+        if query
+            .event
+            .holds_in(&|name| memo.relation(&targets, *sid, name))
         {
             total = total.add_ref(p);
         }
@@ -312,16 +346,59 @@ mod tests {
         let mut cache = EvalCache::default();
         evaluate(&q1, &db, ChainBudget::default(), &mut cache).unwrap();
         let cold = cache.stats();
-        assert_eq!(cold.kernel_hits, 0);
-        assert_eq!(cold.kernel_misses, 3);
+        assert_eq!((cold.result_hits, cold.result_misses), (0, 1));
+        assert_eq!((cold.kernel_hits, cold.kernel_misses), (0, 3));
         assert_eq!(cold.db_states, 3);
-        // Same kernel, different event: every row is served from the memo.
+        // Same kernel and start, different event: the long-run vector is
+        // served from the memo, and no kernel row is even looked up.
         let (q2, _) = walk_query(2);
         let p = evaluate(&q2, &db, ChainBudget::default(), &mut cache).unwrap();
         assert_eq!(p, Ratio::new(1, 4));
         let warm = cache.stats();
-        assert_eq!(warm.kernel_hits, 3);
-        assert_eq!(warm.kernel_misses, 3);
+        assert_eq!((warm.result_hits, warm.result_misses), (1, 1));
+        assert_eq!((warm.kernel_hits, warm.kernel_misses), (0, 3));
         assert_eq!(warm.db_states, 3);
+    }
+
+    #[test]
+    fn another_start_of_an_explored_chain_reuses_its_rows() {
+        // The walker starts at 2 instead of 1: a new start state, so a
+        // long-run miss, but its chain is the one already explored, so
+        // every kernel row is a hit.
+        let edges = [
+            (1, 2, Value::frac(1, 2)),
+            (1, 3, Value::frac(1, 2)),
+            (2, 1, Value::from(1)),
+            (3, 1, Value::from(1)),
+        ];
+        let (q, from_1) = walk(&edges, 1, 1);
+        let (_, from_2) = walk(&edges, 2, 1);
+        let mut cache = EvalCache::default();
+        evaluate(&q, &from_1, ChainBudget::default(), &mut cache).unwrap();
+        let p = evaluate(&q, &from_2, ChainBudget::default(), &mut cache).unwrap();
+        assert_eq!(p, Ratio::new(1, 2));
+        let stats = cache.stats();
+        assert_eq!((stats.result_hits, stats.result_misses), (0, 2));
+        assert_eq!((stats.kernel_hits, stats.kernel_misses), (3, 3));
+        assert_eq!(stats.db_states, 3);
+    }
+
+    /// A warm memo serves the long-run vector without charging the chain
+    /// budget: the budget bounds exploration actually performed, as the
+    /// node budget does for trees.
+    #[test]
+    fn warm_memo_bypasses_chain_budget() {
+        let (q, db) = walk_query(1);
+        let mut cache = EvalCache::default();
+        evaluate(&q, &db, ChainBudget::default(), &mut cache).unwrap();
+        let none = ChainBudget {
+            max_states: 0,
+            world_limit: 0,
+        };
+        assert_eq!(
+            evaluate(&q, &db, none, &mut cache).unwrap(),
+            Ratio::new(1, 2)
+        );
+        assert!(evaluate(&q, &db, none, &mut EvalCache::default()).is_err());
     }
 }

@@ -14,6 +14,9 @@ use pfq_data::Database;
 use pfq_datalog::eval::CompiledProgram;
 use pfq_datalog::inflationary::{step_distribution, EngineState, StepScratch};
 use pfq_datalog::{DatalogError, Program};
+use pfq_markov::stationary::exact_stationary;
+use pfq_markov::MarkovChain;
+use pfq_num::modular::{self, Crt};
 use pfq_num::{Distribution, Ratio};
 use std::collections::BTreeMap;
 
@@ -30,6 +33,13 @@ pub enum Fault {
     /// any chain not yet stationary at that depth (periodic chains make
     /// it flagrant).
     BurnInOffByOne,
+    /// The multi-modular stationary solve's Chinese remaindering drops
+    /// the residues of the last prime it combines, so Wang's
+    /// reconstruction rebuilds a vector from too small a modulus. Not a
+    /// campaign fault ([`Fault::parse`] does not name it): production
+    /// returns no vector that [`pfq_markov::certify`] has not accepted,
+    /// and the certificate alone is what rejects this one.
+    DroppedCrtResidue,
 }
 
 impl Fault {
@@ -104,12 +114,45 @@ pub fn burn_in_off_by_one(
     )
 }
 
+/// The reconstruction of [`pfq_markov::stationary::exact_stationary`]
+/// with the [`Fault::DroppedCrtResidue`] defect, returned unchecked. A
+/// lucky prime's modular solve yields the residues of the exact answer,
+/// so they are taken from it. Primes are combined one at a time, as
+/// production does, until the reconstruction is the answer; the defect
+/// returns the vector rebuilt without the residues of that last prime
+/// (`None` when the chain is not irreducible, when one prime suffices,
+/// or when no vector within Wang's bounds fits the shorter modulus).
+pub fn stationary_dropped_residue<S: Ord + Clone>(chain: &MarkovChain<S>) -> Option<Vec<Ratio>> {
+    let exact = exact_stationary(chain).ok()?;
+    let mut crt: Option<Crt> = None;
+    let mut without_last = None;
+    for p in modular::primes() {
+        let residues: Vec<u64> = exact.iter().map(|x| p.residue(x)).collect::<Option<_>>()?;
+        let crt = match &mut crt {
+            Some(crt) => {
+                crt.push(p, &residues);
+                crt
+            }
+            None => crt.insert(Crt::new(p, residues)),
+        };
+        let rebuilt = crt.reconstruct();
+        if rebuilt.as_ref() == Some(&exact) {
+            // BUG (seeded): the last prime's residues are dropped.
+            return without_last;
+        }
+        without_last = rebuilt;
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pfq_data::{Relation, Schema, Tuple, Value};
     use pfq_datalog::inflationary::enumerate_fixpoints;
     use pfq_datalog::parse_program;
+    use pfq_markov::certify;
+    use pfq_num::{BigInt, BigUint};
 
     /// Choice, then symmetric closure, then a guard that fires only
     /// once the closure completes: the two coin-flip branches converge
@@ -145,6 +188,33 @@ mod tests {
             "seeded fault failed to lose mass: total = {}",
             bad.total_mass()
         );
+    }
+
+    /// 0 ⇄ 1 with exit probabilities 3⁴¹/2¹¹⁰ and 1/3: the stationary
+    /// vector needs three primes. Rebuilt from two, it is a positive
+    /// vector summing to 1, so only `π P = π` tells it from the answer.
+    #[test]
+    fn certificate_alone_rejects_a_dropped_crt_residue() {
+        let a = Ratio::from_parts(
+            BigInt::from(BigUint::from(3u64).pow(41)),
+            BigUint::from(2u64).pow(110),
+        );
+        let b = Ratio::new(1, 3);
+        let chain = MarkovChain::from_rows(
+            vec![0u32, 1],
+            vec![
+                vec![(0, Ratio::one().sub_ref(&a)), (1, a)],
+                vec![(0, b.clone()), (1, Ratio::one().sub_ref(&b))],
+            ],
+        )
+        .unwrap();
+        let good = exact_stationary(&chain).unwrap();
+        let bad = stationary_dropped_residue(&chain).expect("a vector within Wang's bounds");
+        assert_ne!(bad, good);
+        assert!(bad.iter().all(Ratio::is_positive));
+        assert!(bad.iter().sum::<Ratio>().is_one());
+        assert!(!certify::stationary(&chain, &[0, 1], &bad));
+        assert!(certify::stationary(&chain, &[0, 1], &good));
     }
 
     #[test]

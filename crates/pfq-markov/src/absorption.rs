@@ -14,10 +14,11 @@
 //! leaf; we compute the same absorption probabilities exactly — the
 //! solution of the linear system `(I − Q)·a = b` over the transient
 //! states — by censoring the transient states out with sparse GTH
-//! elimination ([`crate::gth`]), an implementation choice documented in
-//! `DESIGN.md`. Both factors come from one condensation: each leaf's
-//! `π_L` is solved on its member list by the same censoring routine,
-//! without copying the leaf out as a sub-chain.
+//! elimination ([`crate::gth`]) modulo word-sized primes, accepting only
+//! what the exact checks of [`crate::certify`] accept, an implementation
+//! choice documented in `DESIGN.md`. Both factors come from one
+//! condensation: each leaf's `π_L` is solved on its member list by the
+//! same censoring routine, without copying the leaf out as a sub-chain.
 //! [`crate::dense::long_run_distribution`] solves the same systems
 //! densely and is kept as the differential oracle.
 
@@ -57,7 +58,7 @@ impl std::error::Error for AbsorptionError {}
 /// pairs over the condensation `cond`; probabilities sum to 1.
 ///
 /// Computed by censored GTH elimination of the transient states
-/// ([`crate::gth`]); the dense oracle
+/// ([`crate::gth`]), certified exactly; the dense oracle
 /// [`crate::dense::absorption_probabilities`] returns the same values.
 pub fn absorption_probabilities<S: Ord + Clone>(
     chain: &MarkovChain<S>,
@@ -105,15 +106,8 @@ pub fn long_run_distribution<S: Ord + Clone>(
         }
         let members = &cond.components[leaf];
         let (pi, _) = gth::class_stationary(chain, members).map_err(AbsorptionError::Stationary)?;
-        // A certain leaf (an irreducible chain, or a start inside the
-        // leaf) keeps π as solved: `mul_ref` by one still runs a GCD per
-        // wide entry.
         for (&state, p) in members.iter().zip(pi) {
-            result[state] = if p_absorb.is_one() {
-                p
-            } else {
-                p_absorb.mul_ref(&p)
-            };
+            result[state] = p_absorb.mul_ref(&p);
         }
     }
     Ok(result)

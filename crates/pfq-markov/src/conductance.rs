@@ -25,16 +25,17 @@ use pfq_num::Ratio;
 /// Returns `None` when the chain is not irreducible.
 pub fn is_reversible<S: Ord + Clone>(chain: &MarkovChain<S>) -> Option<bool> {
     let pi = exact_stationary(chain).ok()?;
-    for i in 0..chain.len() {
-        for (j, p_ij) in chain.row(i) {
-            let flow_ij = pi[i].mul_ref(p_ij);
-            let flow_ji = pi[*j].mul_ref(&chain.prob(*j, i));
-            if flow_ij != flow_ji {
-                return Some(false);
-            }
-        }
-    }
-    Some(true)
+    Some(reversible(chain, &pi))
+}
+
+/// Detailed balance against the stationary distribution `pi`.
+fn reversible<S: Ord + Clone>(chain: &MarkovChain<S>, pi: &[Ratio]) -> bool {
+    (0..chain.len()).all(|i| {
+        chain
+            .row(i)
+            .iter()
+            .all(|(j, p_ij)| pi[i].mul_ref(p_ij) == pi[*j].mul_ref(&chain.prob(*j, i)))
+    })
 }
 
 /// Whether every state holds at least probability 1/2 (a *lazy* chain —
@@ -54,12 +55,17 @@ pub fn is_lazy<S: Ord + Clone>(chain: &MarkovChain<S>) -> bool {
 /// states (use sampling-based estimates beyond that). Returns `None` if
 /// the chain is not irreducible.
 pub fn conductance<S: Ord + Clone>(chain: &MarkovChain<S>) -> Option<Ratio> {
+    let pi = exact_stationary(chain).ok()?;
+    conductance_of(chain, &pi)
+}
+
+/// [`conductance`] against the stationary distribution `pi`.
+fn conductance_of<S: Ord + Clone>(chain: &MarkovChain<S>, pi: &[Ratio]) -> Option<Ratio> {
     let n = chain.len();
     assert!(
         n <= 25,
         "exact conductance enumerates 2^n subsets; n = {n} is too large"
     );
-    let pi = exact_stationary(chain).ok()?;
     // Precompute edge flows π_i·P(i,j).
     let flows: Vec<Vec<(usize, Ratio)>> = (0..n)
         .map(|i| {
@@ -102,24 +108,25 @@ pub fn conductance<S: Ord + Clone>(chain: &MarkovChain<S>) -> Option<Ratio> {
 
 /// The Jerrum–Sinclair upper bound `t(ε) ≤ (2/Φ²)·ln(1/(ε·π_min))` for
 /// lazy reversible chains. Returns `None` when the preconditions fail
-/// (not irreducible, not lazy, not reversible) or `Φ = 0`.
+/// (not irreducible, not lazy, not reversible) or `Φ = 0`. The
+/// stationary distribution is solved once, for all three of its uses.
 pub fn cheeger_mixing_bound<S: Ord + Clone>(chain: &MarkovChain<S>, epsilon: f64) -> Option<f64> {
     assert!(epsilon > 0.0 && epsilon < 1.0);
-    if !is_lazy(chain) || is_reversible(chain) != Some(true) {
+    if !is_lazy(chain) {
         return None;
     }
-    let phi_exact = conductance(chain)?;
+    let pi = exact_stationary(chain).ok()?;
+    if !reversible(chain, &pi) {
+        return None;
+    }
+    let phi_exact = conductance_of(chain, &pi)?;
     if !phi_exact.is_positive() {
         return None;
     }
     // The bound itself involves ln(), so f64 enters only here — after
     // the conductance minimisation has been decided exactly.
     let phi = phi_exact.to_f64();
-    let pi_min = exact_stationary(chain)
-        .ok()?
-        .iter()
-        .map(Ratio::to_f64)
-        .fold(f64::INFINITY, f64::min);
+    let pi_min = pi.iter().map(Ratio::to_f64).fold(f64::INFINITY, f64::min);
     Some((2.0 / (phi * phi)) * (1.0 / (epsilon * pi_min)).ln())
 }
 

@@ -15,7 +15,10 @@
 //! * [`stationary`] — stationary distributions, exactly (sparse GTH
 //!   elimination) and numerically (lazy-chain power iteration);
 //! * [`gth`] — the sparse, subtraction-free Grassmann–Taksar–Heyman
-//!   state-elimination solver behind every exact computation;
+//!   state-elimination solver behind every exact computation, run modulo
+//!   word-sized primes;
+//! * [`certify`] — the exact checks that alone decide whether a solved
+//!   vector is accepted;
 //! * [`absorption`] — exact absorption probabilities into the closed
 //!   (leaf) SCCs and the resulting long-run time-average distribution,
 //!   i.e. the Theorem 5.5 algorithm;
@@ -27,6 +30,7 @@
 //!   (the §5.1 pointer to rapid-mixing certificates).
 
 pub mod absorption;
+pub mod certify;
 pub mod chain;
 pub mod conductance;
 pub mod dense;

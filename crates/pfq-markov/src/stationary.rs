@@ -1,9 +1,10 @@
-//! Stationary distributions: exact (sparse GTH elimination, the
-//! Proposition 5.4 route) and numeric (power iteration on the lazy
-//! chain). [`exact_stationary`] condenses the chain once to check
-//! irreducibility, then runs the stationary driver of the one GTH
-//! censoring routine ([`crate::gth`]), which the absorption solve shares.
-//! The dense Gaussian-elimination oracle lives in [`crate::dense`].
+//! Stationary distributions: exact (sparse GTH elimination modulo
+//! word-sized primes, certified exactly — the Proposition 5.4 route)
+//! and numeric (power iteration on the lazy chain). [`exact_stationary`]
+//! condenses the chain once to check irreducibility, then runs the
+//! stationary driver of the one GTH censoring routine ([`crate::gth`]),
+//! which the absorption solve shares. The dense Gaussian-elimination
+//! oracle lives in [`crate::dense`].
 
 use crate::{gth, MarkovChain};
 use pfq_num::Ratio;
@@ -44,12 +45,13 @@ impl std::error::Error for StationaryError {}
 /// and equals the Cesàro (time-average) limit — precisely the paper's
 /// `Pr(s)` for forever-queries.
 ///
-/// Computed by sparse GTH elimination ([`crate::gth`]); the dense oracle
+/// Computed by sparse GTH elimination modulo primes and accepted by an
+/// exact check ([`crate::gth`]); the dense oracle
 /// [`crate::dense::stationary`] returns the same vector bit for bit.
 pub fn exact_stationary<S: Ord + Clone>(
     chain: &MarkovChain<S>,
 ) -> Result<Vec<Ratio>, StationaryError> {
-    gth::stationary_sparse_with_stats(chain).map(|(pi, _)| pi)
+    gth::stationary_solve(chain).map(|(pi, _)| pi)
 }
 
 /// Approximates the stationary distribution by power iteration on the

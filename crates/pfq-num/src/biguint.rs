@@ -389,8 +389,11 @@ impl BigUint {
 
     /// Greatest common divisor (binary/Stein algorithm). Operands that
     /// fit in a `u128` are reduced in registers, without allocating per
-    /// step.
+    /// step; a unit operand answers at once, however wide the other.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
+        if self.is_one() || other.is_one() {
+            return BigUint::one();
+        }
         match (self.to_u128(), other.to_u128()) {
             (Some(a), Some(b)) => BigUint::from(gcd_u128(a, b)),
             _ => self.gcd_multi_limb(other),
@@ -834,6 +837,15 @@ pub(crate) mod tests {
         let a = BigUint::from(3u64).pow(40).shl_bits(50);
         let b = BigUint::from(3u64).pow(20).shl_bits(70);
         assert_eq!(a.gcd(&b), BigUint::from(3u64).pow(20).shl_bits(50));
+    }
+
+    #[test]
+    fn gcd_with_one_is_one_on_a_wide_operand() {
+        let wide = BigUint::from(3u64).pow(400);
+        assert_eq!(wide.limbs().len(), 10);
+        assert_eq!(wide.gcd(&BigUint::one()), BigUint::one());
+        assert_eq!(BigUint::one().gcd(&wide), BigUint::one());
+        assert_eq!(wide.gcd_multi_limb(&BigUint::one()), BigUint::one());
     }
 
     #[test]

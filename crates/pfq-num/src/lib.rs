@@ -14,7 +14,9 @@
 //!   Algorithm D division, binary GCD),
 //! * [`BigInt`] — signed wrapper,
 //! * [`Ratio`] — always-normalized exact rationals with total order and
-//!   hashing, the probability type used throughout the workspace.
+//!   hashing, the probability type used throughout the workspace;
+//! * [`modular`] — arithmetic modulo word-sized primes, Chinese
+//!   remaindering and rational reconstruction, for multi-modular solves.
 //!
 //! The API is deliberately minimal: only the operations the query engine
 //! needs, all exact, all deterministic.
@@ -22,6 +24,7 @@
 pub mod bigint;
 pub mod biguint;
 pub mod dist;
+pub mod modular;
 pub mod ratio;
 
 pub use bigint::{BigInt, Sign};

@@ -207,13 +207,27 @@ impl Ratio {
 
     /// [`Ratio::mul_ref`] on limb vectors, for nonzero operands.
     fn mul_multi_limb(&self, other: &Ratio) -> Ratio {
+        if other.is_one() {
+            return self.clone();
+        }
+        if self.is_one() {
+            return other.clone();
+        }
         // Cross-reduce before multiplying to keep intermediates small.
+        // A unit gcd (always, when a factor is ±1) divides nothing out.
+        let reduce = |x: &BigUint, g: &BigUint| {
+            if g.is_one() {
+                x.clone()
+            } else {
+                x.div_rem(g).0
+            }
+        };
         let g1 = self.num.magnitude().gcd(&other.den);
         let g2 = other.num.magnitude().gcd(&self.den);
-        let (n1, _) = self.num.magnitude().div_rem(&g1);
-        let (d2, _) = other.den.div_rem(&g1);
-        let (n2, _) = other.num.magnitude().div_rem(&g2);
-        let (d1, _) = self.den.div_rem(&g2);
+        let n1 = reduce(self.num.magnitude(), &g1);
+        let d2 = reduce(&other.den, &g1);
+        let n2 = reduce(other.num.magnitude(), &g2);
+        let d1 = reduce(&self.den, &g2);
         let sign = if self.num.sign() == other.num.sign() {
             Sign::Positive
         } else {

@@ -9,9 +9,9 @@
 
 use pfq::lang::exact_noninflationary::{build_chain, ChainBudget};
 use pfq::markov::absorption::long_run_distribution;
-use pfq::markov::dense;
 use pfq::markov::stationary::exact_stationary;
 use pfq::markov::MarkovChain;
+use pfq::markov::{dense, gth};
 use pfq::num::Ratio;
 use pfq::workloads::coloring::ColoringMcmc;
 use pfq::workloads::exact::chain_probability;
@@ -122,6 +122,27 @@ proptest! {
         let dense = reference_chain_probability(&q, &db, ChainBudget::default()).unwrap();
         let sparse = chain_probability(&q, &db);
         prop_assert_eq!(dense, sparse);
+    }
+}
+
+proptest! {
+    // Dense elimination of a 60-state chain with 200-bit answers is
+    // slow in a debug build, so this property runs fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The production solve, modulo primes and certified, equals the
+    /// dense reference where the answers need several primes: on
+    /// 30–60-state chains with up to four exits per state (60 states
+    /// take about seven 62-bit primes), both irreducible and reducible.
+    #[test]
+    fn prop_multi_prime_answers_match_dense(seed in any::<u64>(), n in 30usize..61) {
+        let chain = random_ergodic(seed, n, 2);
+        let (sparse, stats) = gth::stationary_solve(&chain).unwrap();
+        prop_assert_eq!(&dense::stationary(&chain).unwrap(), &sparse);
+        prop_assert!(stats.primes >= 2, "{} primes", stats.primes);
+        let chain = random_reducible(seed, n);
+        let dense = dense::long_run_distribution(&chain, 0).unwrap();
+        prop_assert_eq!(&dense, &long_run_distribution(&chain, 0).unwrap());
     }
 }
 
