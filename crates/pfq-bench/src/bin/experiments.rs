@@ -983,8 +983,8 @@ fn e16_stationary_scaling() {
     let mut rows = Vec::new();
     for n in [200usize, 800, GATE, 3200] {
         let chain = lazy_birth_death_chain(n);
-        let (d_gth, (pi_gth, stats)) =
-            time_once(|| gth::stationary_sparse_with_stats(&chain).unwrap());
+        let (d_gth, (pi_gth, gth::SolveStats { gth: stats, .. })) =
+            time_once(|| gth::stationary_solve(&chain).unwrap());
         assert!(
             stats.peak_entries < 20 * n,
             "GTH peak memory not linear: {} entries at n = {n}",
@@ -1023,6 +1023,47 @@ fn e16_stationary_scaling() {
         ],
         &rows,
     );
+    e16b_many_leaves();
+}
+
+/// E16b — the absorption solve of a reducible chain with many leaves,
+/// as a kernel with many fixpoints has. The hub moves to one of `n`
+/// branch states uniformly; each branch state returns to the hub or
+/// falls into its own absorbing leaf with probability 1/2 each, so
+/// every leaf's long-run mass is exactly 1/n (asserted). The solve's
+/// work must stay near linear in the number of states.
+fn e16b_many_leaves() {
+    let mut rows = Vec::new();
+    for n in [100usize, 400, 1600] {
+        let chain = fan_of_leaves(n);
+        let mass = long_run_distribution(&chain, 0).unwrap();
+        let d = time_median(5, || long_run_distribution(&chain, 0).unwrap());
+        let leaf = Ratio::new(1, n as i64);
+        assert!(
+            mass[..=n].iter().all(Ratio::is_zero) && mass[n + 1..].iter().all(|p| *p == leaf),
+            "fan of {n} leaves: wrong long-run distribution"
+        );
+        rows.push(vec![
+            n.to_string(),
+            chain.len().to_string(),
+            fmt_duration(d),
+        ]);
+    }
+    print_table(
+        "E16b — long-run solve of a hub with n branch states, each over its own absorbing leaf (every leaf 1/n, asserted; median of 5)",
+        &["leaves", "states", "long-run solve"],
+        &rows,
+    );
+}
+
+/// E16b's chain: hub 0, branch states `1..=n`, leaf `n + t` under
+/// branch `t`.
+fn fan_of_leaves(n: usize) -> pfq_markov::MarkovChain<usize> {
+    let hub = vec![(1..=n).map(|t| (t, Ratio::new(1, n as i64))).collect()];
+    let branches = (1..=n).map(|t| vec![(0, Ratio::new(1, 2)), (n + t, Ratio::new(1, 2))]);
+    let leaves = (n + 1..=2 * n).map(|l| vec![(l, Ratio::one())]);
+    let rows = hub.into_iter().chain(branches).chain(leaves).collect();
+    pfq_markov::MarkovChain::from_rows((0..=2 * n).collect(), rows).unwrap()
 }
 
 /// E17 — the engine planner: `Strategy::Auto` vs forced paths. On the

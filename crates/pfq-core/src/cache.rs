@@ -63,6 +63,11 @@ impl<V: Clone> TransitionCache<V> {
         found
     }
 
+    /// The entry for `(program, state)`, without counting a lookup.
+    pub(crate) fn peek(&self, program: StateId, state: StateId) -> Option<&V> {
+        self.map.get(&(program, state))
+    }
+
     /// Stores the entry for `(program, state)`.
     pub(crate) fn insert(&mut self, program: StateId, state: StateId, value: V) {
         self.map.insert((program, state), value);
@@ -148,8 +153,12 @@ pub(crate) struct ChainState {
 }
 
 /// A solved long-run distribution: the chain states with positive
-/// long-run mass, with that mass.
-pub(crate) type LongRun = Arc<Vec<(StateId, Ratio)>>;
+/// long-run mass, with that mass, and the number of states the chain
+/// it was solved on has.
+pub(crate) struct LongRun {
+    pub(crate) states: usize,
+    pub(crate) mass: Vec<(StateId, Ratio)>,
+}
 
 /// Memo state of the Thm. 5.5 chain construction: kernels and chain
 /// states interned to dense ids, the bases the states share, kernel
@@ -161,7 +170,7 @@ pub(crate) struct ChainCache {
     bases: Interner<Database>,
     pub(crate) states: Interner<ChainState>,
     pub(crate) steps: TransitionCache<Row>,
-    pub(crate) long_runs: TransitionCache<LongRun>,
+    pub(crate) long_runs: TransitionCache<Arc<LongRun>>,
 }
 
 impl ChainCache {

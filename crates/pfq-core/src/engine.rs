@@ -703,19 +703,21 @@ impl Planner {
             Task::Forever { .. } => {}
         }
         // Explicit-chain probe: the Thm 5.5 exact solve when the chain
-        // fits, Thm 5.6 restart sampling otherwise.
+        // fits, Thm 5.6 restart sampling otherwise. A chain whose
+        // long-run distribution is memoized is not explored again; its
+        // size still decides, so the memo never changes the choice.
         let (fq, db) = forever.expect("a chain task has a forever-query");
-        let strategy = match exact_noninflationary::build_chain_interned(
-            fq,
-            db,
-            request.chain_budget,
-            cache,
-        ) {
-            Ok(chain) => {
+        let budget = request.chain_budget;
+        let explored = match exact_noninflationary::memoized_states(fq, db, cache)? {
+            Some(states) if states <= budget.max_states => Ok(states),
+            _ => exact_noninflationary::build_chain_interned(fq, db, budget, cache)
+                .map(|chain| chain.len()),
+        };
+        let strategy = match explored {
+            Ok(states) => {
                 notes.push(format!(
-                    "explicit chain fits: {} states (≤{} budget)",
-                    chain.len(),
-                    request.chain_budget.max_states
+                    "explicit chain fits: {states} states (≤{} budget)",
+                    budget.max_states
                 ));
                 Strategy::ExactChain
             }

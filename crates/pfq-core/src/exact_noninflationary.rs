@@ -89,6 +89,25 @@ pub fn build_chain_interned(
     explore(&kernel, kid, start, budget, memo)
 }
 
+/// The number of states of the chain of `query` from `db` when its
+/// long-run distribution is memoized (the planner's chain probe then
+/// explores nothing); `None` otherwise. Counts no memo lookup: the
+/// evaluation that follows counts its own.
+pub(crate) fn memoized_states(
+    query: &ForeverQuery,
+    db: &Database,
+    cache: &mut EvalCache,
+) -> Result<Option<usize>, CoreError> {
+    let kernel = CompiledKernel::new(&query.kernel, db)?;
+    let memo = &mut cache.chain;
+    let kid = memo.kernel_id(&query.kernel);
+    let start = memo.intern_start(&kernel, db);
+    Ok(memo
+        .long_runs
+        .peek(kid, start)
+        .map(|long_run| long_run.states))
+}
+
 /// Explores the chain of `kernel` (id `kid`) from the interned state
 /// `start`, through the kernel-row memo.
 fn explore(
@@ -145,22 +164,23 @@ pub fn evaluate(
         None => {
             let chain = explore(&kernel, kid, start, budget, memo)?;
             let mass = long_run_distribution(&chain, 0)?;
-            let long_run: LongRun = Arc::new(
-                chain
+            let long_run = Arc::new(LongRun {
+                states: chain.len(),
+                mass: chain
                     .states()
                     .iter()
                     .zip(mass)
                     .filter(|(_, p)| !p.is_zero())
                     .map(|(sid, p)| (*sid, p))
                     .collect(),
-            );
+            });
             memo.long_runs.insert(kid, start, long_run.clone());
             long_run
         }
     };
     let targets = kernel_targets(query);
     let mut total = Ratio::zero();
-    for (sid, p) in long_run.iter() {
+    for (sid, p) in &long_run.mass {
         if query
             .event
             .holds_in(&|name| memo.relation(&targets, *sid, name))
@@ -381,6 +401,28 @@ mod tests {
         assert_eq!((stats.result_hits, stats.result_misses), (0, 2));
         assert_eq!((stats.kernel_hits, stats.kernel_misses), (3, 3));
         assert_eq!(stats.db_states, 3);
+    }
+
+    /// Under `Strategy::Auto` the planner's chain probe consults the
+    /// long-run memo before exploring: a repeated query looks up no
+    /// kernel row, in the probe or in the evaluation.
+    #[test]
+    fn auto_probe_is_served_by_the_long_run_memo() {
+        let (q1, db) = walk_query(1);
+        let (q2, _) = walk_query(2);
+        let mut engine = Engine::new();
+        let p1 = engine.run(&EvalRequest::forever(&q1, &db)).unwrap();
+        assert_eq!(p1.into_exact().unwrap(), Ratio::new(1, 2));
+        // The probe explores the chain and the evaluation walks it again
+        // through the row memo.
+        let cold = engine.stats();
+        assert_eq!((cold.result_hits, cold.result_misses), (0, 1));
+        assert_eq!((cold.kernel_hits, cold.kernel_misses), (3, 3));
+        let p2 = engine.run(&EvalRequest::forever(&q2, &db)).unwrap();
+        assert_eq!(p2.into_exact().unwrap(), Ratio::new(1, 4));
+        let warm = engine.stats();
+        assert_eq!((warm.result_hits, warm.result_misses), (1, 1));
+        assert_eq!((warm.kernel_hits, warm.kernel_misses), (3, 3));
     }
 
     /// A warm memo serves the long-run vector without charging the chain

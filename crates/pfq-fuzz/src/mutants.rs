@@ -33,13 +33,6 @@ pub enum Fault {
     /// any chain not yet stationary at that depth (periodic chains make
     /// it flagrant).
     BurnInOffByOne,
-    /// The multi-modular stationary solve's Chinese remaindering drops
-    /// the residues of the last prime it combines, so Wang's
-    /// reconstruction rebuilds a vector from too small a modulus. Not a
-    /// campaign fault ([`Fault::parse`] does not name it): production
-    /// returns no vector that [`pfq_markov::certify`] has not accepted,
-    /// and the certificate alone is what rejects this one.
-    DroppedCrtResidue,
 }
 
 impl Fault {
@@ -115,13 +108,20 @@ pub fn burn_in_off_by_one(
 }
 
 /// The reconstruction of [`pfq_markov::stationary::exact_stationary`]
-/// with the [`Fault::DroppedCrtResidue`] defect, returned unchecked. A
-/// lucky prime's modular solve yields the residues of the exact answer,
-/// so they are taken from it. Primes are combined one at a time, as
-/// production does, until the reconstruction is the answer; the defect
-/// returns the vector rebuilt without the residues of that last prime
-/// (`None` when the chain is not irreducible, when one prime suffices,
-/// or when no vector within Wang's bounds fits the shorter modulus).
+/// with a seeded defect, returned unchecked: its Chinese remaindering
+/// drops the residues of the last prime it combines, so Wang's
+/// reconstruction rebuilds a vector from too small a modulus. Not a
+/// campaign fault: production returns no vector that
+/// [`pfq_markov::certify`] has not accepted, and the certificate alone
+/// is what rejects this one.
+///
+/// A lucky prime's modular solve yields the residues of the exact
+/// answer, so they are taken from it. Primes are combined one at a
+/// time, as production does, until the reconstruction is the answer;
+/// the defect returns the vector rebuilt without the residues of that
+/// last prime (`None` when the chain is not irreducible, when one prime
+/// suffices, or when no vector within Wang's bounds fits the shorter
+/// modulus).
 pub fn stationary_dropped_residue<S: Ord + Clone>(chain: &MarkovChain<S>) -> Option<Vec<Ratio>> {
     let exact = exact_stationary(chain).ok()?;
     let mut crt: Option<Crt> = None;

@@ -7,9 +7,10 @@
 //! chain's edges and shares no code with the solver.
 //!
 //! Both systems checked have exactly one solution: the stationary
-//! distribution of an irreducible class, and the absorption
-//! probabilities of the transient states, where `I − Q` is invertible
-//! because every transient state reaches a leaf. So a vector that
+//! distribution of an irreducible class, and the expected visits of a
+//! walk to the transient states before absorption, `x (I − Q) = e_s`,
+//! where `I − Q` is invertible because every transient state reaches a
+//! leaf. So a vector that
 //! passes *is* the exact answer, whatever produced it. The condensation
 //! that says which states form a class, or are transient, is the
 //! caller's (computed by [`crate::scc`], not by the solver).
@@ -37,47 +38,40 @@ pub fn stationary<S: Ord + Clone>(chain: &MarkovChain<S>, members: &[usize], pi:
     inflow == pi && pi.iter().sum::<Ratio>().is_one()
 }
 
-/// Whether `h` holds the absorption probabilities of `cond`'s
-/// transient states: `h[t · L + l]` for the `t`-th state outside every
-/// leaf (in index order) and the `l`-th of the `L` leaves of
-/// [`Condensation::leaves`]. For every such state `i` and leaf `l`,
-/// `h(i, l) = Σ_j P(i, j) · h(j, l)`, where `h(j, l)` is 1 for `j` in
-/// leaf `l` and 0 for `j` in another leaf.
+/// Whether `x` holds the expected visits of a walk from the transient
+/// state `start` to each of `cond`'s transient states (those outside
+/// every leaf of [`Condensation::leaves`], in index order) before it is
+/// absorbed: `x_i = [i = start] + Σ_t x_t · P(t, i)` over the transient
+/// states `t`.
 pub fn absorption<S: Ord + Clone>(
     chain: &MarkovChain<S>,
     cond: &Condensation,
-    h: &[Ratio],
+    start: usize,
+    x: &[Ratio],
 ) -> bool {
-    let leaves = cond.leaves();
-    let nl = leaves.len();
-    let mut leaf_of = vec![None; cond.len()];
-    for (l, &c) in leaves.iter().enumerate() {
-        leaf_of[c] = Some(l);
+    let mut is_leaf = vec![false; cond.len()];
+    for l in cond.leaves() {
+        is_leaf[l] = true;
     }
-    let leaf = |i: usize| leaf_of[cond.component_of[i]];
-    let transient: Vec<usize> = (0..chain.len()).filter(|&i| leaf(i).is_none()).collect();
-    if h.len() != transient.len() * nl {
+    let transient: Vec<usize> = (0..chain.len())
+        .filter(|&i| !is_leaf[cond.component_of[i]])
+        .collect();
+    let Ok(s) = transient.binary_search(&start) else {
+        return false; // not a transient start
+    };
+    if x.len() != transient.len() {
         return false;
     }
-    let mut position = vec![0; chain.len()];
-    for (t, &i) in transient.iter().enumerate() {
-        position[i] = t;
-    }
-    transient.iter().zip(h.chunks(nl.max(1))).all(|(&i, h_i)| {
-        let mut next = vec![Ratio::zero(); nl];
-        for (j, p) in chain.row(i) {
-            match leaf(*j) {
-                Some(l) => next[l] = next[l].add_ref(p),
-                None => {
-                    let h_j = &h[position[*j] * nl..][..nl];
-                    for (x, y) in next.iter_mut().zip(h_j) {
-                        *x = x.add_ref(&p.mul_ref(y));
-                    }
-                }
+    let mut inflow = vec![Ratio::zero(); transient.len()];
+    inflow[s] = Ratio::one();
+    for (x_t, &t) in x.iter().zip(&transient) {
+        for (j, p) in chain.row(t) {
+            if let Ok(b) = transient.binary_search(j) {
+                inflow[b] = inflow[b].add_ref(&x_t.mul_ref(p));
             }
         }
-        next == h_i
-    })
+    }
+    inflow == x
 }
 
 #[cfg(test)]
@@ -108,8 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn absorption_checks_every_transient_state() {
-        // 0 → {0: 1/2, 1: 1/8, 2: 3/8}; 1 and 2 absorbing.
+    fn absorption_accepts_only_the_expected_visits() {
+        // 0 → {0: 1/2, 1: 1/8, 2: 3/8}; 1 and 2 absorbing. A walk from 0
+        // stays there 1 / (1 − 1/2) = 2 visits.
         let c = MarkovChain::from_rows(
             vec![0u32, 1, 2],
             vec![
@@ -120,16 +115,10 @@ mod tests {
         )
         .unwrap();
         let cond = condensation(&c);
-        let leaves = cond.leaves();
-        let into = |state: usize, p: Ratio, q: Ratio| {
-            if cond.components[leaves[0]] == [state] {
-                vec![p, q]
-            } else {
-                vec![q, p]
-            }
-        };
-        assert!(absorption(&c, &cond, &into(1, r(1, 4), r(3, 4))));
-        assert!(!absorption(&c, &cond, &into(1, r(3, 4), r(1, 4))));
-        assert!(!absorption(&c, &cond, &[r(1, 4)]));
+        assert!(absorption(&c, &cond, 0, &[r(2, 1)]));
+        assert!(!absorption(&c, &cond, 0, &[r(1, 1)]));
+        assert!(!absorption(&c, &cond, 0, &[r(2, 1), r(0, 1)]));
+        // A start inside a leaf has no visits to certify.
+        assert!(!absorption(&c, &cond, 1, &[r(2, 1)]));
     }
 }

@@ -47,8 +47,8 @@
 //! Eliminating state `k` merges its `out(k)` entries into each of the
 //! `in(k)` rows that point at it, where `in`/`out` are the live
 //! degrees of `k` in the censored chain: `Σ_k in(k)·out(k)` word
-//! operations per prime, plus the merges' passes over the rows they
-//! rebuild. Memory is at most `initial entries + fill-in` — for banded
+//! operations per prime, plus the merges' passes over the row tails
+//! they rebuild. Memory is at most `initial entries + fill-in` — for banded
 //! chains (birth–death queues) and other kernels with bounded row width,
 //! *linear* in the number of states, versus the `O(n²)` memory and
 //! `O(n³)` time of the dense path. The pattern does not depend on the
@@ -191,7 +191,7 @@ type Row<E> = Vec<(usize, E)>;
 
 /// A chain under censoring: the one elimination routine behind both
 /// solves. Rows `0..n` can be eliminated; a column `≥ n` only receives
-/// mass (the absorption solve's leaf columns).
+/// mass (the absorption solve's sink column).
 struct Censor<A: Arith> {
     arith: A,
     /// Off-diagonal entries only: `rows[i]` holds `(j, P(i, j))` for
@@ -204,8 +204,8 @@ struct Censor<A: Arith> {
     /// once, in no particular order. It may still list eliminated rows,
     /// whose rows are empty.
     preds: Vec<Vec<usize>>,
-    /// The buffer a row update merges into; it trades places with the
-    /// row it rebuilds, so updates reuse two allocations.
+    /// The buffer a row update merges the row's tail into before
+    /// appending it back, reused by every update.
     scratch: Row<A::Elem>,
     initial_entries: usize,
     fill_in: usize,
@@ -215,9 +215,6 @@ struct Censor<A: Arith> {
 struct Eliminated<E> {
     /// `1 / S_k`.
     s_inv: E,
-    /// Row `k` as it was eliminated, divided by `S_k`: the pairs
-    /// `(j, P⁽ᵏ⁾(k, j) / S_k)` in ascending `j`.
-    row: Row<E>,
     /// The removed column: the pairs `(i, P⁽ᵏ⁾(i, k))`.
     column: Vec<(usize, E)>,
 }
@@ -296,10 +293,15 @@ impl<A: Arith> Censor<A> {
             };
             let (_, pik) = row.remove(at);
             // Merge P(i, k) · q into the row, both sorted by column; a
-            // diagonal entry (j = i) stays implicit.
+            // diagonal entry (j = i) stays implicit. Entries left of
+            // the first column the update touches stay where they are.
+            let from = match q.iter().find(|e| e.0 != i) {
+                Some(&(first, _)) => row.partition_point(|e| e.0 < first),
+                None => row.len(),
+            };
             let merged = &mut self.scratch;
             merged.clear();
-            let mut old = row.drain(..).peekable();
+            let mut old = row.drain(from..).peekable();
             for (j, qj) in &q {
                 if *j == i {
                     continue;
@@ -318,14 +320,10 @@ impl<A: Arith> Censor<A> {
                 }
             }
             merged.extend(old);
-            std::mem::swap(row, merged);
+            row.append(merged);
             column.push((i, pik));
         }
-        Ok(Eliminated {
-            s_inv,
-            row: q,
-            column,
-        })
+        Ok(Eliminated { s_inv, column })
     }
 
     fn stats(&self) -> GthStats {
@@ -405,61 +403,53 @@ impl Layout {
     }
 }
 
-/// The absorption driver: `h[t · L + l]`, the probability that a walk
-/// from transient state `t` (in [`Layout::transient`] order) is absorbed
-/// into leaf `l` of `L`.
+/// The absorption driver: `x[t]`, the expected number of visits a
+/// walk from transient state `survivor` pays to transient state `t` (in
+/// [`Layout::transient`] order) before it is absorbed into a leaf.
 ///
 /// Works on a censored system whose columns are the transient states
-/// plus one aggregated column per leaf (transitions into different
-/// states of one leaf merge — only the total mass into the leaf matters
-/// for absorption). Every transient state except `survivor` is
-/// eliminated in descending order; the surviving row is then a
-/// distribution over itself and the leaves, and conditioning away its
-/// self-loop (one division by the row sum — still subtraction-free)
-/// gives its absorption probabilities. The others follow by
-/// back-substitution in ascending order: an eliminated state's `h` is
-/// its row at elimination (divided by `S_k`) applied to the `h` of the
-/// states that were still live, all of them solved before it.
+/// plus one sink column that every leaf state maps onto: the visits
+/// depend only on the total mass a state loses to the leaves, so the
+/// rows stay as short as the transient part. Every transient state
+/// except `survivor` is eliminated in descending order; the surviving
+/// row then holds only the sink, so the walk stays at `survivor` for
+/// `1 / S` visits, where `S` is that entry. Censoring keeps every live state's
+/// visits, so an eliminated state `k` balances its inflow in the chain
+/// censored when it went: `x_k · S_k = Σ_i x_i · P⁽ᵏ⁾(i, k)` over the
+/// rows still live then, all of them solved before it when
+/// back-substituting in ascending order, as the stationary driver does.
+/// The walk leaves transient state `t` for leaf `l` `x_t · P(t, l)`
+/// times in expectation, which sums to the absorption probability.
 fn absorption_in<A: Arith, S: Ord + Clone>(
     a: A,
     chain: &MarkovChain<S>,
     layout: &Layout,
     survivor: usize,
 ) -> Result<Vec<A::Elem>, Fail> {
-    let (nt, nl) = (layout.transient.len(), layout.leaves);
-    let mut censor = Censor::new(a, chain, &layout.transient, |j| layout.column[j])?;
+    let nt = layout.transient.len();
+    let mut censor = Censor::new(a, chain, &layout.transient, |j| layout.column[j].min(nt))?;
     let eliminated = (0..nt)
         .rev()
         .filter(|&c| c != survivor)
-        .map(|c| censor.eliminate(c).map(|e| (c, e.row)))
+        .map(|c| censor.eliminate(c).map(|e| (c, e.s_inv, e.column)))
         .collect::<Result<Vec<_>, _>>()?;
 
-    // The surviving row holds only leaf columns.
+    // The surviving row holds only the sink.
     let last = &censor.rows[survivor];
     if last.is_empty() {
         return Err(Fail::Singular);
     }
-    let total_inv = a
+    let mut x = vec![a.zero(); nt];
+    x[survivor] = a
         .recip(&sum(a, last.iter().map(|e| &e.1)))
         .ok_or(Fail::Unlucky)?;
-    let mut h = vec![a.zero(); nt * nl];
-    for (j, mass) in last {
-        h[survivor * nl + (j - nt)] = a.mul(mass, &total_inv);
+    for (c, s_inv, column) in eliminated.into_iter().rev() {
+        let inflow = column
+            .iter()
+            .fold(a.zero(), |acc, (i, pik)| a.add(&acc, &a.mul(&x[*i], pik)));
+        x[c] = a.mul(&inflow, &s_inv);
     }
-    for (c, row) in eliminated.into_iter().rev() {
-        let mut hc = vec![a.zero(); nl];
-        for (j, q) in &row {
-            if *j < nt {
-                for (x, hj) in hc.iter_mut().zip(&h[j * nl..(j + 1) * nl]) {
-                    *x = a.add(x, &a.mul(q, hj));
-                }
-            } else {
-                hc[j - nt] = a.add(&hc[j - nt], q);
-            }
-        }
-        h[c * nl..(c + 1) * nl].clone_from_slice(&hc);
-    }
-    Ok(h)
+    Ok(x)
 }
 
 /// Solves modulo one prime of `primes` after another, Chinese
@@ -497,16 +487,9 @@ fn solve_certified(
 }
 
 /// The exact stationary distribution of an irreducible chain, plus the
-/// fill-in counters. The distribution is bit-identical to
+/// fill-in counters and the number of primes the answer needed. The
+/// distribution is bit-identical to
 /// [`dense::stationary`](crate::dense::stationary).
-pub fn stationary_sparse_with_stats<S: Ord + Clone>(
-    chain: &MarkovChain<S>,
-) -> Result<(Vec<Ratio>, GthStats), StationaryError> {
-    stationary_solve(chain).map(|(pi, stats)| (pi, stats.gth))
-}
-
-/// [`stationary_sparse_with_stats`], also counting the primes the
-/// answer needed.
 pub fn stationary_solve<S: Ord + Clone>(
     chain: &MarkovChain<S>,
 ) -> Result<(Vec<Ratio>, SolveStats), StationaryError> {
@@ -550,10 +533,11 @@ fn class_stationary_with<S: Ord + Clone>(
 /// Exact absorption probabilities into each leaf SCC by sparse
 /// censoring — the GTH counterpart of the dense `(I − Q)·a = b` solves
 /// in [`dense::absorption_probabilities`](crate::dense::absorption_probabilities),
-/// and bit-identical to them. The certificate covers every transient
-/// state, so the probabilities from all of them are solved, though only
-/// `start`'s are returned; a chain with a single leaf is absorbed there
-/// with certainty and needs no solve.
+/// and bit-identical to them. The modular solve yields the expected
+/// visits of a walk from `start` to every transient state; once
+/// [`certify::absorption`] accepts them, the absorption probabilities
+/// are their exact sums over the edges into each leaf. A chain with a
+/// single leaf is absorbed there with certainty and needs no solve.
 ///
 /// `start` must be a transient state of `cond`: it panics otherwise.
 /// [`crate::absorption::absorption_probabilities`], the public entry,
@@ -585,18 +569,22 @@ fn absorption_with<S: Ord + Clone>(
     }
     let layout = Layout::new(cond);
     let survivor = layout.column[start];
-    let (h, _) = solve_certified(
+    let (x, _) = solve_certified(
         primes,
         |p| absorption_in(p, chain, &layout, survivor),
-        |h| certify::absorption(chain, cond, h),
+        |x| certify::absorption(chain, cond, start, x),
     )
     .map_err(|_| AbsorptionError::Singular)?;
-    let nl = leaves.len();
-    Ok(leaves
-        .into_iter()
-        .zip(&h[survivor * nl..(survivor + 1) * nl])
-        .map(|(l, p)| (l, p.clone()))
-        .collect())
+    let nt = layout.transient.len();
+    let mut absorbed = vec![Ratio::zero(); layout.leaves];
+    for (x_t, &t) in x.iter().zip(&layout.transient) {
+        for (j, p) in chain.row(t) {
+            if let Some(l) = layout.column[*j].checked_sub(nt) {
+                absorbed[l] = absorbed[l].add_ref(&x_t.mul_ref(p));
+            }
+        }
+    }
+    Ok(leaves.into_iter().zip(absorbed).collect())
 }
 
 #[cfg(test)]
@@ -697,7 +685,7 @@ mod tests {
             })
             .collect();
         let c = MarkovChain::from_rows((0..n as u32).collect(), rows).unwrap();
-        let (pi, stats) = stationary_sparse_with_stats(&c).unwrap();
+        let (pi, SolveStats { gth: stats, .. }) = stationary_solve(&c).unwrap();
         assert_eq!(pi, dense::stationary(&c).unwrap());
         assert_eq!(stats.fill_in, 0);
         assert_eq!(stats.peak_entries, stats.initial_entries);
@@ -721,7 +709,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let (pi, stats) = stationary_sparse_with_stats(&c).unwrap();
+        let (pi, SolveStats { gth: stats, .. }) = stationary_solve(&c).unwrap();
         let expected = GthStats {
             states: 5,
             initial_entries: 7,
@@ -810,10 +798,14 @@ mod tests {
         stationary_in(Exact, chain, &all).unwrap()
     }
 
-    /// The rational instantiation of the absorption driver, from every
-    /// transient state.
-    fn absorption_exact(chain: &MarkovChain<u32>, cond: &Condensation) -> Vec<Ratio> {
-        absorption_in(Exact, chain, &Layout::new(cond), 0).unwrap()
+    /// The rational instantiation of the absorption driver: the expected
+    /// visits from the `survivor`-th transient state.
+    fn absorption_exact(
+        chain: &MarkovChain<u32>,
+        cond: &Condensation,
+        survivor: usize,
+    ) -> Vec<Ratio> {
+        absorption_in(Exact, chain, &Layout::new(cond), survivor).unwrap()
     }
 
     /// The 5-cycle with chords of `stats_pin_fill_in_on_a_chorded_cycle`.
@@ -860,36 +852,49 @@ mod tests {
     }
 
     #[test]
-    fn absorption_certifies_every_transient_state() {
+    fn absorption_certifies_expected_visits() {
         let c = three_leaves();
         let cond = condensation(&c);
-        let exact = absorption_exact(&c, &cond);
-        assert!(certify::absorption(&c, &cond, &exact));
-        // The transient states are 0, 1 and 8; from 8, half into B
-        // ({5}) and half into C ({6, 7}).
-        let leaves = cond.leaves();
-        let at = |t: usize, state: usize| {
-            let l = leaves
-                .iter()
-                .position(|&l| cond.components[l].contains(&state));
-            exact[t * leaves.len() + l.unwrap()].clone()
+        // The transient states are 0, 1 and 8. From 0: x₀ = 1 + x₀/4 +
+        // x₁/3 and x₁ = x₀/2, so x = (12/7, 6/7, 0), and the walk
+        // leaves for A ({2, 3, 4}) x₁ · 2/3 = 4/7 and for B ({5})
+        // x₀ · 1/4 = 3/7 times. From 8: one visit, then half into B and
+        // half into C ({6, 7}).
+        let from_0 = absorption_exact(&c, &cond, 0);
+        assert_eq!(from_0, [r(12, 7), r(6, 7), r(0, 1)]);
+        assert!(certify::absorption(&c, &cond, 0, &from_0));
+        let from_8 = absorption_exact(&c, &cond, 2);
+        assert_eq!(from_8, [r(0, 1), r(0, 1), r(1, 1)]);
+        assert!(certify::absorption(&c, &cond, 8, &from_8));
+        let into = |start: usize, state: usize| {
+            let probs = absorption_sparse(&c, &cond, start).unwrap();
+            let (_, p) = probs
+                .into_iter()
+                .find(|(l, _)| cond.components[*l].contains(&state))
+                .unwrap();
+            p
         };
-        assert_eq!((at(2, 5), at(2, 6), at(2, 2)), (r(1, 2), r(1, 2), r(0, 1)));
-        assert_eq!((at(0, 2), at(0, 5)), (r(4, 7), r(3, 7)));
+        assert_eq!(
+            (into(0, 2), into(0, 5), into(0, 6)),
+            (r(4, 7), r(3, 7), r(0, 1))
+        );
+        assert_eq!(
+            (into(8, 2), into(8, 5), into(8, 6)),
+            (r(0, 1), r(1, 2), r(1, 2))
+        );
         for start in [0, 1, 8] {
-            let t = [0, 1, 8].iter().position(|&s| s == start).unwrap();
-            let solved = absorption_sparse(&c, &cond, start).unwrap();
-            let want: Vec<(usize, Ratio)> = leaves
-                .iter()
-                .enumerate()
-                .map(|(li, &l)| (l, exact[t * leaves.len() + li].clone()))
-                .collect();
-            assert_eq!(solved, want, "start {start}");
+            assert_eq!(
+                absorption_sparse(&c, &cond, start).unwrap(),
+                dense::absorption_probabilities(&c, &cond, start).unwrap(),
+                "start {start}"
+            );
         }
-        // A corrupted entry fails the certificate.
-        let mut bad = exact.clone();
+        // A corrupted entry, or another start's visits, fail the
+        // certificate.
+        let mut bad = from_0.clone();
         bad[0] = bad[0].add_ref(&r(1, 1000));
-        assert!(!certify::absorption(&c, &cond, &bad));
+        assert!(!certify::absorption(&c, &cond, 0, &bad));
+        assert!(!certify::absorption(&c, &cond, 8, &from_0));
     }
 
     #[test]

@@ -247,29 +247,15 @@ impl Crt {
     /// of each entry; `None` when some entry has no fraction within the
     /// bounds the modulus allows. A result is the answer only if it is
     /// within the bounds: the caller must check it.
-    ///
-    /// With one prime, an entry whose residue times the common
-    /// denominator of the entries before it is already a small integer
-    /// is read off without a Euclid run; Wang's uniqueness makes that
-    /// the fraction the run would find.
     pub fn reconstruct(&self) -> Option<Vec<Ratio>> {
         match &self.values {
             Residues::Word { p, values } => {
                 let k = wang_exponent(64 - p.get().leading_zeros() as u64);
                 let bound = (1u64 << k) - 1;
-                let mut common = 1u64;
                 values
                     .iter()
                     .map(|&u| {
-                        let y = p.mul(u, common);
-                        if y <= bound && common <= bound {
-                            return Some(Ratio::new(y as i64, common as i64));
-                        }
                         let (n, d) = wang_word(u, p.get(), bound)?;
-                        let lcm = common / gcd_u64(common, d) * d;
-                        if lcm <= bound {
-                            common = lcm;
-                        }
                         Some(Ratio::new(n, d as i64))
                     })
                     .collect()
