@@ -782,11 +782,7 @@ fn select(pred: &CPred, rel: &Relation, schema: &Schema) -> Result<Relation, Alg
 }
 
 fn project(idx: &[usize], rel: &Relation, schema: &Schema) -> Relation {
-    let mut out = Relation::empty(schema.clone());
-    for t in rel.iter() {
-        out.insert(t.project(idx));
-    }
-    out
+    Relation::from_rows(schema.clone(), rel.iter().map(|t| t.project(idx)))
 }
 
 /// Set union, reusing an owned operand's tuple set.
@@ -802,11 +798,7 @@ fn union<'v>(left: Val<'v>, right: Val<'v>, schema: &Schema) -> Val<'v> {
         (l, Val::Own(r)) => (r, l),
         (l, r) => (l.into_owned(schema), r),
     };
-    for t in other.iter() {
-        if !out.contains(t) {
-            out.insert(t.clone());
-        }
-    }
+    out.extend(other.iter().cloned());
     Val::Own(out)
 }
 
@@ -817,9 +809,7 @@ fn difference<'v>(left: Val<'v>, right: Val<'v>, schema: &Schema) -> Val<'v> {
     }
     match left {
         Val::Own(mut out) => {
-            for t in right.iter() {
-                out.remove(t);
-            }
+            out.retain(|t| !right.contains(t));
             Val::Own(out)
         }
         left => {

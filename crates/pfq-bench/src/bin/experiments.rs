@@ -1311,9 +1311,11 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
         counters: vec![("ops", ops.len() as u64), ("spilled", spilled as u64)],
     });
 
-    // One exact pc-table evaluation on a fresh memo, per tree node.
+    // One exact pc-table evaluation on a fresh memo, per tree node, and
+    // dropping that memo afterwards, per interned tree node.
     let mut stats = EvalCache::default().stats();
     let mut step_ms = Vec::new();
+    let mut drop_ns = Vec::new();
     let per_node = (0..reps)
         .map(|_| {
             let mut cache = EvalCache::default();
@@ -1323,6 +1325,8 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
             });
             stats = cache.stats();
             step_ms.push(d.as_secs_f64() * 1e3);
+            let (freed, ()) = time_once(|| drop(cache));
+            drop_ns.push(freed.as_secs_f64() * 1e9 / stats.engine_states as f64);
             d.as_secs_f64() * 1e9 / stats.engine_states as f64
         })
         .collect();
@@ -1337,6 +1341,13 @@ fn ledger_entries(runs: usize, seed: u64) -> Vec<LedgerEntry> {
         unit: "ns/tree node",
         runs: per_node,
         counters: tree_counters.clone(),
+    });
+    entries.push(LedgerEntry {
+        layer: "teardown",
+        workload: format!("{e1}: dropping the memo of that exact run"),
+        unit: "ns/tree node",
+        runs: drop_ns,
+        counters: vec![("tree_nodes", stats.engine_states as u64)],
     });
 
     // Interning every successor the same trees produce, in order.

@@ -117,7 +117,7 @@ fn tree_state_approx_bytes(state: &TreeState) -> usize {
         .engine
         .old_vals()
         .iter()
-        .flatten()
+        .flat_map(|vals| vals.iter())
         .map(|t| t.values().iter().map(value_approx_bytes).sum::<usize>())
         .sum();
     database_approx_bytes(&state.engine.idb) + vals

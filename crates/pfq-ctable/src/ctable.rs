@@ -131,7 +131,7 @@ impl PcDatabase {
 
     /// Adds a certain (unconditioned) relation under `name`.
     pub fn add_certain(&mut self, name: impl Into<String>, rel: Relation) {
-        self.certain.set(name, rel);
+        self.certain.set(name.into(), rel);
     }
 
     /// The declared variables.

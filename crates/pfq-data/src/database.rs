@@ -3,12 +3,23 @@
 use crate::{Relation, Schema, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A relational database instance.
 ///
 /// `Database` is `Ord + Hash`, so the non-inflationary evaluator can use
 /// instances directly as the states of its Markov chain, and the
 /// inflationary evaluator as nodes of its computation tree.
+///
+/// Each relation sits behind an [`Arc`] under an `Arc<str>` name, so
+/// cloning a database copies one map of pointers, and a clone shares
+/// every relation with its original. Writes are copy-on-write:
+/// [`get_mut`](Self::get_mut) and [`insert_tuple`](Self::insert_tuple)
+/// copy a relation only while it is still shared, and
+/// [`clear_tuples`](Self::clear_tuples) swaps a shared relation for an
+/// empty one. A computation step that adds tuples to one relation thus
+/// costs that relation, and its successor shares the rest. Hashing a
+/// database reads each relation's cached content hash.
 ///
 /// ```
 /// use pfq_data::{tuple, Database, Relation, Schema};
@@ -18,10 +29,13 @@ use std::fmt;
 /// );
 /// assert_eq!(db.get("E").unwrap().len(), 2);
 /// assert!(db.get("E").unwrap().contains(&tuple![1, 2]));
+/// let mut grown = db.clone();
+/// grown.insert_tuple("E", tuple![3, 4]).unwrap();
+/// assert_eq!(db.get("E").unwrap().len(), 2);
 /// ```
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Database {
-    relations: BTreeMap<String, Relation>,
+    relations: BTreeMap<Arc<str>, Arc<Relation>>,
 }
 
 impl Database {
@@ -30,42 +44,53 @@ impl Database {
         Database::default()
     }
 
-    /// Adds (or replaces) a relation under `name`.
-    pub fn set(&mut self, name: impl Into<String>, rel: Relation) {
-        self.relations.insert(name.into(), rel);
+    /// Adds (or replaces) a relation under `name`. An `Arc<Relation>` is
+    /// stored as given, shared with its other holders.
+    pub fn set(&mut self, name: impl Into<Arc<str>>, rel: impl Into<Arc<Relation>>) {
+        self.relations.insert(name.into(), rel.into());
     }
 
     /// Builder-style [`set`](Self::set).
-    pub fn with(mut self, name: impl Into<String>, rel: Relation) -> Database {
+    pub fn with(mut self, name: impl Into<Arc<str>>, rel: impl Into<Arc<Relation>>) -> Database {
         self.set(name, rel);
         self
     }
 
     /// Declares an empty relation with the given schema (for IDB targets).
-    pub fn declare(&mut self, name: impl Into<String>, schema: Schema) {
+    pub fn declare(&mut self, name: impl Into<Arc<str>>, schema: Schema) {
         self.set(name, Relation::empty(schema));
+    }
+
+    /// Sets every relation of `other` into `self` under its name,
+    /// replacing a relation of that name and sharing `other`'s.
+    pub fn overlay(&mut self, other: &Database) {
+        for (name, rel) in &other.relations {
+            self.relations.insert(name.clone(), rel.clone());
+        }
     }
 
     /// The relation named `name`, if present.
     pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
+        self.relations.get(name).map(|r| &**r)
     }
 
     /// The relation named `name`; `Err` with a useful message otherwise.
     pub fn expect(&self, name: &str) -> Result<&Relation, String> {
-        self.relations
-            .get(name)
+        self.get(name)
             .ok_or_else(|| format!("no relation named {name:?} in database"))
     }
 
-    /// Removes the relation named `name`, returning it if present.
-    pub fn remove(&mut self, name: &str) -> Option<Relation> {
+    /// Removes the relation named `name`, returning it (still shared
+    /// with any other holder) if present.
+    pub fn remove(&mut self, name: &str) -> Option<Arc<Relation>> {
         self.relations.remove(name)
     }
 
-    /// Mutable access to the relation named `name`.
+    /// Mutable access to the relation named `name`. A relation shared
+    /// with another database is copied first, so the others never see
+    /// the write.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        self.relations.get_mut(name)
+        self.relations.get_mut(name).map(Arc::make_mut)
     }
 
     /// Whether a relation named `name` exists.
@@ -75,30 +100,83 @@ impl Database {
 
     /// Relation names in sorted order.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.relations.keys().map(String::as_str)
+        self.relations.keys().map(|n| &**n)
     }
 
     /// All `(name, relation)` pairs in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> + '_ {
-        self.relations.iter().map(|(n, r)| (n.as_str(), r))
+        self.relations.iter().map(|(n, r)| (&**n, &**r))
     }
 
     /// Inserts a tuple into the named relation; `Err` if it is missing.
+    /// A shared relation is copied only if `t` is new to it.
     pub fn insert_tuple(&mut self, name: &str, t: Tuple) -> Result<bool, String> {
         match self.relations.get_mut(name) {
-            Some(r) => Ok(r.insert(t)),
+            Some(r) if r.contains(&t) => Ok(false),
+            Some(r) => Ok(Arc::make_mut(r).insert(t)),
             None => Err(format!("no relation named {name:?} in database")),
         }
     }
 
-    /// Empties every relation, keeping its name and schema.
+    /// Empties every relation, keeping its name and schema. A relation
+    /// held only here is emptied in place and keeps its storage; a
+    /// shared one is replaced by a new empty relation, not copied.
     pub fn clear_tuples(&mut self) {
-        self.relations.values_mut().for_each(Relation::clear);
+        for rel in self.relations.values_mut() {
+            if rel.is_empty() {
+                continue;
+            }
+            match Arc::get_mut(rel) {
+                Some(own) => own.clear(),
+                None => *rel = Arc::new(Relation::empty(rel.schema().clone())),
+            }
+        }
+    }
+
+    /// Makes `self` equal to `source` without giving up what it can
+    /// reuse: when both have the same relation names and schemas, each
+    /// relation already shared with `source` is kept, one held only here
+    /// is overwritten in place (its storage kept), and any other is
+    /// replaced by `source`'s, shared. Otherwise `self` becomes a plain
+    /// clone of `source`.
+    pub fn reset_from(&mut self, source: &Database) {
+        let same_shape = self.relations.len() == source.relations.len()
+            && self
+                .relations
+                .iter()
+                .zip(&source.relations)
+                .all(|((n, r), (m, s))| n == m && r.schema() == s.schema());
+        if !same_shape {
+            *self = source.clone();
+            return;
+        }
+        for (mine, theirs) in self.relations.values_mut().zip(source.relations.values()) {
+            reset_shared(mine, theirs);
+        }
+    }
+
+    /// Per relation, the tuples `self` has and `earlier` lacks; relations
+    /// with none are left out, so an empty result means nothing was
+    /// added. A relation still shared with `earlier` is skipped without
+    /// a look at its tuples. Every relation of `self` must exist in
+    /// `earlier`.
+    pub fn added_since(&self, earlier: &Database) -> Database {
+        let mut added = Database::new();
+        for (name, rel) in &self.relations {
+            let old = earlier
+                .relations
+                .get(name)
+                .unwrap_or_else(|| panic!("no relation named {name:?} in the earlier database"));
+            if !Arc::ptr_eq(rel, old) && rel.len() != old.len() {
+                added.set(name.clone(), rel.difference(old));
+            }
+        }
+        added
     }
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|r| r.len()).sum()
     }
 
     /// The active domain: every value appearing in any tuple.
@@ -119,7 +197,7 @@ impl Database {
         other.relations.iter().all(|(name, rel)| {
             self.relations
                 .get(name)
-                .is_some_and(|mine| mine.is_superset(rel))
+                .is_some_and(|mine| Arc::ptr_eq(mine, rel) || mine.is_superset(rel))
         })
     }
 
@@ -129,13 +207,27 @@ impl Database {
         let mut out = self.clone();
         for (name, rel) in &other.relations {
             match out.relations.get_mut(name) {
-                Some(mine) => *mine = mine.union(rel),
+                Some(mine) if !Arc::ptr_eq(mine, rel) => *mine = Arc::new(mine.union(rel)),
+                Some(_) => {}
                 None => {
                     out.relations.insert(name.clone(), rel.clone());
                 }
             }
         }
         out
+    }
+}
+
+/// Makes `mine` equal to `theirs`: nothing to do if they are one
+/// relation, an in-place copy (keeping `mine`'s storage) if `mine` is
+/// held nowhere else, else `theirs` shared.
+pub fn reset_shared(mine: &mut Arc<Relation>, theirs: &Arc<Relation>) {
+    if Arc::ptr_eq(mine, theirs) {
+        return;
+    }
+    match Arc::get_mut(mine) {
+        Some(own) => own.clone_from(theirs),
+        None => *mine = Arc::clone(theirs),
     }
 }
 

@@ -42,26 +42,34 @@
 //! `oldVals` grows strictly on every non-fixpoint step and is bounded by
 //! the (polynomially many) valuations over the active domain.
 
-use crate::ast::Program;
+use crate::ast::{Atom, Program, Rule};
 use crate::eval::{prepare_database, CompiledProgram, CompiledRule, Layered, MatchScratch};
 use crate::DatalogError;
+use pfq_data::database::reset_shared;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_num::{dist::pick_weighted_index, Distribution, Ratio};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A node of the computation tree: the IDB relations plus the per-rule
 /// `oldVals` bookkeeping. The EDB it is read over is kept apart (see the
 /// module docs). `Ord` lets identical nodes reached by different choice
 /// paths merge their probability mass; `Hash` lets the memoizing engine
 /// intern nodes to dense ids.
+///
+/// Every relation, IDB and `oldVals` alike, sits behind an `Arc` and is
+/// copied only when written while shared, so a successor shares with
+/// its parent every relation the step leaves unchanged, and hashing a
+/// state reads each relation's cached hash.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EngineState {
     /// The current (inflationary) IDB relations, every one declared.
     pub idb: Database,
-    /// `oldVals[r]`: body valuations of rule `r` already consumed,
-    /// encoded over the rule's canonical variable order.
-    old_vals: Vec<BTreeSet<Tuple>>,
+    /// `oldVals[r]`: body valuations of rule `r` already consumed, as a
+    /// relation over the rule's positive body variables in the order
+    /// the matcher binds them ([`valuation_schema`]).
+    old_vals: Vec<Arc<Relation>>,
 }
 
 impl EngineState {
@@ -80,39 +88,64 @@ impl EngineState {
         }
         let state = EngineState {
             idb,
-            old_vals: vec![BTreeSet::new(); program.rules.len()],
+            old_vals: program
+                .rules
+                .iter()
+                .map(|rule| Arc::new(Relation::empty(valuation_schema(rule))))
+                .collect(),
         };
         Ok((edb, state))
     }
 
-    /// `oldVals`, one set per rule, in rule order.
-    pub fn old_vals(&self) -> &[BTreeSet<Tuple>] {
+    /// `oldVals`, one relation per rule, in rule order.
+    pub fn old_vals(&self) -> &[Arc<Relation>] {
         &self.old_vals
     }
 
     /// Δ from `parent` to `self`: per IDB relation, the tuples `self`
     /// has and `parent` lacks. Relations with none are left out, so an
-    /// empty database means no rule can have a new valuation.
+    /// empty database means no rule can have a new valuation. A relation
+    /// the step did not write is still shared with `parent` and costs a
+    /// pointer compare.
     pub fn delta_from(&self, parent: &EngineState) -> Database {
-        let mut delta = Database::new();
-        for (name, rel) in self.idb.iter() {
-            let old = parent.idb.get(name).expect("states of one program");
-            if rel.len() != old.len() {
-                delta.set(name, rel.difference(old));
-            }
-        }
-        delta
+        self.idb.added_since(&parent.idb)
     }
 
     /// The whole database the state stands for: `edb` with the IDB
-    /// relations set.
+    /// relations set (shared, not copied).
     pub fn database(&self, edb: &Database) -> Database {
         let mut db = edb.clone();
-        for (name, rel) in self.idb.iter() {
-            db.set(name, rel.clone());
-        }
+        db.overlay(&self.idb);
         db
     }
+
+    /// Makes `self` equal to `start`, reusing what it holds: relations
+    /// still shared with `start` stay, ones held only here are
+    /// overwritten in place, and a state of another shape (other IDB
+    /// names or schemas, another rule count) is replaced by a clone.
+    fn reset_from(&mut self, start: &EngineState) {
+        self.idb.reset_from(&start.idb);
+        if self.old_vals.len() == start.old_vals.len() {
+            for (mine, theirs) in self.old_vals.iter_mut().zip(&start.old_vals) {
+                reset_shared(mine, theirs);
+            }
+        } else {
+            self.old_vals.clone_from(&start.old_vals);
+        }
+    }
+}
+
+/// The schema of `rule`'s `oldVals`: its positive body's variables in
+/// order of first appearance, the order the compiled matcher binds them
+/// in and hands valuations over.
+fn valuation_schema(rule: &Rule) -> Schema {
+    let mut vars: Vec<&str> = Vec::new();
+    for v in rule.body.iter().flat_map(Atom::variables) {
+        if !vars.contains(&v) {
+            vars.push(v);
+        }
+    }
+    Schema::new(vars)
 }
 
 /// One repair-key option: a head tuple and its (unnormalized) weight.
@@ -144,16 +177,19 @@ impl RuleFiring {
 
 /// The buffers inflationary steps fill, kept from one step to the next
 /// so that stepping does not allocate them again: one rule firing per
-/// rule, the matcher's buffers, the weights a sampled step draws from
-/// and the tuples the last sampled step inserted (Δ). A tree traversal
-/// keeps one for all its nodes, a sampling worker one for all its
-/// trials; any scratch serves any program.
+/// rule, the matcher's buffers, the weights a sampled step draws from,
+/// the tuples the last sampled step inserted (Δ) and the state a
+/// sampled path walks. A tree traversal keeps one for all its nodes, a
+/// sampling worker one for all its trials. Any scratch serves any
+/// program: the path state is reset from each trial's start state and
+/// replaced when that start has another shape.
 #[derive(Default)]
 pub struct StepScratch {
     rules: Vec<RuleFiring>,
     matcher: MatchScratch,
     weights: Vec<Ratio>,
     delta: Database,
+    path: Option<EngineState>,
 }
 
 /// Computes rule `r`'s firing against the *old* state over `edb` into
@@ -173,7 +209,7 @@ fn fire_rule(
         idb: &state.idb,
         edb,
     };
-    let old_vals = &state.old_vals[rule_index];
+    let old_vals = &*state.old_vals[rule_index];
     let RuleFiring {
         consumed,
         options,
@@ -183,7 +219,7 @@ fn fire_rule(
     options.clear();
     ends.clear();
     let mut take = |vals: &[Value]| {
-        if !old_vals.contains(vals) {
+        if !old_vals.contains_values(vals) {
             consumed.push(Tuple::from_slice(vals));
             options.push((rule.head_tuple(vals)?, rule.weight(vals)?));
         }
@@ -271,7 +307,9 @@ pub fn is_fixpoint(
 /// rules and across key groups (independent repair-key applications).
 /// Each combination of choices, one option per group, is built once: a
 /// clone of the state with every rule's `oldVals` updated, plus the
-/// chosen tuples, carrying the product of their probabilities.
+/// chosen tuples, carrying the product of their probabilities. A clone
+/// shares every relation; only the relations a successor writes are
+/// copied.
 /// Combinations that insert the same tuples merge their mass.
 pub fn step_distribution(
     program: &CompiledProgram,
@@ -290,10 +328,13 @@ pub fn step_distribution(
         return Ok(None);
     }
 
-    // Deterministic part of the successor: updated oldVals.
+    // Deterministic part of the successor: updated oldVals (a rule that
+    // did not fire keeps sharing its parent's).
     let mut base = state.clone();
     for (old, f) in base.old_vals.iter_mut().zip(rules.iter_mut()) {
-        old.extend(f.consumed.drain(..));
+        if !f.consumed.is_empty() {
+            Arc::make_mut(old).extend(f.consumed.drain(..));
+        }
     }
 
     // Probabilistic part: every group's options beside the relation its
@@ -407,47 +448,64 @@ pub fn enumerate_fixpoints(
 /// bound; the semantics guarantees termination. The steps fill the
 /// buffers of `scratch`, which a caller drawing many paths keeps.
 ///
+/// The path is walked in a state kept in `scratch` (the returned one,
+/// valid until the scratch's next use), not in a clone of `start`: each
+/// call resets it from `start` in place, so a relation the last path did
+/// not write is still shared with `start`, and one it wrote is
+/// overwritten in its own storage. A scratch last used with a start of
+/// another shape (another program) takes a clone instead.
+///
 /// The first step matches in full; every later one fires from Δ, the
 /// tuples the step before it inserted. The rng is drawn once per choice
 /// group, in rule order and then key order, so a fixed seed gives a
 /// fixed path.
-pub fn sample_fixpoint<R: Rng + ?Sized>(
+pub fn sample_fixpoint<'s, R: Rng + ?Sized>(
     program: &CompiledProgram,
     edb: &Database,
     start: &EngineState,
     rng: &mut R,
     max_steps: usize,
-    scratch: &mut StepScratch,
-) -> Result<EngineState, DatalogError> {
+    scratch: &'s mut StepScratch,
+) -> Result<&'s EngineState, DatalogError> {
     let StepScratch {
         rules,
         matcher,
         weights,
         delta,
+        path,
     } = scratch;
-    let mut state = start.clone();
+    if let Some(state) = path.as_mut() {
+        state.reset_from(start);
+    } else {
+        *path = Some(start.clone());
+    }
+    let state = path.as_mut().expect("the path state was just set");
     for step in 0..max_steps {
         // Compute all firings against the old state before mutating.
         let from = (step > 0).then_some(&*delta);
-        if !fire_all(program, edb, &state, from, rules, matcher)? {
+        if !fire_all(program, edb, state, from, rules, matcher)? {
             return Ok(state);
         }
         delta.clear_tuples();
         let firings = program.rules().iter().zip(rules.iter_mut());
         for ((rule, f), old) in firings.zip(&mut state.old_vals) {
-            old.extend(f.consumed.drain(..));
+            // A rule with no new valuation has no choice group.
+            if f.consumed.is_empty() {
+                continue;
+            }
+            Arc::make_mut(old).extend(f.consumed.drain(..));
             let relation = &rule.rule().head.relation;
-            let rel = state
-                .idb
-                .get_mut(relation)
-                .expect("IDB relation was prepared");
             for options in f.groups() {
                 weights.clear();
                 weights.extend(options.iter().map(|(_, w)| w.clone()));
                 let (t, _) = &options[pick_weighted_index(weights, rng.gen::<u64>())];
-                if !rel.contains(t) {
-                    add_to_delta(delta, relation, rel.schema(), t);
-                    rel.insert(t.clone());
+                let new = state
+                    .idb
+                    .insert_tuple(relation, t.clone())
+                    .expect("IDB relation was prepared");
+                if new {
+                    let schema = state.idb.get(relation).expect("just written").schema();
+                    add_to_delta(delta, relation, schema, t);
                 }
             }
         }
@@ -477,6 +535,7 @@ mod tests {
     use pfq_data::{tuple, Relation, Schema, Value};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeSet;
 
     /// Example 3.9's database: E = {(v,w,1/2), (v,u,1/2)}.
     fn fork_db() -> Database {
@@ -664,9 +723,42 @@ mod tests {
         // Every successor consumed all six valuations.
         for (s, _) in step.iter() {
             assert_eq!(
-                s.old_vals().iter().map(BTreeSet::len).collect::<Vec<_>>(),
+                s.old_vals().iter().map(|r| r.len()).collect::<Vec<_>>(),
                 [4, 2]
             );
+        }
+    }
+
+    /// One scratch serves two programs with the same IDB names (C, C2)
+    /// and rule count but other arities: C is unary in one and binary
+    /// in the other, and so is the second rule's valuation. Its path
+    /// state is reset from each start, so every sampled path equals the
+    /// one a fresh scratch draws, in either order and after a switch.
+    #[test]
+    fn one_scratch_samples_programs_of_other_arities() {
+        let unary = reach_program();
+        let binary = parse_program(
+            "C(v, v).\n\
+             C2(X!, Y) @P :- C(X, Z), E(X, Y, P).\n\
+             C(Y, X) :- C2(X, Y).",
+        )
+        .unwrap();
+        let mut shared = StepScratch::default();
+        for seed in 0..8 {
+            for program in [&unary, &binary, &binary, &unary] {
+                let compiled = CompiledProgram::new(program);
+                let (edb, start) = EngineState::initial(program, &fork_db()).unwrap();
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut fresh = StepScratch::default();
+                let want = sample_fixpoint(&compiled, &edb, &start, &mut rng, 10, &mut fresh)
+                    .unwrap()
+                    .clone();
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let got =
+                    sample_fixpoint(&compiled, &edb, &start, &mut rng, 10, &mut shared).unwrap();
+                assert_eq!(*got, want, "seed {seed}");
+                assert_eq!(got.old_vals().len(), 3);
+            }
         }
     }
 

@@ -450,8 +450,8 @@ fn event_tuple(
 ) -> Tuple {
     let fixpoint = EngineState::initial(program, db).and_then(|(edb, start)| {
         let program = CompiledProgram::new(program);
-        let fixpoint =
-            sample_fixpoint(&program, &edb, &start, rng, 64, &mut StepScratch::default())?;
+        let mut scratch = StepScratch::default();
+        let fixpoint = sample_fixpoint(&program, &edb, &start, rng, 64, &mut scratch)?;
         Ok(fixpoint.database(&edb))
     });
     if let Ok(fixpoint) = fixpoint {

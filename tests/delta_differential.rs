@@ -19,14 +19,23 @@
 //! each node is stepped once, with the Δ from the first parent that
 //! reached it, as the memoized traversal does.
 
-use pfq::data::Database;
+use pfq::data::{Database, Relation, Tuple};
 use pfq::datalog::eval::CompiledProgram;
 use pfq::datalog::inflationary::{is_fixpoint, step_distribution, EngineState, StepScratch};
 use pfq::lang::sampler::trial_rng;
 use pfq::num::Ratio;
 use pfq_fuzz::oracle::{reference_step, ReferenceNode};
 use pfq_fuzz::{gen, FuzzConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// `oldVals` as the reference oracle holds them: one tuple set per rule.
+fn old_val_sets(old_vals: &[Arc<Relation>]) -> Vec<BTreeSet<Tuple>> {
+    old_vals
+        .iter()
+        .map(|r| r.iter().cloned().collect())
+        .collect()
+}
 
 /// Generated cases walked.
 const CASES: u64 = 600;
@@ -56,12 +65,17 @@ fn delta_step_equals_naive_step_on_fuzz_corpus() {
                 break;
             }
             let naive = step_distribution(&program, &edb, &state, None, &mut scratch);
-            let reference = reference_step(&case.program, &edb, &state.idb, state.old_vals());
+            let reference = reference_step(
+                &case.program,
+                &edb,
+                &state.idb,
+                &old_val_sets(state.old_vals()),
+            );
             match (&naive, &reference) {
                 (Ok(naive), Ok(reference)) => {
                     let naive: Option<BTreeMap<ReferenceNode, Ratio>> = naive.as_ref().map(|d| {
                         d.iter()
-                            .map(|(s, p)| ((s.idb.clone(), s.old_vals().to_vec()), p.clone()))
+                            .map(|(s, p)| ((s.idb.clone(), old_val_sets(s.old_vals())), p.clone()))
                             .collect()
                     });
                     assert_eq!(&naive, reference, "case {index}, state {state:?}");
