@@ -63,7 +63,7 @@ use std::sync::{Arc, OnceLock};
 /// assert!(state[0].contains(&tuple![2]));
 /// ```
 pub struct CompiledKernel {
-    targets: Vec<String>,
+    targets: Vec<Arc<str>>,
     roots: Vec<Node>,
 }
 
@@ -74,7 +74,7 @@ impl CompiledKernel {
     /// the kernel raises any error in its expression; and a result schema
     /// other than the target's is [`AlgebraError::SchemaMismatch`].
     pub fn new(interp: &Interpretation, db: &Database) -> Result<CompiledKernel, AlgebraError> {
-        let targets: Vec<String> = interp.iter().map(|(name, _)| name.to_string()).collect();
+        let targets: Vec<Arc<str>> = interp.iter().map(|(name, _)| Arc::from(name)).collect();
         let compiler = Compiler {
             db,
             targets: &targets,
@@ -101,7 +101,7 @@ impl CompiledKernel {
 
     /// The relations the kernel writes, in name order: the layout of a
     /// state.
-    pub fn targets(&self) -> &[String] {
+    pub fn targets(&self) -> &[Arc<str>] {
         &self.targets
     }
 
@@ -287,7 +287,7 @@ impl Node {
 /// Resolves expressions against a database and a target list.
 struct Compiler<'c> {
     db: &'c Database,
-    targets: &'c [String],
+    targets: &'c [Arc<str>],
 }
 
 impl Compiler<'_> {
@@ -313,7 +313,7 @@ impl Compiler<'_> {
                         .get(name)
                         .ok_or_else(|| AlgebraError::MissingRelation(name.clone()))?;
                     let schema = rel.schema().clone();
-                    match self.targets.iter().position(|t| t == name) {
+                    match self.targets.iter().position(|t| **t == **name) {
                         Some(i) => {
                             let flags = Flags {
                                 reads_state: true,

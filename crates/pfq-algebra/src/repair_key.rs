@@ -93,14 +93,15 @@ impl Groups {
     }
 
     /// One repair, drawing one `u64` per group in key order (a group
-    /// with a single choice still draws).
+    /// with a single choice still draws). The picks come in key order,
+    /// which is not tuple order when the key is not the leading column,
+    /// so they are sorted once rather than inserted one by one.
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Relation {
-        let mut out = Relation::empty(self.schema.clone());
-        for g in &self.groups {
+        let picked = self.groups.iter().map(|g| {
             let i = pfq_num::dist::pick_weighted_index(&g.weights, rng.gen::<u64>());
-            out.insert(g.tuples[i].clone());
-        }
-        out
+            g.tuples[i].clone()
+        });
+        Relation::from_rows(self.schema.clone(), picked)
     }
 }
 

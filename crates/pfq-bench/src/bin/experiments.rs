@@ -261,7 +261,7 @@ fn e3_relative_vs_absolute() {
             loop {
                 count += 1;
                 let world = input.sample_world(&mut rng).unwrap();
-                let (edb, start) = EngineState::initial(&query.program, &world).unwrap();
+                let (edb, start) = EngineState::initial_compiled(&program, &world).unwrap();
                 let fp = sample_fixpoint(&program, &edb, &start, &mut rng, 1_000_000, &mut scratch)
                     .unwrap();
                 if query.event.holds(&fp.database(&edb)) {

@@ -195,7 +195,7 @@ impl ChainCache {
     pub(crate) fn intern_start(&mut self, kernel: &CompiledKernel, db: &Database) -> StateId {
         let mut base = Database::new();
         for (name, rel) in db.iter() {
-            if !kernel.targets().iter().any(|t| t == name) {
+            if !kernel.targets().iter().any(|t| **t == *name) {
                 base.set(name, rel.clone());
             }
         }

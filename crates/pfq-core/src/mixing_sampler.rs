@@ -53,7 +53,7 @@ impl<'q> Walk<'q> {
         let targets = self.kernel.targets();
         self.query
             .event
-            .holds_in(&|name| match targets.iter().position(|t| t == name) {
+            .holds_in(&|name| match targets.iter().position(|t| **t == *name) {
                 Some(i) => Some(&state[i]),
                 None => self.db.get(name),
             })

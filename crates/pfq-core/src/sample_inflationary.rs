@@ -71,7 +71,7 @@ fn trial_pc(
     rng: &mut ChaCha8Rng,
 ) -> Result<bool, CoreError> {
     let world = input.sample_world(rng)?;
-    let start = EngineState::initial(&query.program, &world)?;
+    let start = EngineState::initial_compiled(program, &world)?;
     trial(query, program, &start, scratch, rng)
 }
 
@@ -89,7 +89,7 @@ pub fn evaluate_with_config(
     // Parameter errors take precedence over program errors.
     hoeffding_sample_count(epsilon, delta)?;
     let program = CompiledProgram::new(&query.program);
-    let start = EngineState::initial(&query.program, db)?;
+    let start = EngineState::initial_compiled(&program, db)?;
     sampler::run(
         config,
         epsilon,
@@ -126,7 +126,7 @@ pub fn evaluate_with_samples_config(
     config: &SamplerConfig,
 ) -> Result<SampleReport, CoreError> {
     let program = CompiledProgram::new(&query.program);
-    let start = EngineState::initial(&query.program, db)?;
+    let start = EngineState::initial_compiled(&program, db)?;
     sampler::run_fixed(config, samples, StepScratch::default, |scratch, rng| {
         trial(query, &program, &start, scratch, rng)
     })

@@ -155,11 +155,14 @@ impl Database {
         }
     }
 
-    /// Per relation, the tuples `self` has and `earlier` lacks; relations
-    /// with none are left out, so an empty result means nothing was
-    /// added. A relation still shared with `earlier` is skipped without
-    /// a look at its tuples. Every relation of `self` must exist in
-    /// `earlier`.
+    /// Per relation, the tuples `self` has and `earlier` lacks, where
+    /// `self` grew from `earlier` by additions only: every relation of
+    /// `self` must exist in `earlier` and contain it (as the states of an
+    /// inflationary computation do). Relations with no new tuple are left
+    /// out, so an empty result means nothing was added. A relation still
+    /// shared with `earlier`, or no longer than it, is skipped without a
+    /// look at its tuples; that shortcut is why the containment is
+    /// required (checked in debug builds).
     pub fn added_since(&self, earlier: &Database) -> Database {
         let mut added = Database::new();
         for (name, rel) in &self.relations {
@@ -167,6 +170,10 @@ impl Database {
                 .relations
                 .get(name)
                 .unwrap_or_else(|| panic!("no relation named {name:?} in the earlier database"));
+            debug_assert!(
+                Arc::ptr_eq(rel, old) || rel.is_superset(old),
+                "relation {name:?} lost tuples since the earlier database"
+            );
             if !Arc::ptr_eq(rel, old) && rel.len() != old.len() {
                 added.set(name.clone(), rel.difference(old));
             }
@@ -295,6 +302,30 @@ mod tests {
         assert!(!small.is_superset(&big));
         assert!(small.is_superset(&small));
         assert_eq!(small.union(&big), big);
+    }
+
+    #[test]
+    fn added_since_lists_only_new_tuples() {
+        let small = edge_db();
+        let mut big = small.clone();
+        big.insert_tuple("E", tuple![9, 9]).unwrap();
+        let added = big.added_since(&small);
+        assert_eq!(
+            added.get("E").unwrap().iter().collect::<Vec<_>>(),
+            [&tuple![9, 9]]
+        );
+        assert!(small.added_since(&small).iter().next().is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lost tuples")]
+    fn added_since_rejects_a_relation_that_lost_tuples() {
+        let earlier = edge_db();
+        let mut later = earlier.clone();
+        later.get_mut("E").unwrap().remove(&tuple![1, 2]);
+        later.insert_tuple("E", tuple![9, 9]).unwrap();
+        let _ = later.added_since(&earlier);
     }
 
     #[test]

@@ -282,11 +282,9 @@ fn merge<'a>(left: &'a [Tuple], right: &'a [Tuple], mut visit: impl FnMut(&'a Tu
 
 /// Appends every tuple (checking arities), then restores the order once:
 /// the new tuples are sorted, those already present are dropped, and the
-/// rest are merged in. A few new tuples (`m² ≤ n + m`) are merged from
-/// the largest down, each step rotating one run of old tuples past the
-/// new ones below it: `O(m log n)` comparisons, `O(n + m²)` moves and no
-/// allocation beyond the vector's growth. More are merged by one stable
-/// sort of the two runs.
+/// rest, unless they all sort after the old ones, are merged in by one
+/// stable sort, which finds the two sorted runs and merges them in a
+/// linear pass.
 impl Extend<Tuple> for Relation {
     fn extend<I: IntoIterator<Item = Tuple>>(&mut self, rows: I) {
         let old = self.tuples.len();
@@ -314,27 +312,8 @@ impl Extend<Tuple> for Relation {
             }
         }
         self.tuples.truncate(kept);
-        let fresh = kept - old;
-        if old == 0 || fresh == 0 || self.tuples[old - 1] < self.tuples[old] {
-            return; // appended in order
-        }
-        if fresh * fresh > kept {
-            // Many new tuples: the stable sort merges the two runs in one
-            // pass, in fewer moves than the rotations would take.
+        if old > 0 && kept > old && self.tuples[old - 1] > self.tuples[old] {
             self.tuples.sort();
-            return;
-        }
-        // Invariant: `tuples[..old_end + k + 1]` holds the old tuples not
-        // yet placed, then the new ones up to the k-th; all after is final.
-        let mut old_end = old;
-        for k in (0..fresh).rev() {
-            if old_end == 0 {
-                break;
-            }
-            let at = old_end + k;
-            let p = self.tuples[..old_end].partition_point(|t| *t < self.tuples[at]);
-            self.tuples[p..=at].rotate_left(old_end - p);
-            old_end = p;
         }
     }
 }

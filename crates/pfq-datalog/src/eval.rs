@@ -16,6 +16,7 @@ use pfq_data::{Database, Relation, Schema, Tuple, Value};
 use pfq_num::Ratio;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Where matching reads relations from: a whole [`Database`], or a
 /// computation state's IDB read before its input's EDB ([`Layered`]).
@@ -111,6 +112,9 @@ pub struct CompiledRule {
     slots: usize,
     /// Total prefix length over all atoms (the key buffer's size).
     key_len: usize,
+    /// The rule's `oldVals` before it first fires: empty, over
+    /// [`valuation_schema`]. Every start state shares it.
+    empty_old_vals: Arc<Relation>,
 }
 
 impl CompiledRule {
@@ -178,6 +182,7 @@ impl CompiledRule {
             slots: slots.len(),
             key_len,
             body,
+            empty_old_vals: Arc::new(Relation::empty(valuation_schema(rule))),
             rule: rule.clone(),
         }
     }
@@ -185,6 +190,12 @@ impl CompiledRule {
     /// The source rule.
     pub fn rule(&self) -> &Rule {
         &self.rule
+    }
+
+    /// The rule's `oldVals` before it first fires: no valuation, over
+    /// [`valuation_schema`]. Built once, at compile time.
+    pub fn empty_old_vals(&self) -> &Arc<Relation> {
+        &self.empty_old_vals
     }
 
     /// Calls `emit` with every valuation of the positive body, against
@@ -319,9 +330,11 @@ impl CompiledRule {
     }
 }
 
-/// A program with every rule compiled, in rule order.
+/// A program with every rule compiled, in rule order, beside the
+/// program it was compiled from.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
+    program: Program,
     rules: Vec<CompiledRule>,
 }
 
@@ -329,14 +342,33 @@ impl CompiledProgram {
     /// Compiles every rule of `program`.
     pub fn new(program: &Program) -> CompiledProgram {
         CompiledProgram {
+            program: program.clone(),
             rules: program.rules.iter().map(CompiledRule::new).collect(),
         }
+    }
+
+    /// The program this was compiled from.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// The compiled rules, in program order.
     pub fn rules(&self) -> &[CompiledRule] {
         &self.rules
     }
+}
+
+/// The schema of `rule`'s `oldVals`: its positive body's variables in
+/// order of first appearance, the order the compiled matcher binds them
+/// in and hands valuations over.
+pub fn valuation_schema(rule: &Rule) -> Schema {
+    let mut vars: Vec<&str> = Vec::new();
+    for v in rule.body.iter().flat_map(Atom::variables) {
+        if !vars.contains(&v) {
+            vars.push(v);
+        }
+    }
+    Schema::new(vars)
 }
 
 /// The buffers of [`CompiledRule::for_each_valuation`]: the relations a

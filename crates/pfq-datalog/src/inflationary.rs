@@ -42,8 +42,10 @@
 //! `oldVals` grows strictly on every non-fixpoint step and is bounded by
 //! the (polynomially many) valuations over the active domain.
 
-use crate::ast::{Atom, Program, Rule};
-use crate::eval::{prepare_database, CompiledProgram, CompiledRule, Layered, MatchScratch};
+use crate::ast::Program;
+use crate::eval::{
+    prepare_database, valuation_schema, CompiledProgram, CompiledRule, Layered, MatchScratch,
+};
 use crate::DatalogError;
 use pfq_data::database::reset_shared;
 use pfq_data::{Database, Relation, Schema, Tuple, Value};
@@ -80,21 +82,44 @@ impl EngineState {
         program: &Program,
         db: &Database,
     ) -> Result<(Database, EngineState), DatalogError> {
+        let old_vals = program
+            .rules
+            .iter()
+            .map(|rule| Arc::new(Relation::empty(valuation_schema(rule))))
+            .collect();
+        EngineState::split(program, db, old_vals)
+    }
+
+    /// [`initial`](Self::initial) for the program `compiled` was
+    /// compiled from, its empty `oldVals` shared with `compiled` rather
+    /// than built again: the form for a caller that starts many
+    /// computations, such as a sampler drawing an input world per trial.
+    pub fn initial_compiled(
+        compiled: &CompiledProgram,
+        db: &Database,
+    ) -> Result<(Database, EngineState), DatalogError> {
+        let old_vals = compiled
+            .rules()
+            .iter()
+            .map(|rule| rule.empty_old_vals().clone())
+            .collect();
+        EngineState::split(compiled.program(), db, old_vals)
+    }
+
+    /// `db` prepared for `program`, split into its EDB and the state with
+    /// its IDB relations and `old_vals`.
+    fn split(
+        program: &Program,
+        db: &Database,
+        old_vals: Vec<Arc<Relation>>,
+    ) -> Result<(Database, EngineState), DatalogError> {
         let mut edb = prepare_database(program, db)?;
         let mut idb = Database::new();
         for (name, _) in program.idb_arities()? {
             let rel = edb.remove(&name).expect("IDB relation was prepared");
             idb.set(name, rel);
         }
-        let state = EngineState {
-            idb,
-            old_vals: program
-                .rules
-                .iter()
-                .map(|rule| Arc::new(Relation::empty(valuation_schema(rule))))
-                .collect(),
-        };
-        Ok((edb, state))
+        Ok((edb, EngineState { idb, old_vals }))
     }
 
     /// `oldVals`, one relation per rule, in rule order.
@@ -133,19 +158,6 @@ impl EngineState {
             self.old_vals.clone_from(&start.old_vals);
         }
     }
-}
-
-/// The schema of `rule`'s `oldVals`: its positive body's variables in
-/// order of first appearance, the order the compiled matcher binds them
-/// in and hands valuations over.
-fn valuation_schema(rule: &Rule) -> Schema {
-    let mut vars: Vec<&str> = Vec::new();
-    for v in rule.body.iter().flat_map(Atom::variables) {
-        if !vars.contains(&v) {
-            vars.push(v);
-        }
-    }
-    Schema::new(vars)
 }
 
 /// One repair-key option: a head tuple and its (unnormalized) weight.
@@ -866,6 +878,26 @@ mod tests {
         assert!(q.is_one());
         assert_eq!(next.idb.get("P").unwrap().len(), 4);
         assert_eq!(next.old_vals()[1].len(), 4);
+    }
+
+    #[test]
+    fn a_compiled_start_equals_a_fresh_one_and_shares_its_old_vals() {
+        let p = parse_program("B(X, Y) :- A(X), E(X, Y).\nC(Y) :- B(X, Y), not A(Y).").unwrap();
+        let db = Database::new()
+            .with("A", Relation::from_rows(Schema::new(["v"]), [tuple![1]]))
+            .with(
+                "E",
+                Relation::from_rows(Schema::new(["i", "j"]), [tuple![1, 2]]),
+            );
+        let compiled = CompiledProgram::new(&p);
+        let fresh = EngineState::initial(&p, &db).unwrap();
+        let (edb, start) = EngineState::initial_compiled(&compiled, &db).unwrap();
+        assert_eq!((&edb, &start), (&fresh.0, &fresh.1));
+        assert_eq!(start.old_vals()[0].schema(), &Schema::new(["X", "Y"]));
+        let (_, again) = EngineState::initial_compiled(&compiled, &db).unwrap();
+        for (a, b) in start.old_vals().iter().zip(again.old_vals()) {
+            assert!(Arc::ptr_eq(a, b));
+        }
     }
 
     #[test]
